@@ -117,7 +117,11 @@ def parse_curve_file(path: str) -> list[CurveQ]:
 
 
 class ApDiskCache:
-    """Append-only text cache of a_p values, lines 'label p a_p'.
+    """Append-only text cache of a_p values, lines 'key p a_p'.
+
+    The key is the curve's a-invariants and conductor as one token,
+    '0,-1,1,-10,-20,11', never its label: two curves run under the same
+    label cannot read each other's values.
 
     Corrupt lines are dropped (and logged) at load; the file is then rewritten
     atomically. Writers append and flush line-at-a-time, so concurrent readers
@@ -142,7 +146,7 @@ class ApDiskCache:
                 if len(parts) != 3:
                     corrupt += 1
                     continue
-                label, p_s, a_s = parts
+                key, p_s, a_s = parts
                 try:
                     p, a = int(p_s), int(a_s)
                     if p < 2 or a * a > 4 * p:
@@ -150,7 +154,7 @@ class ApDiskCache:
                 except ValueError:
                     corrupt += 1
                     continue
-                self.entries[(label, p)] = a
+                self.entries[(key, p)] = a
         if corrupt:
             log.warning("dropping %d corrupt cache lines from %s", corrupt, self.path)
             self._rewrite()
@@ -158,12 +162,12 @@ class ApDiskCache:
     def _rewrite(self):
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix="ap_cache.", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            for (label, p), a in sorted(self.entries.items()):
-                fh.write(f"{label} {p} {a}\n")
+            for (key, p), a in sorted(self.entries.items()):
+                fh.write(f"{key} {p} {a}\n")
         os.replace(tmp, self.path)
 
     def get(self, curve: CurveQ, p: int) -> int:
-        key = (curve.label or str(curve.ainvs), p)
+        key = (",".join(str(v) for v in (*curve.ainvs, curve.N)), p)
         if key not in self.entries:
             value = ap(curve, p)
             self.entries[key] = value
@@ -319,7 +323,7 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
         }
         for it in items
     ]
-    reverified = all(verify_prime_item(curve, d_K, q, it, ap_source) for it in items)
+    reverified = all(verify_prime_item(curve, d_K, q, it) for it in items)
     _check(checks, "prime_sequence", reverified, primes=[it.p for it in items])
 
     # 4. ring class structure per cumulative level

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .arith import crt_pair, euler_phi, is_prime, is_squarefree, primes_upto
-from .ec_core import ApTable, CurveQ, good_reduction
+from .ec_core import ApTable, CurveQ, count_points, good_reduction, reduce_mod
 from .lseries import DEFAULT_NONVANISHING_THRESHOLD, LOverK, l_over_K
 from .quadforms import is_fundamental, kronecker
 
@@ -164,13 +164,14 @@ def prime_sequence(
     raise PrimeSearchExhausted(p_bound, items)
 
 
-def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem, ap_source=None) -> bool:
-    """Independent recomputation of all four flags for an accepted prime."""
-    if ap_source is None:
-        table = ApTable()
-        ap_source = lambda p: table.get(curve, p)
+def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem) -> bool:
+    """Independent recomputation of all four flags for an accepted prime.
+
+    a_p is recounted by enumeration, never read from a cache, and by a
+    different algorithm from the one `ap` uses above BSGS_MIN_P.
+    """
     p = item.p
-    a = ap_source(p)
+    a = p + 1 - count_points(reduce_mod(curve, p))
     return (
         p % q == q - 1
         and kronecker(d_K, p) == -1

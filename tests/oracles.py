@@ -10,7 +10,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from heegner_witness.ec_core import CurveQ, ap, reduction_type
+from heegner_witness.ec_core import (
+    POINT_COUNT_CEILING,
+    CurveQ,
+    PointCountBoundError,
+    ap,
+    count_points,
+    reduce_mod,
+    reduction_type,
+)
 
 
 def brute_count(curve: CurveQ, p: int) -> int:
@@ -22,6 +30,76 @@ def brute_count(curve: CurveQ, p: int) -> int:
         for y in range(p):
             if (y * y + a1 * x * y + a3 * y) % p == rhs:
                 cnt += 1
+    return cnt
+
+
+def _fp2_mul(u, v, p, eps):
+    # elements of F_{p^2} = F_p(sqrt(eps)) as pairs (a, b) = a + b*sqrt(eps)
+    return ((u[0] * v[0] + eps * u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p)
+
+
+def _fp2_pow(u, e, p, eps):
+    r = (1, 0)
+    while e:
+        if e & 1:
+            r = _fp2_mul(r, u, p, eps)
+        u = _fp2_mul(u, u, p, eps)
+        e >>= 1
+    return r
+
+
+def count_points_ext(curve: CurveQ, p: int, k: int) -> int:
+    """#E(F_{p^k}) by enumeration, k <= 2. Oracle-grade, small p only."""
+    if k == 1:
+        return count_points(reduce_mod(curve, p))
+    if k != 2:
+        raise ValueError("only k = 1 or 2 supported")
+    if p * p > POINT_COUNT_CEILING:
+        raise PointCountBoundError(f"p^2 = {p * p} exceeds ceiling {POINT_COUNT_CEILING}")
+    cfp = reduce_mod(curve, p)
+    a1, a2, a3, a4, a6 = cfp.a1, cfp.a2, cfp.a3, cfp.a4, cfp.a6
+    if p == 2:
+        # F_4 = F_2[t]/(t^2 + t + 1), elements (a, b) = a + b t
+        def mul(u, v):
+            # (a+bt)(c+dt) = ac + (ad+bc)t + bd t^2, t^2 = t + 1
+            a, b = u
+            c, d = v
+            return ((a * c + b * d) % 2, (a * d + b * c + b * d) % 2)
+
+        def add(*els):
+            return (sum(e[0] for e in els) % 2, sum(e[1] for e in els) % 2)
+
+        elems = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        cnt = 1
+        const = [(a6 % 2, 0), (a4 % 2, 0), (a2 % 2, 0), (a3 % 2, 0), (a1 % 2, 0)]
+        c6_, c4_, c2_, c3_, c1_ = const
+        for x in elems:
+            x2 = mul(x, x)
+            x3 = mul(x2, x)
+            rhs = add(x3, mul(c2_, x2), mul(c4_, x), c6_)
+            for y in elems:
+                lhs = add(mul(y, y), mul(c1_, mul(x, y)), mul(c3_, y))
+                if lhs == rhs:
+                    cnt += 1
+        return cnt
+    # odd p: find a quadratic non-residue for the extension
+    eps = next(e for e in range(2, p) if pow(e, (p - 1) // 2, p) == p - 1)
+    half = (p * p - 1) // 2
+    cnt = 1
+    for u0 in range(p):
+        for u1 in range(p):
+            x = (u0, u1)
+            x2 = _fp2_mul(x, x, p, eps)
+            x3 = _fp2_mul(x2, x, p, eps)
+            rhs = ((x3[0] + a2 * x2[0] + a4 * x[0] + a6) % p, (x3[1] + a2 * x2[1] + a4 * x[1]) % p)
+            lin = ((a1 * x[0] + a3) % p, (a1 * x[1]) % p)
+            lin2 = _fp2_mul(lin, lin, p, eps)
+            d = ((4 * rhs[0] + lin2[0]) % p, (4 * rhs[1] + lin2[1]) % p)
+            if d == (0, 0):
+                cnt += 1
+            else:
+                s = _fp2_pow(d, half, p, eps)
+                cnt += 2 if s == (1, 0) else 0
     return cnt
 
 

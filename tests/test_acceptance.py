@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from heegner_witness.arith import euler_phi, is_squarefree, primes_upto
-from heegner_witness.ec_core import an_series, ap, count_points_ext, good_reduction
+from heegner_witness.ec_core import an_series, ap, good_reduction
 from heegner_witness.galois_tower import (
     FormalMWModel,
     divisibility_contradiction,
@@ -39,7 +39,12 @@ from heegner_witness.searcher import (
     prime_sequence,
     verify_prime_item,
 )
-from oracles import height_doubling_oracle, l_derivative_straight, l_value_straight
+from oracles import (
+    count_points_ext,
+    height_doubling_oracle,
+    l_derivative_straight,
+    l_value_straight,
+)
 
 FUNDAMENTALS = (-7, -11, -19, -43, -67, -163)
 

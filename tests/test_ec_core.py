@@ -8,16 +8,18 @@ from heegner_witness.ec_core import (
     ApTable,
     BadReductionError,
     CurveQ,
+    PointCountBoundError,
+    _ap_bsgs,
     an_series,
     ap,
     count_points,
-    count_points_ext,
     discriminant,
     good_reduction,
     reduce_mod,
     reduction_type,
 )
-from oracles import an_recursive, brute_count
+from heegner_witness.lseries import twist
+from oracles import an_recursive, brute_count, count_points_ext
 
 
 def test_discriminant_37a(e37a):
@@ -83,6 +85,23 @@ def test_count_points_ext_consistency(e37a, e_ss):
                 assert count_points_ext(curve, p, 2) == p * p + 1 - (a * a - 2 * p)
 
 
+def test_bsgs_matches_enumerator(e11a, e37a, e_ss):
+    j0 = CurveQ(0, 0, 1, 0, 0, 27)
+    j1728 = CurveQ(0, 0, 0, -1, 0, 32)
+    big = twist(e37a, -2503).curve  # a6 = -3920329382, 2503 | N
+    for curve in (e11a, e37a, e_ss, j0, j1728, big):
+        for p in primes_upto(5000):
+            if p >= 230 and good_reduction(curve, p):
+                assert _ap_bsgs(curve, p) == p + 1 - count_points(reduce_mod(curve, p)), (curve, p)
+    for curve in (e37a, big):
+        for p in (99989, 99991, 100003, 999961, 999979, 999983):
+            assert _ap_bsgs(curve, p) == p + 1 - count_points(reduce_mod(curve, p)), (curve, p)
+    with pytest.raises(BadReductionError):
+        ap(big, 2503)
+    with pytest.raises(PointCountBoundError):
+        ap(e37a, 1000003)  # the first prime above POINT_COUNT_CEILING
+
+
 def test_hasse_bound_to_1e4(e11a, e37a, e_ss):
     for curve in (e11a, e37a, e_ss):
         for p in primes_upto(10**4):
@@ -138,6 +157,8 @@ def test_ap_deterministic_and_cache_consistent(e37a):
     v2 = ap(e37a, 101)
     table.put(e37a, 101, v2, provenance="cache")
     assert table.get(e37a, 101) == v1 == v2
+    with pytest.raises(ValueError, match="Hasse"):
+        table.put(e37a, 5, 5)  # 25 > 4 * 5
 
 
 def test_bad_prime_types(e11a, e37a):

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from heegner_witness.cli import main
+from heegner_witness.ec_core import CurveQ
 from heegner_witness.pipeline import (
     ApDiskCache,
     Config,
@@ -49,7 +50,7 @@ def test_ap_cache_roundtrip(tmp_path, e37a):
     v1 = cache.get(e37a, 101)
     cache.close()
     cache2 = ApDiskCache(str(tmp_path / "cache"))
-    assert cache2.entries[("37a", 101)] == v1
+    assert cache2.entries[("0,0,1,-1,0,37", 101)] == v1
     assert cache2.get(e37a, 101) == v1
     cache2.close()
 
@@ -60,13 +61,40 @@ def test_ap_cache_recovers_from_corruption(tmp_path, e37a):
     good = cache.get(e37a, 101)
     cache.close()
     with open(os.path.join(d, "ap_cache.txt"), "a") as fh:
-        fh.write("garbage line here and more\n37a 103 99999\n")
+        fh.write("garbage line here and more\n0,0,1,-1,0,37 103 99999\n")
     cache2 = ApDiskCache(d)  # drops corrupt lines, rewrites
-    assert ("37a", 101) in cache2.entries
-    assert ("37a", 103) not in cache2.entries
+    assert ("0,0,1,-1,0,37", 101) in cache2.entries
+    assert ("0,0,1,-1,0,37", 103) not in cache2.entries
     v = cache2.get(e37a, 103)
     assert v * v <= 4 * 103
     cache2.close()
+
+
+def test_ap_cache_keyed_by_curve_not_label(tmp_path):
+    # 37a fills the cache under label "E"; 11a run under "E" must not read it
+    cache = ApDiskCache(str(tmp_path / "cache"))
+    cfg = Config(depth=3)
+    run_witness(CurveQ(0, 0, 1, -1, 0, 37, "E"), cfg, cache)
+    e11 = CurveQ(0, -1, 1, -10, -20, 11, "E")
+    rep = run_witness(e11, cfg, cache)
+    assert rep.passed
+    assert [it["p"] for it in rep.prime_seq] == [5, 17, 41]
+    assert rep.prime_seq[0]["a_p"] == 1
+    assert (cache.get(e11, 59), cache.get(e11, 89)) == (5, 15)  # 37a's are 8 and 4
+    cache.close()
+
+
+def test_poisoned_cache_fails_reverification(tmp_path, e11a):
+    # a Hasse-valid but wrong a_5 = -2 (37a's) under 11a's own key
+    d = tmp_path / "cache"
+    d.mkdir()
+    (d / "ap_cache.txt").write_text("0,-1,1,-10,-20,11 5 -2\n")
+    cache = ApDiskCache(str(d))
+    rep = run_witness(e11a, Config(), cache)
+    cache.close()
+    assert rep.prime_seq[0]["a_p"] == -2
+    assert not rep.passed
+    assert not next(c for c in rep.checks if c["name"] == "prime_sequence")["pass"]
 
 
 def test_config_validation(tmp_path):

@@ -8,6 +8,7 @@ from heegner_witness.searcher import (
     CartanCountProblem,
     FieldSearchExhausted,
     PrimeSearchExhausted,
+    PrimeSeqItem,
     cartan_counts,
     cartan_group_order,
     choose_q,
@@ -69,6 +70,13 @@ def test_prime_sequence_37a(e37a):
         assert verify_prime_item(e37a, -7, 3, it)
         assert it.p % 3 == 2
         assert it.a_p % 3 != 0
+
+
+def test_verify_prime_item_recounts_a_p(e11a):
+    # a_p = -2 is 37a's a_5 and agrees with ap_mod_q; only a recount sees 11a's a_5 = 1
+    poisoned = PrimeSeqItem(5, True, True, True, True, a_p=-2, ap_mod_q=1)
+    assert not verify_prime_item(e11a, -7, 3, poisoned)
+    assert verify_prime_item(e11a, -7, 3, PrimeSeqItem(5, True, True, True, True, 1, 1))
 
 
 def test_prime_sequence_never_contains_q(e37a):
