@@ -270,17 +270,14 @@ def _mat_inv(A, modulus):
     return [tuple(r) for r in I]
 
 
-def matrix_order(T, modulus, cap: int = 3 ** 12) -> int:
-    n = len(T)
-    ident = _identity(n, modulus)
-    acc = T
-    order = 1
-    while not _mat_eq(acc, ident, modulus):
-        acc = _mat_mul(acc, T, modulus)
-        order += 1
-        if order > cap:
-            raise ValueError("matrix order exceeds cap; not of small q-power order")
-    return order
+def _mat_pow(A, e, modulus):
+    out = _identity(len(A), modulus)
+    while e:
+        if e & 1:
+            out = _mat_mul(out, A, modulus)
+        A = _mat_mul(A, A, modulus)
+        e >>= 1
+    return out
 
 
 def involution_check(q: int, T, S, modulus: int | None = None) -> str:
@@ -301,12 +298,14 @@ def involution_check(q: int, T, S, modulus: int | None = None) -> str:
     minus_ident = [tuple(-x if modulus is None else (-x) % modulus for x in row) for row in ident]
     if not _mat_eq(S, minus_ident, modulus):
         raise ValueError("S must act as -identity")
-    order = matrix_order(T, modulus)
-    o = order
-    while o % q == 0:
-        o //= q
-    if o != 1:
-        raise ValueError(f"T has order {order}, not a power of q = {q}")
+    # T has q-power order iff T^(q^k) = 1 for some q^k <= cap: k q-th powerings
+    cap = 3 ** 12
+    acc, qk = T, 1
+    while not _mat_eq(acc, ident, modulus):
+        if qk * q > cap:
+            raise ValueError(f"T^(q^k) != 1 for all q^k <= {cap}: order not a power of {q}")
+        acc = _mat_pow(acc, q, modulus)
+        qk *= q
     lhs = _mat_mul(_mat_mul(S, T, modulus), _mat_inv(S, modulus), modulus)
     rhs = _mat_inv(T, modulus)
     if _mat_eq(lhs, rhs, modulus):

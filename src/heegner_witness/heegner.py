@@ -316,6 +316,12 @@ def heegner_orbit(curve: CurveQ, d_K, level: int = 1) -> HeegnerOrbit:
 
     Needs the Heegner hypothesis for (E, K), level squarefree and coprime to
     N d_K with every prime of the level inert in K.
+
+    Scans A = N a for a = 1, 2, ... and keeps, per class, the first form
+    found, i.e. the one of smallest A. The scan stops at whichever limit comes
+    first: the Im tau floor (Im tau = sqrt|D| / (2A) < MIN_IM_TAU, which every
+    later form would fail too) or the cap a <= 60 h. If classes are still
+    missing, PrecisionUnreachable names the limit that stopped the scan.
     """
     d = d_K.d if hasattr(d_K, "d") else d_K
     N = curve.N
@@ -338,6 +344,9 @@ def heegner_orbit(curve: CurveQ, d_K, level: int = 1) -> HeegnerOrbit:
     a_mult = 1
     while len(found) < h and a_mult <= 60 * h:
         A = N * a_mult
+        # same float expression as HeegnerTau.im_tau, so the cutoff matches it bit for bit
+        if math.sqrt(-D) / (2 * A) < MIN_IM_TAU:
+            break
         B = beta - 2 * N * ((beta + A) // (2 * N))
         while B <= A:
             if (B * B - D) % (4 * A) == 0:
@@ -349,16 +358,17 @@ def heegner_orbit(curve: CurveQ, d_K, level: int = 1) -> HeegnerOrbit:
             B += 2 * N
         a_mult += 1
     if len(found) < h:
+        if a_mult > 60 * h:
+            limit = f"the 60h cap at A = {60 * h * N}"
+        else:
+            limit = (
+                f"the Im tau floor {MIN_IM_TAU} at A = {A} "
+                f"(Im tau = {math.sqrt(-D) / (2 * A):.2e})"
+            )
         raise PrecisionUnreachable(
-            f"only {len(found)} of {h} Heegner classes found below A = {60 * h * N}"
+            f"only {len(found)} of {h} Heegner classes found before the scan hit {limit}"
         )
-    taus = [found[k] for k in sorted(found)]
-    if min(t.im_tau for t in taus) < MIN_IM_TAU:
-        raise PrecisionUnreachable(
-            f"minimal Im tau {min(t.im_tau for t in taus):.2e} below desk-scale "
-            f"floor {MIN_IM_TAU}"
-        )
-    return HeegnerOrbit(curve, d, level, D, taus)
+    return HeegnerOrbit(curve, d, level, D, [found[k] for k in sorted(found)])
 
 
 def modular_param(

@@ -350,43 +350,48 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
 
     # 5. Heegner numerics
     t = time.perf_counter()
-    gz = gz_correspondence(curve, d_K, precision=config.lseries_precision)
-    heeg: dict = {
-        "z_K": [gz.z_K.real, gz.z_K.imag],
-        "recognized_x": None if gz.recognized is None else str(gz.recognized[0]),
-        "recognized_y": None if gz.recognized is None else str(gz.recognized[1]),
-        "height_side": gz.height_side,
-        "height_is_proxy": gz.height_is_proxy,
-        "l_prime_K": gz.l_prime_K,
-        "pk_nontorsion": gz.pk_nontorsion,
-        "biconditional_holds": gz.biconditional_holds,
-        "ratio": gz.ratio,
-    }
-    _check(checks, "gz_correspondence", gz.biconditional_holds,
-           nontorsion=gz.pk_nontorsion, l_nonzero=gz.l_nonzero)
-    base_tau = heegner_orbit(curve, d_K, 1).taus[0].tau
-    heeg["fricke"] = fricke_diagnostic(curve, base_tau)  # recorded, not asserted
-    aux = _pick_aux_ell(curve, d_K)
-    if aux is None:
-        heeg["trace_relation"] = {"error": "no feasible auxiliary inert prime"}
-        _check(checks, "trace_relation", False)
-        report.heegner = heeg
-        return finish("trace_relation")
     try:
-        residual = trace_relation_check(curve, d_K, aux, config.heegner_residual)
-        orbit_n = heegner_orbit(curve, d_K, aux).class_count
-        heeg["trace_relation"] = {
-            "ell": aux,
-            "residual": residual,
-            "orbit_size": orbit_n,
-            "a_ell": ap(curve, aux),
+        try:
+            gz = gz_correspondence(curve, d_K, precision=config.lseries_precision)
+            base_tau = heegner_orbit(curve, d_K, 1).taus[0].tau
+        except PrecisionUnreachable as e:
+            _check(checks, "gz_correspondence", False, error=str(e))
+            return finish("gz_correspondence")
+        heeg: dict = {
+            "z_K": [gz.z_K.real, gz.z_K.imag],
+            "recognized_x": None if gz.recognized is None else str(gz.recognized[0]),
+            "recognized_y": None if gz.recognized is None else str(gz.recognized[1]),
+            "height_side": gz.height_side,
+            "height_is_proxy": gz.height_is_proxy,
+            "l_prime_K": gz.l_prime_K,
+            "pk_nontorsion": gz.pk_nontorsion,
+            "biconditional_holds": gz.biconditional_holds,
+            "ratio": gz.ratio,
         }
-        ok = residual < config.heegner_residual
-    except PrecisionUnreachable as e:
-        heeg["trace_relation"] = {"ell": aux, "error": str(e)}
-        ok = False
-    report.heegner = heeg
-    timing["heegner_s"] = round(time.perf_counter() - t, 3)
+        _check(checks, "gz_correspondence", gz.biconditional_holds,
+               nontorsion=gz.pk_nontorsion, l_nonzero=gz.l_nonzero)
+        heeg["fricke"] = fricke_diagnostic(curve, base_tau)  # recorded, not asserted
+        report.heegner = heeg
+        aux = _pick_aux_ell(curve, d_K)
+        if aux is None:
+            heeg["trace_relation"] = {"error": "no feasible auxiliary inert prime"}
+            _check(checks, "trace_relation", False)
+            return finish("trace_relation")
+        try:
+            residual = trace_relation_check(curve, d_K, aux, config.heegner_residual)
+            orbit_n = heegner_orbit(curve, d_K, aux).class_count
+            heeg["trace_relation"] = {
+                "ell": aux,
+                "residual": residual,
+                "orbit_size": orbit_n,
+                "a_ell": ap(curve, aux),
+            }
+            ok = residual < config.heegner_residual
+        except PrecisionUnreachable as e:
+            heeg["trace_relation"] = {"ell": aux, "error": str(e)}
+            ok = False
+    finally:
+        timing["heegner_s"] = round(time.perf_counter() - t, 3)
     if not _check(checks, "trace_relation", ok, **heeg["trace_relation"]):
         return finish("trace_relation")
 

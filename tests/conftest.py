@@ -27,3 +27,9 @@ def e389a():
 def e_ss():
     # y^2 = x^3 + x, CM curve, conductor 32
     return CurveQ(0, 0, 0, 1, 0, 32, "32a")
+
+
+@pytest.fixture(scope="session")
+def g427():
+    # generated semistable curve: every inert ell < 100 fails the Im tau floor for d_K = -19
+    return CurveQ(0, -1, 1, -1, -1, 427, "g427.1")

@@ -19,6 +19,8 @@ from heegner_witness.ec_core import (
     reduce_mod,
     reduction_type,
 )
+from heegner_witness.heegner import MIN_IM_TAU, PrecisionUnreachable
+from heegner_witness.quadforms import class_number, reduce_form
 
 
 def brute_count(curve: CurveQ, p: int) -> int:
@@ -203,3 +205,50 @@ def height_doubling_oracle(curve: CurveQ, P, k: int = 10) -> float:
 
 def naive_height(x: Fraction) -> float:
     return math.log(max(abs(x.numerator), x.denominator))
+
+
+def matrix_order(T, modulus, cap: int = 3 ** 12) -> int:
+    """Order of a square matrix by stepping T, T^2, T^3, ... one product at a
+    time, over Q (modulus None, exact Fractions) or Z/modulus."""
+    n = len(T)
+    reduce = (lambda x: x % modulus) if modulus is not None else Fraction
+    T = [[reduce(x) for x in row] for row in T]
+    ident = [[reduce(int(i == j)) for j in range(n)] for i in range(n)]
+    acc = T
+    order = 1
+    while acc != ident:
+        acc = [[reduce(sum(acc[i][k] * T[k][j] for k in range(n))) for j in range(n)]
+               for i in range(n)]
+        order += 1
+        if order > cap:
+            raise ValueError("matrix order exceeds cap")
+    return order
+
+
+def heegner_forms_unbounded(curve: CurveQ, d: int, level: int = 1) -> list:
+    """Heegner forms (A, B, C) by the full scan over A = N a, a <= 60 h, with
+    the Im tau floor applied only after the scan; one form per class, the
+    first found, in sorted reduced-class order. Raises PrecisionUnreachable
+    when classes are missing or the floor fails. Expects valid (curve, d,
+    level) input: no hypothesis checks."""
+    N = curve.N
+    D = level * level * d
+    beta = next(B for B in range(2 * N) if (B * B - D) % (4 * N) == 0)
+    h = class_number(D)
+    found: dict = {}
+    for a_mult in range(1, 60 * h + 1):
+        if len(found) == h:
+            break
+        A = N * a_mult
+        B = beta - 2 * N * ((beta + A) // (2 * N))
+        while B <= A:
+            if (B * B - D) % (4 * A) == 0:
+                C = (B * B - D) // (4 * A)
+                if math.gcd(math.gcd(A, B), C) == 1:
+                    found.setdefault(reduce_form(A, B, C), (A, B, C))
+            B += 2 * N
+    if len(found) < h:
+        raise PrecisionUnreachable(f"only {len(found)} of {h} classes")
+    if min(math.sqrt(-D) / (2 * A) for A, _, _ in found.values()) < MIN_IM_TAU:
+        raise PrecisionUnreachable("below the Im tau floor")
+    return [found[k] for k in sorted(found)]

@@ -9,12 +9,12 @@ from heegner_witness.galois_tower import (
     divisibility_contradiction,
     index_bound_bruteforce,
     involution_check,
-    matrix_order,
     subgroup_index,
     subgroup_of,
     tower_structure,
 )
 from heegner_witness.quadforms import ring_class_structure
+from oracles import matrix_order
 
 
 def test_tower_structure_basic():

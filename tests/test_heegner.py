@@ -24,8 +24,10 @@ from heegner_witness.heegner import (
     trace_relation_check,
     trace_to_K,
 )
+from heegner_witness import heegner
 from heegner_witness.ec_core import CurveQ, ap, b_invariants
-from oracles import height_doubling_oracle
+from heegner_witness.quadforms import kronecker
+from oracles import heegner_forms_unbounded, height_doubling_oracle
 
 
 def test_period_lattice_37a(e37a):
@@ -105,6 +107,41 @@ def test_heegner_orbit_rejects_bad_inputs(e37a, e_ss):
         heegner_orbit(e37a, -7, 37)  # level shares a factor with N
     with pytest.raises(ValueError):
         heegner_orbit(e37a, -7, 11)  # 11 splits in Q(sqrt(-7)), not inert
+
+
+def _forms_or_raise(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionUnreachable:
+        return "PrecisionUnreachable"
+
+
+def test_heegner_orbit_matches_unbounded_scan(e37a, e11a, g427):
+    # the scan that stops at the Im tau floor keeps exactly the forms of the
+    # full 60h scan, and fails exactly where the full scan plus floor fails
+    cases = [(e37a, d, level) for d in (-7, -11) for level in (1, 2, 3, 5)]
+    cases += [(e11a, -7, 1)] + [(g427, -19, ell) for ell in (2, 3, 13)]
+    compared = failed = 0
+    for curve, d, level in cases:
+        if level > 1 and kronecker(d, level) != -1:
+            continue  # not a Heegner level; the input checks reject it
+        want = _forms_or_raise(heegner_forms_unbounded, curve, d, level)
+        orbit = _forms_or_raise(heegner_orbit, curve, d, level)
+        got = orbit if isinstance(orbit, str) else [(t.A, t.B, t.C) for t in orbit.taus]
+        assert got == want, (curve.label, d, level)
+        compared += 1
+        failed += want == "PrecisionUnreachable"
+    assert compared == 9 and failed == 3
+
+
+def test_heegner_orbit_names_the_limit(e37a, g427, monkeypatch):
+    with pytest.raises(PrecisionUnreachable, match="Im tau floor 0.005 at A = 42700"):
+        heegner_orbit(g427, -19, 97)
+    # a class count no scan can reach, with the floor off, runs into the cap
+    monkeypatch.setattr(heegner, "MIN_IM_TAU", 0.0)
+    monkeypatch.setattr(heegner, "class_number", lambda D: 2)
+    with pytest.raises(PrecisionUnreachable, match="60h cap at A = 4440"):
+        heegner_orbit(e37a, -7, 1)
 
 
 def test_modular_param_periodicity(e37a):

@@ -11,6 +11,7 @@ from heegner_witness.pipeline import (
     CurveFileError,
     canonical_json,
     emit_report,
+    _pick_aux_ell,
     parse_curve_file,
     run_witness,
 )
@@ -129,6 +130,22 @@ def test_run_witness_389a_fails_at_gate(e389a):
     assert rep.failed_at == "analytic_rank_gate"
     assert rep.gate == "not_eligible"
     assert len(rep.checks) == 1  # partial report
+
+
+def test_run_witness_returns_when_no_heegner_orbit_fits_the_floor():
+    # N = 997 passes the gate, but no level-1 Heegner form has Im tau >= MIN_IM_TAU
+    report = run_witness(CurveQ(0, -1, 1, -18, 36, 997, "g997.1"))
+    assert report.failed_at == "gz_correspondence" and not report.passed
+    assert "Im tau floor" in report.checks[-1]["error"]
+    assert "heegner_s" in report.timing
+
+
+def test_doomed_aux_search_stops_at_the_floor(g427):
+    assert _pick_aux_ell(g427, -19) is None
+    report = run_witness(g427)
+    assert report.failed_at == "trace_relation"
+    assert report.heegner["trace_relation"] == {"error": "no feasible auxiliary inert prime"}
+    assert "heegner_s" in report.timing
 
 
 def test_emit_report_deterministic(e389a, tmp_path):
