@@ -700,16 +700,15 @@ def trace_to_K(curve: CurveQ, d_K, precision: float = 1e-9):
     return pk, recognized
 
 
-def _torsion_translates(lattice: PeriodLattice, bound: int = DEFAULT_TORSION_BOUND):
-    seen = set()
-    for k in range(1, bound + 1):
-        for i in range(k):
-            for j in range(k):
-                fr = (Fraction(i, k), Fraction(j, k))
-                if fr in seen:
-                    continue
-                seen.add(fr)
-                yield float(fr[0]) * lattice.omega1 + float(fr[1]) * lattice.omega2
+def _torsion_translates(lattice: PeriodLattice, bound: int = DEFAULT_TORSION_BOUND) -> list:
+    # (i/k, j/k) is new at denominator k exactly when gcd(i, j, k) = 1
+    return [
+        (i / k) * lattice.omega1 + (j / k) * lattice.omega2
+        for k in range(1, bound + 1)
+        for i in range(k)
+        for j in range(k)
+        if math.gcd(i, j, k) == 1
+    ]
 
 
 def trace_relation_check(
@@ -736,10 +735,11 @@ def trace_relation_check(
     z_base = orbit_sum(base, precision=target_prec)
     z_up = orbit_sum(up, precision=target_prec)
     a_ell = ap(curve, ell)
+    translates = _torsion_translates(lattice)
     best = math.inf
     for sgn in (1, -1):
         w = z_up.z - sgn * a_ell * z_base.z
-        for t in _torsion_translates(lattice):
+        for t in translates:
             best = min(best, lattice.dist(w - t))
     return best
 

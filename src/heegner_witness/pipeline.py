@@ -327,18 +327,22 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
     _check(checks, "prime_sequence", reverified, primes=[it.p for it in items])
 
     # 4. ring class structure per cumulative level
-    for n in range(1, len(items) + 1):
-        ps = [it.p for it in items[:n]]
-        s = ring_class_structure(d_K, ps)
-        report.ring_class.append(
-            {
-                "conductor": s.conductor,
-                "primes": list(s.primes),
-                "factors": list(s.factors),
-                "invariants": list(s.invariants),
-                "degree": s.degree,
-            }
-        )
+    t = time.perf_counter()
+    try:
+        for n in range(1, len(items) + 1):
+            ps = [it.p for it in items[:n]]
+            s = ring_class_structure(d_K, ps)
+            report.ring_class.append(
+                {
+                    "conductor": s.conductor,
+                    "primes": list(s.primes),
+                    "factors": list(s.factors),
+                    "invariants": list(s.invariants),
+                    "degree": s.degree,
+                }
+            )
+    finally:
+        timing["ring_class_s"] = round(time.perf_counter() - t, 3)
     _check(
         checks,
         "ring_class_structure",

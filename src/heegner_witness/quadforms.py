@@ -5,11 +5,14 @@ classes of the order of discriminant D; Gaussian composition gives the group
 law. The Galois group of the ring class field H_c over the Hilbert class field
 is computed two ways: exactly, by enumerating (O_K/c)^* / (Z/c)^*, and by the
 product-of-C_{p+1} shape it must have for squarefree c with all p | c inert.
+The enumeration is done per prime-power factor p^e || c, on
+(O_K/p^e)^* / (Z/p^e)^*, and the local quotients are combined by CRT.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as _np
@@ -245,8 +248,6 @@ def _exact_plog(n: int, p: int) -> int:
 
 def abelian_invariants(n: int, element_orders) -> list[int]:
     """Elementary divisors of an abelian group of order n given all element orders."""
-    from collections import Counter
-
     cnt = Counter(element_orders)
     if sum(cnt.values()) != n:
         raise ValueError("element order multiset does not match group order")
@@ -314,39 +315,24 @@ def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
 
-def unit_quotient_structure(d_K, c: int) -> list[int]:
-    """Abelian invariants of (O_K/c)^* / (Z/c)^* by residue enumeration.
-
-    Requires d_K = 1 mod 4 (so O_K = Z[w], w = (1+sqrt(d_K))/2), gcd(c, d_K) = 1,
-    and c^2 within the enumeration ceiling.
-    """
-    d = _as_d(d_K)
-    if d % 4 != 1:
-        raise InvalidDiscriminantError("residue enumeration needs d_K = 1 mod 4")
-    if c < 1:
-        raise ValueError("conductor must be positive")
-    if math.gcd(c, d) != 1:
-        raise ValueError("conductor must be coprime to d_K")
-    if c * c > UNIT_QUOTIENT_CEILING:
-        raise ValueError(f"c^2 = {c * c} exceeds enumeration ceiling")
-    if c == 1:
-        return []
+def _local_unit_quotient_orders(d: int, m: int) -> Counter:
+    """Element-order multiset of (O_K/m)^* / (Z/m)^* by residue enumeration."""
     w2 = (d - 1) // 4  # w^2 = w2 + w
 
     def mul(u, v):
         x1, y1 = u
         x2, y2 = v
         yy = y1 * y2
-        return ((x1 * x2 + yy * w2) % c, (x1 * y2 + x2 * y1 + yy) % c)
+        return ((x1 * x2 + yy * w2) % m, (x1 * y2 + x2 * y1 + yy) % m)
 
     # norm of x + y w is x^2 + x y + y^2 (1 - d)/4
     nf = (1 - d) // 4
-    xs = _np.arange(c, dtype=_np.int64)
+    xs = _np.arange(m, dtype=_np.int64)
     X, Y = _np.meshgrid(xs, xs, indexing="ij")
-    norms = (X * X + X * Y + nf * (Y * Y)) % c
-    mask = _np.gcd(norms, c) == 1
+    norms = (X * X + X * Y + nf * (Y * Y)) % m
+    mask = _np.gcd(norms, m) == 1
     units = list(zip(X[mask].tolist(), Y[mask].tolist()))
-    rational = [(t, 0) for t in range(c) if math.gcd(t, c) == 1]
+    rational = [(t, 0) for t in range(m) if math.gcd(t, m) == 1]
     coset_id: dict = {}
     next_id = 0
     for u in units:
@@ -361,7 +347,7 @@ def unit_quotient_structure(d_K, c: int) -> list[int]:
     for u in units:
         if reps[coset_id[u]] is None:
             reps[coset_id[u]] = u
-    orders = []
+    orders: Counter = Counter()
     for rep in reps:
         acc, o = rep, 1
         while coset_id[acc] != id0:
@@ -369,8 +355,41 @@ def unit_quotient_structure(d_K, c: int) -> list[int]:
             o += 1
             if o > n_cosets:
                 raise ArithmeticError("quotient order bug")
-        orders.append(o)
-    return abelian_invariants(n_cosets, orders) if n_cosets > 1 else []
+        orders[o] += 1
+    return orders
+
+
+def unit_quotient_structure(d_K, c: int) -> list[int]:
+    """Abelian invariants of (O_K/c)^* / (Z/c)^* by residue enumeration.
+
+    By CRT the quotient is the direct product of the local quotients
+    (O_K/p^e)^* / (Z/p^e)^* over the prime powers p^e || c. Each local
+    quotient is enumerated residue by residue; an element of the product has
+    order lcm of its local orders. The p + 1 formula is never used, so this
+    stays an independent check of `ring_class_structure`.
+
+    Requires d_K = 1 mod 4 (so O_K = Z[w], w = (1+sqrt(d_K))/2), gcd(c, d_K) = 1,
+    and c^2 within the enumeration ceiling.
+    """
+    d = _as_d(d_K)
+    if d % 4 != 1:
+        raise InvalidDiscriminantError("residue enumeration needs d_K = 1 mod 4")
+    if c < 1:
+        raise ValueError("conductor must be positive")
+    if math.gcd(c, d) != 1:
+        raise ValueError("conductor must be coprime to d_K")
+    if c * c > UNIT_QUOTIENT_CEILING:
+        raise ValueError(f"c^2 = {c * c} exceeds enumeration ceiling")
+    orders = Counter({1: 1})
+    for p, e in factorize(c):
+        local = _local_unit_quotient_orders(d, p**e)
+        combined: Counter = Counter()
+        for o1, n1 in orders.items():
+            for o2, n2 in local.items():
+                combined[math.lcm(o1, o2)] += n1 * n2
+        orders = combined
+    n = sum(orders.values())
+    return abelian_invariants(n, orders) if n > 1 else []
 
 
 @dataclass(frozen=True)

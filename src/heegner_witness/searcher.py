@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import crt_pair, euler_phi, is_prime, is_squarefree, primes_upto
+from .arith import crt_pair, euler_phi, is_prime, is_squarefree, prime_divisors, primes_upto
 from .ec_core import ApTable, CurveQ, count_points, good_reduction, reduce_mod
 from .lseries import DEFAULT_NONVANISHING_THRESHOLD, LOverK, l_over_K
 from .quadforms import is_fundamental, kronecker
@@ -52,18 +52,7 @@ class FieldSearchResult:
 
 def heegner_hypothesis(curve: CurveQ, d: int) -> bool:
     """Every prime dividing N splits in Q(sqrt(d))."""
-    n = curve.N
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            if kronecker(d, p) != 1:
-                return False
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1 and kronecker(d, n) != 1:
-        return False
-    return True
+    return all(kronecker(d, p) == 1 for p in prime_divisors(curve.N))
 
 
 def find_K(
@@ -200,15 +189,11 @@ class CartanCountProblem:
             raise ValueError(f"modulus {m} must be squarefree and > 1")
         if math.gcd(self.det_target, m) != 1:
             raise ValueError("determinant target must be invertible")
-        ps = _prime_parts(m)
+        ps = prime_divisors(m)
         if len(self.types) != len(ps):
             raise ValueError("one Cartan type per prime factor required")
         if self.trace_zero_mod is not None and m % self.trace_zero_mod != 0:
             raise ValueError("trace modulus must divide m")
-
-
-def _prime_parts(m: int) -> list[int]:
-    return [p for p in primes_upto(m) if m % p == 0]
 
 
 def _local_cartan(p: int, kind: str):
@@ -246,7 +231,7 @@ def cartan_counts(problem: CartanCountProblem) -> tuple[int, int]:
     m = problem.modulus
     if m > CARTAN_MODULUS_BOUND:
         raise ValueError(f"modulus {m} exceeds brute-force bound {CARTAN_MODULUS_BOUND}")
-    ps = _prime_parts(m)
+    ps = prime_divisors(m)
     b = problem.det_target % m
     tz = problem.trace_zero_mod
     det_count, tr_count = 1, 1
@@ -267,6 +252,6 @@ def cartan_counts(problem: CartanCountProblem) -> tuple[int, int]:
 
 def cartan_group_order(m: int, types) -> int:
     order = 1
-    for p, kind in zip(_prime_parts(m), types):
+    for p, kind in zip(prime_divisors(m), types):
         order *= (p - 1) ** 2 if kind == "split" else p * p - 1
     return order

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from heegner_witness.ec_core import (
     POINT_COUNT_CEILING,
     CurveQ,
@@ -20,7 +22,7 @@ from heegner_witness.ec_core import (
     reduction_type,
 )
 from heegner_witness.heegner import MIN_IM_TAU, PrecisionUnreachable
-from heegner_witness.quadforms import class_number, reduce_form
+from heegner_witness.quadforms import abelian_invariants, class_number, reduce_form
 
 
 def brute_count(curve: CurveQ, p: int) -> int:
@@ -252,3 +254,67 @@ def heegner_forms_unbounded(curve: CurveQ, d: int, level: int = 1) -> list:
     if min(math.sqrt(-D) / (2 * A) for A, _, _ in found.values()) < MIN_IM_TAU:
         raise PrecisionUnreachable("below the Im tau floor")
     return [found[k] for k in sorted(found)]
+
+
+def unit_quotient_whole_ring(d: int, c: int) -> list[int]:
+    """Abelian invariants of (O_K/c)^* / (Z/c)^*, d = 1 mod 4, gcd(c, d) = 1,
+    by enumerating all c^2 residues of O_K/c at once, with no CRT split:
+    cosets by multiplying each unit through (Z/c)^*, orders by repeated
+    multiplication."""
+    if c == 1:
+        return []
+    w2 = (d - 1) // 4  # w^2 = w2 + w
+
+    def mul(u, v):
+        x1, y1 = u
+        x2, y2 = v
+        yy = y1 * y2
+        return ((x1 * x2 + yy * w2) % c, (x1 * y2 + x2 * y1 + yy) % c)
+
+    nf = (1 - d) // 4
+    xs = np.arange(c, dtype=np.int64)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    norms = (X * X + X * Y + nf * (Y * Y)) % c
+    mask = np.gcd(norms, c) == 1
+    units = list(zip(X[mask].tolist(), Y[mask].tolist()))
+    rational = [(t, 0) for t in range(c) if math.gcd(t, c) == 1]
+    coset_id: dict = {}
+    next_id = 0
+    for u in units:
+        if u in coset_id:
+            continue
+        for t in rational:
+            coset_id[mul(u, t)] = next_id
+        next_id += 1
+    id0 = coset_id[(1, 0)]
+    n_cosets = next_id
+    reps: list = [None] * n_cosets
+    for u in units:
+        if reps[coset_id[u]] is None:
+            reps[coset_id[u]] = u
+    orders = []
+    for rep in reps:
+        acc, o = rep, 1
+        while coset_id[acc] != id0:
+            acc = mul(acc, rep)
+            o += 1
+            if o > n_cosets:
+                raise ArithmeticError("quotient order bug")
+        orders.append(o)
+    return abelian_invariants(n_cosets, orders) if n_cosets > 1 else []
+
+
+def torsion_translates_fraction(lattice, bound: int) -> list[complex]:
+    """The points (i/k) omega1 + (j/k) omega2, 0 <= i, j < k <= bound, each
+    (i/k, j/k) taken once, at its first k, deduplicated by a Fraction set."""
+    seen = set()
+    out = []
+    for k in range(1, bound + 1):
+        for i in range(k):
+            for j in range(k):
+                fr = (Fraction(i, k), Fraction(j, k))
+                if fr in seen:
+                    continue
+                seen.add(fr)
+                out.append(float(fr[0]) * lattice.omega1 + float(fr[1]) * lattice.omega2)
+    return out

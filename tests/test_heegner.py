@@ -27,7 +27,7 @@ from heegner_witness.heegner import (
 from heegner_witness import heegner
 from heegner_witness.ec_core import CurveQ, ap, b_invariants
 from heegner_witness.quadforms import kronecker
-from oracles import heegner_forms_unbounded, height_doubling_oracle
+from oracles import heegner_forms_unbounded, height_doubling_oracle, torsion_translates_fraction
 
 
 def test_period_lattice_37a(e37a):
@@ -260,6 +260,14 @@ def test_trace_relation_monotone_terms(e37a):
     r1 = trace_relation_check(e37a, -11, 2, precision=1e-5)
     r2 = trace_relation_check(e37a, -11, 2, precision=1e-7)
     assert r2 < max(r1 * 10, 1e-7)
+
+
+def test_torsion_translates_match_fraction_oracle(e37a):
+    lattice = period_lattice(e37a)
+    for bound in (1, 2, 6, heegner.DEFAULT_TORSION_BOUND):
+        got = heegner._torsion_translates(lattice, bound)
+        assert got == torsion_translates_fraction(lattice, bound)
+    assert len(got) == 1224
 
 
 def test_trace_relation_rejects_non_inert(e37a):

@@ -119,6 +119,7 @@ def test_run_witness_37a(e37a, tmp_path):
     assert rep.prime_seq[0]["p"] == 5
     assert rep.heegner["recognized_x"] == "0"
     assert rep.tower["contradiction"]["derivable"]
+    assert "ring_class_s" in rep.timing
     names = [c["name"] for c in rep.checks]
     assert names[0] == "analytic_rank_gate"
     assert all(c["pass"] for c in rep.checks)

@@ -22,6 +22,7 @@ from heegner_witness.quadforms import (
     splitting_type,
     unit_quotient_structure,
 )
+from oracles import unit_quotient_whole_ring
 
 FUNDAMENTALS = [-7, -11, -19, -43, -67, -163]
 
@@ -166,6 +167,19 @@ def test_unit_quotient_examples():
     assert unit_quotient_structure(-7, 3) == [4]
     assert unit_quotient_structure(-7, 1) == []
     assert unit_quotient_structure(-7, 15) == canonical_invariants([4, 6])
+
+
+def test_unit_quotient_matches_whole_ring_oracle():
+    # the CRT product of local quotients against one enumeration of O_K/c:
+    # small c (split, inert and 2 | c), prime powers, and the two-prime
+    # conductors step 4 checks; 533 only with the d_K it meets there, as the
+    # oracle needs 0.6 s per call at 533
+    cs = list(range(1, 61)) + [9, 25, 27, 49, 214, 295]
+    cases = [(d, c) for d in (-7, -11, -15, -19, -51, -55, -59) for c in cs]
+    cases += [(-11, 533), (-15, 533)]
+    for d, c in cases:
+        if math.gcd(c, d) == 1:
+            assert unit_quotient_structure(d, c) == unit_quotient_whole_ring(d, c), (d, c)
 
 
 def test_unit_quotient_enumeration_bound():
