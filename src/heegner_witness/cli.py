@@ -44,7 +44,11 @@ def _lookup(pool, label):
 
 
 def _cmd_witness(args) -> int:
-    config = Config.from_file(args.config) if args.config else Config()
+    try:
+        config = Config.from_file(args.config) if args.config else Config()
+    except (OSError, ValueError) as e:
+        print(f"cannot read config: {e}", file=sys.stderr)
+        return 2
     if args.depth is not None:
         config.depth = args.depth
     try:
@@ -80,7 +84,7 @@ def _cmd_witness(args) -> int:
 def _cmd_ap(args) -> int:
     pool = _curve_pool(args.curves)
     curve = _lookup(pool, args.curve)
-    cache = ApDiskCache(os.environ.get("HW_CACHE_DIR", ".hw_cache"))
+    cache = ApDiskCache(Config().resolved_cache_dir())
     try:
         from .arith import primes_upto
 

@@ -17,7 +17,7 @@ re-verifies accepted primes. Both paths refuse p > POINT_COUNT_CEILING.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -322,27 +322,6 @@ def reduction_type(curve: CurveQ, p: int) -> tuple[str, int]:
 
 
 @dataclass
-class ApTable:
-    """Memo of a_p values for one curve run, with provenance per prime."""
-
-    entries: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-
-    def get(self, curve: CurveQ, p: int) -> int:
-        key = (curve.ainvs, p)
-        if key not in self.entries:
-            self.entries[key] = ap(curve, p)
-            self.provenance[key] = "computed"
-        return self.entries[key]
-
-    def put(self, curve: CurveQ, p: int, value: int, provenance: str = "cache"):
-        if value * value > 4 * p:
-            raise ValueError(f"cached a_{p} = {value} violates the Hasse bound")
-        self.entries[(curve.ainvs, p)] = value
-        self.provenance[(curve.ainvs, p)] = provenance
-
-
-@dataclass
 class AnSeries:
     n_max: int
     values: np.ndarray  # index n, values[0] unused
@@ -360,7 +339,7 @@ def _spf_sieve(n: int) -> np.ndarray:
     return spf
 
 
-def an_series(curve: CurveQ, n_max: int, ap_source=None) -> AnSeries:
+def an_series(curve: CurveQ, n_max: int) -> AnSeries:
     """Fourier coefficients a_1..a_{n_max} via the Euler product recursion.
 
     Good p: a_{p^k} = a_p a_{p^{k-1}} - p a_{p^{k-2}}; multiplicative bad p:
@@ -368,9 +347,6 @@ def an_series(curve: CurveQ, n_max: int, ap_source=None) -> AnSeries:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if ap_source is None:
-        table = ApTable()
-        ap_source = lambda p: table.get(curve, p)
     a = np.zeros(n_max + 1, dtype=np.int64)
     a[1] = 1
     if n_max == 1:
@@ -388,7 +364,7 @@ def an_series(curve: CurveQ, n_max: int, ap_source=None) -> AnSeries:
         elif p in bad:
             a[n] = bad[p] ** e
         elif e == 1:
-            a[n] = ap_source(p)
+            a[n] = ap(curve, p)
         else:
             a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
     return AnSeries(n_max, a)

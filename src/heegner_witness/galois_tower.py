@@ -137,7 +137,6 @@ class FormalMWModel:
     ap_values: tuple
     m: int = 0
     r: int = 0
-    c_rows: tuple = ()  # optional (level, coefficient-vector) diagnostics
 
     def __post_init__(self):
         if not is_prime(self.q) or self.q == 2:

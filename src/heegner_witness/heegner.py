@@ -80,7 +80,6 @@ class PeriodLattice:
     g3: float
     lambda_min: float
     wp_coeffs: tuple
-    orientation: int = 1  # Im(omega2/omega1) > 0 enforced
 
     def coords(self, z: complex) -> tuple[float, float]:
         w1, w2 = self.omega1, self.omega2
@@ -103,7 +102,7 @@ class PeriodLattice:
 _LATTICE_CACHE: dict = {}
 
 
-def period_lattice(curve: CurveQ, precision: float = 1e-9) -> PeriodLattice:
+def period_lattice(curve: CurveQ) -> PeriodLattice:
     """Lattice of the real curve by the optimal AGM; validates against c4, c6."""
     key = (curve.ainvs, curve.N)
     if key in _LATTICE_CACHE:
@@ -189,26 +188,34 @@ def _add_complex(curve: CurveQ, P, Q):
     return (x3, y3)
 
 
-def elliptic_exp(lattice: PeriodLattice, z: complex) -> CPoint:
-    """Point of E(C) at z mod Lambda: x = wp(z) - b2/12, y from wp'."""
+def _halve_and_double(lattice: PeriodLattice, z: complex):
+    """(x, y) at z by halving into the wp series radius and doubling back; None at O."""
     curve = lattice.curve
     b2 = b_invariants(curve)[0]
     a1, _, a3, _, _ = curve.ainvs
-    zr = lattice.reduce(z)
-    if abs(zr) < 1e-13 * lattice.lambda_min:
-        return CPoint(0j, None)
     k = 0
-    while abs(zr) > 0.45 * lattice.lambda_min:
-        zr /= 2
+    while abs(z) > 0.45 * lattice.lambda_min:
+        z /= 2
         k += 1
-    w, wd = _wp(lattice, zr)
+    w, wd = _wp(lattice, z)
     x = w - b2 / 12.0
     y = (wd - a1 * x - a3) / 2.0
     P = (x, y)
     for _ in range(k):
         P = _add_complex(curve, P, P)
         if P is None:
-            return CPoint(lattice.reduce(z), None)
+            return None
+    return P
+
+
+def elliptic_exp(lattice: PeriodLattice, z: complex) -> CPoint:
+    """Point of E(C) at z mod Lambda: x = wp(z) - b2/12, y from wp'."""
+    zr = lattice.reduce(z)
+    if abs(zr) < 1e-13 * lattice.lambda_min:
+        return CPoint(0j, None)
+    P = _halve_and_double(lattice, zr)
+    if P is None:
+        return CPoint(lattice.reduce(z), None)
     return CPoint(lattice.reduce(z), P, 1e-12 * max(1.0, abs(P[0])))
 
 
@@ -259,21 +266,11 @@ def _wp_far(lattice: PeriodLattice, z: complex):
     """wp at a reduced argument, halving into the series radius as needed."""
     if abs(z) <= 0.45 * lattice.lambda_min:
         return _wp(lattice, z)
-    curve = lattice.curve
-    b2 = b_invariants(curve)[0]
-    a1, _, a3, _, _ = curve.ainvs
-    k = 0
-    while abs(z) > 0.45 * lattice.lambda_min:
-        z /= 2
-        k += 1
-    w, wd = _wp(lattice, z)
-    x = w - b2 / 12.0
-    y = (wd - a1 * x - a3) / 2.0
-    P = (x, y)
-    for _ in range(k):
-        P = _add_complex(curve, P, P)
-        if P is None:
-            raise PrecisionUnreachable("wp evaluation hit a lattice point")
+    P = _halve_and_double(lattice, z)
+    if P is None:
+        raise PrecisionUnreachable("wp evaluation hit a lattice point")
+    b2 = b_invariants(lattice.curve)[0]
+    a1, _, a3, _, _ = lattice.curve.ainvs
     return P[0] + b2 / 12.0, 2 * P[1] + a1 * P[0] + a3
 
 
@@ -311,7 +308,7 @@ class HeegnerOrbit:
         return len(self.taus)
 
 
-def heegner_orbit(curve: CurveQ, d_K, level: int = 1) -> HeegnerOrbit:
+def heegner_orbit(curve: CurveQ, d_K: int, level: int = 1) -> HeegnerOrbit:
     """One Heegner form per class of disc D = level^2 d_K with N | A.
 
     Needs the Heegner hypothesis for (E, K), level squarefree and coprime to
@@ -323,18 +320,17 @@ def heegner_orbit(curve: CurveQ, d_K, level: int = 1) -> HeegnerOrbit:
     later form would fail too) or the cap a <= 60 h. If classes are still
     missing, PrecisionUnreachable names the limit that stopped the scan.
     """
-    d = d_K.d if hasattr(d_K, "d") else d_K
     N = curve.N
-    if not heegner_hypothesis(curve, d):
-        raise ValueError(f"Heegner hypothesis fails for N = {N}, d_K = {d}")
+    if not heegner_hypothesis(curve, d_K):
+        raise ValueError(f"Heegner hypothesis fails for N = {N}, d_K = {d_K}")
     if level < 1 or not is_squarefree(level):
         raise ValueError("level must be a positive squarefree integer")
-    if math.gcd(level, N * d) != 1:
+    if math.gcd(level, N * d_K) != 1:
         raise ValueError("level must be coprime to N d_K")
     for p, _ in factorize(level):
-        if kronecker(d, p) != -1:
-            raise ValueError(f"level prime {p} is not inert in Q(sqrt({d}))")
-    D = level * level * d
+        if kronecker(d_K, p) != -1:
+            raise ValueError(f"level prime {p} is not inert in Q(sqrt({d_K}))")
+    D = level * level * d_K
     betas = [B for B in range(2 * N) if (B * B - D) % (4 * N) == 0]
     if not betas:
         raise ValueError(f"no square root of {D} mod {4 * N}; Heegner hypothesis violated")
@@ -368,7 +364,7 @@ def heegner_orbit(curve: CurveQ, d_K, level: int = 1) -> HeegnerOrbit:
         raise PrecisionUnreachable(
             f"only {len(found)} of {h} Heegner classes found before the scan hit {limit}"
         )
-    return HeegnerOrbit(curve, d, level, D, [found[k] for k in sorted(found)])
+    return HeegnerOrbit(curve, d_K, level, D, [found[k] for k in sorted(found)])
 
 
 def modular_param(
@@ -376,7 +372,6 @@ def modular_param(
     tau,
     n_terms: int | None = None,
     precision: float = 1e-9,
-    ap_source=None,
 ) -> CPoint:
     """z = sum a_n / n e^{2 pi i n tau} with a proven tail below `precision`."""
     t = tau.tau if isinstance(tau, HeegnerTau) else complex(tau)
@@ -392,7 +387,7 @@ def modular_param(
         raise PrecisionUnreachable(
             f"{n_terms} terms needed, ceiling is {TERM_CEILING} (Im tau = {t.imag:.2e})"
         )
-    series = cached_an(curve, n_terms, ap_source=ap_source)
+    series = cached_an(curve, n_terms)
     v = series.values
     z = 0j
     qn = 1.0 + 0j
@@ -404,12 +399,12 @@ def modular_param(
     return CPoint(z, None, max(tail, 1e-15))
 
 
-def orbit_sum(orbit: HeegnerOrbit, precision: float = 1e-9, ap_source=None) -> CPoint:
+def orbit_sum(orbit: HeegnerOrbit, precision: float = 1e-9) -> CPoint:
     """Trace over the orbit: sum of z(tau) over the classes, fixed order."""
     z = 0j
     prec = 0.0
     for t in orbit.taus:
-        cp = modular_param(orbit.curve, t, precision=precision, ap_source=ap_source)
+        cp = modular_param(orbit.curve, t, precision=precision)
         z += cp.z
         prec += cp.prec
     return CPoint(z, None, prec)
@@ -675,7 +670,7 @@ def _recognize_point(curve: CurveQ, x_c: complex, y_c: complex, max_den=10**6, t
 # the headline operations
 
 
-def trace_to_K(curve: CurveQ, d_K, precision: float = 1e-9):
+def trace_to_K(curve: CurveQ, d_K: int, precision: float = 1e-9):
     """Trace of the basic Heegner point to K: sum over Pic(O_K) conjugates.
 
     Returns (CPoint, recognized) where recognized is an exact rational point
@@ -713,7 +708,7 @@ def _torsion_translates(lattice: PeriodLattice, bound: int = DEFAULT_TORSION_BOU
 
 def trace_relation_check(
     curve: CurveQ,
-    d_K,
+    d_K: int,
     ell: int,
     precision: float = 1e-6,
 ) -> float:
@@ -723,14 +718,13 @@ def trace_relation_check(
     by the choice of Heegner system. The conjugate count is the class number
     of the order of conductor ell.
     """
-    d = d_K.d if hasattr(d_K, "d") else d_K
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    if kronecker(d, ell) != -1:
-        raise ValueError(f"ell = {ell} is not inert in Q(sqrt({d}))")
+    if kronecker(d_K, ell) != -1:
+        raise ValueError(f"ell = {ell} is not inert in Q(sqrt({d_K}))")
     lattice = period_lattice(curve)
-    base = heegner_orbit(curve, d, 1)
-    up = heegner_orbit(curve, d, ell)
+    base = heegner_orbit(curve, d_K, 1)
+    up = heegner_orbit(curve, d_K, ell)
     target_prec = min(precision * 1e-3, 1e-9)
     z_base = orbit_sum(base, precision=target_prec)
     z_up = orbit_sum(up, precision=target_prec)
@@ -758,12 +752,11 @@ class GZReport:
     ratio: float | None
 
 
-def gz_correspondence(curve: CurveQ, d_K, precision: float = 1e-9) -> GZReport:
+def gz_correspondence(curve: CurveQ, d_K: int, precision: float = 1e-9) -> GZReport:
     """Both sides of the height/L'-derivative correspondence, plus the
     nontorsion <=> nonvanishing biconditional. The proportionality constant
     is reported (as `ratio`), never asserted."""
-    d = d_K.d if hasattr(d_K, "d") else d_K
-    pk, recognized = trace_to_K(curve, d, precision=precision)
+    pk, recognized = trace_to_K(curve, d_K, precision=precision)
     lattice = period_lattice(curve)
     if recognized is not None:
         nontorsion = not is_torsion(curve, recognized)
@@ -773,11 +766,11 @@ def gz_correspondence(curve: CurveQ, d_K, precision: float = 1e-9) -> GZReport:
         nontorsion = not is_torsion(curve, pk, lattice=lattice)
         height = (lattice.dist(pk.z) / lattice.omega1) ** 2 if pk.z is not None else 0.0
         proxy = True
-    lk = l_over_K(curve, d)
+    lk = l_over_K(curve, d_K)
     holds = nontorsion == lk.nonzero
     ratio = None
     if nontorsion and lk.nonzero and height > 0:
         ratio = height / lk.value
     return GZReport(
-        d, pk.z, recognized, height, proxy, lk.value, lk.nonzero, nontorsion, holds, ratio
+        d_K, pk.z, recognized, height, proxy, lk.value, lk.nonzero, nontorsion, holds, ratio
     )

@@ -35,12 +35,12 @@ class LSeriesInconclusiveError(ArithmeticError):
 _AN_CACHE: dict = {}
 
 
-def cached_an(curve: CurveQ, n_max: int, ap_source=None):
+def cached_an(curve: CurveQ, n_max: int):
     """Shared a_n table per curve, grown geometrically on demand."""
     key = (curve.ainvs, curve.N)
     cur = _AN_CACHE.get(key)
     if cur is None or cur.n_max < n_max:
-        cur = an_series(curve, max(n_max, 64), ap_source=ap_source)
+        cur = an_series(curve, max(n_max, 64))
         _AN_CACHE[key] = cur
     return cur
 

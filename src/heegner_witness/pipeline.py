@@ -20,13 +20,14 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from . import __version__
 from .arith import is_prime
-from .ec_core import ApTable, CurveQ, ap
+from .ec_core import CurveQ, ap
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
 from .heegner import (
+    HeegnerOrbit,
     PrecisionUnreachable,
     fricke_diagnostic,
     gz_correspondence,
@@ -53,12 +54,9 @@ CACHE_ENV_VAR = "HW_CACHE_DIR"
 class Config:
     lseries_precision: float = 1e-8
     heegner_residual: float = 1e-6
-    height_tol: float = 1e-4
     nonvanishing_threshold: float = 1e-3
     dk_scan_bound: int = 499
     prime_bound: int = 10**5
-    term_ceiling: int = 10**6
-    torsion_multiple_bound: int = 16
     depth: int = 1  # tower primes carried through the Heegner-side numerics
     tower_r: int = 1  # generator bound of the hypothetical acting subgroup
     tower_m: int = 0  # level where the traced points are assumed defined
@@ -66,17 +64,25 @@ class Config:
     cm_field: int | None = None
 
     def __post_init__(self):
-        for name in ("lseries_precision", "heegner_residual", "height_tol",
-                     "nonvanishing_threshold"):
+        for name in ("lseries_precision", "heegner_residual", "nonvanishing_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        for name in ("tower_m", "tower_r"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
+        """Config from a JSON object; unknown keys are rejected, not ignored."""
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {unknown}")
         return cls(**data)
 
     def resolved_cache_dir(self) -> str:
@@ -210,8 +216,8 @@ def _check(checks, name, ok, **data):
     return ok
 
 
-def _pick_aux_ell(curve: CurveQ, d_K: int) -> int | None:
-    """Smallest inert prime usable for the level-ell trace relation."""
+def _pick_aux_ell(curve: CurveQ, d_K: int) -> tuple[int, HeegnerOrbit] | None:
+    """Smallest inert prime usable for the level-ell trace relation, with its orbit."""
     ell = 2
     while ell < 100:
         if (
@@ -220,8 +226,7 @@ def _pick_aux_ell(curve: CurveQ, d_K: int) -> int | None:
             and kronecker(d_K, ell) == -1
         ):
             try:
-                heegner_orbit(curve, d_K, ell)
-                return ell
+                return ell, heegner_orbit(curve, d_K, ell)
             except (ValueError, PrecisionUnreachable):
                 pass
         ell += 1
@@ -376,18 +381,18 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
                nontorsion=gz.pk_nontorsion, l_nonzero=gz.l_nonzero)
         heeg["fricke"] = fricke_diagnostic(curve, base_tau)  # recorded, not asserted
         report.heegner = heeg
-        aux = _pick_aux_ell(curve, d_K)
-        if aux is None:
+        picked = _pick_aux_ell(curve, d_K)
+        if picked is None:
             heeg["trace_relation"] = {"error": "no feasible auxiliary inert prime"}
             _check(checks, "trace_relation", False)
             return finish("trace_relation")
+        aux, aux_orbit = picked
         try:
             residual = trace_relation_check(curve, d_K, aux, config.heegner_residual)
-            orbit_n = heegner_orbit(curve, d_K, aux).class_count
             heeg["trace_relation"] = {
                 "ell": aux,
                 "residual": residual,
-                "orbit_size": orbit_n,
+                "orbit_size": aux_orbit.class_count,
                 "a_ell": ap(curve, aux),
             }
             ok = residual < config.heegner_residual

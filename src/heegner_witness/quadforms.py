@@ -68,34 +68,11 @@ def is_fundamental(d: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Discriminant:
-    d: int
-    fundamental: bool
-
-    def __post_init__(self):
-        if self.d >= 0:
-            raise InvalidDiscriminantError("imaginary quadratic: d must be negative")
-        if self.d % 4 not in (0, 1):
-            raise InvalidDiscriminantError(f"{self.d} is not 0 or 1 mod 4")
-        if self.fundamental != is_fundamental(self.d):
-            raise InvalidDiscriminantError(f"fundamental flag wrong for {self.d}")
-
-
-def make_discriminant(d: int) -> Discriminant:
-    return Discriminant(d, is_fundamental(d))
-
-
-def _as_d(d) -> int:
-    return d.d if isinstance(d, Discriminant) else d
-
-
-def splitting_type(d_K, p: int) -> str:
+def splitting_type(d_K: int, p: int) -> str:
     """'split', 'inert' or 'ramified' for the prime p in Q(sqrt(d_K))."""
-    d = _as_d(d_K)
-    if not is_fundamental(d):
-        raise InvalidDiscriminantError(f"{d} is not a fundamental discriminant")
-    s = kronecker(d, p)
+    if not is_fundamental(d_K):
+        raise InvalidDiscriminantError(f"{d_K} is not a fundamental discriminant")
+    s = kronecker(d_K, p)
     return {1: "split", -1: "inert", 0: "ramified"}[s]
 
 
@@ -359,7 +336,7 @@ def _local_unit_quotient_orders(d: int, m: int) -> Counter:
     return orders
 
 
-def unit_quotient_structure(d_K, c: int) -> list[int]:
+def unit_quotient_structure(d_K: int, c: int) -> list[int]:
     """Abelian invariants of (O_K/c)^* / (Z/c)^* by residue enumeration.
 
     By CRT the quotient is the direct product of the local quotients
@@ -371,18 +348,17 @@ def unit_quotient_structure(d_K, c: int) -> list[int]:
     Requires d_K = 1 mod 4 (so O_K = Z[w], w = (1+sqrt(d_K))/2), gcd(c, d_K) = 1,
     and c^2 within the enumeration ceiling.
     """
-    d = _as_d(d_K)
-    if d % 4 != 1:
+    if d_K % 4 != 1:
         raise InvalidDiscriminantError("residue enumeration needs d_K = 1 mod 4")
     if c < 1:
         raise ValueError("conductor must be positive")
-    if math.gcd(c, d) != 1:
+    if math.gcd(c, d_K) != 1:
         raise ValueError("conductor must be coprime to d_K")
     if c * c > UNIT_QUOTIENT_CEILING:
         raise ValueError(f"c^2 = {c * c} exceeds enumeration ceiling")
     orders = Counter({1: 1})
     for p, e in factorize(c):
-        local = _local_unit_quotient_orders(d, p**e)
+        local = _local_unit_quotient_orders(d_K, p**e)
         combined: Counter = Counter()
         for o1, n1 in orders.items():
             for o2, n2 in local.items():
@@ -402,33 +378,32 @@ class RingClassStructure:
     degree: int
 
 
-def ring_class_structure(d_K, primes) -> RingClassStructure:
+def ring_class_structure(d_K: int, primes) -> RingClassStructure:
     """Gal(H_c/H) for squarefree c = prod p_i with every p_i inert in K.
 
     The group is C_{p_1+1} x ... x C_{p_n+1}; invariants are returned in
     elementary divisor form. Cross-checked against residue enumeration when
     the conductor is small enough.
     """
-    d = _as_d(d_K)
-    if not is_fundamental(d):
-        raise InvalidDiscriminantError(f"{d} is not fundamental")
+    if not is_fundamental(d_K):
+        raise InvalidDiscriminantError(f"{d_K} is not fundamental")
     ps = list(primes)
     if len(set(ps)) != len(ps):
         raise ValueError("tower primes must be distinct")
     for p in ps:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if kronecker(d, p) != -1:
-            raise ValueError(f"{p} is not inert in Q(sqrt({d}))")
+        if kronecker(d_K, p) != -1:
+            raise ValueError(f"{p} is not inert in Q(sqrt({d_K}))")
     c = math.prod(ps) if ps else 1
     factors = tuple(p + 1 for p in ps)
     degree = math.prod(factors) if factors else 1
     inv = tuple(canonical_invariants(factors))
-    if c * c <= UNIT_QUOTIENT_CEILING and d % 4 == 1:
-        enum = tuple(unit_quotient_structure(d, c))
+    if c * c <= UNIT_QUOTIENT_CEILING and d_K % 4 == 1:
+        enum = tuple(unit_quotient_structure(d_K, c))
         if enum != inv:
             raise ArithmeticError(
-                f"ring class structure mismatch for d_K={d}, c={c}: "
+                f"ring class structure mismatch for d_K={d_K}, c={c}: "
                 f"enumeration {enum} vs formula {inv}"
             )
-    return RingClassStructure(d, c, tuple(ps), factors, inv, degree)
+    return RingClassStructure(d_K, c, tuple(ps), factors, inv, degree)

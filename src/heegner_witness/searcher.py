@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .arith import crt_pair, euler_phi, is_prime, is_squarefree, prime_divisors, primes_upto
-from .ec_core import ApTable, CurveQ, count_points, good_reduction, reduce_mod
+from .ec_core import CurveQ, ap, count_points, good_reduction, reduce_mod
 from .lseries import DEFAULT_NONVANISHING_THRESHOLD, LOverK, l_over_K
 from .quadforms import is_fundamental, kronecker
 
@@ -132,8 +132,7 @@ def prime_sequence(
     """First `count` primes (ascending) with p = -1 mod q, p inert in K,
     good reduction, and q not dividing a_p."""
     if ap_source is None:
-        table = ApTable()
-        ap_source = lambda p: table.get(curve, p)
+        ap_source = lambda p: ap(curve, p)
     items: list[PrimeSeqItem] = []
     for p in primes_upto(p_bound):
         if len(items) == count:

@@ -109,6 +109,34 @@ def test_config_validation(tmp_path):
     assert cfg.depth == 2 and cfg.nonvanishing_threshold == 1e-4
 
 
+def test_config_file_rejects_unknown_keys_and_non_objects(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"depth": 2, "height_tol": 1e-4, "colour": "red"}))
+    with pytest.raises(ValueError, match=r"unknown config keys \['colour', 'height_tol'\]"):
+        Config.from_file(str(p))
+    p.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="JSON object"):
+        Config.from_file(str(p))
+
+
+def test_config_rejects_negative_tower_levels():
+    with pytest.raises(ValueError, match="tower_m"):
+        Config(tower_m=-1)
+    with pytest.raises(ValueError, match="tower_r"):
+        Config(tower_r=-1)
+
+
+def test_cli_reports_unreadable_config(curve_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+    bad = tmp_path / "bad.json"
+    for text in ('{"height_tol": 1e-4}', '{"tower_m": -1}', "not json"):
+        bad.write_text(text)
+        assert main(["--curves", curve_file, "--config", str(bad)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+    assert main(["--curves", curve_file, "--config", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_run_witness_37a(e37a, tmp_path):
     cfg = Config(cache_dir=str(tmp_path / "c"))
     rep = run_witness(e37a, cfg)
@@ -211,3 +239,10 @@ def test_cli_ap_subcommand(tmp_path, monkeypatch, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["2", "-2"]
+
+
+def test_cli_ap_falls_back_when_cache_dir_env_is_empty(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HW_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    assert main(["ap", "--curve", "11a", "--pmax", "10"]) == 0
+    assert (tmp_path / ".hw_cache" / "ap_cache.txt").exists()

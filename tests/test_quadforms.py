@@ -14,7 +14,6 @@ from heegner_witness.quadforms import (
     form_inverse,
     is_fundamental,
     kronecker,
-    make_discriminant,
     principal_form,
     reduce_form,
     reduced_forms,
@@ -73,12 +72,8 @@ def test_splitting_type():
 
 
 def test_discriminant_type():
-    d = make_discriminant(-7)
-    assert d.fundamental
-    d = make_discriminant(-44)
-    assert not d.fundamental
-    with pytest.raises(InvalidDiscriminantError):
-        make_discriminant(-5)  # 3 mod 4
+    assert is_fundamental(-7)
+    assert not is_fundamental(-44)
     assert is_fundamental(-163)
     assert not is_fundamental(-175)
 
