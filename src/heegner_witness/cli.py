@@ -12,6 +12,7 @@ a_p cache location.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -46,11 +47,11 @@ def _lookup(pool, label):
 def _cmd_witness(args) -> int:
     try:
         config = Config.from_file(args.config) if args.config else Config()
+        if args.depth is not None:
+            config = dataclasses.replace(config, depth=args.depth)  # re-runs the checks
     except (OSError, ValueError) as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return 2
-    if args.depth is not None:
-        config.depth = args.depth
     try:
         curves = parse_curve_file(args.curves)
     except (OSError, ValueError) as e:

@@ -10,8 +10,22 @@ giant-step on E and its quadratic twist (Cohen, GTM 138, 7.4.3), in
 O(p^(1/4)) group operations per point. BSGS_MIN_P is the measured crossover
 below which the O(p) enumerator `count_points` (a quadratic-residue table)
 is faster, so it counts those primes. The enumerator has two more roles: it
-is the test oracle for the BSGS kernel, and the independent recount that
-re-verifies accepted primes. Both paths refuse p > POINT_COUNT_CEILING.
+is the test oracle for both BSGS paths, and the independent recount that
+re-verifies accepted primes. Every path refuses p > POINT_COUNT_CEILING.
+
+`ap` counts one prime with the scalar `_ap_bsgs`. `an_series` counts all its
+good primes p >= BSGS_MIN_P at once with `ap_lockstep`: one prime per int64
+numpy lane, _LANES lanes per block, each lane running BSGS on one point with
+the complete projective addition of Renes-Costello-Batina, so no lane needs
+an inversion or a case split. A lane is decided only when exactly one k in
+the Hasse interval has [k]P = O; lanes with no point, a degenerate sum or
+several such k (about 3% of the field-search twist tables) fall back to
+`_ap_bsgs`, so every value equals the scalar one. With p <= 10^6 < 2^20 every
+lane product stays below 2^43, far inside int64. _LANES = 256 was measured on
+the six field-search twist tables (15,564 primes in [2500, 27000], 2-vCPU
+Xeon): 128, 256 and 512 lanes took 0.67-0.95, 0.61-0.68 and 0.53 s, and the
+benchmark's field-search peak RSS rose over the scalar path by 0.79, 0.93
+and 1.13 MB; 256 is the largest block that keeps the rise under 1 MB.
 """
 
 from __future__ import annotations
@@ -25,6 +39,8 @@ from .arith import factorize, prime_divisors, primes_upto
 
 POINT_COUNT_CEILING = 10**6
 BSGS_MIN_P = 2500  # measured crossover: count_points is faster below it
+_LANES = 256  # primes per lockstep block
+_POINT_TRIES = 32  # x values a lane tries for a point before it falls back
 _VALIDATION_PMAX = 50
 
 
@@ -67,8 +83,9 @@ class CurveQ:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
 
-def b_invariants(curve: CurveQ) -> tuple[int, int, int, int]:
-    a1, a2, a3, a4, a6 = curve.ainvs
+def b_invariants(curve) -> tuple[int, int, int, int]:
+    """b2, b4, b6, b8 of a CurveQ or of an a-invariant tuple."""
+    a1, a2, a3, a4, a6 = curve if isinstance(curve, tuple) else curve.ainvs
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -84,15 +101,8 @@ def c_invariants(curve: CurveQ) -> tuple[int, int]:
 
 
 def discriminant(curve) -> int:
-    """Discriminant of the given model (0 for a singular tuple)."""
-    if isinstance(curve, tuple):
-        a1, a2, a3, a4, a6 = curve
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    else:
-        b2, b4, b6, b8 = b_invariants(curve)
+    """Discriminant of a CurveQ or an a-invariant tuple (0 for a singular tuple)."""
+    b2, b4, b6, b8 = b_invariants(curve)
     return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
@@ -248,11 +258,157 @@ def _ap_bsgs(curve: CurveQ, p: int) -> int:
             lam_e = lam
         else:
             lam_t = lam
-        first = -(-lo // lam_e) * lam_e
-        cands = [n for n in range(first, hi + 1, lam_e) if (2 * p + 2 - n) % lam_t == 0]
-        if len(cands) == 1:
-            return p + 1 - cands[0]
+        # n = lam_e t with lam_e t = 2p + 2 (mod lam_t): one class mod lcm, by CRT
+        g = math.gcd(lam_e, lam_t)
+        if (2 * p + 2) % g:
+            continue
+        mod_t = lam_t // g
+        t = (2 * p + 2) // g * pow(lam_e // g, -1, mod_t) % mod_t
+        step = lam_e * mod_t
+        first = lo + (lam_e * t - lo) % step
+        if first <= hi < first + step:
+            return p + 1 - first
     raise ArithmeticError(f"BSGS found no unique group order mod {p}")
+
+
+def _padd(P, Q, a, b3, p):
+    """P + Q on Y^2 = X^3 + a X + b, b3 = 3b, lane-wise in projective coordinates.
+
+    The complete formulas of Renes-Costello-Batina (EUROCRYPT 2016, eq. (1)):
+    no inversion and no case split, with O = (0:1:0). The sum is the
+    degenerate (0:0:0) exactly when P - Q has order 2, and (0:0:0) then
+    propagates through every later sum. Inputs are reduced mod p < 2^20, so
+    every product stays below 2^43.
+    """
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    t0 = X1 * X2 % p
+    t1 = Y1 * Y2 % p
+    t2 = Z1 * Z2 % p
+    u = ((X1 + Y1) * (X2 + Y2) - t0 - t1) % p  # X1 Y2 + X2 Y1
+    v = ((X1 + Z1) * (X2 + Z2) - t0 - t2) % p  # X1 Z2 + X2 Z1
+    w = ((Y1 + Z1) * (Y2 + Z2) - t1 - t2) % p  # Y1 Z2 + Y2 Z1
+    al = (a * v + b3 * t2) % p
+    s, d = t1 + al, t1 - al
+    be = (a * (t0 - a * t2 % p) + b3 * v) % p
+    ga = (3 * t0 + a * t2) % p
+    return (u * d - w * be) % p, (s * d + ga * be) % p, (w * s + u * ga) % p
+
+
+def _lane_pow(x, e, p):
+    """x^e mod p lane-wise; x reduced mod p, e >= 0 per lane."""
+    r = np.ones_like(x)
+    for bit in range(int(e.max()).bit_length()):
+        r = np.where((e >> bit) & 1 == 1, r * x % p, r)
+        x = x * x % p
+    return r
+
+
+def _lockstep_orders(c4: int, c6: int, p: np.ndarray) -> np.ndarray:
+    """#E(F_p) for each prime of the int64 array `p`, one lane each; 0 where undecided.
+
+    One point per lane: the first x < _POINT_TRIES with f(x) = x^3 + A x + B
+    a nonzero square on the short model of `_ap_bsgs`, taken as (x f, f^2) on
+    Y^2 = X^3 + A f^2 X + B f^3, which is E itself. Baby steps jP for
+    1 <= j <= S, then giant steps [m]P, m = lo + S, lo + 3S + 1, ..., whose
+    windows [m - S, m + S] cover the Hasse interval [lo, hi]; [m]P = +-jP is
+    found by cross-multiplying X and Y. Every k in [lo, hi] with [k]P = O is
+    counted, and a lane is decided when there is exactly one: #E is a
+    multiple of the order of P in [lo, hi], so it is that k. A lane with no
+    point, a (0:0:0) sum or two or more such k reads 0.
+    """
+    amax = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
+    lo, hi = p + 1 - amax, p + 1 + amax
+    A = np.array([-27 * c4 % q for q in p.tolist()], dtype=np.int64)
+    B = np.array([-54 * c6 % q for q in p.tolist()], dtype=np.int64)
+    x0 = np.full(len(p), -1, dtype=np.int64)
+    for x in range(_POINT_TRIES):
+        todo = np.flatnonzero(x0 < 0)
+        if not todo.size:
+            break
+        q = p[todo]
+        f = ((x * x + A[todo]) * x + B[todo]) % q
+        x0[todo[(f != 0) & (_lane_pow(f, (q - 1) // 2, q) == 1)]] = x
+    found = x0 >= 0
+    f = ((x0 * x0 + A) * x0 + B) % p
+    a = A * f % p * f % p
+    b3 = 3 * B * f % p * f % p * f % p
+    one, zero = np.ones_like(p), np.zeros_like(p)
+    P = (x0 * f % p, f * f % p, one)
+
+    s = math.isqrt(int(amax.max())) + 1
+    Xb, Yb, Zb = (np.empty((s, len(p)), dtype=np.int64) for _ in range(3))
+    Q = P
+    for j in range(s):  # row j holds [j + 1]P
+        Xb[j], Yb[j], Zb[j] = Q
+        Q = _padd(Q, P, a, b3, p)
+    G = _padd(Q, (Xb[-1], Yb[-1], Zb[-1]), a, b3, p)  # [s + 1]P + [s]P
+    # ord P <= s leaves several multiples in [lo, hi]: such a lane is undecided
+    big = Zb.all(axis=0)
+    if not big.any():
+        return np.zeros_like(p)
+    m = lo + s
+    R = (zero, one, zero)  # [m]P by double-and-add, one scalar per lane
+    for bit in reversed(range(int(m.max()).bit_length())):
+        R = _padd(R, R, a, b3, p)
+        T = _padd(R, P, a, b3, p)
+        take = (m >> bit) & 1 == 1
+        R = tuple(np.where(take, t, r) for t, r in zip(T, R))
+
+    hits = np.zeros(len(p), dtype=np.int64)
+    last_k = np.zeros(len(p), dtype=np.int64)
+    js = np.arange(1, s + 1, dtype=np.int64)
+    while True:
+        X, Y, Z = R
+        j, ln = np.nonzero(((X * Zb - Xb * Z) % p == 0) & big)  # [m]P = +-jP
+        yz, zy, q = Y[ln] * Zb[j, ln], Yb[j, ln] * Z[ln], p[ln]
+        plus, minus = (yz - zy) % q == 0, (yz + zy) % q == 0
+        o = np.flatnonzero(Z == 0)  # [m]P = O
+        ks = np.concatenate((m[ln[plus]] - js[j[plus]], m[ln[minus]] + js[j[minus]], m[o]))
+        kl = np.concatenate((ln[plus], ln[minus], o))
+        inside = (lo[kl] <= ks) & (ks <= hi[kl])
+        hits += np.bincount(kl[inside], minlength=len(p))
+        last_k[kl[inside]] = ks[inside]
+        if (m + s - hi).min() >= 0:  # every window reached hi
+            break
+        R = _padd(R, G, a, b3, p)
+        m = m + 2 * s + 1
+
+    # a (0:0:0) baby step reaches G, and an earlier (0:0:0) giant step R
+    degenerate = [(X == 0) & (Y == 0) & (Z == 0) for X, Y, Z in (R, G)]
+    decided = found & big & ~degenerate[0] & ~degenerate[1] & (hits == 1)
+    return np.where(decided, last_k, 0)
+
+
+def ap_lockstep(curve: CurveQ, primes) -> np.ndarray:
+    """a_p for good primes BSGS_MIN_P <= p <= POINT_COUNT_CEILING, as `_ap_bsgs` gives.
+
+    The primes run `_lockstep_orders` in blocks of _LANES, in the order
+    given; each block sizes its baby steps for its own largest prime, so
+    ascending primes give tight blocks, and memory stays bounded. Undecided
+    lanes fall back to `_ap_bsgs`, and every value is Hasse-checked. The
+    ceiling keeps every lane product below 2^63.
+    """
+    ps = np.array(primes, dtype=np.int64)
+    for q in ps.tolist():
+        if q > POINT_COUNT_CEILING:
+            raise PointCountBoundError(f"p = {q} exceeds point count ceiling {POINT_COUNT_CEILING}")
+        if q < BSGS_MIN_P:
+            raise ValueError(f"p = {q} is below BSGS_MIN_P = {BSGS_MIN_P}")
+        if not good_reduction(curve, q):
+            raise BadReductionError(f"{curve.label or curve.ainvs} has bad reduction at {q}")
+    c4, c6 = c_invariants(curve)
+    out = np.empty_like(ps)
+    for i in range(0, len(ps), _LANES):
+        block = ps[i : i + _LANES]
+        n = _lockstep_orders(c4, c6, block)
+        for k in np.flatnonzero(n == 0).tolist():  # undecided lanes
+            n[k] = block[k] + 1 - _ap_bsgs(curve, int(block[k]))
+        out[i : i + _LANES] = block + 1 - n
+    bad = np.flatnonzero(out * out > 4 * ps)
+    if bad.size:
+        raise ArithmeticError(f"Hasse bound violated at p={ps[bad[0]]}: a_p={out[bad[0]]}")
+    return out
 
 
 def ap(curve: CurveQ, p: int) -> int:
@@ -343,7 +499,9 @@ def an_series(curve: CurveQ, n_max: int) -> AnSeries:
     """Fourier coefficients a_1..a_{n_max} via the Euler product recursion.
 
     Good p: a_{p^k} = a_p a_{p^{k-1}} - p a_{p^{k-2}}; multiplicative bad p:
-    a_{p^k} = a_p^k with a_p = +-1; additive bad p: a_{p^k} = 0.
+    a_{p^k} = a_p^k with a_p = +-1; additive bad p: a_{p^k} = 0. The good
+    a_p with p >= BSGS_MIN_P come from one `ap_lockstep` call before the
+    recursion, the smaller ones from `ap`.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -353,6 +511,9 @@ def an_series(curve: CurveQ, n_max: int) -> AnSeries:
         return AnSeries(1, a)
     spf = _spf_sieve(n_max)
     bad = {p: reduction_type(curve, p)[1] for p in prime_divisors(curve.N) if p <= n_max}
+    primes = np.flatnonzero(spf[BSGS_MIN_P:] == np.arange(BSGS_MIN_P, n_max + 1)) + BSGS_MIN_P
+    large = np.array([q for q in primes.tolist() if q not in bad], dtype=np.int64)
+    a[large] = ap_lockstep(curve, large)
     for n in range(2, n_max + 1):
         p = int(spf[n])
         m, e = n, 0
@@ -363,8 +524,8 @@ def an_series(curve: CurveQ, n_max: int) -> AnSeries:
             a[n] = a[n // m] * a[m]
         elif p in bad:
             a[n] = bad[p] ** e
-        elif e == 1:
-            a[n] = ap(curve, p)
-        else:
+        elif e > 1:
             a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
+        elif p < BSGS_MIN_P:
+            a[n] = ap(curve, p)
     return AnSeries(n_max, a)

@@ -36,7 +36,8 @@ _AN_CACHE: dict = {}
 
 
 def cached_an(curve: CurveQ, n_max: int):
-    """Shared a_n table per curve, grown geometrically on demand."""
+    """Shared a_n table per curve. A request beyond the cached table rebuilds
+    it from scratch at exactly max(n_max, 64) terms; it does not grow ahead."""
     key = (curve.ainvs, curve.N)
     cur = _AN_CACHE.get(key)
     if cur is None or cur.n_max < n_max:

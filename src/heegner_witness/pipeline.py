@@ -49,6 +49,14 @@ log = logging.getLogger("heegner_witness")
 
 CACHE_ENV_VAR = "HW_CACHE_DIR"
 
+# accepted Python types per Config annotation; bool is never an int here
+_CONFIG_TYPES = {
+    "float": (int, float),
+    "int": (int,),
+    "str | None": (str, type(None)),
+    "int | None": (int, type(None)),
+}
+
 
 @dataclass
 class Config:
@@ -64,6 +72,10 @@ class Config:
     cm_field: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         for name in ("lseries_precision", "heegner_residual", "nonvanishing_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

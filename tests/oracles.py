@@ -139,6 +139,31 @@ def an_recursive(curve: CurveQ, n: int, _memo=None) -> int:
     return val
 
 
+def an_per_prime_ap(curve: CurveQ, n_max: int) -> list[int]:
+    """a_0..a_{n_max} (a_0 = 0) by the Euler recursion, calling `ap` once per good prime."""
+    spf = list(range(n_max + 1))
+    for i in range(2, math.isqrt(n_max) + 1):
+        if spf[i] == i:
+            for j in range(i * i, n_max + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    a = [0, 1] + [0] * (n_max - 1)
+    for n in range(2, n_max + 1):
+        p, m, e = spf[n], n, 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if m > 1:
+            a[n] = a[n // m] * a[m]
+        elif curve.N % p == 0:
+            a[n] = reduction_type(curve, p)[1] ** e
+        elif e == 1:
+            a[n] = ap(curve, p)
+        else:
+            a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
+    return a
+
+
 def l_value_straight(curve: CurveQ, terms: int = 2000) -> float:
     """L(E,1) as the plain 2 * sum a_n/n exp(-2 pi n / sqrt(N)), fixed term count."""
     memo = {}

@@ -1,16 +1,25 @@
+import functools
 import math
 import random
 
 import pytest
 
-from heegner_witness.arith import primes_upto
+import numpy as np
+
+from heegner_witness import ec_core
+from heegner_witness.arith import is_prime, primes_upto
 from heegner_witness.ec_core import (
     BadReductionError,
     CurveQ,
     PointCountBoundError,
+    _add,
     _ap_bsgs,
+    _lockstep_orders,
+    _padd,
     an_series,
     ap,
+    ap_lockstep,
+    c_invariants,
     count_points,
     discriminant,
     good_reduction,
@@ -18,7 +27,7 @@ from heegner_witness.ec_core import (
     reduction_type,
 )
 from heegner_witness.lseries import twist
-from oracles import an_recursive, brute_count, count_points_ext
+from oracles import an_per_prime_ap, an_recursive, brute_count, count_points_ext
 
 
 def test_discriminant_37a(e37a):
@@ -84,21 +93,127 @@ def test_count_points_ext_consistency(e37a, e_ss):
                 assert count_points_ext(curve, p, 2) == p * p + 1 - (a * a - 2 * p)
 
 
-def test_bsgs_matches_enumerator(e11a, e37a, e_ss):
+LARGE_PRIMES = (99989, 99991, 100003, 999961, 999979, 999983)
+
+
+def _bsgs_curves(e11a, e37a, e_ss):
     j0 = CurveQ(0, 0, 1, 0, 0, 27)
     j1728 = CurveQ(0, 0, 0, -1, 0, 32)
     big = twist(e37a, -2503).curve  # a6 = -3920329382, 2503 | N
-    for curve in (e11a, e37a, e_ss, j0, j1728, big):
+    return e11a, e37a, e_ss, j0, j1728, big
+
+
+@functools.cache
+def _recount_one(curve, p):
+    return p + 1 - count_points(reduce_mod(curve, p))
+
+
+def _recount(curve, primes):
+    """a_p by enumeration, shared by the tests of the scalar and lockstep paths."""
+    return [_recount_one(curve, p) for p in primes]
+
+
+def test_bsgs_matches_enumerator(e11a, e37a, e_ss):
+    *_, big = curves = _bsgs_curves(e11a, e37a, e_ss)
+    for curve in curves:
         for p in primes_upto(5000):
             if p >= 230 and good_reduction(curve, p):
-                assert _ap_bsgs(curve, p) == p + 1 - count_points(reduce_mod(curve, p)), (curve, p)
+                assert _ap_bsgs(curve, p) == _recount_one(curve, p), (curve, p)
     for curve in (e37a, big):
-        for p in (99989, 99991, 100003, 999961, 999979, 999983):
-            assert _ap_bsgs(curve, p) == p + 1 - count_points(reduce_mod(curve, p)), (curve, p)
+        for p in LARGE_PRIMES:
+            assert _ap_bsgs(curve, p) == _recount_one(curve, p), (curve, p)
     with pytest.raises(BadReductionError):
         ap(big, 2503)
     with pytest.raises(PointCountBoundError):
         ap(e37a, 1000003)  # the first prime above POINT_COUNT_CEILING
+
+
+def test_lockstep_kernel_matches_enumerator(e11a, e37a, e_ss):
+    for curve in _bsgs_curves(e11a, e37a, e_ss):
+        primes = [p for p in primes_upto(5000) if p >= 2500 and good_reduction(curve, p)]
+        primes += LARGE_PRIMES
+        got = ap_lockstep(curve, primes)
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == _recount(curve, primes), curve
+
+
+def test_lockstep_kernel_blocks_and_fallback(e37a, monkeypatch):
+    j0 = CurveQ(0, 0, 1, 0, 0, 27)  # (0, 108) has order 3: every lane is ambiguous
+    primes = [p for p in primes_upto(4000) if p >= 2500 and good_reduction(j0, p)]
+    assert not _lockstep_orders(*c_invariants(j0), np.array(primes)).any()
+    assert ap_lockstep(j0, primes).tolist() == _recount(j0, primes)
+    # blocks of 7 lanes, in ascending and in shuffled order; some lanes are undecided
+    primes = [p for p in primes_upto(3300) if p >= 2500 and good_reduction(e37a, p)]
+    want = _recount(e37a, primes)
+    monkeypatch.setattr(ec_core, "_LANES", 7)
+    assert ap_lockstep(e37a, primes).tolist() == want
+    rng = random.Random(3)
+    order = rng.sample(range(len(primes)), len(primes))
+    got = ap_lockstep(e37a, [primes[i] for i in order]).tolist()
+    assert got == [want[i] for i in order]
+    # no lane finds a point: every lane falls back to the scalar path
+    monkeypatch.setattr(ec_core, "_POINT_TRIES", 0)
+    assert ap_lockstep(e37a, primes).tolist() == want
+    assert ap_lockstep(e37a, []).tolist() == []
+
+
+def test_complete_addition_matches_affine_law():
+    # y^2 = x^3 - x mod 2503 has the 2-torsion points (0, 0) and (+-1, 0)
+    p, a = 2503, -1
+    pts = [None] + [(x, y) for x in range(40) for y in range(p) if (y * y - x ** 3 + x) % p == 0]
+    lanes = [(P, Q) for P in pts for Q in pts]
+
+    def proj(P):
+        return (0, 1, 0) if P is None else (P[0], P[1], 1)
+
+    one = np.ones(len(lanes), dtype=np.int64)
+    cols = [np.array(c, dtype=np.int64) for c in zip(*(proj(P) + proj(Q) for P, Q in lanes))]
+    X, Y, Z = _padd(cols[:3], cols[3:], a % p * one, 0 * one, p * one)
+    degenerate = 0
+    for (P, Q), x, y, z in zip(lanes, X.tolist(), Y.tolist(), Z.tolist()):
+        diff = _add(P, None if Q is None else (Q[0], -Q[1] % p), a, p)  # P - Q
+        if diff is not None and diff[1] == 0:
+            assert (x, y, z) == (0, 0, 0), (P, Q)
+            degenerate += 1
+            continue
+        S = _add(P, Q, a, p)
+        if S is None:
+            assert x == z == 0 and y != 0, (P, Q)
+        else:
+            assert z != 0 and (x - S[0] * z) % p == 0 and (y - S[1] * z) % p == 0, (P, Q)
+    assert degenerate > 0
+
+
+def test_lockstep_kernel_reaches_both_ends_of_the_hasse_interval(e_ss):
+    # p = alpha^2 + 4, alpha odd: a_p = +-2 alpha = +-isqrt(4p) on y^2 = x^3 + x, so #E is
+    # an end of [lo, hi]; one lane per call, so no wider block covers for a short scan
+    c4, c6 = c_invariants(e_ss)
+    ends = set()
+    for p in (al * al + 4 for al in range(51, 200, 2)):
+        if is_prime(p):
+            n = _lockstep_orders(c4, c6, np.array([p]))[0]
+            want = _recount_one(e_ss, p)
+            assert abs(want) == math.isqrt(4 * p) and n in (0, p + 1 - want), p
+            if n:
+                ends.add(want > 0)
+    assert ends == {True, False}
+
+
+def test_lockstep_kernel_checks_hasse_and_inputs(e37a, monkeypatch):
+    with pytest.raises(PointCountBoundError):
+        ap_lockstep(e37a, [2503, 1000003])
+    with pytest.raises(BadReductionError):
+        ap_lockstep(twist(e37a, -2503).curve, [2503])
+    with pytest.raises(ValueError):
+        ap_lockstep(e37a, [2477])  # below BSGS_MIN_P
+    monkeypatch.setattr(ec_core, "_lockstep_orders", lambda c4, c6, p: 2 * p)
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        ap_lockstep(e37a, [2503, 2521])
+
+
+def test_an_series_matches_per_prime_ap(e11a):
+    n_max = 3 * 10**4
+    assert an_series(e11a, n_max).values.tolist() == an_per_prime_ap(e11a, n_max)
 
 
 def test_hasse_bound_to_1e4(e11a, e37a, e_ss):

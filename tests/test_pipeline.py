@@ -126,10 +126,33 @@ def test_config_rejects_negative_tower_levels():
         Config(tower_r=-1)
 
 
+def test_config_rejects_mistyped_fields(tmp_path):
+    p = tmp_path / "cfg.json"
+    for data, name in (({"depth": "2"}, "depth"), ({"cm_field": "x"}, "cm_field"),
+                       ({"depth": True}, "depth"), ({"lseries_precision": "1e-8"}, "lseries_precision"),
+                       ({"cache_dir": 3}, "cache_dir")):
+        p.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            Config.from_file(str(p))
+    with pytest.raises(ValueError, match="^prime_bound must be int"):
+        Config(prime_bound=1e5)
+    cfg = Config(heegner_residual=1, cm_field=-7, cache_dir="c")  # an int is a valid float
+    assert cfg.heegner_residual == 1 and cfg.cm_field == -7
+
+
+def test_cli_rejects_depth_zero(curve_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "out"
+    assert main(["--curves", curve_file, "--label", "37a", "--depth", "0", "--out", str(out)]) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_reports_unreadable_config(curve_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
     bad = tmp_path / "bad.json"
-    for text in ('{"height_tol": 1e-4}', '{"tower_m": -1}', "not json"):
+    for text in ('{"height_tol": 1e-4}', '{"tower_m": -1}', "not json", '{"depth": "2"}',
+                 '{"cm_field": "x"}'):
         bad.write_text(text)
         assert main(["--curves", curve_file, "--config", str(bad)]) == 2
         assert "cannot read config" in capsys.readouterr().err
