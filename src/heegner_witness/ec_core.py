@@ -495,26 +495,29 @@ def _spf_sieve(n: int) -> np.ndarray:
     return spf
 
 
-def an_series(curve: CurveQ, n_max: int) -> AnSeries:
+def an_series(curve: CurveQ, n_max: int, known: AnSeries | None = None) -> AnSeries:
     """Fourier coefficients a_1..a_{n_max} via the Euler product recursion.
 
     Good p: a_{p^k} = a_p a_{p^{k-1}} - p a_{p^{k-2}}; multiplicative bad p:
     a_{p^k} = a_p^k with a_p = +-1; additive bad p: a_{p^k} = 0. The good
     a_p with p >= BSGS_MIN_P come from one `ap_lockstep` call before the
-    recursion, the smaller ones from `ap`.
+    recursion, the smaller ones from `ap`. `known`, a table of the same curve
+    with at most n_max terms, is copied: only the primes and the n beyond it
+    are computed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     a = np.zeros(n_max + 1, dtype=np.int64)
-    a[1] = 1
-    if n_max == 1:
-        return AnSeries(1, a)
+    head = [0, 1] if known is None else known.values
+    start = len(head)
+    a[:start] = head
     spf = _spf_sieve(n_max)
     bad = {p: reduction_type(curve, p)[1] for p in prime_divisors(curve.N) if p <= n_max}
-    primes = np.flatnonzero(spf[BSGS_MIN_P:] == np.arange(BSGS_MIN_P, n_max + 1)) + BSGS_MIN_P
+    lo = max(start, BSGS_MIN_P)
+    primes = np.flatnonzero(spf[lo:] == np.arange(lo, n_max + 1)) + lo
     large = np.array([q for q in primes.tolist() if q not in bad], dtype=np.int64)
     a[large] = ap_lockstep(curve, large)
-    for n in range(2, n_max + 1):
+    for n in range(start, n_max + 1):
         p = int(spf[n])
         m, e = n, 0
         while m % p == 0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .arith import factorize, is_prime, is_squarefree, valuation
 from .ec_core import CurveQ, ap, b_invariants, c_invariants, discriminant
-from .lseries import cached_an, l_over_K
+from .lseries import LOverK, cached_an
 from .quadforms import class_number, kronecker, reduce_form
 from .searcher import heegner_hypothesis
 
@@ -99,14 +99,8 @@ class PeriodLattice:
         return abs(self.reduce(z))
 
 
-_LATTICE_CACHE: dict = {}
-
-
 def period_lattice(curve: CurveQ) -> PeriodLattice:
     """Lattice of the real curve by the optimal AGM; validates against c4, c6."""
-    key = (curve.ainvs, curve.N)
-    if key in _LATTICE_CACHE:
-        return _LATTICE_CACHE[key]
     e1, e2, e3 = _two_division_roots(curve)
     w1 = cmath.pi / _agm_optimal(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
     w2 = cmath.pi / _agm_optimal(cmath.sqrt(e3 - e1), cmath.sqrt(e3 - e2))
@@ -136,9 +130,7 @@ def period_lattice(curve: CurveQ) -> PeriodLattice:
     for k in range(3, K + 1):
         c[k] = 3.0 * sum(c[m] * c[k - 1 - m] for m in range(1, k - 1)) / ((2 * k + 3) * (k - 2))
     lam = min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
-    lat = PeriodLattice(curve, w1, w2, g2, g3, lam, tuple(c))
-    _LATTICE_CACHE[key] = lat
-    return lat
+    return PeriodLattice(curve, w1, w2, g2, g3, lam, tuple(c))
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +662,17 @@ def _recognize_point(curve: CurveQ, x_c: complex, y_c: complex, max_den=10**6, t
 # the headline operations
 
 
-def trace_to_K(curve: CurveQ, d_K: int, precision: float = 1e-9):
-    """Trace of the basic Heegner point to K: sum over Pic(O_K) conjugates.
+def trace_to_K(orbit: HeegnerOrbit, precision: float = 1e-9):
+    """Trace of the basic Heegner point to K: the sum over `orbit`, the
+    level-1 orbit of Pic(O_K) conjugates.
 
     Returns (CPoint, recognized) where recognized is an exact rational point
     when the x-coordinate survives continued-fraction recognition at two
     precisions, else None.
     """
-    orbit = heegner_orbit(curve, d_K, 1)
+    if orbit.level != 1:
+        raise ValueError(f"trace to K needs the level-1 orbit, got level {orbit.level}")
+    curve = orbit.curve
     lattice = period_lattice(curve)
     zsum = orbit_sum(orbit, precision=precision)
     pk = elliptic_exp(lattice, zsum.z)
@@ -706,25 +701,20 @@ def _torsion_translates(lattice: PeriodLattice, bound: int = DEFAULT_TORSION_BOU
     ]
 
 
-def trace_relation_check(
-    curve: CurveQ,
-    d_K: int,
-    ell: int,
-    precision: float = 1e-6,
-) -> float:
-    """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 in C/Lambda.
+def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, precision: float = 1e-6) -> float:
+    """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 in C/Lambda, with `base` the
+    level-1 orbit and `up` the orbit at a prime level ell of the same (E, K).
 
     Minimized over the sign and small torsion translates, the ambiguity left
     by the choice of Heegner system. The conjugate count is the class number
     of the order of conductor ell.
     """
+    curve, ell = base.curve, up.level
+    if base.level != 1 or (up.curve, up.d_K) != (curve, base.d_K):
+        raise ValueError("needs the level-1 and level-ell orbits of one curve and field")
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    if kronecker(d_K, ell) != -1:
-        raise ValueError(f"ell = {ell} is not inert in Q(sqrt({d_K}))")
     lattice = period_lattice(curve)
-    base = heegner_orbit(curve, d_K, 1)
-    up = heegner_orbit(curve, d_K, ell)
     target_prec = min(precision * 1e-3, 1e-9)
     z_base = orbit_sum(base, precision=target_prec)
     z_up = orbit_sum(up, precision=target_prec)
@@ -752,11 +742,15 @@ class GZReport:
     ratio: float | None
 
 
-def gz_correspondence(curve: CurveQ, d_K: int, precision: float = 1e-9) -> GZReport:
+def gz_correspondence(orbit: HeegnerOrbit, lk: LOverK, precision: float = 1e-9) -> GZReport:
     """Both sides of the height/L'-derivative correspondence, plus the
-    nontorsion <=> nonvanishing biconditional. The proportionality constant
-    is reported (as `ratio`), never asserted."""
-    pk, recognized = trace_to_K(curve, d_K, precision=precision)
+    nontorsion <=> nonvanishing biconditional, from the level-1 orbit and
+    the L'(E/K,1) of the same field. The proportionality constant is
+    reported (as `ratio`), never asserted."""
+    if orbit.d_K != lk.d_K:
+        raise ValueError(f"orbit over d_K = {orbit.d_K}, L-value over d_K = {lk.d_K}")
+    curve = orbit.curve
+    pk, recognized = trace_to_K(orbit, precision=precision)
     lattice = period_lattice(curve)
     if recognized is not None:
         nontorsion = not is_torsion(curve, recognized)
@@ -766,11 +760,10 @@ def gz_correspondence(curve: CurveQ, d_K: int, precision: float = 1e-9) -> GZRep
         nontorsion = not is_torsion(curve, pk, lattice=lattice)
         height = (lattice.dist(pk.z) / lattice.omega1) ** 2 if pk.z is not None else 0.0
         proxy = True
-    lk = l_over_K(curve, d_K)
     holds = nontorsion == lk.nonzero
     ratio = None
     if nontorsion and lk.nonzero and height > 0:
         ratio = height / lk.value
     return GZReport(
-        d_K, pk.z, recognized, height, proxy, lk.value, lk.nonzero, nontorsion, holds, ratio
+        lk.d_K, pk.z, recognized, height, proxy, lk.value, lk.nonzero, nontorsion, holds, ratio
     )

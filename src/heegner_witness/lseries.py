@@ -10,6 +10,10 @@ Central values use the classical rapidly convergent series
     L'(E,1) = 2 sum a_n/n E1(2 pi n / sqrt(N))              (eps = -1)
 with E1 the exponential integral, evaluated by a series / continued fraction
 hybrid. Tail bounds use |a_n| <= d(n) sqrt(n) <= sqrt(3) n.
+
+The quadratic twist of E by a fundamental discriminant d coprime to N has
+conductor N d^2 and coefficients kronecker(d, n) a_n(E), so every function
+here reads a twist from E's own a_n table; no twisted model is built.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_squarefree
-from .ec_core import CurveQ, an_series, b_invariants
+import numpy as np
+
+from .ec_core import CurveQ, an_series
 from .quadforms import is_fundamental, kronecker
 
 _SQRT3 = math.sqrt(3.0)
@@ -36,14 +41,35 @@ _AN_CACHE: dict = {}
 
 
 def cached_an(curve: CurveQ, n_max: int):
-    """Shared a_n table per curve. A request beyond the cached table rebuilds
-    it from scratch at exactly max(n_max, 64) terms; it does not grow ahead."""
+    """The one a_n table of a curve, shared by the curve and all its twists.
+
+    A request beyond the cached table grows it to exactly max(n_max, 64)
+    terms, counting only the primes beyond the old end; it never grows ahead.
+    """
     key = (curve.ainvs, curve.N)
     cur = _AN_CACHE.get(key)
     if cur is None or cur.n_max < n_max:
-        cur = an_series(curve, max(n_max, 64))
+        cur = an_series(curve, max(n_max, 64), cur)
         _AN_CACHE[key] = cur
     return cur
+
+
+def _twist_conductor(curve: CurveQ, d: int) -> int:
+    """N d^2, the conductor of the twist by d; d must be fundamental and coprime to N."""
+    if d != 1 and not is_fundamental(d):
+        raise ValueError(f"{d} is not a fundamental discriminant")
+    if math.gcd(d, curve.N) != 1:
+        raise ValueError(f"twisting discriminant {d} shares a factor with N = {curve.N}")
+    return curve.N * d * d
+
+
+def _coefficients(curve: CurveQ, d: int, T: int) -> np.ndarray:
+    """a_0..a_T of the twist by d: kronecker(d, n) a_n(E), a character periodic mod |d|."""
+    v = cached_an(curve, T).values[: T + 1]
+    if d == 1:
+        return v
+    chi = np.array([kronecker(d, n) for n in range(abs(d))], dtype=np.int64)
+    return v * np.resize(chi, T + 1)
 
 
 def exp1(x: float) -> float:
@@ -100,24 +126,24 @@ def _tail_terms(x: float, target: float, linear_weight: bool) -> int:
     raise ArithmeticError("series tail will not reach target")
 
 
-def _g_sum(series, T: int, x: float) -> float:
+def _g_sum(v: np.ndarray, T: int, x: float) -> float:
     # sum_{n<=T} a_n exp(-x n), summed smallest-terms-first for reproducibility
-    v = series.values
     return float(sum(int(v[n]) * math.exp(-x * n) for n in range(T, 0, -1)))
 
 
-def root_number(curve: CurveQ, precision: float = 1e-10) -> tuple[int, float]:
-    """Functional equation sign and the residual it leaves, from Fricke symmetry."""
-    sqN = math.sqrt(curve.N)
+def root_number(curve: CurveQ, precision: float = 1e-10, d: int = 1) -> tuple[int, float]:
+    """Sign of the functional equation of E twisted by d, and the residual it
+    leaves, from Fricke symmetry."""
+    sqN = math.sqrt(_twist_conductor(curve, d))
     c = 2.0 * math.pi / sqN
     ts = (1.07, 1.23)
     x_min = c / max(ts)
     T = _tail_terms(x_min, precision * 1e-2, linear_weight=True)
-    series = cached_an(curve, T)
+    v = _coefficients(curve, d, T)
     vals = {}
     for t in ts:
-        vals[t] = _g_sum(series, T, c * t)
-        vals[1.0 / t] = _g_sum(series, T, c / t)
+        vals[t] = _g_sum(v, T, c * t)
+        vals[1.0 / t] = _g_sum(v, T, c / t)
     scale = max(abs(v) for v in vals.values()) + 1e-300
     best = {}
     for eps in (1, -1):
@@ -142,61 +168,22 @@ class LEval:
     fe_residual: float
 
 
-def l_eval(curve: CurveQ, precision: float = DEFAULT_PRECISION) -> LEval:
-    """L(E,1) and, for odd sign, L'(E,1), with explicit truncation bounds."""
-    eps, resid = root_number(curve)
-    sqN = math.sqrt(curve.N)
+def l_eval(curve: CurveQ, precision: float = DEFAULT_PRECISION, d: int = 1) -> LEval:
+    """L(1) and, for odd sign, L'(1) of E twisted by d (E itself for d = 1),
+    with explicit truncation bounds."""
+    eps, resid = root_number(curve, d=d)
+    sqN = math.sqrt(_twist_conductor(curve, d))
     c = 2.0 * math.pi / sqN
+    T = _tail_terms(c, precision / 4.0, linear_weight=False)
+    v = _coefficients(curve, d, T)
     if eps == 1:
-        T = _tail_terms(c, precision / 4.0, linear_weight=False)
-        series = cached_an(curve, T)
-        v = series.values
         val = 2.0 * float(sum(int(v[n]) / n * math.exp(-c * n) for n in range(T, 0, -1)))
         tail = 2.0 * _SQRT3 * math.exp(-c * (T + 1)) / (1 - math.exp(-c))
         return LEval(val, None, 1, T, tail, resid)
-    T = _tail_terms(c, precision / 4.0, linear_weight=False)
-    series = cached_an(curve, T)
-    v = series.values
     der = 2.0 * float(sum(int(v[n]) / n * exp1(c * n) for n in range(T, 0, -1)))
     r = math.exp(-c)
     tail = 2.0 * _SQRT3 * r ** (T + 1) / (c * (T + 1) * (1 - r))
     return LEval(0.0, der, -1, T, tail, resid)
-
-
-@dataclass(frozen=True)
-class TwistSpec:
-    base: CurveQ
-    d: int
-    curve: CurveQ
-    conductor: int
-
-
-def twist(curve: CurveQ, d: int) -> TwistSpec:
-    """Quadratic twist by a fundamental discriminant d coprime to N.
-
-    The twisted model keeps b-invariants (d b2, d^2 b4, d^3 b6), so its
-    discriminant is d^6 Delta and point counting on it is valid at every
-    prime not dividing d * Delta.
-    """
-    if d != 1 and not is_fundamental(d):
-        raise ValueError(f"{d} is not a fundamental discriminant")
-    if math.gcd(d, curve.N) != 1:
-        raise ValueError(f"twisting discriminant {d} shares a factor with N = {curve.N}")
-    a1, a2, a3, a4, a6 = curve.ainvs
-    if d % 2 == 1:
-        tw = (
-            a1,
-            a2 * d + a1 * a1 * (d - 1) // 4,
-            a3,
-            a4 * d * d + a1 * a3 * (d * d - 1) // 2,
-            a6 * d ** 3 + a3 * a3 * (d ** 3 - 1) // 4,
-        )
-    else:
-        b2, b4, b6, _ = b_invariants(curve)
-        tw = (0, d * b2 // 4, 0, d * d * b4 // 2, d ** 3 * b6 // 4)
-    n_tw = curve.N * d * d
-    label = curve.label and f"{curve.label}.tw{d}"
-    return TwistSpec(curve, d, CurveQ(*tw, n_tw, label), n_tw)
 
 
 @dataclass
@@ -216,9 +203,12 @@ def l_over_K(
     precision: float = DEFAULT_PRECISION,
     threshold: float = DEFAULT_NONVANISHING_THRESHOLD,
 ) -> LOverK:
+    """L'(E/K,1) = L(E,1) L'(E_d,1) or L'(E,1) L(E_d,1), from E's one a_n table.
+
+    ValueError if d_K is not fundamental or not coprime to N.
+    """
     le = l_eval(curve, precision)
-    tw = twist(curve, d_K)
-    te = l_eval(tw.curve, precision)
+    te = l_eval(curve, precision, d_K)
     if le.epsilon * te.epsilon != -1:
         raise LSeriesInconclusiveError(
             f"twist by {d_K} did not flip the sign ({le.epsilon}, {te.epsilon}); "

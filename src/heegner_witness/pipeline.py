@@ -65,7 +65,7 @@ class Config:
     nonvanishing_threshold: float = 1e-3
     dk_scan_bound: int = 499
     prime_bound: int = 10**5
-    depth: int = 1  # tower primes carried through the Heegner-side numerics
+    depth: int = 1  # least sequence primes searched for; tower_m + tower_r + 1 at least
     tower_r: int = 1  # generator bound of the hypothetical acting subgroup
     tower_m: int = 0  # level where the traced points are assumed defined
     cache_dir: str | None = None
@@ -293,7 +293,8 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
     # 2. field search
     t = time.perf_counter()
     try:
-        fs = find_K(curve, config.dk_scan_bound, config.cm_field, config.nonvanishing_threshold)
+        fs = find_K(curve, config.dk_scan_bound, config.cm_field,
+                    config.nonvanishing_threshold, config.lseries_precision)
     except FieldSearchExhausted as e:
         _check(checks, "find_K", False, error=str(e))
         return finish("find_K")
@@ -373,8 +374,8 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
     t = time.perf_counter()
     try:
         try:
-            gz = gz_correspondence(curve, d_K, precision=config.lseries_precision)
-            base_tau = heegner_orbit(curve, d_K, 1).taus[0].tau
+            orbit = heegner_orbit(curve, d_K, 1)
+            gz = gz_correspondence(orbit, fs.l_value_data, precision=config.lseries_precision)
         except PrecisionUnreachable as e:
             _check(checks, "gz_correspondence", False, error=str(e))
             return finish("gz_correspondence")
@@ -391,7 +392,7 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
         }
         _check(checks, "gz_correspondence", gz.biconditional_holds,
                nontorsion=gz.pk_nontorsion, l_nonzero=gz.l_nonzero)
-        heeg["fricke"] = fricke_diagnostic(curve, base_tau)  # recorded, not asserted
+        heeg["fricke"] = fricke_diagnostic(curve, orbit.taus[0].tau)  # recorded, not asserted
         report.heegner = heeg
         picked = _pick_aux_ell(curve, d_K)
         if picked is None:
@@ -400,7 +401,7 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
             return finish("trace_relation")
         aux, aux_orbit = picked
         try:
-            residual = trace_relation_check(curve, d_K, aux, config.heegner_residual)
+            residual = trace_relation_check(orbit, aux_orbit, config.heegner_residual)
             heeg["trace_relation"] = {
                 "ell": aux,
                 "residual": residual,

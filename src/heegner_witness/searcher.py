@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .arith import crt_pair, euler_phi, is_prime, is_squarefree, prime_divisors, primes_upto
 from .ec_core import CurveQ, ap, count_points, good_reduction, reduce_mod
-from .lseries import DEFAULT_NONVANISHING_THRESHOLD, LOverK, l_over_K
+from .lseries import DEFAULT_NONVANISHING_THRESHOLD, DEFAULT_PRECISION, LOverK, l_over_K
 from .quadforms import is_fundamental, kronecker
 
 CARTAN_MODULUS_BOUND = 200
@@ -60,9 +60,11 @@ def find_K(
     scan_bound: int = 499,
     cm_field: int | None = None,
     threshold: float = DEFAULT_NONVANISHING_THRESHOLD,
+    precision: float = DEFAULT_PRECISION,
 ) -> FieldSearchResult:
     """Smallest |d_K| with d_K = 1 mod 4, coprimality, Heegner hypothesis,
-    and L'(E/K,1) != 0; the scan is bounded, existence below the bound is not assumed."""
+    and L'(E/K,1) != 0 at the truncation target `precision`; the scan is
+    bounded, existence below the bound is not assumed."""
     rejected = []
     d = -7
     while -d <= scan_bound:
@@ -73,7 +75,7 @@ def find_K(
             heegner = coprime and heegner_hypothesis(curve, d)
             res = FieldSearchResult(d, cong4, coprime, heegner, False)
             if cong4 and coprime and heegner:
-                lk = l_over_K(curve, d, threshold=threshold)
+                lk = l_over_K(curve, d, precision, threshold)
                 res.l_value_data = lk
                 res.lprime_nonzero = lk.nonzero
                 if lk.nonzero:

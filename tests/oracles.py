@@ -8,6 +8,7 @@ None of it shares evaluation code with the package paths it judges.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,12 +18,13 @@ from heegner_witness.ec_core import (
     CurveQ,
     PointCountBoundError,
     ap,
+    b_invariants,
     count_points,
     reduce_mod,
     reduction_type,
 )
 from heegner_witness.heegner import MIN_IM_TAU, PrecisionUnreachable
-from heegner_witness.quadforms import abelian_invariants, class_number, reduce_form
+from heegner_witness.quadforms import abelian_invariants, class_number, is_fundamental, reduce_form
 
 
 def brute_count(curve: CurveQ, p: int) -> int:
@@ -162,6 +164,44 @@ def an_per_prime_ap(curve: CurveQ, n_max: int) -> list[int]:
         else:
             a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
     return a
+
+
+@dataclass(frozen=True)
+class TwistSpec:
+    base: CurveQ
+    d: int
+    curve: CurveQ
+    conductor: int
+
+
+def twist(curve: CurveQ, d: int) -> TwistSpec:
+    """Quadratic twist by a fundamental discriminant d coprime to N, as a model.
+
+    The twisted model keeps b-invariants (d b2, d^2 b4, d^3 b6), so its
+    discriminant is d^6 Delta and point counting on it is valid at every
+    prime not dividing d * Delta. The package reads twists from E's own a_n
+    table by the character kronecker(d, .); this model is what it is checked
+    against.
+    """
+    if d != 1 and not is_fundamental(d):
+        raise ValueError(f"{d} is not a fundamental discriminant")
+    if math.gcd(d, curve.N) != 1:
+        raise ValueError(f"twisting discriminant {d} shares a factor with N = {curve.N}")
+    a1, a2, a3, a4, a6 = curve.ainvs
+    if d % 2 == 1:
+        tw = (
+            a1,
+            a2 * d + a1 * a1 * (d - 1) // 4,
+            a3,
+            a4 * d * d + a1 * a3 * (d * d - 1) // 2,
+            a6 * d ** 3 + a3 * a3 * (d ** 3 - 1) // 4,
+        )
+    else:
+        b2, b4, b6, _ = b_invariants(curve)
+        tw = (0, d * b2 // 4, 0, d * d * b4 // 2, d ** 3 * b6 // 4)
+    n_tw = curve.N * d * d
+    label = curve.label and f"{curve.label}.tw{d}"
+    return TwistSpec(curve, d, CurveQ(*tw, n_tw, label), n_tw)
 
 
 def l_value_straight(curve: CurveQ, terms: int = 2000) -> float:

@@ -165,7 +165,7 @@ def test_criterion_07_trace_relation(e37a):
     t0 = time.perf_counter()
     orbit = heegner_orbit(e37a, -11, 2)
     assert orbit.class_count == 3
-    residual = trace_relation_check(e37a, -11, 2, precision=1e-6)
+    residual = trace_relation_check(heegner_orbit(e37a, -11, 1), orbit, precision=1e-6)
     assert residual < 1e-6
     _report(7, f"trace relation (37a, -11, ell=2): residual {residual:.2e}, orbit 3",
             time.perf_counter() - t0)
@@ -173,7 +173,7 @@ def test_criterion_07_trace_relation(e37a):
 
 def test_criterion_08_gross_zagier(e37a):
     t0 = time.perf_counter()
-    rep = gz_correspondence(e37a, -7)
+    rep = gz_correspondence(heegner_orbit(e37a, -7, 1), l_over_K(e37a, -7))
     assert rep.recognized is not None
     assert not is_torsion(e37a, rep.recognized)
     assert rep.pk_nontorsion

@@ -26,8 +26,7 @@ from heegner_witness.ec_core import (
     reduce_mod,
     reduction_type,
 )
-from heegner_witness.lseries import twist
-from oracles import an_per_prime_ap, an_recursive, brute_count, count_points_ext
+from oracles import an_per_prime_ap, an_recursive, brute_count, count_points_ext, twist
 
 
 def test_discriminant_37a(e37a):

@@ -26,6 +26,7 @@ from heegner_witness.heegner import (
 )
 from heegner_witness import heegner
 from heegner_witness.ec_core import CurveQ, ap, b_invariants
+from heegner_witness.lseries import l_over_K
 from heegner_witness.quadforms import kronecker
 from oracles import heegner_forms_unbounded, height_doubling_oracle, torsion_translates_fraction
 
@@ -172,7 +173,7 @@ def test_trace_sum_order_independent(e37a):
 
 
 def test_trace_to_K_37a_recognizes_generator(e37a):
-    pk, recognized = trace_to_K(e37a, -7)
+    pk, recognized = trace_to_K(heegner_orbit(e37a, -7, 1))
     assert recognized is not None
     assert recognized == (Fraction(0), Fraction(0))
     assert not is_torsion(e37a, recognized)
@@ -251,14 +252,15 @@ def test_height_oracle_self_consistency(e37a):
 
 
 def test_trace_relation_37a_disc11_ell2(e37a):
-    res = trace_relation_check(e37a, -11, 2, precision=1e-6)
+    res = trace_relation_check(heegner_orbit(e37a, -11, 1), heegner_orbit(e37a, -11, 2), precision=1e-6)
     assert res < 1e-6
 
 
 def test_trace_relation_monotone_terms(e37a):
     # residual already tiny at the default budget; a sharper target cannot hurt
-    r1 = trace_relation_check(e37a, -11, 2, precision=1e-5)
-    r2 = trace_relation_check(e37a, -11, 2, precision=1e-7)
+    base, up = heegner_orbit(e37a, -11, 1), heegner_orbit(e37a, -11, 2)
+    r1 = trace_relation_check(base, up, precision=1e-5)
+    r2 = trace_relation_check(base, up, precision=1e-7)
     assert r2 < max(r1 * 10, 1e-7)
 
 
@@ -272,11 +274,23 @@ def test_torsion_translates_match_fraction_oracle(e37a):
 
 def test_trace_relation_rejects_non_inert(e37a):
     with pytest.raises(ValueError):
-        trace_relation_check(e37a, -7, 2)  # 2 splits in Q(sqrt(-7))
+        trace_relation_check(heegner_orbit(e37a, -7, 1), heegner_orbit(e37a, -7, 2))  # 2 splits in Q(sqrt(-7))
+
+
+def test_step5_rejects_orbits_that_do_not_match(e37a):
+    base, up = heegner_orbit(e37a, -11, 1), heegner_orbit(e37a, -11, 2)
+    with pytest.raises(ValueError):
+        trace_to_K(up)  # the trace to K starts at level 1
+    with pytest.raises(ValueError):
+        trace_relation_check(up, base)  # base and level-ell orbits swapped
+    with pytest.raises(ValueError):
+        trace_relation_check(heegner_orbit(e37a, -7, 1), up)  # two fields
+    with pytest.raises(ValueError):
+        gz_correspondence(heegner_orbit(e37a, -7, 1), l_over_K(e37a, -11))
 
 
 def test_gz_correspondence_37a(e37a):
-    rep = gz_correspondence(e37a, -7)
+    rep = gz_correspondence(heegner_orbit(e37a, -7, 1), l_over_K(e37a, -7))
     assert rep.recognized == (Fraction(0), Fraction(0))
     assert not rep.height_is_proxy
     assert rep.pk_nontorsion
@@ -287,7 +301,7 @@ def test_gz_correspondence_37a(e37a):
 
 
 def test_gz_correspondence_11a(e11a):
-    rep = gz_correspondence(e11a, -7)
+    rep = gz_correspondence(heegner_orbit(e11a, -7, 1), l_over_K(e11a, -7))
     assert rep.l_nonzero
     assert rep.biconditional_holds
 

@@ -2,18 +2,19 @@ import math
 
 import pytest
 
+from heegner_witness import ec_core, lseries
 from heegner_witness.lseries import (
+    cached_an,
     LSeriesInconclusiveError,
     analytic_rank_gate,
     exp1,
     l_eval,
     l_over_K,
     root_number,
-    twist,
 )
-from heegner_witness.ec_core import an_series
+from heegner_witness.ec_core import CurveQ, an_series
 from heegner_witness.quadforms import kronecker
-from oracles import l_derivative_straight, l_value_straight
+from oracles import l_derivative_straight, l_value_straight, twist
 
 
 def test_exp1_against_scipy():
@@ -92,6 +93,52 @@ def test_double_twist_is_identity_on_coefficients(e11a):
     for n in range(1, 501):
         if math.gcd(n, 7 * 11) == 1:
             assert st[n] * kronecker(-7, n) == s[n]
+
+
+def test_twists_by_character_match_twisted_models(e11a, e37a, e389a):
+    e14a = CurveQ(1, 0, 1, 4, -6, 14, "14a")
+    for curve in (e11a, e37a, e389a, e14a):
+        s = an_series(curve, 3000)
+        for d in (-3, -4, -7, -8, 5, -103):
+            if math.gcd(d, curve.N) != 1:
+                continue
+            model = twist(curve, d).curve
+            st = an_series(model, 3000)
+            assert st.values.tolist() == [
+                kronecker(d, n) * s[n] if n else 0 for n in range(3001)
+            ], (curve.label, d)
+            assert l_eval(curve, d=d) == l_eval(model), (curve.label, d)
+
+
+def test_cached_an_grows_in_place_counting_each_prime_once(e37a, monkeypatch):
+    counted = []
+    real_ap, real_lockstep = ec_core.ap, ec_core.ap_lockstep
+
+    def ap(curve, p):
+        counted.append(p)
+        return real_ap(curve, p)
+
+    def ap_lockstep(curve, primes):
+        counted.extend(int(p) for p in primes)
+        return real_lockstep(curve, primes)
+
+    fresh = an_series(e37a, 30000)
+    monkeypatch.setattr(lseries, "_AN_CACHE", {})
+    monkeypatch.setattr(ec_core, "ap", ap)
+    monkeypatch.setattr(ec_core, "ap_lockstep", ap_lockstep)
+    for n_max in (64, 3000, 30000):
+        grown = cached_an(e37a, n_max)
+    assert [s.n_max for s in lseries._AN_CACHE.values()] == [30000]
+    assert grown.values.tolist() == fresh.values.tolist()
+    assert len(counted) == len(set(counted))
+    assert max(counted) > 29000
+
+
+def test_l_over_K_rejects_bad_discriminants(e37a):
+    with pytest.raises(ValueError):
+        l_over_K(e37a, -5)  # not fundamental
+    with pytest.raises(ValueError):
+        l_over_K(e37a, -7 * 37)  # fundamental, but shares a factor with N
 
 
 def test_l_over_K_examples(e37a, e11a):

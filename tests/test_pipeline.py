@@ -1,10 +1,15 @@
 import json
+import math
 import os
 
 import pytest
 
+from heegner_witness import lseries, pipeline
+from heegner_witness.arith import is_squarefree
 from heegner_witness.cli import main
 from heegner_witness.ec_core import CurveQ
+from heegner_witness.lseries import l_over_K
+from heegner_witness.searcher import heegner_hypothesis
 from heegner_witness.pipeline import (
     ApDiskCache,
     Config,
@@ -190,6 +195,45 @@ def test_run_witness_returns_when_no_heegner_orbit_fits_the_floor():
     assert report.failed_at == "gz_correspondence" and not report.passed
     assert "Im tau floor" in report.checks[-1]["error"]
     assert "heegner_s" in report.timing
+
+
+@pytest.mark.parametrize("curve", [
+    CurveQ(0, 0, 1, -1, 0, 37, "37a"),  # passes: step 5 runs to the end
+    CurveQ(0, 0, 1, -2, -2, 811, "g811.1"),  # three candidate fields
+])
+def test_run_witness_evaluates_each_field_once(curve, monkeypatch):
+    # every L'(E/K,1) goes through one twist L-value; count those
+    twists, at_find_K = [], []
+    real_l_eval, real_find_K = lseries.l_eval, pipeline.find_K
+
+    def l_eval(curve, precision=lseries.DEFAULT_PRECISION, d=1):
+        if d != 1:
+            twists.append(d)
+        return real_l_eval(curve, precision, d)
+
+    def find_K(*args):
+        fs = real_find_K(*args)
+        at_find_K.extend(twists)
+        return fs
+
+    monkeypatch.setattr(lseries, "l_eval", l_eval)
+    monkeypatch.setattr(pipeline, "find_K", find_K)
+    monkeypatch.setattr(lseries, "_AN_CACHE", {})
+    report = run_witness(curve)
+    assert any(c["name"] == "gz_correspondence" for c in report.checks)
+    assert list(lseries._AN_CACHE) == [(curve.ainvs, curve.N)]  # one table serves every twist
+    candidates = [
+        d for d in range(-7, report.d_K - 1, -4)
+        if is_squarefree(d) and math.gcd(d, 2 * curve.N) == 1 and heegner_hypothesis(curve, d)
+    ]
+    assert at_find_K == candidates and twists == candidates
+
+
+def test_run_witness_evaluates_L_over_K_at_the_config_precision(e37a):
+    report = run_witness(e37a, Config(lseries_precision=1e-12))
+    assert report.d_K == -7
+    assert report.l_values["L_over_K"] == l_over_K(e37a, -7, precision=1e-12).value
+    assert report.heegner["l_prime_K"] == report.l_values["L_over_K"]
 
 
 def test_doomed_aux_search_stops_at_the_floor(g427):
