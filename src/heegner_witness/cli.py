@@ -16,7 +16,8 @@ import dataclasses
 import os
 import sys
 
-from .ec_core import CurveQ
+from .arith import primes_upto
+from .ec_core import POINT_COUNT_CEILING, CurveQ
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
 from .pipeline import ApDiskCache, Config, emit_report, parse_curve_file, run_witness
 from .searcher import FieldSearchExhausted, find_K
@@ -85,14 +86,15 @@ def _cmd_witness(args) -> int:
 def _cmd_ap(args) -> int:
     pool = _curve_pool(args.curves)
     curve = _lookup(pool, args.curve)
+    if args.pmax > POINT_COUNT_CEILING:
+        print(f"--pmax {args.pmax} exceeds the point count ceiling {POINT_COUNT_CEILING}",
+              file=sys.stderr)
+        return 2
+    primes = [p for p in primes_upto(args.pmax) if curve.N % p]
     cache = ApDiskCache(Config().resolved_cache_dir())
     try:
-        from .arith import primes_upto
-
-        for p in primes_upto(args.pmax):
-            if curve.N % p == 0:
-                continue
-            print(p, cache.get(curve, p))
+        for p, a in zip(primes, cache.get(curve, primes)):
+            print(p, a)
     finally:
         cache.close()
     return 0

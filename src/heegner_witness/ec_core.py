@@ -13,19 +13,29 @@ is faster, so it counts those primes. The enumerator has two more roles: it
 is the test oracle for both BSGS paths, and the independent recount that
 re-verifies accepted primes. Every path refuses p > POINT_COUNT_CEILING.
 
-`ap` counts one prime with the scalar `_ap_bsgs`. `an_series` counts all its
-good primes p >= BSGS_MIN_P at once with `ap_lockstep`: one prime per int64
-numpy lane, _LANES lanes per block, each lane running BSGS on one point with
-the complete projective addition of Renes-Costello-Batina, so no lane needs
-an inversion or a case split. A lane is decided only when exactly one k in
-the Hasse interval has [k]P = O; lanes with no point, a degenerate sum or
-several such k (about 3% of the field-search twist tables) fall back to
-`_ap_bsgs`, so every value equals the scalar one. With p <= 10^6 < 2^20 every
-lane product stays below 2^43, far inside int64. _LANES = 256 was measured on
-the six field-search twist tables (15,564 primes in [2500, 27000], 2-vCPU
-Xeon): 128, 256 and 512 lanes took 0.67-0.95, 0.61-0.68 and 0.53 s, and the
-benchmark's field-search peak RSS rose over the scalar path by 0.79, 0.93
-and 1.13 MB; 256 is the largest block that keeps the rise under 1 MB.
+`ap` counts one prime with the scalar `_ap_bsgs`. `ap_many` is the one
+batched path: the a_n table, the prime scan and the disk cache all count
+through it. It sends primes below BSGS_MIN_P to the enumerator and the rest
+to one `ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes per
+block, each lane running BSGS on one point with the complete projective
+addition of Renes-Costello-Batina, so no lane needs an inversion or a case
+split. A lane is decided only when exactly one k in the Hasse interval has
+[k]P = O; lanes with no point, a degenerate sum or several such k (about 3%
+of the field-search twist tables) fall back to `_ap_bsgs`, so every value
+equals the scalar one. With p <= 10^6 < 2^20 every lane product stays below
+2^43, far inside int64. _LANES = 256 was measured on the six field-search
+twist tables (15,564 primes in [2500, 27000], 2-vCPU Xeon): 128, 256 and
+512 lanes took 0.67-0.95, 0.61-0.68 and 0.53 s, and the benchmark's
+field-search peak RSS rose over the scalar path by 0.79, 0.93 and 1.13 MB;
+256 is the largest block that keeps the rise under 1 MB.
+
+A block costs a few ms almost whatever its width (1.9-5.7 ms for 4 lanes,
+3.5-8.0 ms for 40), while `_ap_bsgs` costs 0.1-0.25 ms per prime, so
+`ap_many` counts fewer than _BLOCK_MIN primes >= BSGS_MIN_P with `_ap_bsgs`.
+_BLOCK_MIN is the measured break-even: on 11a, 14a and 37a, with 4 to 40
+consecutive good primes from 2500, 2*10^4 and 10^5 (median of 9 runs,
+2-vCPU Xeon), the block became cheaper than the scalar loop at 16 to 40
+primes, median 32.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from .arith import factorize, prime_divisors, primes_upto
 POINT_COUNT_CEILING = 10**6
 BSGS_MIN_P = 2500  # measured crossover: count_points is faster below it
 _LANES = 256  # primes per lockstep block
+_BLOCK_MIN = 32  # fewer primes >= BSGS_MIN_P than this are counted one by one
 _POINT_TRIES = 32  # x values a lane tries for a point before it falls back
 _VALIDATION_PMAX = 50
 
@@ -428,6 +439,25 @@ def ap(curve: CurveQ, p: int) -> int:
     return a
 
 
+def ap_many(curve: CurveQ, primes) -> np.ndarray:
+    """a_p for each prime of good reduction in `primes`, as int64 in the order given.
+
+    Primes below BSGS_MIN_P are enumerated as `ap` does. The others go in one
+    `ap_lockstep` call when there are at least _BLOCK_MIN of them, and
+    through `ap` one by one otherwise; ascending primes give tight blocks.
+    """
+    ps = np.asarray(primes, dtype=np.int64)
+    out = np.empty_like(ps)
+    batch = ps >= BSGS_MIN_P
+    if np.count_nonzero(batch) < _BLOCK_MIN:
+        batch[:] = False
+    for i in np.flatnonzero(~batch).tolist():
+        out[i] = ap(curve, int(ps[i]))
+    if batch.any():
+        out[batch] = ap_lockstep(curve, ps[batch])
+    return out
+
+
 def reduction_type(curve: CurveQ, p: int) -> tuple[str, int]:
     """Classify bad reduction at p | N: ('multiplicative', +-1) or ('additive', 0).
 
@@ -499,11 +529,10 @@ def an_series(curve: CurveQ, n_max: int, known: AnSeries | None = None) -> AnSer
     """Fourier coefficients a_1..a_{n_max} via the Euler product recursion.
 
     Good p: a_{p^k} = a_p a_{p^{k-1}} - p a_{p^{k-2}}; multiplicative bad p:
-    a_{p^k} = a_p^k with a_p = +-1; additive bad p: a_{p^k} = 0. The good
-    a_p with p >= BSGS_MIN_P come from one `ap_lockstep` call before the
-    recursion, the smaller ones from `ap`. `known`, a table of the same curve
-    with at most n_max terms, is copied: only the primes and the n beyond it
-    are computed.
+    a_{p^k} = a_p^k with a_p = +-1; additive bad p: a_{p^k} = 0. Every new
+    good a_p comes from one `ap_many` call before the recursion. `known`, a
+    table of the same curve with at most n_max terms, is copied: only the
+    primes and the n beyond it are computed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -513,10 +542,9 @@ def an_series(curve: CurveQ, n_max: int, known: AnSeries | None = None) -> AnSer
     a[:start] = head
     spf = _spf_sieve(n_max)
     bad = {p: reduction_type(curve, p)[1] for p in prime_divisors(curve.N) if p <= n_max}
-    lo = max(start, BSGS_MIN_P)
-    primes = np.flatnonzero(spf[lo:] == np.arange(lo, n_max + 1)) + lo
-    large = np.array([q for q in primes.tolist() if q not in bad], dtype=np.int64)
-    a[large] = ap_lockstep(curve, large)
+    primes = np.flatnonzero(spf[start:] == np.arange(start, n_max + 1)) + start
+    good = primes[~np.isin(primes, list(bad))]
+    a[good] = ap_many(curve, good)
     for n in range(start, n_max + 1):
         p = int(spf[n])
         m, e = n, 0
@@ -529,6 +557,4 @@ def an_series(curve: CurveQ, n_max: int, known: AnSeries | None = None) -> AnSer
             a[n] = bad[p] ** e
         elif e > 1:
             a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
-        elif p < BSGS_MIN_P:
-            a[n] = ap(curve, p)
     return AnSeries(n_max, a)

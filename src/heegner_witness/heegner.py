@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import factorize, is_prime, is_squarefree, valuation
-from .ec_core import CurveQ, ap, b_invariants, c_invariants, discriminant
+from .ec_core import CurveQ, b_invariants, c_invariants, discriminant
 from .lseries import LOverK, cached_an
 from .quadforms import class_number, kronecker, reduce_form
 from .searcher import heegner_hypothesis
@@ -718,7 +718,7 @@ def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, precision: float 
     target_prec = min(precision * 1e-3, 1e-9)
     z_base = orbit_sum(base, precision=target_prec)
     z_up = orbit_sum(up, precision=target_prec)
-    a_ell = ap(curve, ell)
+    a_ell = cached_an(curve, ell)[ell]
     translates = _torsion_translates(lattice)
     best = math.inf
     for sgn in (1, -1):

@@ -202,12 +202,16 @@ def l_over_K(
     d_K: int,
     precision: float = DEFAULT_PRECISION,
     threshold: float = DEFAULT_NONVANISHING_THRESHOLD,
+    le: LEval | None = None,
 ) -> LOverK:
     """L'(E/K,1) = L(E,1) L'(E_d,1) or L'(E,1) L(E_d,1), from E's one a_n table.
 
-    ValueError if d_K is not fundamental or not coprime to N.
+    `le` is `l_eval(curve, precision)` when the caller already has it, as the
+    field search does; it is computed here otherwise. ValueError if d_K is
+    not fundamental or not coprime to N.
     """
-    le = l_eval(curve, precision)
+    if le is None:
+        le = l_eval(curve, precision)
     te = l_eval(curve, precision, d_K)
     if le.epsilon * te.epsilon != -1:
         raise LSeriesInconclusiveError(

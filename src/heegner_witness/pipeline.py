@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 from . import __version__
 from .arith import is_prime
-from .ec_core import CurveQ, ap
+from .ec_core import CurveQ, ap_many
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
 from .heegner import (
     HeegnerOrbit,
@@ -34,7 +34,7 @@ from .heegner import (
     heegner_orbit,
     trace_relation_check,
 )
-from .lseries import LSeriesInconclusiveError, gate_from_leval, l_eval
+from .lseries import LSeriesInconclusiveError, cached_an, gate_from_leval, l_eval
 from .quadforms import kronecker, ring_class_structure
 from .searcher import (
     FieldSearchExhausted,
@@ -142,8 +142,9 @@ class ApDiskCache:
     label cannot read each other's values.
 
     Corrupt lines are dropped (and logged) at load; the file is then rewritten
-    atomically. Writers append and flush line-at-a-time, so concurrent readers
-    see complete lines only.
+    atomically. `get` counts the primes it lacks with one `ap_many` call and
+    appends their lines with one write and one flush, so each (key, p) is
+    written once and whole lines reach the file.
     """
 
     def __init__(self, directory: str):
@@ -184,14 +185,16 @@ class ApDiskCache:
                 fh.write(f"{key} {p} {a}\n")
         os.replace(tmp, self.path)
 
-    def get(self, curve: CurveQ, p: int) -> int:
-        key = (",".join(str(v) for v in (*curve.ainvs, curve.N)), p)
-        if key not in self.entries:
-            value = ap(curve, p)
-            self.entries[key] = value
-            self._fh.write(f"{key[0]} {p} {value}\n")
+    def get(self, curve: CurveQ, primes: list[int]) -> list[int]:
+        """a_p for each prime of good reduction in `primes`, in the order given."""
+        key = ",".join(str(v) for v in (*curve.ainvs, curve.N))
+        missing = [p for p in dict.fromkeys(primes) if (key, p) not in self.entries]
+        if missing:
+            values = ap_many(curve, missing).tolist()
+            self.entries.update(((key, p), a) for p, a in zip(missing, values))
+            self._fh.write("".join(f"{key} {p} {a}\n" for p, a in zip(missing, values)))
             self._fh.flush()
-        return self.entries[key]
+        return [self.entries[(key, p)] for p in primes]
 
     def close(self):
         self._fh.close()
@@ -247,7 +250,7 @@ def _pick_aux_ell(curve: CurveQ, d_K: int) -> tuple[int, HeegnerOrbit] | None:
 
 def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache | None = None) -> WitnessReport:
     config = config or Config()
-    ap_source = (lambda p: cache.get(curve, p)) if cache else None
+    ap_source = (lambda ps: cache.get(curve, ps)) if cache else None
     t0 = time.perf_counter()
     timing: dict = {}
     checks: list = []
@@ -294,7 +297,7 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
     t = time.perf_counter()
     try:
         fs = find_K(curve, config.dk_scan_bound, config.cm_field,
-                    config.nonvanishing_threshold, config.lseries_precision)
+                    config.nonvanishing_threshold, config.lseries_precision, le)
     except FieldSearchExhausted as e:
         _check(checks, "find_K", False, error=str(e))
         return finish("find_K")
@@ -406,7 +409,7 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
                 "ell": aux,
                 "residual": residual,
                 "orbit_size": aux_orbit.class_count,
-                "a_ell": ap(curve, aux),
+                "a_ell": cached_an(curve, aux)[aux],
             }
             ok = residual < config.heegner_residual
         except PrecisionUnreachable as e:

@@ -8,12 +8,21 @@ reported (bounded scans), never papered over.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 from .arith import crt_pair, euler_phi, is_prime, is_squarefree, prime_divisors, primes_upto
-from .ec_core import CurveQ, ap, count_points, good_reduction, reduce_mod
-from .lseries import DEFAULT_NONVANISHING_THRESHOLD, DEFAULT_PRECISION, LOverK, l_over_K
+from . import ec_core
+from .ec_core import CurveQ, ap_many, count_points, good_reduction, reduce_mod
+from .lseries import (
+    DEFAULT_NONVANISHING_THRESHOLD,
+    DEFAULT_PRECISION,
+    LEval,
+    LOverK,
+    l_eval,
+    l_over_K,
+)
 from .quadforms import is_fundamental, kronecker
 
 CARTAN_MODULUS_BOUND = 200
@@ -61,10 +70,16 @@ def find_K(
     cm_field: int | None = None,
     threshold: float = DEFAULT_NONVANISHING_THRESHOLD,
     precision: float = DEFAULT_PRECISION,
+    le: LEval | None = None,
 ) -> FieldSearchResult:
     """Smallest |d_K| with d_K = 1 mod 4, coprimality, Heegner hypothesis,
     and L'(E/K,1) != 0 at the truncation target `precision`; the scan is
-    bounded, existence below the bound is not assumed."""
+    bounded, existence below the bound is not assumed.
+
+    `le` is E's own `l_eval(curve, precision)`, which every candidate shares;
+    it is computed once, before the scan, when not given."""
+    if le is None:
+        le = l_eval(curve, precision)
     rejected = []
     d = -7
     while -d <= scan_bound:
@@ -75,7 +90,7 @@ def find_K(
             heegner = coprime and heegner_hypothesis(curve, d)
             res = FieldSearchResult(d, cong4, coprime, heegner, False)
             if cong4 and coprime and heegner:
-                lk = l_over_K(curve, d, precision, threshold)
+                lk = l_over_K(curve, d, precision, threshold, le)
                 res.l_value_data = lk
                 res.lprime_nonzero = lk.nonzero
                 if lk.nonzero:
@@ -132,33 +147,43 @@ def prime_sequence(
     ap_source=None,
 ) -> list[PrimeSeqItem]:
     """First `count` primes (ascending) with p = -1 mod q, p inert in K,
-    good reduction, and q not dividing a_p."""
+    good reduction, and q not dividing a_p.
+
+    The three cheap conditions filter the primes up to `p_bound` lazily.
+    `ap_source` maps a list of primes to the list of their a_p (`ap_many` by
+    default) and is handed the candidates in chunks, so the a_p above
+    BSGS_MIN_P are counted in lockstep blocks: the first chunk has `count`
+    candidates, and each later one doubles, up to _LANES. The scan stops in
+    the chunk that holds the count-th accepted prime, so the a_p of the rest
+    of that chunk are counted but unused.
+    """
     if ap_source is None:
-        ap_source = lambda p: ap(curve, p)
+        ap_source = lambda ps: ap_many(curve, ps).tolist()
+    candidates = (
+        p for p in primes_upto(p_bound)
+        if p % q == q - 1 and kronecker(d_K, p) == -1 and good_reduction(curve, p)
+    )
     items: list[PrimeSeqItem] = []
-    for p in primes_upto(p_bound):
-        if len(items) == count:
-            return items
-        if p % q != q - 1:
-            continue
-        if kronecker(d_K, p) != -1:
-            continue
-        if not good_reduction(curve, p):
-            continue
-        a = ap_source(p)
-        if a % q == 0:
-            continue
-        items.append(PrimeSeqItem(p, True, True, True, True, a, a % q))
-    if len(items) >= count:
-        return items
-    raise PrimeSearchExhausted(p_bound, items)
+    size = count
+    while len(items) < count:
+        chunk = list(itertools.islice(candidates, size))
+        if not chunk:
+            raise PrimeSearchExhausted(p_bound, items)
+        for p, a in zip(chunk, ap_source(chunk)):
+            if a % q == 0:
+                continue
+            items.append(PrimeSeqItem(p, True, True, True, True, a, a % q))
+            if len(items) == count:
+                break
+        size = max(size, min(2 * size, ec_core._LANES))
+    return items
 
 
 def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem) -> bool:
     """Independent recomputation of all four flags for an accepted prime.
 
     a_p is recounted by enumeration, never read from a cache, and by a
-    different algorithm from the one `ap` uses above BSGS_MIN_P.
+    different algorithm from the ones `ap_many` uses above BSGS_MIN_P.
     """
     p = item.p
     a = p + 1 - count_points(reduce_mod(curve, p))

@@ -23,8 +23,16 @@ from heegner_witness.ec_core import (
     reduce_mod,
     reduction_type,
 )
+from heegner_witness.arith import primes_upto
 from heegner_witness.heegner import MIN_IM_TAU, PrecisionUnreachable
-from heegner_witness.quadforms import abelian_invariants, class_number, is_fundamental, reduce_form
+from heegner_witness.quadforms import (
+    abelian_invariants,
+    class_number,
+    is_fundamental,
+    kronecker,
+    reduce_form,
+)
+from heegner_witness.searcher import PrimeSearchExhausted, PrimeSeqItem
 
 
 def brute_count(curve: CurveQ, p: int) -> int:
@@ -37,6 +45,25 @@ def brute_count(curve: CurveQ, p: int) -> int:
             if (y * y + a1 * x * y + a3 * y) % p == rhs:
                 cnt += 1
     return cnt
+
+
+def prime_sequence_per_prime(curve: CurveQ, d_K: int, q: int, count: int, p_bound: int = 10**5):
+    """The prime scan one prime at a time, each a_p from the scalar `ap`,
+    stopping at the count-th accepted prime: the oracle for the chunked
+    `searcher.prime_sequence`."""
+    items = []
+    for p in primes_upto(p_bound):
+        if len(items) == count:
+            return items
+        if p % q != q - 1 or kronecker(d_K, p) != -1 or curve.N % p == 0:
+            continue
+        a = ap(curve, p)
+        if a % q == 0:
+            continue
+        items.append(PrimeSeqItem(p, True, True, True, True, a, a % q))
+    if len(items) >= count:
+        return items
+    raise PrimeSearchExhausted(p_bound, items)
 
 
 def _fp2_mul(u, v, p, eps):

@@ -17,8 +17,10 @@ from heegner_witness.ec_core import (
     _lockstep_orders,
     _padd,
     an_series,
+    BSGS_MIN_P,
     ap,
     ap_lockstep,
+    ap_many,
     c_invariants,
     count_points,
     discriminant,
@@ -154,6 +156,35 @@ def test_lockstep_kernel_blocks_and_fallback(e37a, monkeypatch):
     monkeypatch.setattr(ec_core, "_POINT_TRIES", 0)
     assert ap_lockstep(e37a, primes).tolist() == want
     assert ap_lockstep(e37a, []).tolist() == []
+
+
+def test_ap_many_matches_ap_in_the_order_given(e11a, e37a, monkeypatch):
+    blocks = []
+    real_lockstep = ec_core.ap_lockstep
+
+    def ap_lockstep(curve, primes):
+        blocks.append(len(primes))
+        return real_lockstep(curve, primes)
+
+    monkeypatch.setattr(ec_core, "ap_lockstep", ap_lockstep)
+    rng = random.Random(8)
+    short, long = ec_core._BLOCK_MIN - 1, ec_core._LANES + 40
+    for curve in (e11a, e37a):
+        good = [p for p in primes_upto(6000) if good_reduction(curve, p)]
+        small = [p for p in good if p < BSGS_MIN_P]
+        large = [p for p in good if p >= BSGS_MIN_P]
+        for n_small, n_large in ((0, 0), (5, 0), (3, 2), (4, short), (1, short + 1), (30, long)):
+            primes = rng.sample(small, n_small) + rng.sample(large, n_large)
+            rng.shuffle(primes)
+            blocks.clear()
+            got = ap_many(curve, primes)
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert got.tolist() == [ap(curve, p) for p in primes], (n_small, n_large)
+            assert blocks == ([n_large] if n_large > short else [])
+    assert ap_many(e37a, [3001, 5, 3001]).tolist() == [ap(e37a, 3001), -2, ap(e37a, 3001)]
+    for primes in ([5, 37], large[: ec_core._BLOCK_MIN] + [37]):
+        with pytest.raises(BadReductionError):
+            ap_many(e37a, primes)
 
 
 def test_complete_addition_matches_affine_law():

@@ -4,12 +4,12 @@ import os
 
 import pytest
 
-from heegner_witness import lseries, pipeline
+from heegner_witness import ec_core, heegner, lseries, pipeline, searcher
 from heegner_witness.arith import is_squarefree
 from heegner_witness.cli import main
-from heegner_witness.ec_core import CurveQ
+from heegner_witness.ec_core import CurveQ, ap
 from heegner_witness.lseries import l_over_K
-from heegner_witness.searcher import heegner_hypothesis
+from heegner_witness.searcher import PrimeSearchExhausted, heegner_hypothesis, prime_sequence
 from heegner_witness.pipeline import (
     ApDiskCache,
     Config,
@@ -53,25 +53,25 @@ def test_parse_rejects_bad_lines(tmp_path):
 
 def test_ap_cache_roundtrip(tmp_path, e37a):
     cache = ApDiskCache(str(tmp_path / "cache"))
-    v1 = cache.get(e37a, 101)
+    v1 = cache.get(e37a, [101])[0]
     cache.close()
     cache2 = ApDiskCache(str(tmp_path / "cache"))
     assert cache2.entries[("0,0,1,-1,0,37", 101)] == v1
-    assert cache2.get(e37a, 101) == v1
+    assert cache2.get(e37a, [101])[0] == v1
     cache2.close()
 
 
 def test_ap_cache_recovers_from_corruption(tmp_path, e37a):
     d = str(tmp_path / "cache")
     cache = ApDiskCache(d)
-    good = cache.get(e37a, 101)
+    good = cache.get(e37a, [101])[0]
     cache.close()
     with open(os.path.join(d, "ap_cache.txt"), "a") as fh:
         fh.write("garbage line here and more\n0,0,1,-1,0,37 103 99999\n")
     cache2 = ApDiskCache(d)  # drops corrupt lines, rewrites
     assert ("0,0,1,-1,0,37", 101) in cache2.entries
     assert ("0,0,1,-1,0,37", 103) not in cache2.entries
-    v = cache2.get(e37a, 103)
+    v = cache2.get(e37a, [103])[0]
     assert v * v <= 4 * 103
     cache2.close()
 
@@ -86,8 +86,38 @@ def test_ap_cache_keyed_by_curve_not_label(tmp_path):
     assert rep.passed
     assert [it["p"] for it in rep.prime_seq] == [5, 17, 41]
     assert rep.prime_seq[0]["a_p"] == 1
-    assert (cache.get(e11, 59), cache.get(e11, 89)) == (5, 15)  # 37a's are 8 and 4
+    assert cache.get(e11, [59, 89]) == [5, 15]  # 37a's are 8 and 4
     cache.close()
+
+
+def test_warm_cache_scan_counts_nothing(tmp_path, e37a, monkeypatch):
+    e14a = CurveQ(1, 0, 1, 4, -6, 14, "14a")
+    d = str(tmp_path / "cache")
+    cache = ApDiskCache(d)
+
+    def scans():
+        out = [prime_sequence(e37a, -7, 3, 60, 10**5, lambda ps: cache.get(e37a, ps))]
+        with pytest.raises(PrimeSearchExhausted) as ei:
+            prime_sequence(e14a, -31, 3, 2, 10**5, lambda ps: cache.get(e14a, ps))
+        return out + [ei.value.partial]
+
+    cold = scans()
+
+    def refuse(*args):
+        raise AssertionError("a warm cache counted an a_p")
+
+    for name in ("ap", "ap_many", "ap_lockstep", "_ap_bsgs", "count_points"):
+        monkeypatch.setattr(ec_core, name, refuse)
+    monkeypatch.setattr(pipeline, "ap_many", refuse)
+    assert scans() == cold
+    monkeypatch.undo()
+    assert cache.get(e37a, [100003, 5, 100003]) == [ap(e37a, 100003), -2, ap(e37a, 100003)]
+    cache.close()
+    with open(os.path.join(d, "ap_cache.txt")) as fh:
+        keys = [tuple(line.split()[:2]) for line in fh]
+    reloaded = ApDiskCache(d)
+    assert len(keys) == len(set(keys)) == len(reloaded.entries) > 2000
+    reloaded.close()
 
 
 def test_poisoned_cache_fails_reverification(tmp_path, e11a):
@@ -229,6 +259,46 @@ def test_run_witness_evaluates_each_field_once(curve, monkeypatch):
     assert at_find_K == candidates and twists == candidates
 
 
+def test_find_K_reuses_the_gate_l_value(monkeypatch):
+    curve = CurveQ(0, 0, 1, -2, -2, 811, "g811.1")  # three candidate fields
+    own = []  # l_eval calls for E itself, d = 1
+    real_l_eval = lseries.l_eval
+
+    def l_eval(curve, precision=lseries.DEFAULT_PRECISION, d=1):
+        if d == 1:
+            own.append(precision)
+        return real_l_eval(curve, precision, d)
+
+    for mod in (lseries, searcher, pipeline):
+        if hasattr(mod, "l_eval"):
+            monkeypatch.setattr(mod, "l_eval", l_eval)
+    report = run_witness(curve)
+    assert report.d_K is not None and own == [Config().lseries_precision]
+    own.clear()
+    fs = searcher.find_K(curve)  # alone, as `witness scan-k` runs it
+    assert own == [lseries.DEFAULT_PRECISION]
+    assert fs.l_value_data == lseries.l_over_K(curve, fs.d_K)  # bit for bit
+    assert report.l_values["L_over_K"] == fs.l_value_data.value
+
+
+def test_step5_reads_a_ell_from_the_a_n_table(e37a, monkeypatch):
+    counted = []
+    real_ap = ec_core.ap
+
+    def ap(curve, p):
+        counted.append(p)
+        return real_ap(curve, p)
+
+    for mod in (ec_core, heegner, pipeline):
+        if hasattr(mod, "ap"):
+            monkeypatch.setattr(mod, "ap", ap)
+    monkeypatch.setattr(lseries, "_AN_CACHE", {})
+    report = run_witness(e37a)
+    trace = report.heegner["trace_relation"]
+    assert trace["a_ell"] == real_ap(e37a, trace["ell"])
+    assert counted.count(trace["ell"]) == 1  # by the table only
+
+
 def test_run_witness_evaluates_L_over_K_at_the_config_precision(e37a):
     report = run_witness(e37a, Config(lseries_precision=1e-12))
     assert report.d_K == -7
@@ -306,6 +376,13 @@ def test_cli_ap_subcommand(tmp_path, monkeypatch, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["2", "-2"]
+
+
+def test_cli_ap_rejects_pmax_above_the_point_count_ceiling(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["ap", "--curve", "37a", "--pmax", "1000010"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "ceiling 1000000" in out.err
 
 
 def test_cli_ap_falls_back_when_cache_dir_env_is_empty(tmp_path, monkeypatch, capsys):

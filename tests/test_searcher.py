@@ -1,8 +1,11 @@
+import functools
 import math
 
 import pytest
 
+from heegner_witness import ec_core
 from heegner_witness.arith import euler_phi, primes_upto
+from heegner_witness.ec_core import CurveQ
 from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import (
     CartanCountProblem,
@@ -18,6 +21,7 @@ from heegner_witness.searcher import (
     prime_sequence,
     verify_prime_item,
 )
+from oracles import prime_sequence_per_prime
 
 
 def test_find_K_37a(e37a):
@@ -89,6 +93,59 @@ def test_prime_sequence_exhaustion(e37a):
     with pytest.raises(PrimeSearchExhausted) as ei:
         prime_sequence(e37a, -7, 3, 50, p_bound=100)
     assert 0 < len(ei.value.partial) < 50
+
+
+E14A = CurveQ(1, 0, 1, 4, -6, 14, "14a")  # rational 3-torsion: 3 | a_p at every good p > 3
+SCANS = [  # (curve, d_K, q, count, p_bound)
+    (CurveQ(0, 0, 1, -1, 0, 37, "37a"), -7, 3, 3, 10**5),
+    (CurveQ(0, 0, 1, -1, 0, 37, "37a"), -7, 3, 60, 10**5),  # chunks reach large p
+    (CurveQ(0, 0, 1, -1, 0, 37, "37a"), -7, 101, 3, 10**5),
+    (CurveQ(0, 0, 1, -1, 0, 37, "37a"), -7, 211, 3, 10**5),
+    (CurveQ(0, 0, 1, -1, 0, 37, "37a"), -7, 1009, 3, 10**5),
+    (CurveQ(0, 0, 1, -1, 0, 37, "37a"), -7, 3, 50, 100),  # exhausts with a partial list
+    (CurveQ(0, -1, 1, -10, -20, 11, "11a"), -7, 3, 40, 10**5),
+    (E14A, -31, 3, 2, 10**5),  # the doomed scan: exhausts with no prime
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _per_prime(i):
+    try:
+        return prime_sequence_per_prime(*SCANS[i]), None
+    except PrimeSearchExhausted as e:
+        return None, (e.bound, e.partial)
+
+
+@pytest.mark.parametrize("lanes", [None, 7])
+@pytest.mark.parametrize("i", range(len(SCANS)))
+def test_prime_sequence_matches_per_prime_scan(i, lanes, monkeypatch):
+    if lanes is not None:  # short chunks that still go through lockstep blocks
+        monkeypatch.setattr(ec_core, "_LANES", lanes)
+        monkeypatch.setattr(ec_core, "_BLOCK_MIN", 2)
+    want, exhausted = _per_prime(i)
+    if exhausted is None:
+        assert prime_sequence(*SCANS[i]) == want
+    else:
+        with pytest.raises(PrimeSearchExhausted) as ei:
+            prime_sequence(*SCANS[i])
+        assert (ei.value.bound, ei.value.partial) == exhausted
+
+
+def test_prime_sequence_counts_in_doubling_chunks():
+    chunks = []
+
+    def ap_source(ps):
+        chunks.append(len(ps))
+        return ec_core.ap_many(E14A, ps)
+
+    with pytest.raises(PrimeSearchExhausted):
+        prime_sequence(E14A, -31, 3, 2, 10**5, ap_source)
+    want = [min(2 ** (k + 1), ec_core._LANES) for k in range(len(chunks))]
+    assert len(chunks) > 9 and chunks[:-1] == want[:-1] and 0 < chunks[-1] <= want[-1]
+    chunks.clear()
+    with pytest.raises(PrimeSearchExhausted):
+        prime_sequence(E14A, -31, 3, 300, 2 * 10**4, ap_source)  # count > _LANES
+    assert len(chunks) > 1 and set(chunks[:-1]) == {300}
 
 
 def test_crt_target():
