@@ -19,13 +19,15 @@ through it. It sends primes below BSGS_MIN_P to the enumerator and the rest
 to one `ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes per
 block, each lane running BSGS on one point with the complete projective
 addition of Renes-Costello-Batina, so no lane needs an inversion or a case
-split. A lane is decided only when exactly one k in the Hasse interval has
-[k]P = O; lanes with no point, a degenerate sum or several such k (about 3%
-of the field-search twist tables) fall back to `_ap_bsgs`, so every value
-equals the scalar one. With p <= 10^6 < 2^20 every lane product stays below
-2^43, far inside int64. _LANES = 256 was measured on the six field-search
-twist tables (15,564 primes in [2500, 27000], 2-vCPU Xeon): 128, 256 and
-512 lanes took 0.67-0.95, 0.61-0.68 and 0.53 s, and the benchmark's
+split, and giant steps matched to baby steps by an exact float64 test of
+p | X Z_j - X_j Z. A lane's point is never of order 2 or 3. A lane is
+decided only when exactly one k in the Hasse interval has [k]P = O; lanes
+with no point, a degenerate sum or several such k (about 3% of the
+field-search twist tables, 9% of the j = 0 curve [0,0,1,0,0]) fall back to
+`_ap_bsgs`, so every value equals the scalar one. With p <= 10^6 < 2^20
+every lane product stays below 2^43, far inside int64. _LANES = 256 was
+measured on the six field-search twist tables (15,564 primes in
+[2500, 27000], 2-vCPU Xeon): 128, 256 and 512 lanes took 0.67-0.95, 0.61-0.68 and 0.53 s, and the benchmark's
 field-search peak RSS rose over the scalar path by 0.79, 0.93 and 1.13 MB;
 256 is the largest block that keeps the rise under 1 MB.
 
@@ -319,12 +321,19 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray) -> np.ndarray:
     """#E(F_p) for each prime of the int64 array `p`, one lane each; 0 where undecided.
 
     One point per lane: the first x < _POINT_TRIES with f(x) = x^3 + A x + B
-    a nonzero square on the short model of `_ap_bsgs`, taken as (x f, f^2) on
-    Y^2 = X^3 + A f^2 X + B f^3, which is E itself. Baby steps jP for
-    1 <= j <= S, then giant steps [m]P, m = lo + S, lo + 3S + 1, ..., whose
-    windows [m - S, m + S] cover the Hasse interval [lo, hi]; [m]P = +-jP is
-    found by cross-multiplying X and Y. Every k in [lo, hi] with [k]P = O is
-    counted, and a lane is decided when there is exactly one: #E is a
+    a nonzero square on the short model of `_ap_bsgs`, and x not a root of
+    the 3-division polynomial 3x^4 + 6A x^2 + 12B x - A^2, taken as
+    (x f, f^2) on Y^2 = X^3 + A f^2 X + B f^3, which is E itself. So P has
+    order > 3; on a j = 0 model with B a square, x = 0 would give order 3 at
+    every prime. Baby steps jP for 1 <= j <= S, then giant steps [m]P,
+    m = lo + S, lo + 3S + 1, ..., whose windows [m - S, m + S] cover the
+    Hasse interval [lo, hi]. [m]P = +-jP when p | d = X Z_j - X_j Z, tested
+    in float64 as d/p == rint(d/p): d and p are exact there (|d| < 2^40), a
+    multiple gives an exact integer quotient below 2^30, and a non-multiple
+    lies at least 1/p > 2^-20 from every integer while the division rounds
+    by at most 2^-23, so the test is exact and needs no int64 remainder.
+    The sign is then read by cross-multiplying Y. Every k in [lo, hi] with
+    [k]P = O is counted, and a lane is decided when there is exactly one: #E is a
     multiple of the order of P in [lo, hi], so it is that k. A lane with no
     point, a (0:0:0) sum or two or more such k reads 0.
     """
@@ -337,9 +346,10 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray) -> np.ndarray:
         todo = np.flatnonzero(x0 < 0)
         if not todo.size:
             break
-        q = p[todo]
-        f = ((x * x + A[todo]) * x + B[todo]) % q
-        x0[todo[(f != 0) & (_lane_pow(f, (q - 1) // 2, q) == 1)]] = x
+        q, a, b = p[todo], A[todo], B[todo]
+        f = ((x * x + a) * x + b) % q
+        psi3 = ((3 * x * x + 6 * a) * x * x + 12 * b * x - a * a) % q
+        x0[todo[(f != 0) & (psi3 != 0) & (_lane_pow(f, (q - 1) // 2, q) == 1)]] = x
     found = x0 >= 0
     f = ((x0 * x0 + A) * x0 + B) % p
     a = A * f % p * f % p
@@ -348,12 +358,14 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray) -> np.ndarray:
     P = (x0 * f % p, f * f % p, one)
 
     s = math.isqrt(int(amax.max())) + 1
-    Xb, Yb, Zb = (np.empty((s, len(p)), dtype=np.int64) for _ in range(3))
+    # X and Z are kept as float64 for the match, Y as int64 for the sign
+    Xb, Zb = np.empty((s, len(p))), np.empty((s, len(p)))
+    Yb = np.empty((s, len(p)), dtype=np.int64)
     Q = P
     for j in range(s):  # row j holds [j + 1]P
-        Xb[j], Yb[j], Zb[j] = Q
+        Xb[j], Yb[j], Zb[j] = last = Q
         Q = _padd(Q, P, a, b3, p)
-    G = _padd(Q, (Xb[-1], Yb[-1], Zb[-1]), a, b3, p)  # [s + 1]P + [s]P
+    G = _padd(Q, last, a, b3, p)  # [s + 1]P + [s]P
     # ord P <= s leaves several multiples in [lo, hi]: such a lane is undecided
     big = Zb.all(axis=0)
     if not big.any():
@@ -369,10 +381,15 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray) -> np.ndarray:
     hits = np.zeros(len(p), dtype=np.int64)
     last_k = np.zeros(len(p), dtype=np.int64)
     js = np.arange(1, s + 1, dtype=np.int64)
+    pf = p.astype(np.float64)
+    quo, near = np.empty_like(Xb), np.empty_like(Xb)  # reused by every giant step
     while True:
         X, Y, Z = R
-        j, ln = np.nonzero(((X * Zb - Xb * Z) % p == 0) & big)  # [m]P = +-jP
-        yz, zy, q = Y[ln] * Zb[j, ln], Yb[j, ln] * Z[ln], p[ln]
+        np.multiply(X.astype(np.float64), Zb, out=quo)
+        quo -= np.multiply(Xb, Z.astype(np.float64), out=near)
+        quo /= pf
+        j, ln = np.nonzero((quo == np.rint(quo, out=near)) & big)  # [m]P = +-jP
+        yz, zy, q = Y[ln] * Zb[j, ln].astype(np.int64), Yb[j, ln] * Z[ln], p[ln]
         plus, minus = (yz - zy) % q == 0, (yz + zy) % q == 0
         o = np.flatnonzero(Z == 0)  # [m]P = O
         ks = np.concatenate((m[ln[plus]] - js[j[plus]], m[ln[minus]] + js[j[minus]], m[o]))

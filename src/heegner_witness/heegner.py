@@ -23,7 +23,7 @@ import numpy as np
 
 from .arith import factorize, is_prime, is_squarefree, valuation
 from .ec_core import CurveQ, b_invariants, c_invariants, discriminant
-from .lseries import LOverK, cached_an
+from .lseries import LOverK, cached_an, fsum_blocks, n_blocks
 from .quadforms import class_number, kronecker, reduce_form
 from .searcher import heegner_hypothesis
 
@@ -365,7 +365,15 @@ def modular_param(
     n_terms: int | None = None,
     precision: float = 1e-9,
 ) -> CPoint:
-    """z = sum a_n / n e^{2 pi i n tau} with a proven tail below `precision`."""
+    """z = sum a_n / n e^{2 pi i n tau} with a proven tail below `precision`.
+
+    The terms are made in blocks of `lseries._SUM_BLOCK`: q^n is
+    q^(lo - 1) q^k, from one cumulative product q^1, ..., q^k over the first
+    block and the running q^(lo - 1) carried from block to block. Like the
+    plain running product, q^n is then good to about n ulps. The real and
+    the imaginary parts are each one correctly rounded fsum; the terms are
+    made once for each rather than kept.
+    """
     t = tau.tau if isinstance(tau, HeegnerTau) else complex(tau)
     if t.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
@@ -379,14 +387,18 @@ def modular_param(
         raise PrecisionUnreachable(
             f"{n_terms} terms needed, ceiling is {TERM_CEILING} (Im tau = {t.imag:.2e})"
         )
-    series = cached_an(curve, n_terms)
-    v = series.values
-    z = 0j
-    qn = 1.0 + 0j
-    for n in range(1, n_terms + 1):
-        qn *= q
-        if v[n]:
-            z += int(v[n]) / n * qn
+    v = cached_an(curve, n_terms).values
+
+    def terms():
+        qn, powers = 1.0 + 0j, None  # qn = q^(lo - 1)
+        for lo, hi in n_blocks(n_terms):
+            if powers is None:  # q^1, ..., q^k over the first block, the longest
+                powers = np.cumprod(np.full(hi - lo, q))
+            qpow = qn * powers[: hi - lo]
+            qn = complex(qpow[-1])
+            yield v[lo:hi] / np.arange(lo, hi, dtype=np.float64) * qpow
+
+    z = complex(fsum_blocks(t.real for t in terms()), fsum_blocks(t.imag for t in terms()))
     tail = math.sqrt(3) * aq ** (n_terms + 1) / (1 - aq)
     return CPoint(z, None, max(tail, 1e-15))
 

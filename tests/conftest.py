@@ -24,6 +24,11 @@ def e389a():
 
 
 @pytest.fixture(scope="session")
+def e14a():
+    return CurveQ(1, 0, 1, 4, -6, 14, "14a")
+
+
+@pytest.fixture(scope="session")
 def e_ss():
     # y^2 = x^3 + x, CM curve, conductor 32
     return CurveQ(0, 0, 0, 1, 0, 32, "32a")

@@ -7,6 +7,7 @@ None of it shares evaluation code with the package paths it judges.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ from heegner_witness.ec_core import (
     POINT_COUNT_CEILING,
     CurveQ,
     PointCountBoundError,
+    an_series,
     ap,
     b_invariants,
     count_points,
@@ -25,6 +27,7 @@ from heegner_witness.ec_core import (
 )
 from heegner_witness.arith import primes_upto
 from heegner_witness.heegner import MIN_IM_TAU, PrecisionUnreachable
+from heegner_witness.lseries import _tail_terms
 from heegner_witness.quadforms import (
     abelian_invariants,
     class_number,
@@ -249,6 +252,92 @@ def l_derivative_straight(curve: CurveQ, terms: int = 2000) -> float:
     return 2.0 * sum(
         an_recursive(curve, n, memo) / n * float(exp1(c * n)) for n in range(1, terms + 1)
     )
+
+
+def twisted_an(curve: CurveQ, d: int, T: int) -> list[int]:
+    """a_0..a_T of the twist by d as Python ints: kronecker(d, n) a_n(E)."""
+    s = an_series(curve, T)
+    return [0] + [kronecker(d, n) * s[n] for n in range(1, T + 1)]
+
+
+def exp1_scalar(x: float) -> float:
+    """E1(x) for one x > 0: the power series for x <= 1, else the modified
+    Lentz continued fraction; the scalar form of `lseries.exp1`."""
+    if x <= 1.0:
+        s, term, k = 0.0, 1.0, 1
+        while True:
+            term *= x / k
+            add = term / k
+            s += add if k % 2 == 1 else -add
+            if add < 1e-18:
+                return -0.5772156649015328606 - math.log(x) + s
+            k += 1
+    b = x + 1.0
+    c = 1.0 / 1e-300
+    d = 1.0 / b
+    h = d
+    for i in range(1, 200):
+        a = -i * i
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h * math.exp(-x)
+
+
+def g_sum_per_term(v: list[int], T: int, x: float) -> float:
+    """sum_{n<=T} a_n e^{-x n}, one term at a time, largest n first."""
+    return float(sum(v[n] * math.exp(-x * n) for n in range(T, 0, -1)))
+
+
+def root_number_per_term(curve: CurveQ, precision: float = 1e-10, d: int = 1):
+    """(sign, residual) of `lseries.root_number` from per-term sums; the term
+    count comes from the package's tail rule, the sums do not."""
+    c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
+    ts = (1.07, 1.23)
+    T = _tail_terms(c / max(ts), precision * 1e-2, linear_weight=True)
+    v = twisted_an(curve, d, T)
+    vals = {}
+    for t in ts:
+        vals[t] = g_sum_per_term(v, T, c * t)
+        vals[1.0 / t] = g_sum_per_term(v, T, c / t)
+    scale = max(abs(g) for g in vals.values()) + 1e-300
+    best = {eps: max(abs(vals[1.0 / t] - eps * t * t * vals[t]) / scale for t in ts)
+            for eps in (1, -1)}
+    eps = 1 if best[1] <= best[-1] else -1
+    return eps, best[eps]
+
+
+def l_eval_per_term(curve: CurveQ, precision: float, d: int = 1):
+    """(sign, residual, L(1) or L'(1), terms, tail) of `lseries.l_eval`,
+    summed one term at a time with `exp1_scalar`."""
+    eps, resid = root_number_per_term(curve, d=d)
+    c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
+    T = _tail_terms(c, precision / 4.0, linear_weight=False)
+    v = twisted_an(curve, d, T)
+    r = math.exp(-c)
+    if eps == 1:
+        val = 2.0 * float(sum(v[n] / n * math.exp(-c * n) for n in range(T, 0, -1)))
+        tail = 2.0 * math.sqrt(3.0) * math.exp(-c * (T + 1)) / (1 - r)
+    else:
+        val = 2.0 * float(sum(v[n] / n * exp1_scalar(c * n) for n in range(T, 0, -1)))
+        tail = 2.0 * math.sqrt(3.0) * r ** (T + 1) / (c * (T + 1) * (1 - r))
+    return eps, resid, val, T, tail
+
+
+def modular_param_per_term(curve: CurveQ, tau: complex, n_terms: int) -> complex:
+    """z = sum_{n<=n_terms} a_n/n q^n, q^n by a running product, one term at a time."""
+    v = an_series(curve, n_terms)
+    q = cmath.exp(2j * cmath.pi * tau)
+    z, qn = 0j, 1.0 + 0j
+    for n in range(1, n_terms + 1):
+        qn *= q
+        if v[n]:
+            z += v[n] / n * qn
+    return z
 
 
 def _double_exact(curve: CurveQ, P):

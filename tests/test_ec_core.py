@@ -138,11 +138,21 @@ def test_lockstep_kernel_matches_enumerator(e11a, e37a, e_ss):
         assert got.tolist() == _recount(curve, primes), curve
 
 
+def test_lockstep_kernel_decides_j0_lanes():
+    # x = 0 gives (0, 108) of order 3 at every prime; the kernel skips roots of psi_3
+    j0 = CurveQ(0, 0, 1, 0, 0, 27)
+    primes = [p for p in primes_upto(30000) if p >= 2500 and good_reduction(j0, p)]
+    c4, c6 = c_invariants(j0)
+    n = np.concatenate([_lockstep_orders(c4, c6, np.array(primes[i : i + 256]))
+                        for i in range(0, len(primes), 256)])
+    assert np.count_nonzero(n) >= 0.9 * len(primes)
+    for p, k in zip(primes, n.tolist()):
+        if k:
+            assert p + 1 - k == _ap_bsgs(j0, p), p
+    assert ap_lockstep(j0, primes[:200]).tolist() == _recount(j0, primes[:200])
+
+
 def test_lockstep_kernel_blocks_and_fallback(e37a, monkeypatch):
-    j0 = CurveQ(0, 0, 1, 0, 0, 27)  # (0, 108) has order 3: every lane is ambiguous
-    primes = [p for p in primes_upto(4000) if p >= 2500 and good_reduction(j0, p)]
-    assert not _lockstep_orders(*c_invariants(j0), np.array(primes)).any()
-    assert ap_lockstep(j0, primes).tolist() == _recount(j0, primes)
     # blocks of 7 lanes, in ascending and in shuffled order; some lanes are undecided
     primes = [p for p in primes_upto(3300) if p >= 2500 and good_reduction(e37a, p)]
     want = _recount(e37a, primes)

@@ -24,11 +24,16 @@ from heegner_witness.heegner import (
     trace_relation_check,
     trace_to_K,
 )
-from heegner_witness import heegner
+from heegner_witness import heegner, lseries
 from heegner_witness.ec_core import CurveQ, ap, b_invariants
 from heegner_witness.lseries import l_over_K
 from heegner_witness.quadforms import kronecker
-from oracles import heegner_forms_unbounded, height_doubling_oracle, torsion_translates_fraction
+from oracles import (
+    heegner_forms_unbounded,
+    height_doubling_oracle,
+    modular_param_per_term,
+    torsion_translates_fraction,
+)
 
 
 def test_period_lattice_37a(e37a):
@@ -151,6 +156,19 @@ def test_modular_param_periodicity(e37a):
     z1 = modular_param(e37a, tau, n_terms=400)
     z2 = modular_param(e37a, tau + 1, n_terms=400)
     assert abs(z1.z - z2.z) < 1e-12
+
+
+def test_modular_param_matches_per_term_oracle(e37a, monkeypatch):
+    taus = [t.tau for t in heegner_orbit(e37a, -7, 1).taus]
+    # 1024 and 1025 end on and just past the first block boundary
+    cases = [(t, n) for t in taus for n in (10, 1024, 1025, 3000)]
+    got = [modular_param(e37a, t, n_terms=n).z for t, n in cases]
+    for (t, n), z in zip(cases, got):
+        assert abs(z - modular_param_per_term(e37a, t, n)) <= 1e-13, (t, n)
+    for block in (7, 10**6):
+        monkeypatch.setattr(lseries, "_SUM_BLOCK", block)
+        for (t, n), z in zip(cases, got):
+            assert abs(modular_param(e37a, t, n_terms=n).z - z) <= 1e-13, (block, t, n)
 
 
 def test_modular_param_cusp_limit(e37a):

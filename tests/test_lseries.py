@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from heegner_witness import ec_core, lseries
 from heegner_witness.lseries import (
+    DEFAULT_NONVANISHING_THRESHOLD,
+    DEFAULT_PRECISION,
     cached_an,
     LSeriesInconclusiveError,
     analytic_rank_gate,
@@ -14,14 +17,85 @@ from heegner_witness.lseries import (
 )
 from heegner_witness.ec_core import CurveQ, an_series
 from heegner_witness.quadforms import kronecker
-from oracles import l_derivative_straight, l_value_straight, twist
+from oracles import (
+    exp1_scalar,
+    g_sum_per_term,
+    l_derivative_straight,
+    l_eval_per_term,
+    l_value_straight,
+    root_number_per_term,
+    twist,
+    twisted_an,
+)
 
 
 def test_exp1_against_scipy():
     from scipy.special import exp1 as scipy_exp1
 
-    for x in [0.01, 0.1, 0.5, 0.999, 1.0, 1.001, 2.0, 5.0, 13.7, 40.0]:
-        assert abs(exp1(x) - float(scipy_exp1(x))) <= 1e-12 * max(1.0, abs(float(scipy_exp1(x))))
+    near_one = [0.999, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.001]
+    x = np.concatenate((np.geomspace(1e-6, 700.0, 500), near_one, [0.01, 0.5, 13.7, 40.0]))
+    got = exp1(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.all(np.abs(got - scipy_exp1(x)) <= 1e-12 * scipy_exp1(x))
+    # lanes are independent: any order and shape gives the same values
+    assert exp1(x[::-1]).tolist() == got[::-1].tolist()
+    assert exp1(x[:500].reshape(20, 25)).ravel().tolist() == got[:500].tolist()
+    assert exp1(1.0) == got[502]
+    # e^{-x} is subnormal past x = 708.4 and 0 past 745.2: E1 goes to 0 without a warning
+    x = np.array([700.0, 708.0, 710.0, 730.0, 745.0, 746.0, 800.0])
+    assert np.all(np.abs(exp1(x) - scipy_exp1(x)) <= 1e-12 * np.maximum(scipy_exp1(x), 1e-300))
+    with pytest.raises(ValueError):
+        exp1(np.array([1.0, 0.0]))
+
+
+def test_exp1_matches_the_scalar_oracle():
+    x = np.concatenate((np.geomspace(1e-6, 700.0, 2000), np.linspace(0.9, 1.1, 401)))
+    want = np.array([exp1_scalar(t) for t in x.tolist()])
+    assert np.all(np.abs(exp1(x) - want) <= 1e-15 * want)
+
+
+# the twists the kernel tests run: d = 1 and d in (-3, -7, -103) coprime to N
+def _twists(curve):
+    return [d for d in (1, -3, -7, -103) if math.gcd(d, curve.N) == 1]
+
+
+def _close(got, want, tol=1e-13):
+    """Relative above the gate threshold; absolute below it, where an L-value
+    is zero to the series precision and both sums are rounding noise."""
+    return abs(got - want) <= tol * (abs(want) if abs(want) > DEFAULT_NONVANISHING_THRESHOLD else 1.0)
+
+
+def test_l_eval_and_root_number_match_per_term_oracles(e11a, e37a, e389a, e14a):
+    for curve in (e11a, e37a, e389a, e14a):
+        for d in _twists(curve):
+            eps, resid = root_number(curve, d=d)
+            o_eps, o_resid = root_number_per_term(curve, d=d)
+            assert eps == o_eps and abs(resid - o_resid) <= 1e-13, (curve.label, d)
+            le = l_eval(curve, d=d)
+            o_eps, o_resid, o_val, o_T, o_tail = l_eval_per_term(curve, DEFAULT_PRECISION, d)
+            assert (le.epsilon, le.terms_used, le.tail_bound) == (o_eps, o_T, o_tail)
+            assert abs(le.fe_residual - o_resid) <= 1e-13, (curve.label, d)
+            val = le.value_at_1 if le.epsilon == 1 else le.derivative_at_1
+            assert _close(val, o_val), (curve.label, d, val, o_val)
+
+
+def test_g_sum_matches_per_term_oracle(e37a, e14a):
+    for curve in (e37a, e14a):
+        for d in _twists(curve):
+            T = 3000
+            v = twisted_an(curve, d, T)
+            for x in (1e-3, 0.02, 0.3, 2.0):
+                want = g_sum_per_term(v, T, x)
+                scale = sum(abs(a) * math.exp(-x * n) for n, a in enumerate(v))
+                assert abs(lseries._g_sum(curve, d, T, x) - want) <= 1e-13 * scale
+
+
+def test_series_sums_do_not_depend_on_the_block_length(e11a, e37a, e14a, monkeypatch):
+    cases = [(curve, d) for curve in (e11a, e37a, e14a) for d in _twists(curve)]
+    want = [l_eval(curve, d=d) for curve, d in cases]
+    for block in (7, 10**6):
+        monkeypatch.setattr(lseries, "_SUM_BLOCK", block)
+        assert [l_eval(curve, d=d) for curve, d in cases] == want, block
 
 
 def test_root_numbers(e11a, e37a, e389a):
