@@ -7,16 +7,20 @@ import math
 import numpy as np
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, by sieve."""
-    if n < 2:
-        return []
+def prime_mask(n: int) -> np.ndarray:
+    """Boolean array of length n + 1 (at least 2) that is True exactly at the primes <= n."""
+    n = max(n, 1)
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i :: i] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return sieve
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, by sieve."""
+    return np.flatnonzero(prime_mask(n)).tolist()
 
 
 def is_prime(n: int) -> bool:

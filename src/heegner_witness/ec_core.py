@@ -7,17 +7,21 @@ nonsingular. Models are assumed globally minimal.
 
 a_p at a good prime p >= BSGS_MIN_P comes from Shanks-Mestre baby-step
 giant-step on E and its quadratic twist (Cohen, GTM 138, 7.4.3), in
-O(p^(1/4)) group operations per point. BSGS_MIN_P is the measured crossover
-below which the O(p) enumerator `count_points` (a quadratic-residue table)
-is faster, so it counts those primes. The enumerator has two more roles: it
-is the test oracle for both BSGS paths, and the independent recount that
-re-verifies accepted primes. Every path refuses p > POINT_COUNT_CEILING.
+O(p^(1/4)) group operations per point, and below it from an O(p) sum of
+quadratic characters. `ap` counts one prime: with the enumerator
+`count_points` (a quadratic-residue table on the long model) below
+BSGS_MIN_P, the measured crossover of the two scalar paths, and with
+`_ap_bsgs` from there on. The enumerator has two more roles: it is the test
+oracle for every batched path, and the independent recount that re-verifies
+accepted primes, a different model and algorithm from each of them. Every
+path refuses p > POINT_COUNT_CEILING.
 
-`ap` counts one prime with the scalar `_ap_bsgs`. `ap_many` is the one
-batched path: the a_n table, the prime scan and the disk cache all count
-through it. It sends primes below BSGS_MIN_P to the enumerator and the rest
-to one `ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes per
-block, each lane running BSGS on one point with the complete projective
+`ap_many` is the one batched path: the a_n table, the prime scan and the
+disk cache all count through it. It sends p = 2 and 3 to `ap`, the primes
+5 <= p < BSGS_MIN_P to one `ap_flat` call, which lays the Legendre sums of
+many primes on the short model end to end in one flat numpy array, and the
+rest to one `ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes
+per block, each lane running BSGS on one point with the complete projective
 addition of Renes-Costello-Batina, so no lane needs an inversion or a case
 split, and giant steps matched to baby steps by an exact float64 test of
 p | X Z_j - X_j Z. A lane's point is never of order 2 or 3. A lane is
@@ -27,9 +31,10 @@ field-search twist tables, 9% of the j = 0 curve [0,0,1,0,0]) fall back to
 `_ap_bsgs`, so every value equals the scalar one. With p <= 10^6 < 2^20
 every lane product stays below 2^43, far inside int64. _LANES = 256 was
 measured on the six field-search twist tables (15,564 primes in
-[2500, 27000], 2-vCPU Xeon): 128, 256 and 512 lanes took 0.67-0.95, 0.61-0.68 and 0.53 s, and the benchmark's
-field-search peak RSS rose over the scalar path by 0.79, 0.93 and 1.13 MB;
-256 is the largest block that keeps the rise under 1 MB.
+[2500, 27000], 2-vCPU Xeon): 128, 256 and 512 lanes took 0.67-0.95,
+0.61-0.68 and 0.53 s, and the benchmark's field-search peak RSS rose over
+the scalar path by 0.79, 0.93 and 1.13 MB; 256 is the largest block that
+keeps the rise under 1 MB.
 
 A block costs a few ms almost whatever its width (1.9-5.7 ms for 4 lanes,
 3.5-8.0 ms for 40), while `_ap_bsgs` costs 0.1-0.25 ms per prime, so
@@ -38,6 +43,23 @@ _BLOCK_MIN is the measured break-even: on 11a, 14a and 37a, with 4 to 40
 consecutive good primes from 2500, 2*10^4 and 10^5 (median of 9 runs,
 2-vCPU Xeon), the block became cheaper than the scalar loop at 16 to 40
 primes, median 32.
+
+Between the batched kernels the crossover is lower, but it does not pay to
+move BSGS_MIN_P. Per prime, in full blocks of 256 primes from 1000,
+`ap_flat` took 19 us and `ap_lockstep` 16-23 us; from 2500, 35 us against
+14-23 us (11a, 37a, 14a, median of 7, 2-vCPU Xeon). But an a_n table holds
+only about 200 primes in [1000, 2500), one partial block at most: whole
+tables of 2,500 to 10^5 terms took within 10% of the same time with
+BSGS_MIN_P at 1000, 1500 or 2500, none of them best throughout, and up to
+12% longer at 4000 (g25133.1, 37a and [0,0,1,0,0], median of 5). a_p
+values do not depend on it.
+
+_FLAT_CHUNK = 2^13 x values: on the 364 good primes 5 <= p < 2500 of 37a,
+chunks of 2^11, 2^12, 2^13, 2^14 and 2^15 took 17.2, 13.0, 9.7, 8.8 and
+10.1 ns per x value, and over 2^13 the benchmark's field-search peak RSS
+rose by 0.09 MB at 2^14 and 0.95 MB at 2^15. _AN_BLOCK = 2^11 n: blocks of
+2^13 raised the peak RSS of a witness run on the aux-search curve g427.1 by
+0.23 MB over 2^11, while 2^11 costs 0.3 ms more per 26,600-term table.
 """
 
 from __future__ import annotations
@@ -47,13 +69,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, prime_divisors, primes_upto
+from .arith import factorize, prime_divisors, prime_mask, primes_upto
 
 POINT_COUNT_CEILING = 10**6
-BSGS_MIN_P = 2500  # measured crossover: count_points is faster below it
+BSGS_MIN_P = 2500  # measured crossover: count_points is faster than _ap_bsgs below it
 _LANES = 256  # primes per lockstep block
 _BLOCK_MIN = 32  # fewer primes >= BSGS_MIN_P than this are counted one by one
 _POINT_TRIES = 32  # x values a lane tries for a point before it falls back
+_FLAT_CHUNK = 2**13  # x values per ap_flat chunk
+_AN_BLOCK = 2**11  # n per block of the a_n recursion
 _VALIDATION_PMAX = 50
 
 
@@ -456,20 +480,71 @@ def ap(curve: CurveQ, p: int) -> int:
     return a
 
 
+def ap_flat(curve: CurveQ, primes) -> np.ndarray:
+    """a_p for good primes 5 <= p < BSGS_MIN_P, as int64 in the order given.
+
+    a_p = -sum_x chi_p(x^3 + A x + B) on the short model of `_ap_bsgs`. The x
+    values of consecutive primes lie end to end in one flat array of at most
+    _FLAT_CHUNK entries (a prime with more x values is counted alone), over one
+    quadratic-residue table laid out the same way: chi[base + x^2 mod p] is 1,
+    the x = 0 slot 0 and every other slot -1. np.add.reduceat sums each
+    prime's segment. The arithmetic is int32, whose remainder is twice as fast
+    as int64's: with x, A, B < p < 2500, (x^2 + A) x + B < 2^24. Indices stay
+    int64. A prime dividing N or the discriminant raises BadReductionError,
+    and every value is Hasse-checked.
+    """
+    ps = np.array(primes, dtype=np.int64)
+    if ps.size and (ps.min() < 5 or ps.max() >= BSGS_MIN_P):
+        raise ValueError(f"ap_flat counts primes 5 <= p < BSGS_MIN_P = {BSGS_MIN_P}")
+    c4, c6 = c_invariants(curve)
+    N, A, B = (np.array([v % q for q in ps.tolist()], dtype=np.int64)
+               for v in (curve.N, -27 * c4, -54 * c6))
+    if (N == 0).any():
+        p = ps[N == 0][0]
+        raise BadReductionError(f"{curve.label or curve.ainvs} has bad reduction at {p}")
+    singular = (4 * A * A % ps * A + 27 * B * B) % ps == 0  # for p >= 5: p | disc
+    if singular.any():
+        raise BadReductionError(f"singular reduction mod {ps[singular][0]}")
+    out = np.empty_like(ps)
+    ends = np.cumsum(ps)
+    i = 0
+    while i < len(ps):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - ps[i] + _FLAT_CHUNK, side="right")))
+        seg = ps[i:j]
+        base = ends[i:j] - ends[i] + ps[i] - seg  # where each prime's segment starts
+        off = np.repeat(base, seg)
+        q, a, b = (np.repeat(v[i:j].astype(np.int32), seg) for v in (ps, A, B))
+        x = np.arange(len(q), dtype=np.int32) - off.astype(np.int32)
+        x2 = x * x % q
+        chi = np.full(len(q), -1, dtype=np.int8)
+        chi[off + x2] = 1
+        chi[base] = 0
+        out[i:j] = -np.add.reduceat(chi[off + ((x2 + a) * x + b) % q], base, dtype=np.int64)
+        i = j
+    hasse = np.flatnonzero(out * out > 4 * ps)
+    if hasse.size:
+        raise ArithmeticError(f"Hasse bound violated at p={ps[hasse[0]]}: a_p={out[hasse[0]]}")
+    return out
+
+
 def ap_many(curve: CurveQ, primes) -> np.ndarray:
     """a_p for each prime of good reduction in `primes`, as int64 in the order given.
 
-    Primes below BSGS_MIN_P are enumerated as `ap` does. The others go in one
-    `ap_lockstep` call when there are at least _BLOCK_MIN of them, and
-    through `ap` one by one otherwise; ascending primes give tight blocks.
+    p = 2 and 3 go through `ap`, and the primes 5 <= p < BSGS_MIN_P through
+    one `ap_flat` call. The others go in one `ap_lockstep` call when there are
+    at least _BLOCK_MIN of them, and through `ap` one by one otherwise;
+    ascending primes give tight blocks.
     """
     ps = np.asarray(primes, dtype=np.int64)
     out = np.empty_like(ps)
+    flat = (ps >= 5) & (ps < BSGS_MIN_P)
     batch = ps >= BSGS_MIN_P
     if np.count_nonzero(batch) < _BLOCK_MIN:
         batch[:] = False
-    for i in np.flatnonzero(~batch).tolist():
+    for i in np.flatnonzero(~flat & ~batch).tolist():
         out[i] = ap(curve, int(ps[i]))
+    if flat.any():
+        out[flat] = ap_flat(curve, ps[flat])
     if batch.any():
         out[batch] = ap_lockstep(curve, ps[batch])
     return out
@@ -533,13 +608,46 @@ class AnSeries:
         return int(self.values[n])
 
 
-def _spf_sieve(n: int) -> np.ndarray:
-    spf = np.arange(n + 1, dtype=np.int64)
-    for i in range(2, math.isqrt(n) + 1):
-        if spf[i] == i:
-            sl = spf[i * i :: i]
-            sl[sl == np.arange(i * i, n + 1, i)] = i
-    return spf
+def _an_block(a: np.ndarray, lo: int, hi: int, small: np.ndarray, bad: dict[int, int]) -> None:
+    """Fill a[lo:hi] by the Euler recursion, given a[:lo] and a[p] at every good prime < hi.
+
+    `small` holds the primes up to at least sqrt(hi - 1), and `bad` the sign
+    a_p of each bad prime. Write n = p^e m with p = spf(n), the smallest prime
+    factor, found by sieving the block with `small`. The prime powers (m = 1)
+    are filled in ascending e, and then a[n] = a[p^e] a[m] in passes, each
+    pass taking the n whose m is already filled: one pass per extra distinct
+    prime factor.
+    """
+    n = np.arange(lo, hi, dtype=np.int64)
+    spf = np.zeros_like(n)
+    for p in small[small * small < hi][::-1].tolist():  # the smallest factor is written last
+        spf[-lo % p :: p] = p
+    spf = np.where(spf == 0, n, spf)  # n is prime
+    pe, e = spf.copy(), np.ones_like(n)
+    more = np.flatnonzero(n // pe % spf == 0)
+    while more.size:
+        pe[more] *= spf[more]
+        e[more] += 1
+        more = more[n[more] // pe[more] % spf[more] == 0]
+    m = n // pe
+    power = m == 1
+    for p, sign in bad.items():
+        at = np.flatnonzero(power & (spf == p))
+        a[n[at]] = sign ** e[at]
+        power[at] = False
+    for k in range(2, int(e[power].max(initial=1)) + 1):
+        at = np.flatnonzero(power & (e == k))
+        q, p = n[at], spf[at]
+        a[q] = a[p] * a[q // p] - p * a[q // (p * p)]
+    done = m == 1
+    todo = np.flatnonzero(~done)
+    while todo.size:
+        mt = m[todo]
+        ready = (mt < lo) | done[np.maximum(mt - lo, 0)]
+        at = todo[ready]
+        a[n[at]] = a[pe[at]] * a[m[at]]
+        done[at] = True
+        todo = todo[~ready]
 
 
 def an_series(curve: CurveQ, n_max: int, known: AnSeries | None = None) -> AnSeries:
@@ -547,9 +655,10 @@ def an_series(curve: CurveQ, n_max: int, known: AnSeries | None = None) -> AnSer
 
     Good p: a_{p^k} = a_p a_{p^{k-1}} - p a_{p^{k-2}}; multiplicative bad p:
     a_{p^k} = a_p^k with a_p = +-1; additive bad p: a_{p^k} = 0. Every new
-    good a_p comes from one `ap_many` call before the recursion. `known`, a
-    table of the same curve with at most n_max terms, is copied: only the
-    primes and the n beyond it are computed.
+    good a_p comes from one `ap_many` call, and the recursion then runs over
+    blocks of _AN_BLOCK n (`_an_block`). `known`, a table of the same curve
+    with at most n_max terms, is copied: only the primes and the n beyond it
+    are computed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -557,21 +666,12 @@ def an_series(curve: CurveQ, n_max: int, known: AnSeries | None = None) -> AnSer
     head = [0, 1] if known is None else known.values
     start = len(head)
     a[:start] = head
-    spf = _spf_sieve(n_max)
     bad = {p: reduction_type(curve, p)[1] for p in prime_divisors(curve.N) if p <= n_max}
-    primes = np.flatnonzero(spf[start:] == np.arange(start, n_max + 1)) + start
-    good = primes[~np.isin(primes, list(bad))]
+    is_prime = prime_mask(n_max)
+    small = np.flatnonzero(is_prime[: math.isqrt(n_max) + 1])
+    is_prime[list(bad)] = False
+    good = np.flatnonzero(is_prime[start:]) + start
     a[good] = ap_many(curve, good)
-    for n in range(start, n_max + 1):
-        p = int(spf[n])
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m > 1:
-            a[n] = a[n // m] * a[m]
-        elif p in bad:
-            a[n] = bad[p] ** e
-        elif e > 1:
-            a[n] = a[p] * a[n // p] - p * a[n // (p * p)]
+    for lo in range(start, n_max + 1, _AN_BLOCK):
+        _an_block(a, lo, min(lo + _AN_BLOCK, n_max + 1), small, bad)
     return AnSeries(n_max, a)

@@ -182,8 +182,11 @@ def prime_sequence(
 def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem) -> bool:
     """Independent recomputation of all four flags for an accepted prime.
 
-    a_p is recounted by enumeration, never read from a cache, and by a
-    different algorithm from the ones `ap_many` uses above BSGS_MIN_P.
+    a_p is recounted by `count_points`, never read from a cache: an
+    enumeration on the long model, a different model and algorithm from
+    every path of `ap_many` (`ap_flat`'s character sums on the short model
+    below BSGS_MIN_P, BSGS above it) except p = 2 and 3, which `ap_many`
+    itself counts with `count_points`.
     """
     p = item.p
     a = p + 1 - count_points(reduce_mod(curve, p))

@@ -19,6 +19,9 @@ def test_primes_upto():
     assert primes_upto(1) == []
     ps = primes_upto(10**4)
     assert len(ps) == 1229
+    assert all(type(p) is int for p in ps)  # Python ints, not numpy scalars
+    for n in (-3, 0, 1, 2, 3, 4, 97, 1000):
+        assert primes_upto(n) == [p for p in range(n + 1) if is_prime(p)], n
 
 
 def test_is_prime():

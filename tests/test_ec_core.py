@@ -19,6 +19,7 @@ from heegner_witness.ec_core import (
     an_series,
     BSGS_MIN_P,
     ap,
+    ap_flat,
     ap_lockstep,
     ap_many,
     c_invariants,
@@ -169,14 +170,19 @@ def test_lockstep_kernel_blocks_and_fallback(e37a, monkeypatch):
 
 
 def test_ap_many_matches_ap_in_the_order_given(e11a, e37a, monkeypatch):
-    blocks = []
-    real_lockstep = ec_core.ap_lockstep
+    blocks, flats = [], []
+    real_lockstep, real_flat = ec_core.ap_lockstep, ec_core.ap_flat
 
     def ap_lockstep(curve, primes):
         blocks.append(len(primes))
         return real_lockstep(curve, primes)
 
+    def ap_flat(curve, primes):
+        flats.append(len(primes))
+        return real_flat(curve, primes)
+
     monkeypatch.setattr(ec_core, "ap_lockstep", ap_lockstep)
+    monkeypatch.setattr(ec_core, "ap_flat", ap_flat)
     rng = random.Random(8)
     short, long = ec_core._BLOCK_MIN - 1, ec_core._LANES + 40
     for curve in (e11a, e37a):
@@ -187,14 +193,77 @@ def test_ap_many_matches_ap_in_the_order_given(e11a, e37a, monkeypatch):
             primes = rng.sample(small, n_small) + rng.sample(large, n_large)
             rng.shuffle(primes)
             blocks.clear()
+            flats.clear()
             got = ap_many(curve, primes)
             assert isinstance(got, np.ndarray) and got.dtype == np.int64
             assert got.tolist() == [ap(curve, p) for p in primes], (n_small, n_large)
             assert blocks == ([n_large] if n_large > short else [])
+            n_flat = sum(5 <= p for p in primes if p < BSGS_MIN_P)  # one call for all of them
+            assert flats == ([n_flat] if n_flat else [])
     assert ap_many(e37a, [3001, 5, 3001]).tolist() == [ap(e37a, 3001), -2, ap(e37a, 3001)]
     for primes in ([5, 37], large[: ec_core._BLOCK_MIN] + [37]):
         with pytest.raises(BadReductionError):
             ap_many(e37a, primes)
+
+
+def _flat_curves(e11a, e37a, e_ss, e14a):
+    j0 = CurveQ(0, 0, 1, 0, 0, 27)
+    j1728 = CurveQ(0, 0, 0, -1, 0, 32)
+    big = twist(e37a, -2503).curve  # c6 = 3387164585832 > 2^31
+    assert max(abs(c) for c in c_invariants(big)) > 2**31
+    return e11a, e37a, e_ss, e14a, j0, j1728, big
+
+
+def test_ap_flat_matches_enumerator(e11a, e37a, e_ss, e14a, monkeypatch):
+    rng = random.Random(10)
+    for curve in _flat_curves(e11a, e37a, e_ss, e14a):
+        primes = [p for p in primes_upto(BSGS_MIN_P - 1) if p >= 5 and good_reduction(curve, p)]
+        want = _recount(curve, primes)
+        got = ap_flat(curve, primes)
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == want, curve
+        order = rng.sample(range(len(primes)), len(primes))
+        assert ap_flat(curve, [primes[i] for i in order]).tolist() == [want[i] for i in order]
+    # chunks of 40 x values: most chunk edges fall between primes, and every
+    # prime above 40 is longer than a chunk and is counted alone
+    monkeypatch.setattr(ec_core, "_FLAT_CHUNK", 40)
+    for curve in (e37a, _flat_curves(e11a, e37a, e_ss, e14a)[-1]):
+        primes = [p for p in primes_upto(300) if p >= 5 and good_reduction(curve, p)]
+        assert ap_flat(curve, primes).tolist() == _recount(curve, primes)
+    assert ap_flat(e37a, []).tolist() == []
+
+
+def test_ap_flat_checks_its_inputs(e37a, monkeypatch):
+    for primes in ([3, 5], [5, 2503]):
+        with pytest.raises(ValueError, match="BSGS_MIN_P"):
+            ap_flat(e37a, primes)
+    with pytest.raises(BadReductionError):
+        ap_flat(e37a, [5, 37])
+    monkeypatch.setattr(np, "full", lambda n, v, dtype: np.ones(n, dtype=dtype))  # chi = 1
+    with pytest.raises(ArithmeticError, match="Hasse"):
+        ap_flat(e37a, [5, 7])
+
+
+def test_ap_many_refuses_bad_and_singular_primes_below_bsgs(e11a, e37a):
+    # y^2 = x^3 + 53^4 x is y^2 = x^3 + x scaled by u = 53: a valid CurveQ whose
+    # discriminant -64 * 53^12 has 53, a prime that does not divide N = 32
+    scaled = CurveQ(0, 0, 0, 53**4, 0, 32)
+    assert discriminant(scaled) % 53 == 0 and good_reduction(scaled, 53)
+    with pytest.raises(BadReductionError):
+        ap(scaled, 53)
+    large = [p for p in primes_upto(4000) if p >= BSGS_MIN_P][: ec_core._BLOCK_MIN]
+    for primes in ([3, 5, 53, 7], [53], [5, 7] + large + [53]):
+        with pytest.raises(BadReductionError):
+            ap_many(scaled, primes)
+    for primes in ([2, 37], [5, 37, 7], [3, 41] + large + [37], [37] + large):
+        with pytest.raises(BadReductionError):
+            ap_many(e37a, primes)
+    with pytest.raises(BadReductionError):
+        ap_many(e11a, [5, 7, 2, 11, 13])
+    # p = 2 and 3 are counted by `ap`, in any position of a batch
+    for curve in (e11a, e37a):
+        primes = [3, 13, 2, 5, 3] + large[:3] + [2]
+        assert ap_many(curve, primes).tolist() == [ap(curve, p) for p in primes]
 
 
 def test_complete_addition_matches_affine_law():
@@ -252,8 +321,47 @@ def test_lockstep_kernel_checks_hasse_and_inputs(e37a, monkeypatch):
 
 
 def test_an_series_matches_per_prime_ap(e11a):
-    n_max = 3 * 10**4
+    n_max = 3 * 10**4  # crosses 14 blocks of _AN_BLOCK = 2^11 n
     assert an_series(e11a, n_max).values.tolist() == an_per_prime_ap(e11a, n_max)
+
+
+@functools.cache
+def _an_oracle(curve, n_max):
+    return an_per_prime_ap(curve, n_max)
+
+
+def _reduction_curves(e11a, e37a, e_ss, e14a):
+    # 11a split and 37a nonsplit multiplicative; 14a split at 7, nonsplit at 2;
+    # 27a (j = 0) and 32a additive, so a_{p^k} = 0 at 3^k and 2^k
+    return e11a, e37a, e14a, e_ss, CurveQ(0, 0, 1, 0, -7, 27, "27a")
+
+
+def test_an_series_blocks_match_per_prime_ap(e11a, e37a, e_ss, e14a, monkeypatch):
+    curves = _reduction_curves(e11a, e37a, e_ss, e14a)
+    assert [reduction_type(c, p)[1] for c, p in zip(curves, (11, 37, 7, 2, 3))] == [1, -1, 1, 0, 0]
+    assert reduction_type(e14a, 2)[1] == -1
+    for block in (ec_core._AN_BLOCK, 64, 7):
+        monkeypatch.setattr(ec_core, "_AN_BLOCK", block)
+        for curve in curves:
+            for n_max in (1, 2, 3, 4, 64, 65, 2 * block + 1, 3000):
+                want = _an_oracle(curve, n_max)
+                assert an_series(curve, n_max).values.tolist() == want, (curve.label, block, n_max)
+
+
+def test_an_series_grown_at_awkward_splits_matches_per_prime_ap(e11a, e37a, e_ss, e14a,
+                                                               monkeypatch):
+    # split points: 1, 2, one below a prime power (25 = 5^2, 128 = 2^7, 243 = 3^5),
+    # one below and at a block edge, and the whole table
+    n_max = 3000
+    for block in (ec_core._AN_BLOCK, 64):
+        monkeypatch.setattr(ec_core, "_AN_BLOCK", block)
+        for curve in _reduction_curves(e11a, e37a, e_ss, e14a):
+            want = _an_oracle(curve, n_max)
+            for split in (1, 2, 24, 127, 242, block - 1, block, block + 1, n_max):
+                known = an_series(curve, split)
+                grown = an_series(curve, n_max, known)
+                assert grown.values.tolist() == want, (curve.label, block, split)
+                assert known.values.tolist() == want[: split + 1]
 
 
 def test_hasse_bound_to_1e4(e11a, e37a, e_ss):

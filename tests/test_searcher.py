@@ -1,6 +1,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from heegner_witness import ec_core
@@ -81,6 +82,27 @@ def test_verify_prime_item_recounts_a_p(e11a):
     poisoned = PrimeSeqItem(5, True, True, True, True, a_p=-2, ap_mod_q=1)
     assert not verify_prime_item(e11a, -7, 3, poisoned)
     assert verify_prime_item(e11a, -7, 3, PrimeSeqItem(5, True, True, True, True, 1, 1))
+
+
+def test_verify_prime_item_catches_a_flipped_ap_flat_value(e37a, monkeypatch):
+    # prime_sequence takes a_p below BSGS_MIN_P from ap_flat; flip the sign of
+    # one accepted a_p there (q does not divide -a_p either, so it is accepted)
+    real = ec_core.ap_flat
+    items = prime_sequence(e37a, -7, 3, 4)
+    target = items[2]
+    assert target.p < ec_core.BSGS_MIN_P and target.a_p != 0
+
+    def flipped(curve, primes):
+        out = real(curve, primes)
+        out[np.asarray(primes) == target.p] *= -1
+        return out
+
+    monkeypatch.setattr(ec_core, "ap_flat", flipped)
+    poisoned = prime_sequence(e37a, -7, 3, 4)
+    assert [it.p for it in poisoned] == [it.p for it in items]
+    assert poisoned[2].a_p == -target.a_p
+    assert not verify_prime_item(e37a, -7, 3, poisoned[2])
+    assert all(verify_prime_item(e37a, -7, 3, it) for i, it in enumerate(poisoned) if i != 2)
 
 
 def test_prime_sequence_never_contains_q(e37a):
