@@ -46,20 +46,29 @@ primes, median 32.
 
 Between the batched kernels the crossover is lower, but it does not pay to
 move BSGS_MIN_P. Per prime, in full blocks of 256 primes from 1000,
-`ap_flat` took 19 us and `ap_lockstep` 16-23 us; from 2500, 35 us against
-14-23 us (11a, 37a, 14a, median of 7, 2-vCPU Xeon). But an a_n table holds
-only about 200 primes in [1000, 2500), one partial block at most: whole
-tables of 2,500 to 10^5 terms took within 10% of the same time with
-BSGS_MIN_P at 1000, 1500 or 2500, none of them best throughout, and up to
-12% longer at 4000 (g25133.1, 37a and [0,0,1,0,0], median of 5). a_p
-values do not depend on it.
+`ap_flat` took 49-51 us and `ap_lockstep` 41-57 us; from 2500, 94-102 us
+against 39-68 us (11a, 37a, 14a, median of 7, 2-vCPU Xeon under a load that
+made both about 2.5 times slower than on an idle machine). But an a_n table
+holds only about 200 primes in [1000, 2500), one partial block at most:
+whole tables of 2,500 to 10^5 terms took within 16% of the fastest setting
+with BSGS_MIN_P at 1000, 1500 or 2500, none of them best throughout, and up
+to 45% longer at 4000 (g25133.1, 37a and [0,0,1,0,0], median of 5, two
+runs). a_p values do not depend on it.
 
-_FLAT_CHUNK = 2^13 x values: on the 364 good primes 5 <= p < 2500 of 37a,
-chunks of 2^11, 2^12, 2^13, 2^14 and 2^15 took 17.2, 13.0, 9.7, 8.8 and
-10.1 ns per x value, and over 2^13 the benchmark's field-search peak RSS
-rose by 0.09 MB at 2^14 and 0.95 MB at 2^15. _AN_BLOCK = 2^11 n: blocks of
-2^13 raised the peak RSS of a witness run on the aux-search curve g427.1 by
-0.23 MB over 2^11, while 2^11 costs 0.3 ms more per 26,600-term table.
+_FLAT_CHUNK = 2^13 x values: on the 364 good primes 5 <= p < 2500 of 37a
+(420,770 x values), chunks of 2^11, 2^12, 2^13, 2^14 and 2^15 took 15.0-17.7,
+12.0-13.5, 9.9-11.5, 9.6-11.2 and 11.4-12.9 ms (two runs, median of 41
+each). Smaller chunks bring the benchmark's pinned-cold peak RSS down by at
+most 0.07 MB (2^11). The kernel is int64, like the rest of this module. An
+int32 kernel (with x, A, B < p < 2500, (x^2 + A) x + B < 2^24) took 8.3 ms
+at 2^13, but its int32 and int8 numpy loops fault in more of numpy's code:
+over 10 alternating pairs per workload it raised the benchmark's peak RSS
+by 0.15-0.38 MB over the per-prime enumeration it replaced, against -0.02
+to +0.18 MB for int64.
+
+_AN_BLOCK = 2^11 n: blocks of 2^13 raised the peak RSS of a witness run on
+the aux-search curve g427.1 by 0.23 MB over 2^11, while 2^11 costs 0.3 ms
+more per 26,600-term table.
 """
 
 from __future__ import annotations
@@ -488,9 +497,8 @@ def ap_flat(curve: CurveQ, primes) -> np.ndarray:
     _FLAT_CHUNK entries (a prime with more x values is counted alone), over one
     quadratic-residue table laid out the same way: chi[base + x^2 mod p] is 1,
     the x = 0 slot 0 and every other slot -1. np.add.reduceat sums each
-    prime's segment. The arithmetic is int32, whose remainder is twice as fast
-    as int64's: with x, A, B < p < 2500, (x^2 + A) x + B < 2^24. Indices stay
-    int64. A prime dividing N or the discriminant raises BadReductionError,
+    prime's segment. The arithmetic is int64 (see the module docstring for
+    int32). A prime dividing N or the discriminant raises BadReductionError,
     and every value is Hasse-checked.
     """
     ps = np.array(primes, dtype=np.int64)
@@ -513,8 +521,8 @@ def ap_flat(curve: CurveQ, primes) -> np.ndarray:
         seg = ps[i:j]
         base = ends[i:j] - ends[i] + ps[i] - seg  # where each prime's segment starts
         off = np.repeat(base, seg)
-        q, a, b = (np.repeat(v[i:j].astype(np.int32), seg) for v in (ps, A, B))
-        x = np.arange(len(q), dtype=np.int32) - off.astype(np.int32)
+        q, a, b = (np.repeat(v[i:j], seg) for v in (ps, A, B))
+        x = np.arange(len(q)) - off
         x2 = x * x % q
         chi = np.full(len(q), -1, dtype=np.int8)
         chi[off + x2] = 1

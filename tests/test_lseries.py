@@ -15,7 +15,8 @@ from heegner_witness.lseries import (
     l_over_K,
     root_number,
 )
-from heegner_witness.ec_core import CurveQ, an_series
+from heegner_witness.arith import primes_upto
+from heegner_witness.ec_core import CurveQ, an_series, good_reduction
 from heegner_witness.quadforms import kronecker
 from oracles import (
     exp1_scalar,
@@ -186,11 +187,15 @@ def test_twists_by_character_match_twisted_models(e11a, e37a, e389a):
 
 def test_cached_an_grows_in_place_counting_each_prime_once(e37a, monkeypatch):
     counted = []
-    real_ap, real_lockstep = ec_core.ap, ec_core.ap_lockstep
+    real_ap, real_flat, real_lockstep = ec_core.ap, ec_core.ap_flat, ec_core.ap_lockstep
 
     def ap(curve, p):
         counted.append(p)
         return real_ap(curve, p)
+
+    def ap_flat(curve, primes):
+        counted.extend(int(p) for p in primes)
+        return real_flat(curve, primes)
 
     def ap_lockstep(curve, primes):
         counted.extend(int(p) for p in primes)
@@ -199,13 +204,14 @@ def test_cached_an_grows_in_place_counting_each_prime_once(e37a, monkeypatch):
     fresh = an_series(e37a, 30000)
     monkeypatch.setattr(lseries, "_AN_CACHE", {})
     monkeypatch.setattr(ec_core, "ap", ap)
+    monkeypatch.setattr(ec_core, "ap_flat", ap_flat)
     monkeypatch.setattr(ec_core, "ap_lockstep", ap_lockstep)
     for n_max in (64, 3000, 30000):
         grown = cached_an(e37a, n_max)
     assert [s.n_max for s in lseries._AN_CACHE.values()] == [30000]
     assert grown.values.tolist() == fresh.values.tolist()
-    assert len(counted) == len(set(counted))
-    assert max(counted) > 29000
+    # every good prime up to 30000 is counted once, by whichever path serves it
+    assert sorted(counted) == [p for p in primes_upto(30000) if good_reduction(e37a, p)]
 
 
 def test_l_over_K_rejects_bad_discriminants(e37a):
