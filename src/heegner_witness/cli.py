@@ -5,8 +5,8 @@
     witness scan-k --curve LABEL [--bound B] [--curves FILE]
     witness tower --q Q --primes P1,P2,... [--r R] [--m M] [--c C]
 
-Exit code 0 iff every selected witness run passes. HW_CACHE_DIR overrides the
-a_p cache location.
+Exit code 0 iff every selected witness run passes. Nothing is written but
+the reports under --out.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import os
 import sys
 
 from .arith import primes_upto
-from .ec_core import POINT_COUNT_CEILING, CurveQ
+from .ec_core import POINT_COUNT_CEILING, CurveQ, ap_many
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
-from .pipeline import ApDiskCache, Config, emit_report, parse_curve_file, run_witness
+from .pipeline import Config, emit_report, parse_curve_file, run_witness
 from .searcher import FieldSearchExhausted, find_K
 
 BUILTIN_CURVES = [
@@ -63,23 +63,19 @@ def _cmd_witness(args) -> int:
         if not curves:
             print(f"no curve labelled {args.label!r} in {args.curves}", file=sys.stderr)
             return 2
-    cache = ApDiskCache(config.resolved_cache_dir())
     all_pass = True
-    try:
-        for curve in curves:
-            report = run_witness(curve, config, cache)
-            for chk in report.checks:
-                status = "pass" if chk["pass"] else "FAIL"
-                print(f"[{report.label}] {chk['name']:28s} {status}")
-            verdict = "PASS" if report.passed else f"FAIL (at {report.failed_at})"
-            print(f"[{report.label}] => {verdict}")
-            if args.out:
-                path = os.path.join(args.out, f"{report.label}.json")
-                emit_report(report, path)
-                print(f"[{report.label}] report written to {path}")
-            all_pass = all_pass and report.passed
-    finally:
-        cache.close()
+    for curve in curves:
+        report = run_witness(curve, config)
+        for chk in report.checks:
+            status = "pass" if chk["pass"] else "FAIL"
+            print(f"[{report.label}] {chk['name']:28s} {status}")
+        verdict = "PASS" if report.passed else f"FAIL (at {report.failed_at})"
+        print(f"[{report.label}] => {verdict}")
+        if args.out:
+            path = os.path.join(args.out, f"{report.label}.json")
+            emit_report(report, path)
+            print(f"[{report.label}] report written to {path}")
+        all_pass = all_pass and report.passed
     return 0 if all_pass else 1
 
 
@@ -91,12 +87,8 @@ def _cmd_ap(args) -> int:
               file=sys.stderr)
         return 2
     primes = [p for p in primes_upto(args.pmax) if curve.N % p]
-    cache = ApDiskCache(Config().resolved_cache_dir())
-    try:
-        for p, a in zip(primes, cache.get(curve, primes)):
-            print(p, a)
-    finally:
-        cache.close()
+    for p, a in zip(primes, ap_many(curve, primes).tolist()):
+        print(p, a)
     return 0
 
 

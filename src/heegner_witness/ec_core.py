@@ -13,11 +13,11 @@ quadratic characters. `ap` counts one prime: with the enumerator
 BSGS_MIN_P, the measured crossover of the two scalar paths, and with
 `_ap_bsgs` from there on. The enumerator has two more roles: it is the test
 oracle for every batched path, and the independent recount that re-verifies
-accepted primes, a different model and algorithm from each of them. Every
-path refuses p > POINT_COUNT_CEILING.
+accepted primes p >= 5, a different model and algorithm from each of them.
+Every path refuses p > POINT_COUNT_CEILING.
 
-`ap_many` is the one batched path: the a_n table, the prime scan and the
-disk cache all count through it. It sends p = 2 and 3 to `ap`, the primes
+`ap_many` is the one batched path: the a_n table and the prime scan both
+count through it. It sends p = 2 and 3 to `ap`, the primes
 5 <= p < BSGS_MIN_P to one `ap_flat` call, which lays the Legendre sums of
 many primes on the short model end to end in one flat numpy array, and the
 rest to one `ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes

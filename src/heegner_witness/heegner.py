@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import factorize, is_prime, is_squarefree, valuation
+from .arith import factorize, is_prime, is_squarefree, primes_upto, valuation
 from .ec_core import CurveQ, b_invariants, c_invariants, discriminant
 from .lseries import LOverK, cached_an, fsum_blocks, n_blocks
 from .quadforms import class_number, kronecker, reduce_form
@@ -478,6 +478,34 @@ def on_curve(curve: CurveQ, P) -> bool:
     a1, a2, a3, a4, a6 = curve.ainvs
     x, y = P
     return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
+
+
+def rational_torsion_point(curve: CurveQ, q: int):
+    """A point of E(Q) of exact order q, the odd prime q, checked in Fractions,
+    or None: then none was found, which does not prove that none exists.
+
+    Mazur allows q <= 7 only. E(Q)[q] injects into E(F_p) at good p != q, so a
+    good p < 64 with q not dividing p + 1 - a_p rules it out. Otherwise the
+    point lies at some k*omega_1/q on E(R), with 4x, 8y in Z (Nagell-Lutz; AEC VIII.7).
+    """
+    if q > 7:
+        return None
+    table = cached_an(curve, 64)
+    if any((p + 1 - table[p]) % q for p in primes_upto(64) if p != q and curve.N % p):
+        return None
+    try:
+        lattice = period_lattice(curve)
+    except ArithmeticError:
+        return None
+    for k in range(1, (q + 1) // 2):
+        pt = elliptic_exp(lattice, k * lattice.omega1 / q)
+        if pt.is_identity:
+            continue
+        x, y = pt.xy
+        P = (Fraction(round(4 * x.real), 4), Fraction(round(8 * y.real), 8))
+        if on_curve(curve, P) and rational_multiple(curve, P, q) is None:
+            return P
+    return None
 
 
 def is_torsion(curve: CurveQ, P, multiple_bound: int = DEFAULT_TORSION_BOUND, lattice=None) -> bool:

@@ -299,15 +299,3 @@ def gate_from_leval(le: LEval, threshold: float = DEFAULT_NONVANISHING_THRESHOLD
         return "rank1"
     return "not_eligible"
 
-
-def analytic_rank_gate(
-    curve: CurveQ,
-    threshold: float = DEFAULT_NONVANISHING_THRESHOLD,
-    precision: float = DEFAULT_PRECISION,
-) -> str:
-    """'rank0', 'rank1' or 'not_eligible' from the sign and the central value."""
-    try:
-        le = l_eval(curve, precision)
-    except LSeriesInconclusiveError:
-        return "not_eligible"
-    return gate_from_leval(le, threshold)

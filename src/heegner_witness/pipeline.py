@@ -1,4 +1,4 @@
-"""Orchestration: curve files, the a_p disk cache, witness runs, JSON reports.
+"""Orchestration: curve files, witness runs, JSON reports.
 
 A witness run executes the full constructive chain for one curve:
 
@@ -8,14 +8,15 @@ A witness run executes the full constructive chain for one curve:
     -> tower structure + divisibility contradiction
 
 and emits a deterministic JSON report; any gate failure or exhausted search
-short-circuits into a failed partial report rather than an exception.
+short-circuits into a failed partial report rather than an exception. A
+rational point of order q (`heegner.rational_torsion_point`) rules out every
+sequence prime, so it fails the run before the prime scan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import os
 import tempfile
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 from . import __version__
 from .arith import is_prime
-from .ec_core import CurveQ, ap_many
+from .ec_core import CurveQ
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
 from .heegner import (
     HeegnerOrbit,
@@ -32,6 +33,7 @@ from .heegner import (
     fricke_diagnostic,
     gz_correspondence,
     heegner_orbit,
+    rational_torsion_point,
     trace_relation_check,
 )
 from .lseries import LSeriesInconclusiveError, cached_an, gate_from_leval, l_eval
@@ -45,15 +47,10 @@ from .searcher import (
     verify_prime_item,
 )
 
-log = logging.getLogger("heegner_witness")
-
-CACHE_ENV_VAR = "HW_CACHE_DIR"
-
 # accepted Python types per Config annotation; bool is never an int here
 _CONFIG_TYPES = {
     "float": (int, float),
     "int": (int,),
-    "str | None": (str, type(None)),
     "int | None": (int, type(None)),
 }
 
@@ -68,7 +65,6 @@ class Config:
     depth: int = 1  # least sequence primes searched for; tower_m + tower_r + 1 at least
     tower_r: int = 1  # generator bound of the hypothetical acting subgroup
     tower_m: int = 0  # level where the traced points are assumed defined
-    cache_dir: str | None = None
     cm_field: int | None = None
 
     def __post_init__(self):
@@ -96,9 +92,6 @@ class Config:
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")
         return cls(**data)
-
-    def resolved_cache_dir(self) -> str:
-        return os.environ.get(CACHE_ENV_VAR) or self.cache_dir or ".hw_cache"
 
 
 class CurveFileError(ValueError):
@@ -132,72 +125,6 @@ def parse_curve_file(path: str) -> list[CurveQ]:
             except ValueError as e:
                 raise CurveFileError(f"{path}:{lineno}: {e}") from None
     return curves
-
-
-class ApDiskCache:
-    """Append-only text cache of a_p values, lines 'key p a_p'.
-
-    The key is the curve's a-invariants and conductor as one token,
-    '0,-1,1,-10,-20,11', never its label: two curves run under the same
-    label cannot read each other's values.
-
-    Corrupt lines are dropped (and logged) at load; the file is then rewritten
-    atomically. `get` counts the primes it lacks with one `ap_many` call and
-    appends their lines with one write and one flush, so each (key, p) is
-    written once and whole lines reach the file.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, "ap_cache.txt")
-        self.entries: dict = {}
-        self._load()
-        self._fh = open(self.path, "a")
-
-    def _load(self):
-        if not os.path.exists(self.path):
-            return
-        corrupt = 0
-        with open(self.path) as fh:
-            for raw in fh:
-                parts = raw.split()
-                if len(parts) != 3:
-                    corrupt += 1
-                    continue
-                key, p_s, a_s = parts
-                try:
-                    p, a = int(p_s), int(a_s)
-                    if p < 2 or a * a > 4 * p:
-                        raise ValueError
-                except ValueError:
-                    corrupt += 1
-                    continue
-                self.entries[(key, p)] = a
-        if corrupt:
-            log.warning("dropping %d corrupt cache lines from %s", corrupt, self.path)
-            self._rewrite()
-
-    def _rewrite(self):
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix="ap_cache.", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            for (key, p), a in sorted(self.entries.items()):
-                fh.write(f"{key} {p} {a}\n")
-        os.replace(tmp, self.path)
-
-    def get(self, curve: CurveQ, primes: list[int]) -> list[int]:
-        """a_p for each prime of good reduction in `primes`, in the order given."""
-        key = ",".join(str(v) for v in (*curve.ainvs, curve.N))
-        missing = [p for p in dict.fromkeys(primes) if (key, p) not in self.entries]
-        if missing:
-            values = ap_many(curve, missing).tolist()
-            self.entries.update(((key, p), a) for p, a in zip(missing, values))
-            self._fh.write("".join(f"{key} {p} {a}\n" for p, a in zip(missing, values)))
-            self._fh.flush()
-        return [self.entries[(key, p)] for p in primes]
-
-    def close(self):
-        self._fh.close()
 
 
 @dataclass
@@ -248,20 +175,18 @@ def _pick_aux_ell(curve: CurveQ, d_K: int) -> tuple[int, HeegnerOrbit] | None:
     return None
 
 
-def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache | None = None) -> WitnessReport:
+def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     config = config or Config()
-    ap_source = (lambda ps: cache.get(curve, ps)) if cache else None
     t0 = time.perf_counter()
     timing: dict = {}
     checks: list = []
-    cfg_dict = {k: v for k, v in asdict(config).items() if k != "cache_dir"}
     report = WitnessReport(
         label=curve.label or str(curve.ainvs),
         curve={"ainvs": list(curve.ainvs), "N": curve.N},
         passed=False,
         failed_at=None,
         checks=checks,
-        config=cfg_dict,
+        config=asdict(config),
         versions={"package": __version__},
         timing=timing,
     )
@@ -325,7 +250,13 @@ def run_witness(curve: CurveQ, config: Config | None = None, cache: ApDiskCache 
     needed = max(config.depth, config.tower_m + config.tower_r + v_cj + 1)
     t = time.perf_counter()
     try:
-        items = prime_sequence(curve, d_K, q, needed, config.prime_bound, ap_source)
+        point = rational_torsion_point(curve, q)
+        if point is not None:  # q | #E(F_p) = p + 1 - a_p, so q | a_p when p = -1 mod q
+            _check(checks, "prime_sequence", False, partial=[],
+                   error=f"E(Q) has the point ({point[0]}, {point[1]}) of order {q}, "
+                         f"so q divides a_p at every good p = -1 mod q")
+            return finish("prime_sequence")
+        items = prime_sequence(curve, d_K, q, needed, config.prime_bound)
     except PrimeSearchExhausted as e:
         _check(checks, "prime_sequence", False, error=str(e),
                partial=[it.p for it in e.partial])

@@ -144,21 +144,17 @@ def prime_sequence(
     q: int,
     count: int,
     p_bound: int = 10**5,
-    ap_source=None,
 ) -> list[PrimeSeqItem]:
     """First `count` primes (ascending) with p = -1 mod q, p inert in K,
     good reduction, and q not dividing a_p.
 
     The three cheap conditions filter the primes up to `p_bound` lazily.
-    `ap_source` maps a list of primes to the list of their a_p (`ap_many` by
-    default) and is handed the candidates in chunks, so the a_p above
+    `ap_many` counts the candidates' a_p in chunks, so the a_p above
     BSGS_MIN_P are counted in lockstep blocks: the first chunk has `count`
     candidates, and each later one doubles, up to _LANES. The scan stops in
     the chunk that holds the count-th accepted prime, so the a_p of the rest
     of that chunk are counted but unused.
     """
-    if ap_source is None:
-        ap_source = lambda ps: ap_many(curve, ps).tolist()
     candidates = (
         p for p in primes_upto(p_bound)
         if p % q == q - 1 and kronecker(d_K, p) == -1 and good_reduction(curve, p)
@@ -169,7 +165,7 @@ def prime_sequence(
         chunk = list(itertools.islice(candidates, size))
         if not chunk:
             raise PrimeSearchExhausted(p_bound, items)
-        for p, a in zip(chunk, ap_source(chunk)):
+        for p, a in zip(chunk, ap_many(curve, chunk).tolist()):
             if a % q == 0:
                 continue
             items.append(PrimeSeqItem(p, True, True, True, True, a, a % q))
@@ -182,14 +178,19 @@ def prime_sequence(
 def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem) -> bool:
     """Independent recomputation of all four flags for an accepted prime.
 
-    a_p is recounted by `count_points`, never read from a cache: an
-    enumeration on the long model, a different model and algorithm from
-    every path of `ap_many` (`ap_flat`'s character sums on the short model
-    below BSGS_MIN_P, BSGS above it) except p = 2 and 3, which `ap_many`
-    itself counts with `count_points`.
+    a_p is recounted on the long model, by a different algorithm from the one
+    `ap_many` used: `count_points` from p = 5 on (`ap_many` takes character
+    sums on the short model below BSGS_MIN_P and BSGS above it), and below 5,
+    where `ap_many` itself calls `count_points`, by testing every (x, y) in
+    F_p x F_p.
     """
     p = item.p
-    a = p + 1 - count_points(reduce_mod(curve, p))
+    if p < 5:
+        a1, a2, a3, a4, a6 = curve.ainvs
+        a = p - sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+                    for x in range(p) for y in range(p))
+    else:
+        a = p + 1 - count_points(reduce_mod(curve, p))
     return (
         p % q == q - 1
         and kronecker(d_K, p) == -1

@@ -28,7 +28,7 @@ from heegner_witness.heegner import (
     is_torsion,
     trace_relation_check,
 )
-from heegner_witness.lseries import analytic_rank_gate, l_eval, l_over_K, root_number
+from heegner_witness.lseries import gate_from_leval, l_eval, l_over_K, root_number
 from heegner_witness.quadforms import canonical_invariants, kronecker, unit_quotient_structure
 from heegner_witness.searcher import (
     CartanCountProblem,
@@ -114,9 +114,9 @@ def test_criterion_03_l_values(e11a, e37a):
 
 def test_criterion_04_rank_gate(e11a, e37a, e389a):
     t0 = time.perf_counter()
-    assert analytic_rank_gate(e11a) == "rank0"
-    assert analytic_rank_gate(e37a) == "rank1"
-    assert analytic_rank_gate(e389a) == "not_eligible"
+    assert gate_from_leval(l_eval(e11a)) == "rank0"
+    assert gate_from_leval(l_eval(e37a)) == "rank1"
+    assert gate_from_leval(l_eval(e389a)) == "not_eligible"
     _report(4, "gate: 11a rank0, 37a rank1, 389a not_eligible", time.perf_counter() - t0)
 
 
@@ -263,11 +263,10 @@ def test_criterion_10_contradiction_engine():
             elapsed)
 
 
-def test_criterion_11_end_to_end(tmp_path, monkeypatch, capsys):
+def test_criterion_11_end_to_end(tmp_path, capsys):
     from heegner_witness.cli import main
 
     t0 = time.perf_counter()
-    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
     curves = tmp_path / "testdata.txt"
     curves.write_text(
         "11a  0 -1 1 -10 -20  11\n37a  0 0 1 -1 0  37\n389a 0 1 1 -2 0 389\n"

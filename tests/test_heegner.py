@@ -20,6 +20,7 @@ from heegner_witness.heegner import (
     period_lattice,
     rational_add,
     rational_multiple,
+    rational_torsion_point,
     recognize_rational,
     trace_relation_check,
     trace_to_K,
@@ -214,6 +215,36 @@ def test_is_torsion_rational(e37a, e11a):
     P = (Fraction(5), Fraction(5))
     assert on_curve(e11a, P)
     assert is_torsion(e11a, P)
+
+
+E11A = (0, -1, 1, -10, -20, 11)
+
+
+@pytest.mark.parametrize("ainvs, q", [
+    ((1, 0, 1, 4, -6, 14), 3),  # 14a: Z/6
+    (E11A, 5),  # 11a: Z/5
+    ((0, 1, 1, -9, -15, 19), 3),  # 19a: Z/3
+    ((0, -1, 1, 0, 0, 11), 5),  # 11a3: Z/5
+    ((1, -1, 1, -3, 3, 26), 7),  # 26b1: Z/7
+    ((0, 1, 1, -23, -50, 37), 3),  # 37b1: Z/3, discriminant 37^3 > 0
+])
+def test_rational_torsion_point_finds_exact_order_q(ainvs, q):
+    curve = CurveQ(*ainvs)
+    P = rational_torsion_point(curve, q)
+    assert P is not None and all(isinstance(c, Fraction) for c in P)
+    assert on_curve(curve, P) and rational_multiple(curve, P, q) is None
+
+
+@pytest.mark.parametrize("ainvs, q", [
+    ((0, 0, 1, -1, 0, 37), 3),  # 37a: trivial torsion
+    ((0, 0, 1, -1, 0, 37), 5),
+    ((0, 0, 1, -1, 0, 37), 7),
+    (E11A, 3),  # Z/5 has no 3-torsion
+    (E11A, 11),  # above Mazur's bound
+    ((0, -1, 1, -7820, -263580, 11), 5),  # 11a2: 5-isogenous to 11a, trivial torsion
+])
+def test_rational_torsion_point_none_without_q_torsion(ainvs, q):
+    assert rational_torsion_point(CurveQ(*ainvs), q) is None
 
 
 def test_is_torsion_cpoint(e37a):

@@ -9,7 +9,7 @@ from heegner_witness.lseries import (
     DEFAULT_PRECISION,
     cached_an,
     LSeriesInconclusiveError,
-    analytic_rank_gate,
+    gate_from_leval,
     exp1,
     l_eval,
     l_over_K,
@@ -231,6 +231,6 @@ def test_l_over_K_examples(e37a, e11a):
 
 
 def test_analytic_rank_gate(e11a, e37a, e389a):
-    assert analytic_rank_gate(e11a) == "rank0"
-    assert analytic_rank_gate(e37a) == "rank1"
-    assert analytic_rank_gate(e389a) == "not_eligible"
+    assert gate_from_leval(l_eval(e11a)) == "rank0"
+    assert gate_from_leval(l_eval(e37a)) == "rank1"
+    assert gate_from_leval(l_eval(e389a)) == "not_eligible"

@@ -7,11 +7,10 @@ import pytest
 from heegner_witness import ec_core, heegner, lseries, pipeline, searcher
 from heegner_witness.arith import is_squarefree
 from heegner_witness.cli import main
-from heegner_witness.ec_core import CurveQ, ap
+from heegner_witness.ec_core import CurveQ
 from heegner_witness.lseries import l_over_K
-from heegner_witness.searcher import PrimeSearchExhausted, heegner_hypothesis, prime_sequence
+from heegner_witness.searcher import heegner_hypothesis
 from heegner_witness.pipeline import (
-    ApDiskCache,
     Config,
     CurveFileError,
     canonical_json,
@@ -51,88 +50,6 @@ def test_parse_rejects_bad_lines(tmp_path):
         parse_curve_file(str(p))
 
 
-def test_ap_cache_roundtrip(tmp_path, e37a):
-    cache = ApDiskCache(str(tmp_path / "cache"))
-    v1 = cache.get(e37a, [101])[0]
-    cache.close()
-    cache2 = ApDiskCache(str(tmp_path / "cache"))
-    assert cache2.entries[("0,0,1,-1,0,37", 101)] == v1
-    assert cache2.get(e37a, [101])[0] == v1
-    cache2.close()
-
-
-def test_ap_cache_recovers_from_corruption(tmp_path, e37a):
-    d = str(tmp_path / "cache")
-    cache = ApDiskCache(d)
-    good = cache.get(e37a, [101])[0]
-    cache.close()
-    with open(os.path.join(d, "ap_cache.txt"), "a") as fh:
-        fh.write("garbage line here and more\n0,0,1,-1,0,37 103 99999\n")
-    cache2 = ApDiskCache(d)  # drops corrupt lines, rewrites
-    assert ("0,0,1,-1,0,37", 101) in cache2.entries
-    assert ("0,0,1,-1,0,37", 103) not in cache2.entries
-    v = cache2.get(e37a, [103])[0]
-    assert v * v <= 4 * 103
-    cache2.close()
-
-
-def test_ap_cache_keyed_by_curve_not_label(tmp_path):
-    # 37a fills the cache under label "E"; 11a run under "E" must not read it
-    cache = ApDiskCache(str(tmp_path / "cache"))
-    cfg = Config(depth=3)
-    run_witness(CurveQ(0, 0, 1, -1, 0, 37, "E"), cfg, cache)
-    e11 = CurveQ(0, -1, 1, -10, -20, 11, "E")
-    rep = run_witness(e11, cfg, cache)
-    assert rep.passed
-    assert [it["p"] for it in rep.prime_seq] == [5, 17, 41]
-    assert rep.prime_seq[0]["a_p"] == 1
-    assert cache.get(e11, [59, 89]) == [5, 15]  # 37a's are 8 and 4
-    cache.close()
-
-
-def test_warm_cache_scan_counts_nothing(tmp_path, e37a, monkeypatch):
-    e14a = CurveQ(1, 0, 1, 4, -6, 14, "14a")
-    d = str(tmp_path / "cache")
-    cache = ApDiskCache(d)
-
-    def scans():
-        out = [prime_sequence(e37a, -7, 3, 60, 10**5, lambda ps: cache.get(e37a, ps))]
-        with pytest.raises(PrimeSearchExhausted) as ei:
-            prime_sequence(e14a, -31, 3, 2, 10**5, lambda ps: cache.get(e14a, ps))
-        return out + [ei.value.partial]
-
-    cold = scans()
-
-    def refuse(*args):
-        raise AssertionError("a warm cache counted an a_p")
-
-    for name in ("ap", "ap_many", "ap_lockstep", "_ap_bsgs", "count_points"):
-        monkeypatch.setattr(ec_core, name, refuse)
-    monkeypatch.setattr(pipeline, "ap_many", refuse)
-    assert scans() == cold
-    monkeypatch.undo()
-    assert cache.get(e37a, [100003, 5, 100003]) == [ap(e37a, 100003), -2, ap(e37a, 100003)]
-    cache.close()
-    with open(os.path.join(d, "ap_cache.txt")) as fh:
-        keys = [tuple(line.split()[:2]) for line in fh]
-    reloaded = ApDiskCache(d)
-    assert len(keys) == len(set(keys)) == len(reloaded.entries) > 2000
-    reloaded.close()
-
-
-def test_poisoned_cache_fails_reverification(tmp_path, e11a):
-    # a Hasse-valid but wrong a_5 = -2 (37a's) under 11a's own key
-    d = tmp_path / "cache"
-    d.mkdir()
-    (d / "ap_cache.txt").write_text("0,-1,1,-10,-20,11 5 -2\n")
-    cache = ApDiskCache(str(d))
-    rep = run_witness(e11a, Config(), cache)
-    cache.close()
-    assert rep.prime_seq[0]["a_p"] == -2
-    assert not rep.passed
-    assert not next(c for c in rep.checks if c["name"] == "prime_sequence")["pass"]
-
-
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         Config(depth=0)
@@ -146,8 +63,8 @@ def test_config_validation(tmp_path):
 
 def test_config_file_rejects_unknown_keys_and_non_objects(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"depth": 2, "height_tol": 1e-4, "colour": "red"}))
-    with pytest.raises(ValueError, match=r"unknown config keys \['colour', 'height_tol'\]"):
+    p.write_text(json.dumps({"depth": 2, "height_tol": 1e-4, "colour": "red", "cache_dir": "c"}))
+    with pytest.raises(ValueError, match=r"unknown config keys \['cache_dir', 'colour', 'height_tol'\]"):
         Config.from_file(str(p))
     p.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
@@ -164,27 +81,24 @@ def test_config_rejects_negative_tower_levels():
 def test_config_rejects_mistyped_fields(tmp_path):
     p = tmp_path / "cfg.json"
     for data, name in (({"depth": "2"}, "depth"), ({"cm_field": "x"}, "cm_field"),
-                       ({"depth": True}, "depth"), ({"lseries_precision": "1e-8"}, "lseries_precision"),
-                       ({"cache_dir": 3}, "cache_dir")):
+                       ({"depth": True}, "depth"), ({"lseries_precision": "1e-8"}, "lseries_precision")):
         p.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"^{name} must be"):
             Config.from_file(str(p))
     with pytest.raises(ValueError, match="^prime_bound must be int"):
         Config(prime_bound=1e5)
-    cfg = Config(heegner_residual=1, cm_field=-7, cache_dir="c")  # an int is a valid float
+    cfg = Config(heegner_residual=1, cm_field=-7)  # an int is a valid float
     assert cfg.heegner_residual == 1 and cfg.cm_field == -7
 
 
-def test_cli_rejects_depth_zero(curve_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+def test_cli_rejects_depth_zero(curve_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--curves", curve_file, "--label", "37a", "--depth", "0", "--out", str(out)]) == 2
     assert "depth must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_cli_reports_unreadable_config(curve_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+def test_cli_reports_unreadable_config(curve_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in ('{"height_tol": 1e-4}', '{"tower_m": -1}', "not json", '{"depth": "2"}',
                  '{"cm_field": "x"}'):
@@ -195,9 +109,8 @@ def test_cli_reports_unreadable_config(curve_file, tmp_path, monkeypatch, capsys
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_run_witness_37a(e37a, tmp_path):
-    cfg = Config(cache_dir=str(tmp_path / "c"))
-    rep = run_witness(e37a, cfg)
+def test_run_witness_37a(e37a):
+    rep = run_witness(e37a)
     assert rep.passed
     assert rep.gate == "rank1"
     assert rep.d_K == -7
@@ -217,6 +130,21 @@ def test_run_witness_389a_fails_at_gate(e389a):
     assert rep.failed_at == "analytic_rank_gate"
     assert rep.gate == "not_eligible"
     assert len(rep.checks) == 1  # partial report
+
+
+def test_run_witness_14a_names_its_rational_3_torsion_and_never_scans(e14a, monkeypatch):
+    def scan(*args):
+        raise AssertionError("the prime scan ran")
+
+    monkeypatch.setattr(pipeline, "prime_sequence", scan)
+    report = run_witness(e14a)
+    assert report.q == 3 and report.failed_at == "prime_sequence" and not report.passed
+    assert report.checks[-1] == {
+        "name": "prime_sequence", "pass": False, "partial": [],
+        "error": "E(Q) has the point (2, -5) of order 3, "
+                 "so q divides a_p at every good p = -1 mod q",
+    }
+    assert "prime_sequence_s" in report.timing
 
 
 def test_run_witness_returns_when_no_heegner_orbit_fits_the_floor():
@@ -336,8 +264,7 @@ def test_canonical_json_float_formatting(e389a):
     assert isinstance(lv, float)
 
 
-def test_cli_end_to_end(curve_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+def test_cli_end_to_end(curve_file, tmp_path, capsys):
     out = str(tmp_path / "reports")
     rc = main(["--curves", curve_file, "--out", out])
     assert rc == 1  # 389a fails its gate
@@ -349,8 +276,7 @@ def test_cli_end_to_end(curve_file, tmp_path, monkeypatch, capsys):
         assert os.path.exists(os.path.join(out, f"{label}.json"))
 
 
-def test_cli_single_label(curve_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+def test_cli_single_label(curve_file, capsys):
     rc = main(["--curves", curve_file, "--label", "37a"])
     assert rc == 0
     assert "[37a] => PASS" in capsys.readouterr().out
@@ -370,23 +296,25 @@ def test_cli_scan_k_subcommand(capsys):
     assert "d_K = -7" in capsys.readouterr().out
 
 
-def test_cli_ap_subcommand(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+def test_cli_ap_subcommand(capsys):
     rc = main(["ap", "--curve", "37a", "--pmax", "20"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["2", "-2"]
 
 
-def test_cli_ap_rejects_pmax_above_the_point_count_ceiling(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HW_CACHE_DIR", str(tmp_path / "cache"))
+def test_cli_writes_nothing_outside_the_report_directory(curve_file, tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["--curves", curve_file, "--label", "11a", "--out", str(tmp_path / "out")]) == 0
+    assert main(["ap", "--curve", "11a", "--pmax", "100"]) == 0
+    assert list(cwd.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.txt", "cwd", "out"]
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["11a.json"]
+
+
+def test_cli_ap_rejects_pmax_above_the_point_count_ceiling(capsys):
     assert main(["ap", "--curve", "37a", "--pmax", "1000010"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "ceiling 1000000" in out.err
-
-
-def test_cli_ap_falls_back_when_cache_dir_env_is_empty(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HW_CACHE_DIR", "")
-    monkeypatch.chdir(tmp_path)
-    assert main(["ap", "--curve", "11a", "--pmax", "10"]) == 0
-    assert (tmp_path / ".hw_cache" / "ap_cache.txt").exists()

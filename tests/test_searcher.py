@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from heegner_witness import ec_core
+from heegner_witness import ec_core, searcher
 from heegner_witness.arith import euler_phi, primes_upto
 from heegner_witness.ec_core import CurveQ
 from heegner_witness.quadforms import kronecker
@@ -105,6 +105,25 @@ def test_verify_prime_item_catches_a_flipped_ap_flat_value(e37a, monkeypatch):
     assert all(verify_prime_item(e37a, -7, 3, it) for i, it in enumerate(poisoned) if i != 2)
 
 
+def test_verify_prime_item_recounts_p2_without_count_points(monkeypatch):
+    # 89a's sequence for d_K = -11, q = 3 starts at p = 2, whose a_p ap_many
+    # takes from count_points; a wrong, Hasse-valid count there (3 does not
+    # divide it either) must not pass re-verification
+    e89a = CurveQ(1, 1, 1, -1, 0, 89, "89a")
+    real = ec_core.count_points
+    wrong = real(ec_core.reduce_mod(e89a, 2)) - 3  # a_2 -> -a_2
+
+    def count_points(cfp):
+        return 3 - wrong if cfp.p == 2 else real(cfp)
+
+    for mod in (ec_core, searcher):
+        monkeypatch.setattr(mod, "count_points", count_points)
+    items = prime_sequence(e89a, -11, 3, 3)
+    assert items[0].p == 2 and items[0].a_p == wrong != 0
+    assert not verify_prime_item(e89a, -11, 3, items[0])
+    assert all(verify_prime_item(e89a, -11, 3, it) for it in items[1:])
+
+
 def test_prime_sequence_never_contains_q(e37a):
     # p = q fails p = -1 mod q for q > 2
     items = prime_sequence(e37a, -7, 3, 5)
@@ -153,20 +172,22 @@ def test_prime_sequence_matches_per_prime_scan(i, lanes, monkeypatch):
         assert (ei.value.bound, ei.value.partial) == exhausted
 
 
-def test_prime_sequence_counts_in_doubling_chunks():
+def test_prime_sequence_counts_in_doubling_chunks(monkeypatch):
     chunks = []
+    real = searcher.ap_many
 
-    def ap_source(ps):
+    def ap_many(curve, ps):
         chunks.append(len(ps))
-        return ec_core.ap_many(E14A, ps)
+        return real(curve, ps)
 
+    monkeypatch.setattr(searcher, "ap_many", ap_many)
     with pytest.raises(PrimeSearchExhausted):
-        prime_sequence(E14A, -31, 3, 2, 10**5, ap_source)
+        prime_sequence(E14A, -31, 3, 2, 10**5)
     want = [min(2 ** (k + 1), ec_core._LANES) for k in range(len(chunks))]
     assert len(chunks) > 9 and chunks[:-1] == want[:-1] and 0 < chunks[-1] <= want[-1]
     chunks.clear()
     with pytest.raises(PrimeSearchExhausted):
-        prime_sequence(E14A, -31, 3, 300, 2 * 10**4, ap_source)  # count > _LANES
+        prime_sequence(E14A, -31, 3, 300, 2 * 10**4)  # count > _LANES
     assert len(chunks) > 1 and set(chunks[:-1]) == {300}
 
 
