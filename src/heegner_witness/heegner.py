@@ -8,8 +8,13 @@ picking one such form per reduced class.
 
 All point identities are checked in C/Lambda up to sign and translation by
 torsion of small order, which is exactly the ambiguity a Heegner system leaves
-unpinned. The Manin constant is taken to be 1; every shipped check is a ratio
+unpinned. The trace relation tries every sign and translate in one numpy
+pass. The Manin constant is taken to be 1; every shipped check is a ratio
 or a biconditional, so a nontrivial constant would cancel anyway.
+
+A witness run builds the period lattice once and passes it as `lattice=` to
+`gz_correspondence` (and so `trace_to_K`), `fricke_diagnostic` and
+`trace_relation_check`; each builds its own when called without one.
 """
 
 from __future__ import annotations
@@ -414,14 +419,17 @@ def orbit_sum(orbit: HeegnerOrbit, precision: float = 1e-9) -> CPoint:
     return CPoint(z, None, prec)
 
 
-def fricke_diagnostic(curve: CurveQ, tau: complex, precision: float = 1e-9) -> dict:
+def fricke_diagnostic(
+    curve: CurveQ, tau: complex, precision: float = 1e-9, lattice: PeriodLattice | None = None
+) -> dict:
     """Stability of z under the level involution tau -> -1/(N tau).
 
     Reported as the distance of z(W tau) -+ z(tau) to the lattice for both
     signs; recorded for diagnostics, never asserted (the eigenvalue is
-    curve-dependent).
+    curve-dependent). `lattice` is the curve's period lattice, built here
+    when not given.
     """
-    lattice = period_lattice(curve)
+    lattice = lattice or period_lattice(curve)
     w_tau = -1.0 / (curve.N * tau)
     z1 = modular_param(curve, tau, precision=precision).z
     z2 = modular_param(curve, w_tau, precision=precision).z
@@ -702,18 +710,19 @@ def _recognize_point(curve: CurveQ, x_c: complex, y_c: complex, max_den=10**6, t
 # the headline operations
 
 
-def trace_to_K(orbit: HeegnerOrbit, precision: float = 1e-9):
+def trace_to_K(orbit: HeegnerOrbit, precision: float = 1e-9, lattice: PeriodLattice | None = None):
     """Trace of the basic Heegner point to K: the sum over `orbit`, the
     level-1 orbit of Pic(O_K) conjugates.
 
     Returns (CPoint, recognized) where recognized is an exact rational point
     when the x-coordinate survives continued-fraction recognition at two
-    precisions, else None.
+    precisions, else None. `lattice` is the curve's period lattice, built
+    here when not given.
     """
     if orbit.level != 1:
         raise ValueError(f"trace to K needs the level-1 orbit, got level {orbit.level}")
     curve = orbit.curve
-    lattice = period_lattice(curve)
+    lattice = lattice or period_lattice(curve)
     zsum = orbit_sum(orbit, precision=precision)
     pk = elliptic_exp(lattice, zsum.z)
     pk.prec = max(pk.prec, zsum.prec)
@@ -730,42 +739,57 @@ def trace_to_K(orbit: HeegnerOrbit, precision: float = 1e-9):
     return pk, recognized
 
 
-def _torsion_translates(lattice: PeriodLattice, bound: int = DEFAULT_TORSION_BOUND) -> list:
-    # (i/k, j/k) is new at denominator k exactly when gcd(i, j, k) = 1
-    return [
-        (i / k) * lattice.omega1 + (j / k) * lattice.omega2
-        for k in range(1, bound + 1)
-        for i in range(k)
-        for j in range(k)
-        if math.gcd(i, j, k) == 1
-    ]
+def _torsion_fractions(bound: int = DEFAULT_TORSION_BOUND):
+    """Lattice coordinates (i/k, j/k), 0 <= i, j < k <= bound, of the torsion
+    translates, each taken once: at the k with gcd(i, j, k) = 1. Ordered by
+    k, then i, then j."""
+    k, i, j = np.indices((bound, bound, bound))
+    k += 1
+    new = (i < k) & (j < k) & (np.gcd(np.gcd(i, j), k) == 1)
+    return i[new] / k[new], j[new] / k[new]
 
 
-def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, precision: float = 1e-6) -> float:
+def trace_relation_check(
+    base: HeegnerOrbit,
+    up: HeegnerOrbit,
+    precision: float = 1e-6,
+    lattice: PeriodLattice | None = None,
+) -> float:
     """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 in C/Lambda, with `base` the
     level-1 orbit and `up` the orbit at a prime level ell of the same (E, K).
 
     Minimized over the sign and small torsion translates, the ambiguity left
     by the choice of Heegner system. The conjugate count is the class number
-    of the order of conductor ell.
+    of the order of conductor ell. `lattice` is the curve's period lattice,
+    built here when not given.
+
+    Every sign and translate t = (i/k) omega1 + (j/k) omega2 is tried in one
+    array pass that makes, lane by lane, the float operations of
+    `lattice.dist(w - t)`: real and imaginary parts apart, one ufunc per
+    operation, so the minimum equals the scalar loop's bit for bit.
     """
     curve, ell = base.curve, up.level
     if base.level != 1 or (up.curve, up.d_K) != (curve, base.d_K):
         raise ValueError("needs the level-1 and level-ell orbits of one curve and field")
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    lattice = period_lattice(curve)
+    lattice = lattice or period_lattice(curve)
     target_prec = min(precision * 1e-3, 1e-9)
     z_base = orbit_sum(base, precision=target_prec)
     z_up = orbit_sum(up, precision=target_prec)
     a_ell = cached_an(curve, ell)[ell]
-    translates = _torsion_translates(lattice)
-    best = math.inf
-    for sgn in (1, -1):
-        w = z_up.z - sgn * a_ell * z_base.z
-        for t in translates:
-            best = min(best, lattice.dist(w - t))
-    return best
+    w1, w2 = lattice.omega1, lattice.omega2
+    s, t = _torsion_fractions()
+    t_re = s * w1 + t * w2.real
+    t_im = t * w2.imag
+    ws = [z_up.z - sgn * a_ell * z_base.z for sgn in (1, -1)]
+    re = np.concatenate([w.real - t_re for w in ws])
+    im = np.concatenate([w.imag - t_im for w in ws])
+    b = im * w1 / (w1 * w2.imag)  # PeriodLattice.coords
+    a = (re - b * w2.real) / w1
+    a -= np.round(a)
+    b -= np.round(b)
+    return float(np.hypot(a * w1 + b * w2.real, b * w2.imag).min())
 
 
 @dataclass
@@ -782,16 +806,22 @@ class GZReport:
     ratio: float | None
 
 
-def gz_correspondence(orbit: HeegnerOrbit, lk: LOverK, precision: float = 1e-9) -> GZReport:
+def gz_correspondence(
+    orbit: HeegnerOrbit,
+    lk: LOverK,
+    precision: float = 1e-9,
+    lattice: PeriodLattice | None = None,
+) -> GZReport:
     """Both sides of the height/L'-derivative correspondence, plus the
     nontorsion <=> nonvanishing biconditional, from the level-1 orbit and
     the L'(E/K,1) of the same field. The proportionality constant is
-    reported (as `ratio`), never asserted."""
+    reported (as `ratio`), never asserted. `lattice` is the curve's period
+    lattice, built here when not given."""
     if orbit.d_K != lk.d_K:
         raise ValueError(f"orbit over d_K = {orbit.d_K}, L-value over d_K = {lk.d_K}")
     curve = orbit.curve
-    pk, recognized = trace_to_K(orbit, precision=precision)
-    lattice = period_lattice(curve)
+    lattice = lattice or period_lattice(curve)
+    pk, recognized = trace_to_K(orbit, precision=precision, lattice=lattice)
     if recognized is not None:
         nontorsion = not is_torsion(curve, recognized)
         height = canonical_height(curve, recognized)

@@ -33,11 +33,12 @@ from .heegner import (
     fricke_diagnostic,
     gz_correspondence,
     heegner_orbit,
+    period_lattice,
     rational_torsion_point,
     trace_relation_check,
 )
 from .lseries import LSeriesInconclusiveError, cached_an, gate_from_leval, l_eval
-from .quadforms import kronecker, ring_class_structure
+from .quadforms import kronecker, ring_class_levels
 from .searcher import (
     FieldSearchExhausted,
     PrimeSearchExhausted,
@@ -278,12 +279,10 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     reverified = all(verify_prime_item(curve, d_K, q, it) for it in items)
     _check(checks, "prime_sequence", reverified, primes=[it.p for it in items])
 
-    # 4. ring class structure per cumulative level
+    # 4. ring class structure per cumulative level, each prime enumerated once
     t = time.perf_counter()
     try:
-        for n in range(1, len(items) + 1):
-            ps = [it.p for it in items[:n]]
-            s = ring_class_structure(d_K, ps)
+        for s in ring_class_levels(d_K, [it.p for it in items])[1:]:
             report.ring_class.append(
                 {
                     "conductor": s.conductor,
@@ -309,7 +308,9 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     try:
         try:
             orbit = heegner_orbit(curve, d_K, 1)
-            gz = gz_correspondence(orbit, fs.l_value_data, precision=config.lseries_precision)
+            lattice = period_lattice(curve)
+            gz = gz_correspondence(orbit, fs.l_value_data, precision=config.lseries_precision,
+                                   lattice=lattice)
         except PrecisionUnreachable as e:
             _check(checks, "gz_correspondence", False, error=str(e))
             return finish("gz_correspondence")
@@ -326,7 +327,8 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
         }
         _check(checks, "gz_correspondence", gz.biconditional_holds,
                nontorsion=gz.pk_nontorsion, l_nonzero=gz.l_nonzero)
-        heeg["fricke"] = fricke_diagnostic(curve, orbit.taus[0].tau)  # recorded, not asserted
+        # recorded, not asserted
+        heeg["fricke"] = fricke_diagnostic(curve, orbit.taus[0].tau, lattice=lattice)
         report.heegner = heeg
         picked = _pick_aux_ell(curve, d_K)
         if picked is None:
@@ -335,7 +337,8 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
             return finish("trace_relation")
         aux, aux_orbit = picked
         try:
-            residual = trace_relation_check(orbit, aux_orbit, config.heegner_residual)
+            residual = trace_relation_check(orbit, aux_orbit, config.heegner_residual,
+                                            lattice=lattice)
             heeg["trace_relation"] = {
                 "ell": aux,
                 "residual": residual,

@@ -6,7 +6,12 @@ law. The Galois group of the ring class field H_c over the Hilbert class field
 is computed two ways: exactly, by enumerating (O_K/c)^* / (Z/c)^*, and by the
 product-of-C_{p+1} shape it must have for squarefree c with all p | c inert.
 The enumeration is done per prime-power factor p^e || c, on
-(O_K/p^e)^* / (Z/p^e)^*, and the local quotients are combined by CRT.
+(O_K/p^e)^* / (Z/p^e)^*, in numpy lanes: each unit is keyed by its coset, and
+every coset's order is found at once by Lagrange. The local order multisets
+are combined by CRT (an element's order is the lcm of its local orders).
+UNIT_QUOTIENT_CEILING bounds (p^e)^2, the residue count of one local
+enumeration. `ring_class_levels` enumerates each prime of a tower once and
+folds its local orders into every level that contains it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as _np
 
-from .arith import euler_phi, factorize, is_prime, is_squarefree
+from .arith import factorize, is_prime, is_squarefree
 
 UNIT_QUOTIENT_CEILING = 10**6
 
@@ -292,48 +297,75 @@ def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
 
-def _local_unit_quotient_orders(d: int, m: int) -> Counter:
-    """Element-order multiset of (O_K/m)^* / (Z/m)^* by residue enumeration."""
-    w2 = (d - 1) // 4  # w^2 = w2 + w
+def _local_unit_quotient_orders(d: int, p: int, e: int) -> Counter:
+    """Element-order multiset of (O_K/p^e)^* / (Z/p^e)^* by residue enumeration.
+
+    Every residue x + y w of O_K/m, m = p^e, is enumerated, and the units
+    (norm prime to p) are keyed by their coset: x y^-1 when y is a unit,
+    else m + y x^-1, as x is then a unit. The keys marked in a boolean array
+    of length 2m are the cosets; key r < m stands for r + w and key m + s for
+    1 + s w. The coset count n is the group order. An element lies in the
+    identity coset when its w-coordinate is zero, and its order is found for
+    every coset at once by Lagrange: for each l^a || n, the order of the
+    (n / l^a)-th power is the l-part of the order.
+    """
+    m = p**e
+    w2 = ((d - 1) // 4) % m  # w^2 = w2 + w
+    nf = ((1 - d) // 4) % m  # norm of x + y w is x^2 + x y + nf y^2
 
     def mul(u, v):
-        x1, y1 = u
-        x2, y2 = v
-        yy = y1 * y2
-        return ((x1 * x2 + yy * w2) % m, (x1 * y2 + x2 * y1 + yy) % m)
+        (x1, y1), (x2, y2) = u, v
+        yy = y1 * y2 % m
+        return (x1 * x2 + yy * w2) % m, (x1 * y2 + x2 * y1 + yy) % m
 
-    # norm of x + y w is x^2 + x y + y^2 (1 - d)/4
-    nf = (1 - d) // 4
-    xs = _np.arange(m, dtype=_np.int64)
-    X, Y = _np.meshgrid(xs, xs, indexing="ij")
-    norms = (X * X + X * Y + nf * (Y * Y)) % m
-    mask = _np.gcd(norms, m) == 1
-    units = list(zip(X[mask].tolist(), Y[mask].tolist()))
-    rational = [(t, 0) for t in range(m) if math.gcd(t, m) == 1]
-    coset_id: dict = {}
-    next_id = 0
-    for u in units:
-        if u in coset_id:
-            continue
-        for t in rational:
-            coset_id[mul(u, t)] = next_id
-        next_id += 1
-    id0 = coset_id[(1, 0)]
-    n_cosets = next_id
-    reps: list = [None] * n_cosets
-    for u in units:
-        if reps[coset_id[u]] is None:
-            reps[coset_id[u]] = u
-    orders: Counter = Counter()
-    for rep in reps:
-        acc, o = rep, 1
-        while coset_id[acc] != id0:
-            acc = mul(acc, rep)
-            o += 1
-            if o > n_cosets:
-                raise ArithmeticError("quotient order bug")
-        orders[o] += 1
-    return orders
+    def power(u, k: int):
+        out = (_np.ones_like(u[0]), _np.zeros_like(u[1]))
+        while k:
+            if k & 1:
+                out = mul(out, u)
+            k >>= 1
+            if k:
+                u = mul(u, u)
+        return out
+
+    X, Y = _np.divmod(_np.arange(m * m, dtype=_np.int64), m)
+    unit = (X * X + X * Y + nf * (Y * Y)) % p != 0
+    x, y = X[unit], Y[unit]
+    phi = m - m // p
+    inv = power((_np.arange(m, dtype=_np.int64), _np.zeros(m, dtype=_np.int64)), phi - 1)[0]
+    keys = _np.where(y % p != 0, x * inv[y] % m, m + y * inv[x] % m)
+    marked = _np.zeros(2 * m, dtype=bool)
+    marked[keys] = True
+    cosets = _np.flatnonzero(marked)
+    n = cosets.size
+    if n * phi != x.size:
+        raise ArithmeticError(f"{x.size} units do not split into {n} cosets of {phi} (m = {m})")
+    lo = cosets < m
+    reps = (_np.where(lo, cosets, 1), _np.where(lo, 1, cosets - m))
+    orders = _np.ones(n, dtype=_np.int64)
+    for ell, a in factorize(n):
+        u = power(reps, n // ell**a)
+        for _ in range(a):
+            moved = u[1] != 0
+            orders[moved] *= ell
+            u = power(u, ell)
+        if u[1].any():
+            raise ArithmeticError(f"a coset order does not divide the coset count {n}")
+    return Counter(orders.tolist())
+
+
+def _fold_orders(orders: Counter, local: Counter) -> Counter:
+    """Order multiset of a direct product: an element's order is the lcm of its parts'."""
+    combined: Counter = Counter()
+    for o1, n1 in orders.items():
+        for o2, n2 in local.items():
+            combined[math.lcm(o1, o2)] += n1 * n2
+    return combined
+
+
+def _invariants_of(orders: Counter) -> list[int]:
+    n = sum(orders.values())
+    return abelian_invariants(n, orders) if n > 1 else []
 
 
 def unit_quotient_structure(d_K: int, c: int) -> list[int]:
@@ -346,7 +378,7 @@ def unit_quotient_structure(d_K: int, c: int) -> list[int]:
     stays an independent check of `ring_class_structure`.
 
     Requires d_K = 1 mod 4 (so O_K = Z[w], w = (1+sqrt(d_K))/2), gcd(c, d_K) = 1,
-    and c^2 within the enumeration ceiling.
+    and (p^e)^2 within the enumeration ceiling for every p^e || c.
     """
     if d_K % 4 != 1:
         raise InvalidDiscriminantError("residue enumeration needs d_K = 1 mod 4")
@@ -354,18 +386,17 @@ def unit_quotient_structure(d_K: int, c: int) -> list[int]:
         raise ValueError("conductor must be positive")
     if math.gcd(c, d_K) != 1:
         raise ValueError("conductor must be coprime to d_K")
-    if c * c > UNIT_QUOTIENT_CEILING:
-        raise ValueError(f"c^2 = {c * c} exceeds enumeration ceiling")
+    local = factorize(c)
+    for p, e in local:
+        if p ** (2 * e) > UNIT_QUOTIENT_CEILING:
+            raise ValueError(
+                f"({p}^{e})^2 = {p ** (2 * e)} exceeds the enumeration ceiling "
+                f"{UNIT_QUOTIENT_CEILING}"
+            )
     orders = Counter({1: 1})
-    for p, e in factorize(c):
-        local = _local_unit_quotient_orders(d_K, p**e)
-        combined: Counter = Counter()
-        for o1, n1 in orders.items():
-            for o2, n2 in local.items():
-                combined[math.lcm(o1, o2)] += n1 * n2
-        orders = combined
-    n = sum(orders.values())
-    return abelian_invariants(n, orders) if n > 1 else []
+    for p, e in local:
+        orders = _fold_orders(orders, _local_unit_quotient_orders(d_K, p, e))
+    return _invariants_of(orders)
 
 
 @dataclass(frozen=True)
@@ -378,12 +409,15 @@ class RingClassStructure:
     degree: int
 
 
-def ring_class_structure(d_K: int, primes) -> RingClassStructure:
-    """Gal(H_c/H) for squarefree c = prod p_i with every p_i inert in K.
+def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
+    """Gal(H_c/H) at every level c = p_1 ... p_n, n = 0, ..., len(primes),
+    for squarefree c with every p_i inert in K.
 
     The group is C_{p_1+1} x ... x C_{p_n+1}; invariants are returned in
-    elementary divisor form. Cross-checked against residue enumeration when
-    the conductor is small enough.
+    elementary divisor form. Each level is cross-checked against residue
+    enumeration while d_K = 1 mod 4 and every p_i so far has p_i^2 within
+    the enumeration ceiling. Each p_i is enumerated once, and its local
+    order multiset is folded into the previous level's.
     """
     if not is_fundamental(d_K):
         raise InvalidDiscriminantError(f"{d_K} is not fundamental")
@@ -395,15 +429,31 @@ def ring_class_structure(d_K: int, primes) -> RingClassStructure:
             raise ValueError(f"{p} is not prime")
         if kronecker(d_K, p) != -1:
             raise ValueError(f"{p} is not inert in Q(sqrt({d_K}))")
-    c = math.prod(ps) if ps else 1
-    factors = tuple(p + 1 for p in ps)
-    degree = math.prod(factors) if factors else 1
-    inv = tuple(canonical_invariants(factors))
-    if c * c <= UNIT_QUOTIENT_CEILING and d_K % 4 == 1:
-        enum = tuple(unit_quotient_structure(d_K, c))
-        if enum != inv:
-            raise ArithmeticError(
-                f"ring class structure mismatch for d_K={d_K}, c={c}: "
-                f"enumeration {enum} vs formula {inv}"
+    orders = Counter({1: 1}) if d_K % 4 == 1 else None
+    levels = []
+    for n in range(len(ps) + 1):
+        if n and orders is not None:
+            p = ps[n - 1]
+            orders = (
+                _fold_orders(orders, _local_unit_quotient_orders(d_K, p, 1))
+                if p * p <= UNIT_QUOTIENT_CEILING
+                else None
             )
-    return RingClassStructure(d_K, c, tuple(ps), factors, inv, degree)
+        factors = tuple(p + 1 for p in ps[:n])
+        inv = tuple(canonical_invariants(factors))
+        c = math.prod(ps[:n])
+        if orders is not None:
+            enum = tuple(_invariants_of(orders))
+            if enum != inv:
+                raise ArithmeticError(
+                    f"ring class structure mismatch for d_K={d_K}, c={c}: "
+                    f"enumeration {enum} vs formula {inv}"
+                )
+        levels.append(RingClassStructure(d_K, c, tuple(ps[:n]), factors, inv, math.prod(factors)))
+    return levels
+
+
+def ring_class_structure(d_K: int, primes) -> RingClassStructure:
+    """Gal(H_c/H) for squarefree c = prod p_i with every p_i inert in K: the
+    last of `ring_class_levels`."""
+    return ring_class_levels(d_K, primes)[-1]

@@ -26,7 +26,13 @@ from heegner_witness.ec_core import (
     reduction_type,
 )
 from heegner_witness.arith import primes_upto
-from heegner_witness.heegner import MIN_IM_TAU, PrecisionUnreachable
+from heegner_witness.heegner import (
+    DEFAULT_TORSION_BOUND,
+    MIN_IM_TAU,
+    PrecisionUnreachable,
+    orbit_sum,
+    period_lattice,
+)
 from heegner_witness.lseries import _tail_terms
 from heegner_witness.quadforms import (
     abelian_invariants,
@@ -499,3 +505,22 @@ def torsion_translates_fraction(lattice, bound: int) -> list[complex]:
                 seen.add(fr)
                 out.append(float(fr[0]) * lattice.omega1 + float(fr[1]) * lattice.omega2)
     return out
+
+
+def trace_relation_scalar(base, up, precision: float = 1e-6) -> float:
+    """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 by the scalar loop: one
+    `lattice.dist` call per sign and torsion translate, the translates from
+    the Fraction set above, a_ell counted afresh."""
+    curve, ell = base.curve, up.level
+    lattice = period_lattice(curve)
+    target_prec = min(precision * 1e-3, 1e-9)
+    z_base = orbit_sum(base, precision=target_prec).z
+    z_up = orbit_sum(up, precision=target_prec).z
+    a_ell = ap(curve, ell)
+    translates = torsion_translates_fraction(lattice, DEFAULT_TORSION_BOUND)
+    best = math.inf
+    for sgn in (1, -1):
+        w = z_up - sgn * a_ell * z_base
+        for t in translates:
+            best = min(best, lattice.dist(w - t))
+    return best

@@ -34,6 +34,7 @@ from oracles import (
     height_doubling_oracle,
     modular_param_per_term,
     torsion_translates_fraction,
+    trace_relation_scalar,
 )
 
 
@@ -316,9 +317,38 @@ def test_trace_relation_monotone_terms(e37a):
 def test_torsion_translates_match_fraction_oracle(e37a):
     lattice = period_lattice(e37a)
     for bound in (1, 2, 6, heegner.DEFAULT_TORSION_BOUND):
-        got = heegner._torsion_translates(lattice, bound)
+        s, t = heegner._torsion_fractions(bound)
+        got = [a * lattice.omega1 + b * lattice.omega2 for a, b in zip(s.tolist(), t.tolist())]
         assert got == torsion_translates_fraction(lattice, bound)
     assert len(got) == 1224
+
+
+@pytest.mark.parametrize(
+    "curve, d_K, ell",
+    [
+        (CurveQ(0, 0, 1, -1, 0, 37, "37a"), -11, 2),
+        # two pinned curves at the auxiliary ell their witness runs pick
+        (CurveQ(1, -1, 1, -1, -14, 17, "17a"), -15, 7),
+        (CurveQ(0, -1, 1, -2, 2, 57, "57a"), -59, 2),
+    ],
+    ids=lambda v: v.label if isinstance(v, CurveQ) else str(v),
+)
+def test_trace_relation_equals_scalar_oracle(curve, d_K, ell, monkeypatch):
+    # the array pass makes the scalar loop's float operations, so the minima are equal
+    base, up = heegner_orbit(curve, d_K, 1), heegner_orbit(curve, d_K, ell)
+    want = trace_relation_scalar(base, up)
+    assert want < 1e-6
+    assert trace_relation_check(base, up) == want
+    assert trace_relation_check(base, up, lattice=period_lattice(curve)) == want
+    # both signs are tried: with a_ell negated the other sign gives the same minimum
+    real = heegner.cached_an
+
+    def flipped(c, n):
+        table = real(c, n)
+        return {ell: -table[ell]} if n == ell else table
+
+    monkeypatch.setattr(heegner, "cached_an", flipped)
+    assert trace_relation_check(base, up) == want
 
 
 def test_trace_relation_rejects_non_inert(e37a):

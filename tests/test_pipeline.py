@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from heegner_witness import ec_core, heegner, lseries, pipeline, searcher
+from heegner_witness import ec_core, heegner, lseries, pipeline, quadforms, searcher
 from heegner_witness.arith import is_squarefree
 from heegner_witness.cli import main
 from heegner_witness.ec_core import CurveQ
@@ -240,6 +240,53 @@ def test_doomed_aux_search_stops_at_the_floor(g427):
     assert report.failed_at == "trace_relation"
     assert report.heegner["trace_relation"] == {"error": "no feasible auxiliary inert prime"}
     assert "heegner_s" in report.timing
+
+
+def test_step4_enumerates_each_level_prime_once(monkeypatch):
+    # 57a's level 2 has c = 89 * 109, c^2 > 10^6, but each p^2 is within the
+    # ceiling, so both primes are enumerated, once each, for both levels
+    seen = []
+    real = quadforms._local_unit_quotient_orders
+
+    def local(d, p, e):
+        seen.append((d, p, e))
+        return real(d, p, e)
+
+    monkeypatch.setattr(quadforms, "_local_unit_quotient_orders", local)
+    report = run_witness(CurveQ(0, -1, 1, -2, 2, 57, "57a"))
+    assert [r["primes"] for r in report.ring_class] == [[89], [89, 109]]
+    assert seen == [(-59, 89, 1), (-59, 109, 1)]
+
+
+def test_step5_builds_one_period_lattice(e37a, monkeypatch):
+    built = []
+    real = heegner.period_lattice
+
+    def period_lattice(curve):
+        built.append(curve.label)
+        return real(curve)
+
+    for mod in (heegner, pipeline):
+        monkeypatch.setattr(mod, "period_lattice", period_lattice)
+    report = run_witness(e37a)
+    assert report.passed and built == ["37a"]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_hashes.json")
+
+
+def test_report_hashes_match_golden():
+    # a change that moves a hash on purpose updates golden_hashes.json and says so
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert sorted(golden) == ["perfbench/data/pinned.txt", "testdata.txt"]
+    for path, want in golden.items():
+        got = {
+            c.label: json.loads(canonical_json(run_witness(c)))["canonical_hash"]
+            for c in parse_curve_file(os.path.join(root, path))
+        }
+        assert got == want, path
 
 
 def test_emit_report_deterministic(e389a, tmp_path):

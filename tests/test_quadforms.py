@@ -5,6 +5,7 @@ import pytest
 
 from heegner_witness.arith import is_squarefree, primes_upto
 from heegner_witness.quadforms import (
+    UNIT_QUOTIENT_CEILING,
     InvalidDiscriminantError,
     abelian_invariants,
     canonical_invariants,
@@ -17,6 +18,7 @@ from heegner_witness.quadforms import (
     principal_form,
     reduce_form,
     reduced_forms,
+    ring_class_levels,
     ring_class_structure,
     splitting_type,
     unit_quotient_structure,
@@ -24,6 +26,13 @@ from heegner_witness.quadforms import (
 from oracles import unit_quotient_whole_ring
 
 FUNDAMENTALS = [-7, -11, -19, -43, -67, -163]
+
+# (d_K, p) for every level prime of the pinned curves that reach step 4
+PINNED_LEVEL_PRIMES = [
+    (-7, 5), (-7, 17), (-7, 41), (-7, 47), (-7, 59), (-11, 2), (-11, 13),
+    (-11, 41), (-11, 107), (-15, 13), (-15, 41), (-19, 59), (-19, 71),
+    (-51, 83), (-51, 97), (-55, 29), (-55, 47), (-59, 89), (-59, 109),
+]
 
 
 def test_kronecker_examples():
@@ -170,16 +179,27 @@ def test_unit_quotient_matches_whole_ring_oracle():
     # conductors step 4 checks; 533 only with the d_K it meets there, as the
     # oracle needs 0.6 s per call at 533
     cs = list(range(1, 61)) + [9, 25, 27, 49, 214, 295]
-    cases = [(d, c) for d in (-7, -11, -15, -19, -51, -55, -59) for c in cs]
+    prime_powers = [4, 8, 9, 27, 121]  # the local enumeration at e > 1
+    cases = [(d, c) for d in (-7, -11, -15, -19, -51, -55, -59) for c in cs + prime_powers]
     cases += [(-11, 533), (-15, 533)]
+    cases += PINNED_LEVEL_PRIMES
     for d, c in cases:
         if math.gcd(c, d) == 1:
             assert unit_quotient_structure(d, c) == unit_quotient_whole_ring(d, c), (d, c)
 
 
 def test_unit_quotient_enumeration_bound():
-    with pytest.raises(ValueError):
-        unit_quotient_structure(-7, 1001)
+    # the ceiling bounds each p^e || c: 1009 is prime and 1009^2 > 10^6
+    with pytest.raises(ValueError, match="exceeds the enumeration ceiling"):
+        unit_quotient_structure(-11, 1009)
+    with pytest.raises(ValueError, match="exceeds the enumeration ceiling"):
+        unit_quotient_structure(-11, 2 * 3**7)  # 3^7 = 2187
+    # a squarefree c far past c^2 <= 10^6, made of small primes, enumerates;
+    # (O_K/p)^*/(Z/p)^* is cyclic of order p - (d_K/p)
+    c = 2 * 3 * 5 * 7 * 13 * 17 * 19 * 23 * 29
+    assert c * c > UNIT_QUOTIENT_CEILING
+    want = canonical_invariants([p - kronecker(-11, p) for p in (2, 3, 5, 7, 13, 17, 19, 23, 29)])
+    assert unit_quotient_structure(-11, c) == want
 
 
 def test_ring_class_structure_examples():
@@ -190,6 +210,9 @@ def test_ring_class_structure_examples():
     s = ring_class_structure(-7, [3, 5])
     assert s.factors == (4, 6) and s.degree == 24
     assert s.invariants == (2, 12)
+    levels = ring_class_levels(-7, [3, 5])
+    assert [(t.conductor, t.invariants) for t in levels] == [(1, ()), (3, (4,)), (15, (2, 12))]
+    assert levels[-1] == s
 
 
 def test_ring_class_structure_rejects_non_inert():
@@ -209,7 +232,7 @@ def test_ring_class_invariants_all_fundamentals_small():
             (p, q) for i, p in enumerate(inert) for q in inert[i + 1 :] if p * q <= 60
         ]
         for ps in prods:
-            s = ring_class_structure(d, list(ps))  # asserts internally when c <= 1000
+            s = ring_class_structure(d, list(ps))  # asserts internally: each p^2 <= 10^6
             assert s.degree == math.prod(p + 1 for p in ps)
 
 
