@@ -24,25 +24,42 @@ rest to one `ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes
 per block, each lane running BSGS on one point with the complete projective
 addition of Renes-Costello-Batina, so no lane needs an inversion or a case
 split, and giant steps matched to baby steps by an exact float64 test of
-p | X Z_j - X_j Z. A lane's point is never of order 2 or 3. A lane is
-decided only when exactly one k in the Hasse interval has [k]P = O; lanes
-with no point, a degenerate sum or several such k (about 3% of the
-field-search twist tables, 9% of the j = 0 curve [0,0,1,0,0]) fall back to
-`_ap_bsgs`, so every value equals the scalar one. With p <= 10^6 < 2^20
-every lane product stays below 2^43, far inside int64. _LANES = 256 was
-measured on the six field-search twist tables (15,564 primes in
-[2500, 27000], 2-vCPU Xeon): 128, 256 and 512 lanes took 0.67-0.95,
-0.61-0.68 and 0.53 s, and the benchmark's field-search peak RSS rose over
-the scalar path by 0.79, 0.93 and 1.13 MB; 256 is the largest block that
-keeps the rise under 1 MB.
+p | X Z_j - X_j Z. A lane takes the first x < _POINT_TRIES where f(x) and
+the 3-division polynomial are both nonzero, all x of a block evaluated as
+one array, and one Legendre symbol chi_p(f) per lane says whether its point
+(x f, f^2) lies on E or on the quadratic twist E', whose order 2p + 2 - #E
+gives #E just as well. The point is never of order 2 or 3. The first giant
+step [m]P is read off the baby-step table by fixed windows of
+floor(log2(s + 1)) bits (`_window_mul`): about bits + bits/w additions
+and no select, where double-and-add took 2 bits additions and 3 bits selects.
+A lane is decided only when exactly one k in the Hasse interval has
+[k]P = O. The lanes that no block decides (no point, a degenerate sum or
+several such k: 2.4-3.1% of the six field-search pool tables, 6.2% of the
+j = 0 curve [0,0,1,0,0], 6.5% of y^2 = x^3 + x and 8.4% of y^2 = x^3 - x,
+primes 2500 to 26,600) run once more, with the point on the other curve of
+the pair, as Mestre's argument suggests (Cremona-Sutherland, JTNB 22,
+2010). Only the lanes this twist pass leaves undecided fall back to
+`_ap_bsgs`, so every value equals the scalar one: 1 to 4 of 2,551 on those
+pool tables, 7 on j = 0, 10 on y^2 = x^3 + x and 14 on y^2 = x^3 - x. With
+p <= 10^6 < 2^20 every lane product stays below 2^43, far inside int64.
+_LANES = 256 was measured on the six field-search twist tables (15,564
+primes in [2500, 27000], 2-vCPU Xeon): 128, 256 and 512 lanes took
+0.67-0.95, 0.61-0.68 and 0.53 s, and the benchmark's field-search peak RSS
+rose over the scalar path by 0.79, 0.93 and 1.13 MB; 256 is the largest
+block that keeps the rise under 1 MB.
 
-A block costs a few ms almost whatever its width (1.9-5.7 ms for 4 lanes,
-3.5-8.0 ms for 40), while `_ap_bsgs` costs 0.1-0.25 ms per prime, so
-`ap_many` counts fewer than _BLOCK_MIN primes >= BSGS_MIN_P with `_ap_bsgs`.
-_BLOCK_MIN is the measured break-even: on 11a, 14a and 37a, with 4 to 40
-consecutive good primes from 2500, 2*10^4 and 10^5 (median of 9 runs,
-2-vCPU Xeon), the block became cheaper than the scalar loop at 16 to 40
-primes, median 32.
+A block makes about 47 `_padd` calls of 52 numpy operations each (60
+calls of 55 with double-and-add), and costs a few ms almost whatever its
+width: on 37a, median of 9 on a 2-vCPU Xeon, 2.3, 2.7 and 5.0 ms for 4, 40
+and 256 primes from 2500, 3.6, 4.0 and 6.6 ms from 2*10^4, and 4.9, 5.7
+and 9.5 ms from 10^5, while `_ap_bsgs` costs 0.13-0.22 ms per prime. So
+`ap_many` counts fewer than _BLOCK_MIN primes >= BSGS_MIN_P with
+`_ap_bsgs`. _BLOCK_MIN is the measured break-even: on 11a, 14a and 37a,
+with 4 to 40 consecutive good primes from 2500, 2*10^4 and 10^5 (median of
+9 runs, 2-vCPU Xeon), one `ap_lockstep` call, its twist pass included,
+became cheaper than the scalar loop at 16 to 44 primes, median 20 in each
+of three runs (the double-and-add kernel without the twist pass: median 28
+and 32 on the same host, 32 when first measured).
 
 Between the batched kernels the crossover is lower, but it does not pay to
 move BSGS_MIN_P. Per prime, in full blocks of 256 primes from 1000,
@@ -83,7 +100,7 @@ from .arith import factorize, prime_divisors, prime_mask, primes_upto
 POINT_COUNT_CEILING = 10**6
 BSGS_MIN_P = 2500  # measured crossover: count_points is faster than _ap_bsgs below it
 _LANES = 256  # primes per lockstep block
-_BLOCK_MIN = 32  # fewer primes >= BSGS_MIN_P than this are counted one by one
+_BLOCK_MIN = 20  # fewer primes >= BSGS_MIN_P than this are counted one by one
 _POINT_TRIES = 32  # x values a lane tries for a point before it falls back
 _FLAT_CHUNK = 2**13  # x values per ap_flat chunk
 _AN_BLOCK = 2**11  # n per block of the a_n recursion
@@ -334,10 +351,11 @@ def _padd(P, Q, a, b3, p):
     u = ((X1 + Y1) * (X2 + Y2) - t0 - t1) % p  # X1 Y2 + X2 Y1
     v = ((X1 + Z1) * (X2 + Z2) - t0 - t2) % p  # X1 Z2 + X2 Z1
     w = ((Y1 + Z1) * (Y2 + Z2) - t1 - t2) % p  # Y1 Z2 + Y2 Z1
+    at2 = a * t2 % p
     al = (a * v + b3 * t2) % p
     s, d = t1 + al, t1 - al
-    be = (a * (t0 - a * t2 % p) + b3 * v) % p
-    ga = (3 * t0 + a * t2) % p
+    be = (a * (t0 - at2) + b3 * v) % p
+    ga = (3 * t0 + at2) % p
     return (u * d - w * be) % p, (s * d + ga * be) % p, (w * s + u * ga) % p
 
 
@@ -350,66 +368,91 @@ def _lane_pow(x, e, p):
     return r
 
 
-def _lockstep_orders(c4: int, c6: int, p: np.ndarray) -> np.ndarray:
+def _window_mul(table, m, a, b3, p):
+    """[m]P lane-wise for m >= 0, from table[:, j] = [j]P (0 <= j <= s, [0]P = O).
+
+    `table` is (3, s + 1, lanes) int64. Fixed windows of w = floor(log2(s + 1))
+    bits, read from the top, so every digit 0 .. 2^w - 1 is a row of the
+    table: w doublings and one addition per window after the top one, and no
+    select. A (0:0:0) sum propagates to the result.
+    """
+    w = table.shape[1].bit_length() - 1
+    lanes = np.arange(table.shape[2])
+    top = max(int(m.max()).bit_length() - 1, 0) // w * w  # the top window's low bit
+    R = table[:, m >> top, lanes]
+    for shift in range(top - w, -1, -w):
+        for _ in range(w):
+            R = _padd(R, R, a, b3, p)
+        R = _padd(R, table[:, m >> shift & (1 << w) - 1, lanes], a, b3, p)
+    return R
+
+
+def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np.ndarray:
     """#E(F_p) for each prime of the int64 array `p`, one lane each; 0 where undecided.
 
-    One point per lane: the first x < _POINT_TRIES with f(x) = x^3 + A x + B
-    a nonzero square on the short model of `_ap_bsgs`, and x not a root of
-    the 3-division polynomial 3x^4 + 6A x^2 + 12B x - A^2, taken as
-    (x f, f^2) on Y^2 = X^3 + A f^2 X + B f^3, which is E itself. So P has
-    order > 3; on a j = 0 model with B a square, x = 0 would give order 3 at
-    every prime. Baby steps jP for 1 <= j <= S, then giant steps [m]P,
-    m = lo + S, lo + 3S + 1, ..., whose windows [m - S, m + S] cover the
-    Hasse interval [lo, hi]. [m]P = +-jP when p | d = X Z_j - X_j Z, tested
-    in float64 as d/p == rint(d/p): d and p are exact there (|d| < 2^40), a
+    One point per lane, on the short model y^2 = f(x) = x^3 + A x + B of
+    `_ap_bsgs`: f and the 3-division polynomial 3x^4 + 6A x^2 + 12B x - A^2
+    are evaluated for every x < _POINT_TRIES at once, and the lane takes the
+    first x where neither is 0. One Legendre symbol chi = chi_p(f) per lane
+    then places P = (x f, f^2) on Y^2 = X^3 + A f^2 X + B f^3, which is E
+    when chi = 1 and its quadratic twist E' (#E' = 2p + 2 - #E) otherwise.
+    With `twist`, chi is evaluated at every x, and the lane takes the first
+    such x whose chi differs from the first one's: the point lies on the
+    other curve. The 3-division polynomial of the scaled model at x f is f^4
+    times its value at x, so P has order > 3 on either curve; on a j = 0
+    model with B a square, x = 0 would give order 3 at every prime.
+
+    Baby steps jP for 1 <= j <= S, then giant steps [m]P, m = lo + S,
+    lo + 3S + 1, ..., whose windows [m - S, m + S] cover the Hasse interval
+    [lo, hi]; the first [m]P comes by fixed windows from the baby-step table
+    (`_window_mul`). [m]P = +-jP when p | d = X Z_j - X_j Z, tested in
+    float64 as d/p == rint(d/p): d and p are exact there (|d| < 2^40), a
     multiple gives an exact integer quotient below 2^30, and a non-multiple
     lies at least 1/p > 2^-20 from every integer while the division rounds
     by at most 2^-23, so the test is exact and needs no int64 remainder.
     The sign is then read by cross-multiplying Y. Every k in [lo, hi] with
-    [k]P = O is counted, and a lane is decided when there is exactly one: #E is a
-    multiple of the order of P in [lo, hi], so it is that k. A lane with no
-    point, a (0:0:0) sum or two or more such k reads 0.
+    [k]P = O is counted, and a lane is decided when there is exactly one: the
+    group order of P's curve is a multiple of the order of P in [lo, hi], so
+    it is that k, and #E is k or 2p + 2 - k. A lane with no point, a (0:0:0)
+    sum or two or more such k reads 0.
     """
+    if not _POINT_TRIES:  # no x to try: every lane is undecided
+        return np.zeros_like(p)
     amax = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
     lo, hi = p + 1 - amax, p + 1 + amax
     A = np.array([-27 * c4 % q for q in p.tolist()], dtype=np.int64)
     B = np.array([-54 * c6 % q for q in p.tolist()], dtype=np.int64)
-    x0 = np.full(len(p), -1, dtype=np.int64)
-    for x in range(_POINT_TRIES):
-        todo = np.flatnonzero(x0 < 0)
-        if not todo.size:
-            break
-        q, a, b = p[todo], A[todo], B[todo]
-        f = ((x * x + a) * x + b) % q
-        psi3 = ((3 * x * x + 6 * a) * x * x + 12 * b * x - a * a) % q
-        x0[todo[(f != 0) & (psi3 != 0) & (_lane_pow(f, (q - 1) // 2, q) == 1)]] = x
-    found = x0 >= 0
-    f = ((x0 * x0 + A) * x0 + B) % p
+    lanes = np.arange(len(p))
+    x = np.arange(_POINT_TRIES, dtype=np.int64)[:, None]  # (tries, lanes) from here
+    F = ((x * x + A) * x + B) % p
+    usable = (F != 0) & (((3 * x * x + 6 * A) * x * x + 12 * B * x - A * A) % p != 0)
+    if twist:
+        square = _lane_pow(F, (p - 1) // 2, p) == 1
+        usable &= square != square[usable.argmax(axis=0), lanes]
+    x0 = usable.argmax(axis=0)  # the first usable x, or 0 where there is none
+    found = usable[x0, lanes]
+    f = F[x0, lanes]
+    on_e = square[x0, lanes] if twist else _lane_pow(f, (p - 1) // 2, p) == 1
     a = A * f % p * f % p
     b3 = 3 * B * f % p * f % p * f % p
-    one, zero = np.ones_like(p), np.zeros_like(p)
-    P = (x0 * f % p, f * f % p, one)
+    P = (x0 * f % p, f * f % p, np.ones_like(p))
 
     s = math.isqrt(int(amax.max())) + 1
-    # X and Z are kept as float64 for the match, Y as int64 for the sign
-    Xb, Zb = np.empty((s, len(p))), np.empty((s, len(p)))
-    Yb = np.empty((s, len(p)), dtype=np.int64)
+    table = np.empty((3, s + 1, len(p)), dtype=np.int64)  # table[:, j] = [j]P
+    table[:, 0] = [[0], [1], [0]]
     Q = P
-    for j in range(s):  # row j holds [j + 1]P
-        Xb[j], Yb[j], Zb[j] = last = Q
+    for j in range(1, s + 1):
+        table[:, j] = last = Q
         Q = _padd(Q, P, a, b3, p)
     G = _padd(Q, last, a, b3, p)  # [s + 1]P + [s]P
+    # X and Z of the baby steps are kept as float64 for the match, Y as int64 for the sign
+    Xb, Yb, Zb = table[0, 1:].astype(np.float64), table[1, 1:], table[2, 1:].astype(np.float64)
     # ord P <= s leaves several multiples in [lo, hi]: such a lane is undecided
     big = Zb.all(axis=0)
     if not big.any():
         return np.zeros_like(p)
     m = lo + s
-    R = (zero, one, zero)  # [m]P by double-and-add, one scalar per lane
-    for bit in reversed(range(int(m.max()).bit_length())):
-        R = _padd(R, R, a, b3, p)
-        T = _padd(R, P, a, b3, p)
-        take = (m >> bit) & 1 == 1
-        R = tuple(np.where(take, t, r) for t, r in zip(T, R))
+    R = _window_mul(table, m, a, b3, p)
 
     hits = np.zeros(len(p), dtype=np.int64)
     last_k = np.zeros(len(p), dtype=np.int64)
@@ -422,7 +465,7 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray) -> np.ndarray:
         quo -= np.multiply(Xb, Z.astype(np.float64), out=near)
         quo /= pf
         j, ln = np.nonzero((quo == np.rint(quo, out=near)) & big)  # [m]P = +-jP
-        yz, zy, q = Y[ln] * Zb[j, ln].astype(np.int64), Yb[j, ln] * Z[ln], p[ln]
+        yz, zy, q = Y[ln] * table[2, j + 1, ln], Yb[j, ln] * Z[ln], p[ln]
         plus, minus = (yz - zy) % q == 0, (yz + zy) % q == 0
         o = np.flatnonzero(Z == 0)  # [m]P = O
         ks = np.concatenate((m[ln[plus]] - js[j[plus]], m[ln[minus]] + js[j[minus]], m[o]))
@@ -438,7 +481,7 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray) -> np.ndarray:
     # a (0:0:0) baby step reaches G, and an earlier (0:0:0) giant step R
     degenerate = [(X == 0) & (Y == 0) & (Z == 0) for X, Y, Z in (R, G)]
     decided = found & big & ~degenerate[0] & ~degenerate[1] & (hits == 1)
-    return np.where(decided, last_k, 0)
+    return np.where(decided, np.where(on_e, last_k, 2 * p + 2 - last_k), 0)
 
 
 def ap_lockstep(curve: CurveQ, primes) -> np.ndarray:
@@ -446,9 +489,11 @@ def ap_lockstep(curve: CurveQ, primes) -> np.ndarray:
 
     The primes run `_lockstep_orders` in blocks of _LANES, in the order
     given; each block sizes its baby steps for its own largest prime, so
-    ascending primes give tight blocks, and memory stays bounded. Undecided
-    lanes fall back to `_ap_bsgs`, and every value is Hasse-checked. The
-    ceiling keeps every lane product below 2^63.
+    ascending primes give tight blocks, and memory stays bounded. The lanes
+    left undecided by every block then run once more, in blocks of _LANES,
+    each with its point on the other curve of the pair E, E' (the twist
+    pass); only lanes still undecided fall back to `_ap_bsgs`. Every value is
+    Hasse-checked. The ceiling keeps every lane product below 2^63.
     """
     ps = np.array(primes, dtype=np.int64)
     for q in ps.tolist():
@@ -459,13 +504,16 @@ def ap_lockstep(curve: CurveQ, primes) -> np.ndarray:
         if not good_reduction(curve, q):
             raise BadReductionError(f"{curve.label or curve.ainvs} has bad reduction at {q}")
     c4, c6 = c_invariants(curve)
-    out = np.empty_like(ps)
+    n = np.empty_like(ps)
     for i in range(0, len(ps), _LANES):
-        block = ps[i : i + _LANES]
-        n = _lockstep_orders(c4, c6, block)
-        for k in np.flatnonzero(n == 0).tolist():  # undecided lanes
-            n[k] = block[k] + 1 - _ap_bsgs(curve, int(block[k]))
-        out[i : i + _LANES] = block + 1 - n
+        n[i : i + _LANES] = _lockstep_orders(c4, c6, ps[i : i + _LANES])
+    undecided = np.flatnonzero(n == 0)
+    for i in range(0, len(undecided), _LANES):
+        at = undecided[i : i + _LANES]
+        n[at] = _lockstep_orders(c4, c6, ps[at], twist=True)
+    for k in np.flatnonzero(n == 0).tolist():
+        n[k] = ps[k] + 1 - _ap_bsgs(curve, int(ps[k]))
+    out = ps + 1 - n
     bad = np.flatnonzero(out * out > 4 * ps)
     if bad.size:
         raise ArithmeticError(f"Hasse bound violated at p={ps[bad[0]]}: a_p={out[bad[0]]}")

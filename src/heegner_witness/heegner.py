@@ -216,61 +216,6 @@ def elliptic_exp(lattice: PeriodLattice, z: complex) -> CPoint:
     return CPoint(lattice.reduce(z), P, 1e-12 * max(1.0, abs(P[0])))
 
 
-def elliptic_log(lattice: PeriodLattice, x: complex, y: complex) -> complex:
-    """Inverse of elliptic_exp by coarse grid + Newton on wp."""
-    curve = lattice.curve
-    b2 = b_invariants(curve)[0]
-    a1, _, a3, _, _ = curve.ainvs
-    target = x + b2 / 12.0
-    best = None
-    for aa in np.linspace(0.03, 0.97, 31):
-        for bb in np.linspace(0.03, 0.97, 31):
-            z = aa * lattice.omega1 + bb * lattice.omega2
-            zr = lattice.reduce(z)
-            if abs(zr) < 0.05 * lattice.lambda_min:
-                continue
-            w, _ = _wp_far(lattice, zr)
-            d = abs(w - target)
-            if best is None or d < best[0]:
-                best = (d, z)
-    z = best[1]
-    for _ in range(80):
-        zr = lattice.reduce(z)
-        if abs(zr) < 1e-14:
-            break
-        w, wd = _wp_far(lattice, zr)
-        step = (w - target) / wd
-        if abs(step) > 0.3 * lattice.lambda_min:
-            step *= 0.3 * lattice.lambda_min / abs(step)
-        z = z - step
-        if abs(step) < 1e-15 * lattice.lambda_min:
-            break
-    zr = lattice.reduce(z)
-    p = elliptic_exp(lattice, zr)
-    if p.is_identity:
-        return zr
-    yc = p.xy[1]
-    y_neg = -yc - a1 * p.xy[0] - a3
-    if abs(yc - y) > abs(y_neg - y):
-        zr = lattice.reduce(-zr)
-        p = elliptic_exp(lattice, zr)
-    if abs(p.xy[0] - x) > 1e-6 * (1 + abs(x)):
-        raise PrecisionUnreachable(f"elliptic_log failed to converge at x = {x}")
-    return zr
-
-
-def _wp_far(lattice: PeriodLattice, z: complex):
-    """wp at a reduced argument, halving into the series radius as needed."""
-    if abs(z) <= 0.45 * lattice.lambda_min:
-        return _wp(lattice, z)
-    P = _halve_and_double(lattice, z)
-    if P is None:
-        raise PrecisionUnreachable("wp evaluation hit a lattice point")
-    b2 = b_invariants(lattice.curve)[0]
-    a1, _, a3, _, _ = lattice.curve.ainvs
-    return P[0] + b2 / 12.0, 2 * P[1] + a1 * P[0] + a3
-
-
 # ---------------------------------------------------------------------------
 # Heegner forms and the modular parametrization
 

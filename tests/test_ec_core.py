@@ -16,7 +16,9 @@ from heegner_witness.ec_core import (
     _add,
     _ap_bsgs,
     _lockstep_orders,
+    _mul,
     _padd,
+    _window_mul,
     an_series,
     BSGS_MIN_P,
     ap,
@@ -152,6 +154,63 @@ def test_lockstep_kernel_decides_j0_lanes():
         if k:
             assert p + 1 - k == _ap_bsgs(j0, p), p
     assert ap_lockstep(j0, primes[:200]).tolist() == _recount(j0, primes[:200])
+
+
+def test_twist_pass_leaves_few_lanes_to_the_scalar_path(e_ss, monkeypatch):
+    # lanes the first pass leaves undecided run again with a point on the other curve
+    scalar = []
+    real_bsgs = ec_core._ap_bsgs
+
+    def spy(curve, p):
+        scalar.append(p)
+        return real_bsgs(curve, p)
+
+    monkeypatch.setattr(ec_core, "_ap_bsgs", spy)
+    for curve in (CurveQ(0, 0, 1, 0, 0, 27), e_ss):
+        primes = [p for p in primes_upto(30000) if p >= 2500 and good_reduction(curve, p)]
+        scalar.clear()
+        got = ap_lockstep(curve, primes).tolist()
+        assert len(scalar) <= 0.01 * len(primes), (curve, len(scalar))
+        assert got == [real_bsgs(curve, p) for p in primes], curve
+
+
+def test_window_mul_matches_affine_multiplication():
+    # the kernel's window width w = floor(log2(s + 1)), s = isqrt(isqrt(4p)) + 1:
+    # w = 3 at p = 2503 (s = 11), 4 at p = 29989 (s = 19), 5 at p = 999983 (s = 45)
+    rng = random.Random(13)
+    widths = set()
+    for p in (2503, 29989, 999983):
+        s = math.isqrt(math.isqrt(4 * p)) + 1
+        w = (s + 1).bit_length() - 1
+        widths.add(w)
+        lanes = []  # (a, b, P) with P on y^2 = x^3 + a x + b
+        while len(lanes) < 12:
+            a, x, y = (rng.randrange(p) for _ in range(3))
+            b = (y * y - x ** 3 - a * x) % p
+            if (4 * a ** 3 + 27 * b * b) % p:
+                lanes.append((a, b, (x, y)))
+        rows = [[(0, 1, 0) if Q is None else (*Q, 1)
+                 for Q in [None] + [_mul(j, P, a, p) for j in range(1, s + 1)]] for a, b, P in lanes]
+        table = np.array(rows, dtype=np.int64).transpose(2, 1, 0)  # table[:, j] = [j]P
+        a_, b3, p_ = (np.array(v, dtype=np.int64) for v in
+                      ([a for a, _, _ in lanes], [3 * b % p for _, b, _ in lanes], [p] * len(lanes)))
+        calls = [[m] * len(lanes) for m in (
+            1, (1 << w) - 1,  # a single window
+            1 << 2 * w,  # zero digits below the top one
+            (1 << 3 * w) + 1,  # a zero digit between nonzero ones
+            (1 << 2 * w + 1) + 3,  # a top window of 2 bits
+            p + 1 - math.isqrt(4 * p) + s,  # the kernel's first giant step
+        )]
+        calls.append([0, 1] + [rng.randrange(1, 2**20) for _ in lanes[2:]])  # m per lane
+        for ms in calls:
+            X, Y, Z = (v.tolist() for v in _window_mul(table, np.array(ms), a_, b3, p_))
+            for (a, _, P), m, x, y, z in zip(lanes, ms, X, Y, Z):
+                want = _mul(m, P, a, p) if m else None
+                if want is None:
+                    assert x == z == 0 and y != 0, (p, m)
+                else:
+                    assert z != 0 and (x - want[0] * z) % p == 0 and (y - want[1] * z) % p == 0, (p, m)
+    assert widths == {3, 4, 5}
 
 
 def test_lockstep_kernel_blocks_and_fallback(e37a, monkeypatch):

@@ -10,7 +10,6 @@ from heegner_witness.heegner import (
     PrecisionUnreachable,
     canonical_height,
     elliptic_exp,
-    elliptic_log,
     gz_correspondence,
     heegner_orbit,
     is_torsion,
@@ -30,6 +29,7 @@ from heegner_witness.ec_core import CurveQ, ap, b_invariants
 from heegner_witness.lseries import l_over_K
 from heegner_witness.quadforms import kronecker
 from oracles import (
+    elliptic_log,
     heegner_forms_unbounded,
     height_doubling_oracle,
     modular_param_per_term,
