@@ -38,7 +38,8 @@ several such k: 2.4-3.1% of the six field-search pool tables, 6.2% of the
 j = 0 curve [0,0,1,0,0], 6.5% of y^2 = x^3 + x and 8.4% of y^2 = x^3 - x,
 primes 2500 to 26,600) run once more, with the point on the other curve of
 the pair, as Mestre's argument suggests (Cremona-Sutherland, JTNB 22,
-2010). Only the lanes this twist pass leaves undecided fall back to
+2010), when there are at least _BLOCK_MIN of them. Only the lanes this
+twist pass leaves undecided, or fewer than _BLOCK_MIN, fall back to
 `_ap_bsgs`, so every value equals the scalar one: 1 to 4 of 2,551 on those
 pool tables, 7 on j = 0, 10 on y^2 = x^3 + x and 14 on y^2 = x^3 - x. With
 p <= 10^6 < 2^20 every lane product stays below 2^43, far inside int64.
@@ -56,10 +57,11 @@ and 9.5 ms from 10^5, while `_ap_bsgs` costs 0.13-0.22 ms per prime. So
 `ap_many` counts fewer than _BLOCK_MIN primes >= BSGS_MIN_P with
 `_ap_bsgs`. _BLOCK_MIN is the measured break-even: on 11a, 14a and 37a,
 with 4 to 40 consecutive good primes from 2500, 2*10^4 and 10^5 (median of
-9 runs, 2-vCPU Xeon), one `ap_lockstep` call, its twist pass included,
-became cheaper than the scalar loop at 16 to 44 primes, median 20 in each
-of three runs (the double-and-add kernel without the twist pass: median 28
-and 32 on the same host, 32 when first measured).
+9 runs, 2-vCPU Xeon), one `ap_lockstep` call became cheaper than the
+scalar loop at 16 to 24 primes, median 20 in each of two runs (the
+double-and-add kernel: median 28 and 32 on the same host, 32 when first
+measured). The same break-even gates the twist pass: a twist block for a
+few lanes costs more than counting them one by one.
 
 Between the batched kernels the crossover is lower, but it does not pay to
 move BSGS_MIN_P. Per prime, in full blocks of 256 primes from 1000,
@@ -489,11 +491,12 @@ def ap_lockstep(curve: CurveQ, primes) -> np.ndarray:
 
     The primes run `_lockstep_orders` in blocks of _LANES, in the order
     given; each block sizes its baby steps for its own largest prime, so
-    ascending primes give tight blocks, and memory stays bounded. The lanes
-    left undecided by every block then run once more, in blocks of _LANES,
-    each with its point on the other curve of the pair E, E' (the twist
-    pass); only lanes still undecided fall back to `_ap_bsgs`. Every value is
-    Hasse-checked. The ceiling keeps every lane product below 2^63.
+    ascending primes give tight blocks, and memory stays bounded. When at
+    least _BLOCK_MIN lanes are left undecided by every block, they run once
+    more, in blocks of _LANES, each with its point on the other curve of the
+    pair E, E' (the twist pass). The lanes still undecided, or fewer than
+    _BLOCK_MIN, fall back to `_ap_bsgs`. Every value is Hasse-checked. The
+    ceiling keeps every lane product below 2^63.
     """
     ps = np.array(primes, dtype=np.int64)
     for q in ps.tolist():
@@ -508,9 +511,10 @@ def ap_lockstep(curve: CurveQ, primes) -> np.ndarray:
     for i in range(0, len(ps), _LANES):
         n[i : i + _LANES] = _lockstep_orders(c4, c6, ps[i : i + _LANES])
     undecided = np.flatnonzero(n == 0)
-    for i in range(0, len(undecided), _LANES):
-        at = undecided[i : i + _LANES]
-        n[at] = _lockstep_orders(c4, c6, ps[at], twist=True)
+    if len(undecided) >= _BLOCK_MIN:  # fewer are cheaper one by one, as in `ap_many`
+        for i in range(0, len(undecided), _LANES):
+            at = undecided[i : i + _LANES]
+            n[at] = _lockstep_orders(c4, c6, ps[at], twist=True)
     for k in np.flatnonzero(n == 0).tolist():
         n[k] = ps[k] + 1 - _ap_bsgs(curve, int(ps[k]))
     out = ps + 1 - n

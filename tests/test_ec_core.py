@@ -165,13 +165,27 @@ def test_twist_pass_leaves_few_lanes_to_the_scalar_path(e_ss, monkeypatch):
         scalar.append(p)
         return real_bsgs(curve, p)
 
+    twists = []  # the twist argument of every kernel call
+    real_orders = ec_core._lockstep_orders
+
+    def orders(c4, c6, p, twist=False):
+        twists.append(twist)
+        return real_orders(c4, c6, p, twist)
+
     monkeypatch.setattr(ec_core, "_ap_bsgs", spy)
+    monkeypatch.setattr(ec_core, "_lockstep_orders", orders)
     for curve in (CurveQ(0, 0, 1, 0, 0, 27), e_ss):
         primes = [p for p in primes_upto(30000) if p >= 2500 and good_reduction(curve, p)]
+        twists.clear()
         scalar.clear()
         got = ap_lockstep(curve, primes).tolist()
-        assert len(scalar) <= 0.01 * len(primes), (curve, len(scalar))
+        assert True in twists and len(scalar) <= 0.01 * len(primes), (curve, len(scalar))
         assert got == [real_bsgs(curve, p) for p in primes], curve
+        # fewer than _BLOCK_MIN undecided lanes skip the twist pass
+        twists.clear()
+        scalar.clear()
+        assert ap_lockstep(curve, primes[:60]).tolist() == got[:60]
+        assert twists == [False] and 0 < len(scalar) < ec_core._BLOCK_MIN, (curve, len(scalar))
 
 
 def test_window_mul_matches_affine_multiplication():
