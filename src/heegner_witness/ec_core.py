@@ -425,7 +425,7 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
     A = np.array([-27 * c4 % q for q in p.tolist()], dtype=np.int64)
     B = np.array([-54 * c6 % q for q in p.tolist()], dtype=np.int64)
     lanes = np.arange(len(p))
-    x = np.arange(_POINT_TRIES, dtype=np.int64)[:, None]  # (tries, lanes) from here
+    x = np.arange(_POINT_TRIES, dtype=np.int64)[:, None]  # F and usable are (tries, lanes)
     F = ((x * x + A) * x + B) % p
     usable = (F != 0) & (((3 * x * x + 6 * A) * x * x + 12 * B * x - A * A) % p != 0)
     if twist:
