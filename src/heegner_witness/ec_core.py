@@ -171,6 +171,22 @@ def discriminant(curve) -> int:
     return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
+# The 13 rational CM j-invariants with their CM fields' discriminants; the orders
+# -12, -27 have field -3, -16 has -4, -28 has -7 (Silverman, Advanced Topics, A.3)
+CM_FIELD_OF_J = {
+    0: -3, 54000: -3, -12288000: -3, 1728: -4, 287496: -4, -3375: -7, 16581375: -7,
+    8000: -8, -32768: -11, -884736: -19, -884736000: -43, -147197952000: -67,
+    -262537412640768000: -163,
+}
+
+
+def cm_field(curve: CurveQ) -> int | None:
+    """Discriminant of the CM field of E, or None: E has CM iff j(E) = c4^3 / Delta
+    is an integer among the 13 rational CM j-invariants."""
+    c4, delta = c_invariants(curve)[0], discriminant(curve)
+    return CM_FIELD_OF_J.get(c4**3 // delta) if c4**3 % delta == 0 else None
+
+
 def good_reduction(curve: CurveQ, p: int) -> bool:
     return curve.N % p != 0
 

@@ -4,7 +4,8 @@ The modular parametrization is evaluated as z(tau) = sum a_n/n e^{2 pi i n tau}
 into C/Lambda with the period lattice computed by the optimal complex AGM.
 Heegner points at level c are represented by forms (A, B, C) with N | A and a
 fixed square root of D = c^2 d_K mod 4N; the class group action is realized by
-picking one such form per reduced class.
+picking one such form per reduced class, the one of smallest A, by a scan
+that runs until every class is found. Fricke reads W_N tau from the orbit.
 
 All point identities are checked in C/Lambda up to sign and translation by
 torsion of small order, which is exactly the ambiguity a Heegner system leaves
@@ -33,7 +34,6 @@ from .quadforms import class_number, kronecker, reduce_form
 from .searcher import heegner_hypothesis
 
 TERM_CEILING = 10**6
-MIN_IM_TAU = 5e-3
 DEFAULT_TORSION_BOUND = 16
 
 
@@ -254,13 +254,14 @@ def heegner_orbit(curve: CurveQ, d_K: int, level: int = 1) -> HeegnerOrbit:
     """One Heegner form per class of disc D = level^2 d_K with N | A.
 
     Needs the Heegner hypothesis for (E, K), level squarefree and coprime to
-    N d_K with every prime of the level inert in K.
+    N d_K with every prime of the level inert in K; raises ValueError
+    otherwise, and for nothing else.
 
     Scans A = N a for a = 1, 2, ... and keeps, per class, the first form
-    found, i.e. the one of smallest A. The scan stops at whichever limit comes
-    first: the Im tau floor (Im tau = sqrt|D| / (2A) < MIN_IM_TAU, which every
-    later form would fail too) or the cap a <= 60 h. If classes are still
-    missing, PrecisionUnreachable names the limit that stopped the scan.
+    found, i.e. the one of smallest A. The scan ends: every class of
+    Pic(O_D) holds a primitive form (A, B, C) with N | A and B = beta
+    (mod 2N) (Gross, "Heegner points on X_0(N)", 1984, section 1), and B
+    can be moved into (-A, A] by B -> B + 2A without leaving that residue.
     """
     N = curve.N
     if not heegner_hypothesis(curve, d_K):
@@ -273,18 +274,14 @@ def heegner_orbit(curve: CurveQ, d_K: int, level: int = 1) -> HeegnerOrbit:
         if kronecker(d_K, p) != -1:
             raise ValueError(f"level prime {p} is not inert in Q(sqrt({d_K}))")
     D = level * level * d_K
-    betas = [B for B in range(2 * N) if (B * B - D) % (4 * N) == 0]
-    if not betas:
+    beta = next((B for B in range(2 * N) if (B * B - D) % (4 * N) == 0), None)
+    if beta is None:
         raise ValueError(f"no square root of {D} mod {4 * N}; Heegner hypothesis violated")
-    beta = betas[0]
     h = class_number(D)
     found: dict = {}
-    a_mult = 1
-    while len(found) < h and a_mult <= 60 * h:
-        A = N * a_mult
-        # same float expression as HeegnerTau.im_tau, so the cutoff matches it bit for bit
-        if math.sqrt(-D) / (2 * A) < MIN_IM_TAU:
-            break
+    A = 0
+    while len(found) < h:
+        A += N
         B = beta - 2 * N * ((beta + A) // (2 * N))
         while B <= A:
             if (B * B - D) % (4 * A) == 0:
@@ -294,18 +291,6 @@ def heegner_orbit(curve: CurveQ, d_K: int, level: int = 1) -> HeegnerOrbit:
                     if cls not in found:
                         found[cls] = HeegnerTau(A, B, C, D, level)
             B += 2 * N
-        a_mult += 1
-    if len(found) < h:
-        if a_mult > 60 * h:
-            limit = f"the 60h cap at A = {60 * h * N}"
-        else:
-            limit = (
-                f"the Im tau floor {MIN_IM_TAU} at A = {A} "
-                f"(Im tau = {math.sqrt(-D) / (2 * A):.2e})"
-            )
-        raise PrecisionUnreachable(
-            f"only {len(found)} of {h} Heegner classes found before the scan hit {limit}"
-        )
     return HeegnerOrbit(curve, d_K, level, D, [found[k] for k in sorted(found)])
 
 
@@ -335,7 +320,7 @@ def modular_param(
         n_terms = max(10, int(math.log(precision * (1 - aq) / math.sqrt(3)) / math.log(aq)) + 2)
     if n_terms > TERM_CEILING:
         raise PrecisionUnreachable(
-            f"{n_terms} terms needed, ceiling is {TERM_CEILING} (Im tau = {t.imag:.2e})"
+            f"{n_terms} terms needed, TERM_CEILING is {TERM_CEILING} (Im tau = {t.imag:.2e})"
         )
     v = cached_an(curve, n_terms).values
 
@@ -365,23 +350,30 @@ def orbit_sum(orbit: HeegnerOrbit, precision: float = 1e-9) -> CPoint:
 
 
 def fricke_diagnostic(
-    curve: CurveQ, tau: complex, precision: float = 1e-9, lattice: PeriodLattice | None = None
+    orbit: HeegnerOrbit, precision: float = 1e-9, lattice: PeriodLattice | None = None
 ) -> dict:
-    """Stability of z under the level involution tau -> -1/(N tau).
+    """Stability of z under the level involution W_N: tau -> -1/(N tau), at
+    the orbit's first form, read from the orbit's own forms.
+
+    With tau the root of (A, B, C), W_N tau is the root of (N C, -B, A/N), so
+    -conj(W_N tau) is the root of (N C, B, A/N): a Heegner form with the
+    orbit's residue B = beta (mod 2N). It is Gamma_0(N)-equivalent to the
+    orbit's form tau_m of its class, and a_n is real, so z(W_N tau) =
+    conj(z(tau_m)) mod Lambda. No series is summed at W_N tau itself, whose
+    Im can be as small as 1e-9.
 
     Reported as the distance of z(W tau) -+ z(tau) to the lattice for both
     signs; recorded for diagnostics, never asserted (the eigenvalue is
     curve-dependent). `lattice` is the curve's period lattice, built here
     when not given.
     """
+    curve, t = orbit.curve, orbit.taus[0]
     lattice = lattice or period_lattice(curve)
-    w_tau = -1.0 / (curve.N * tau)
-    z1 = modular_param(curve, tau, precision=precision).z
-    z2 = modular_param(curve, w_tau, precision=precision).z
-    return {
-        "dist_w_plus": lattice.dist(z2 - z1),
-        "dist_w_minus": lattice.dist(z2 + z1),
-    }
+    cls = reduce_form(curve.N * t.C, t.B, t.A // curve.N)
+    t_m = next(u for u in orbit.taus if reduce_form(u.A, u.B, u.C) == cls)
+    z1 = modular_param(curve, t, precision=precision).z
+    z2 = modular_param(curve, t_m, precision=precision).z.conjugate()
+    return {"dist_w_plus": lattice.dist(z2 - z1), "dist_w_minus": lattice.dist(z2 + z1)}
 
 
 # ---------------------------------------------------------------------------

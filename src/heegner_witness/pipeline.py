@@ -52,7 +52,6 @@ from .searcher import (
 _CONFIG_TYPES = {
     "float": (int, float),
     "int": (int,),
-    "int | None": (int, type(None)),
 }
 
 
@@ -66,7 +65,6 @@ class Config:
     depth: int = 1  # least sequence primes searched for; tower_m + tower_r + 1 at least
     tower_r: int = 1  # generator bound of the hypothetical acting subgroup
     tower_m: int = 0  # level where the traced points are assumed defined
-    cm_field: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
@@ -160,19 +158,11 @@ def _check(checks, name, ok, **data):
 
 
 def _pick_aux_ell(curve: CurveQ, d_K: int) -> tuple[int, HeegnerOrbit] | None:
-    """Smallest inert prime usable for the level-ell trace relation, with its orbit."""
-    ell = 2
-    while ell < 100:
-        if (
-            is_prime(ell)
-            and math.gcd(ell, curve.N * d_K) == 1
-            and kronecker(d_K, ell) == -1
-        ):
-            try:
-                return ell, heegner_orbit(curve, d_K, ell)
-            except (ValueError, PrecisionUnreachable):
-                pass
-        ell += 1
+    """The smallest prime ell < 100 coprime to N d_K and inert in K, with its
+    level-ell orbit, for the trace relation; None when there is none."""
+    for ell in range(2, 100):
+        if is_prime(ell) and math.gcd(ell, curve.N * d_K) == 1 and kronecker(d_K, ell) == -1:
+            return ell, heegner_orbit(curve, d_K, ell)
     return None
 
 
@@ -222,8 +212,8 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     # 2. field search
     t = time.perf_counter()
     try:
-        fs = find_K(curve, config.dk_scan_bound, config.cm_field,
-                    config.nonvanishing_threshold, config.lseries_precision, le)
+        fs = find_K(curve, config.dk_scan_bound, config.nonvanishing_threshold,
+                    config.lseries_precision, le)
     except FieldSearchExhausted as e:
         _check(checks, "find_K", False, error=str(e))
         return finish("find_K")
@@ -244,7 +234,7 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     _check(checks, "l_over_K_nonzero", fs.l_value_data.nonzero, value=fs.l_value_data.value)
 
     # 3. prime q and the prime sequence
-    q = choose_q(curve, d_K, config.cm_field)
+    q = choose_q(curve, d_K)
     report.q = q
     _check(checks, "choose_q", math.gcd(q, 2 * d_K * curve.N) == 1 and q % 2 == 1, q=q)
     v_cj = 0  # pipeline model uses c_j = 1
@@ -327,9 +317,11 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
         }
         _check(checks, "gz_correspondence", gz.biconditional_holds,
                nontorsion=gz.pk_nontorsion, l_nonzero=gz.l_nonzero)
-        # recorded, not asserted
-        heeg["fricke"] = fricke_diagnostic(curve, orbit.taus[0].tau, lattice=lattice)
         report.heegner = heeg
+        try:  # recorded, not asserted
+            heeg["fricke"] = fricke_diagnostic(orbit, lattice=lattice)
+        except PrecisionUnreachable as e:
+            heeg["fricke"] = {"error": str(e)}
         picked = _pick_aux_ell(curve, d_K)
         if picked is None:
             heeg["trace_relation"] = {"error": "no feasible auxiliary inert prime"}

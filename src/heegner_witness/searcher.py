@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .arith import crt_pair, euler_phi, is_prime, is_squarefree, prime_divisors, primes_upto
 from . import ec_core
-from .ec_core import CurveQ, ap_many, count_points, good_reduction, reduce_mod
+from .ec_core import CurveQ, ap_many, cm_field, count_points, good_reduction, reduce_mod
 from .lseries import (
     DEFAULT_NONVANISHING_THRESHOLD,
     DEFAULT_PRECISION,
@@ -23,7 +23,7 @@ from .lseries import (
     l_eval,
     l_over_K,
 )
-from .quadforms import is_fundamental, kronecker
+from .quadforms import kronecker
 
 CARTAN_MODULUS_BOUND = 200
 
@@ -67,7 +67,6 @@ def heegner_hypothesis(curve: CurveQ, d: int) -> bool:
 def find_K(
     curve: CurveQ,
     scan_bound: int = 499,
-    cm_field: int | None = None,
     threshold: float = DEFAULT_NONVANISHING_THRESHOLD,
     precision: float = DEFAULT_PRECISION,
     le: LEval | None = None,
@@ -85,8 +84,7 @@ def find_K(
     while -d <= scan_bound:
         if is_squarefree(d):
             cong4 = d % 4 == 1  # always true along this progression
-            copr_n = 2 * curve.N if cm_field is None else curve.N * cm_field
-            coprime = math.gcd(d, copr_n) == 1
+            coprime = math.gcd(d, 2 * curve.N) == 1
             heegner = coprime and heegner_hypothesis(curve, d)
             res = FieldSearchResult(d, cong4, coprime, heegner, False)
             if cong4 and coprime and heegner:
@@ -100,25 +98,20 @@ def find_K(
     raise FieldSearchExhausted(scan_bound, rejected)
 
 
-def choose_q(curve: CurveQ, d_K: int, cm_field: int | None = None) -> int:
+def choose_q(curve: CurveQ, d_K: int) -> int:
     """Smallest admissible odd prime q.
 
-    Non-CM: (q, 2 d_K N) = 1. CM by the field of discriminant d_F: additionally
-    (d_F/q) = 1 and q > 1 + 2 |d_K|^4 / phi(|d_K|). The open-image constant is
-    not enforced; the prime sequence is verified per prime instead.
+    Non-CM: (q, 2 d_K N) = 1. CM by the field of discriminant d_F, read from
+    j(E) by `ec_core.cm_field`: additionally (d_F/q) = 1 and
+    q > 1 + 2 |d_K|^4 / phi(|d_K|). The open-image constant is not enforced;
+    the prime sequence is verified per prime instead.
     """
-    lower = 3
-    if cm_field is not None:
-        if not is_fundamental(cm_field):
-            raise ValueError(f"CM discriminant {cm_field} is not fundamental")
-        bound = 1 + 2 * abs(d_K) ** 4 / euler_phi(abs(d_K))
-        lower = int(bound) + 1
+    d_F = cm_field(curve)
+    lower = 3 if d_F is None else int(1 + 2 * abs(d_K) ** 4 / euler_phi(abs(d_K))) + 1
     q = lower if lower % 2 == 1 else lower + 1
     while True:
         if is_prime(q) and math.gcd(q, 2 * d_K * curve.N) == 1:
-            if cm_field is None:
-                return q
-            if math.gcd(q, cm_field) == 1 and kronecker(cm_field, q) == 1:
+            if d_F is None or (math.gcd(q, d_F) == 1 and kronecker(d_F, q) == 1):
                 return q
         q += 2
 

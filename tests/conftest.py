@@ -36,5 +36,5 @@ def e_ss():
 
 @pytest.fixture(scope="session")
 def g427():
-    # generated semistable curve: every inert ell < 100 fails the Im tau floor for d_K = -19
+    # generated semistable curve, d_K = -19; its level-2 orbit holds a form with Im tau < 5e-3
     return CurveQ(0, -1, 1, -1, -1, 427, "g427.1")

@@ -8,6 +8,7 @@ None of it shares evaluation code with the package paths it judges.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,12 +29,12 @@ from heegner_witness.ec_core import (
 from heegner_witness.arith import primes_upto
 from heegner_witness.heegner import (
     DEFAULT_TORSION_BOUND,
-    MIN_IM_TAU,
     PeriodLattice,
     PrecisionUnreachable,
     _halve_and_double,
     _wp,
     elliptic_exp,
+    modular_param,
     orbit_sum,
     period_lattice,
 )
@@ -474,32 +475,35 @@ def matrix_order(T, modulus, cap: int = 3 ** 12) -> int:
 
 
 def heegner_forms_unbounded(curve: CurveQ, d: int, level: int = 1) -> list:
-    """Heegner forms (A, B, C) by the full scan over A = N a, a <= 60 h, with
-    the Im tau floor applied only after the scan; one form per class, the
-    first found, in sorted reduced-class order. Raises PrecisionUnreachable
-    when classes are missing or the floor fails. Expects valid (curve, d,
-    level) input: no hypothesis checks."""
+    """Heegner forms (A, B, C) by the plain scan over A = N a, a = 1, 2, ...,
+    run until every class is found; one form per class, the first found, in
+    sorted reduced-class order. Expects valid (curve, d, level) input: no
+    hypothesis checks."""
     N = curve.N
     D = level * level * d
     beta = next(B for B in range(2 * N) if (B * B - D) % (4 * N) == 0)
     h = class_number(D)
     found: dict = {}
-    for a_mult in range(1, 60 * h + 1):
+    for a_mult in itertools.count(1):
         if len(found) == h:
             break
         A = N * a_mult
-        B = beta - 2 * N * ((beta + A) // (2 * N))
-        while B <= A:
-            if (B * B - D) % (4 * A) == 0:
+        for B in range(-A + 1, A + 1):
+            if (B - beta) % (2 * N) == 0 and (B * B - D) % (4 * A) == 0:
                 C = (B * B - D) // (4 * A)
                 if math.gcd(math.gcd(A, B), C) == 1:
                     found.setdefault(reduce_form(A, B, C), (A, B, C))
-            B += 2 * N
-    if len(found) < h:
-        raise PrecisionUnreachable(f"only {len(found)} of {h} classes")
-    if min(math.sqrt(-D) / (2 * A) for A, _, _ in found.values()) < MIN_IM_TAU:
-        raise PrecisionUnreachable("below the Im tau floor")
     return [found[k] for k in sorted(found)]
+
+
+def fricke_direct(curve: CurveQ, tau: complex, precision: float = 1e-9,
+                  lattice: PeriodLattice | None = None) -> dict:
+    """The Fricke distances of z(W_N tau) -+ z(tau), with z summed at
+    W_N tau = -1/(N tau) itself, however small its Im."""
+    lattice = lattice or period_lattice(curve)
+    z1 = modular_param(curve, tau, precision=precision).z
+    z2 = modular_param(curve, -1.0 / (curve.N * tau), precision=precision).z
+    return {"dist_w_plus": lattice.dist(z2 - z1), "dist_w_minus": lattice.dist(z2 + z1)}
 
 
 def unit_quotient_whole_ring(d: int, c: int) -> list[int]:

@@ -9,6 +9,7 @@ import numpy as np
 
 from heegner_witness import ec_core
 from heegner_witness.arith import is_prime, primes_upto
+from heegner_witness.quadforms import kronecker
 from heegner_witness.ec_core import (
     BadReductionError,
     CurveQ,
@@ -504,3 +505,22 @@ def test_bad_prime_types(e11a, e37a):
     assert kind == "multiplicative" and s == 1
     kind, s = reduction_type(e37a, 37)
     assert kind == "multiplicative" and s == -1
+
+
+def test_cm_field_is_read_from_j():
+    # y^2 = x^3 + 3j(1728 - j)x + 2j(1728 - j)^2 has j-invariant j; with CM by
+    # the field d_F it is supersingular, #E(F_p) = p + 1, at each good p inert
+    # in Q(sqrt(d_F)), counted here by Legendre sums
+    for j, d_F in ec_core.CM_FIELD_OF_J.items():
+        k = 1728 - j
+        ainvs = {0: (0, 0, 0, 0, 1), 1728: (0, 0, 0, 1, 0)}.get(j, (0, 0, 0, 3 * j * k, 2 * j * k * k))
+        assert ec_core.cm_field(ainvs) == d_F, j
+        _, _, _, a, b = ainvs
+        inert = [p for p in primes_upto(80)
+                 if p > 3 and ec_core.discriminant(ainvs) % p and kronecker(d_F, p) == -1]
+        assert len(inert) >= 5, j
+        for p in inert:
+            legendre = [pow((x**3 + a * x + b) % p, (p - 1) // 2, p) for x in range(p)]
+            assert p + 1 + sum(1 if v == 1 else -1 if v else 0 for v in legendre) == p + 1, (j, p)
+    for ainvs in ((0, -1, 1, -10, -20), (0, 0, 1, -1, 0), (0, 0, 0, 3 * 1727, 2 * 1727**2)):
+        assert ec_core.cm_field(ainvs) is None  # 11a, 37a, and j = 1

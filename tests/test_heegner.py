@@ -1,5 +1,7 @@
 import cmath
+import dataclasses
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from heegner_witness.heegner import (
     PrecisionUnreachable,
     canonical_height,
     elliptic_exp,
+    fricke_diagnostic,
     gz_correspondence,
     heegner_orbit,
     is_torsion,
@@ -27,9 +30,12 @@ from heegner_witness.heegner import (
 from heegner_witness import heegner, lseries
 from heegner_witness.ec_core import CurveQ, ap, b_invariants
 from heegner_witness.lseries import l_over_K
+from heegner_witness.pipeline import parse_curve_file
 from heegner_witness.quadforms import kronecker
+from heegner_witness.searcher import find_K
 from oracles import (
     elliptic_log,
+    fricke_direct,
     heegner_forms_unbounded,
     height_doubling_oracle,
     modular_param_per_term,
@@ -117,39 +123,52 @@ def test_heegner_orbit_rejects_bad_inputs(e37a, e_ss):
         heegner_orbit(e37a, -7, 11)  # 11 splits in Q(sqrt(-7)), not inert
 
 
-def _forms_or_raise(fn, *args):
-    try:
-        return fn(*args)
-    except PrecisionUnreachable:
-        return "PrecisionUnreachable"
-
-
 def test_heegner_orbit_matches_unbounded_scan(e37a, e11a, g427):
-    # the scan that stops at the Im tau floor keeps exactly the forms of the
-    # full 60h scan, and fails exactly where the full scan plus floor fails
+    # the scan keeps exactly the forms of the plain scan run to the end, also
+    # where it must reach Im tau < 5e-3 (g427 at ell = 2, 3, 13)
     cases = [(e37a, d, level) for d in (-7, -11) for level in (1, 2, 3, 5)]
     cases += [(e11a, -7, 1)] + [(g427, -19, ell) for ell in (2, 3, 13)]
-    compared = failed = 0
+    compared = low = 0
     for curve, d, level in cases:
         if level > 1 and kronecker(d, level) != -1:
             continue  # not a Heegner level; the input checks reject it
-        want = _forms_or_raise(heegner_forms_unbounded, curve, d, level)
-        orbit = _forms_or_raise(heegner_orbit, curve, d, level)
-        got = orbit if isinstance(orbit, str) else [(t.A, t.B, t.C) for t in orbit.taus]
-        assert got == want, (curve.label, d, level)
+        orbit = heegner_orbit(curve, d, level)
+        got = [(t.A, t.B, t.C) for t in orbit.taus]
+        assert got == heegner_forms_unbounded(curve, d, level), (curve.label, d, level)
         compared += 1
-        failed += want == "PrecisionUnreachable"
-    assert compared == 9 and failed == 3
+        low += min(t.im_tau for t in orbit.taus) < 5e-3
+    assert compared == 9 and low == 3
 
 
-def test_heegner_orbit_names_the_limit(e37a, g427, monkeypatch):
-    with pytest.raises(PrecisionUnreachable, match="Im tau floor 0.005 at A = 42700"):
-        heegner_orbit(g427, -19, 97)
-    # a class count no scan can reach, with the floor off, runs into the cap
-    monkeypatch.setattr(heegner, "MIN_IM_TAU", 0.0)
-    monkeypatch.setattr(heegner, "class_number", lambda D: 2)
-    with pytest.raises(PrecisionUnreachable, match="60h cap at A = 4440"):
-        heegner_orbit(e37a, -7, 1)
+def test_heegner_orbit_names_the_limit():
+    # the orbit scan has no limit of its own; the series' TERM_CEILING is the
+    # limit that remains, and the error names it
+    g91707 = CurveQ(0, -1, 1, -22, -36, 91707, "g91707.1")
+    orbit = heegner_orbit(g91707, -83, 2)
+    lowest = min(orbit.taus, key=lambda t: t.im_tau)
+    with pytest.raises(PrecisionUnreachable, match="^1434738 terms needed, TERM_CEILING is 1000000"):
+        modular_param(g91707, lowest)
+
+
+def test_fricke_read_from_the_orbit_matches_direct_evaluation():
+    # every level-1 class of the pinned curves that reach step 5, each in turn
+    # the orbit's first form, against z summed at W_N tau = -1/(N tau) itself
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    curves = parse_curve_file(os.path.join(root, "perfbench", "data", "pinned.txt"))
+    classes = 0
+    for curve in curves:
+        if curve.label in ("389a", "14a"):  # stop at the gate and at the prime scan
+            continue
+        orbit = heegner_orbit(curve, find_K(curve).d_K)
+        lattice = period_lattice(curve)
+        for k, t in enumerate(orbit.taus):
+            first = dataclasses.replace(orbit, taus=orbit.taus[k:] + orbit.taus[:k])
+            got = fricke_diagnostic(first, lattice=lattice)
+            want = fricke_direct(curve, t.tau, lattice=lattice)
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e-10, (curve.label, t, key)
+            classes += 1
+    assert classes == 25
 
 
 def test_modular_param_periodicity(e37a):

@@ -63,8 +63,10 @@ def test_config_validation(tmp_path):
 
 def test_config_file_rejects_unknown_keys_and_non_objects(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps({"depth": 2, "height_tol": 1e-4, "colour": "red", "cache_dir": "c"}))
-    with pytest.raises(ValueError, match=r"unknown config keys \['cache_dir', 'colour', 'height_tol'\]"):
+    p.write_text(json.dumps({"depth": 2, "height_tol": 1e-4, "colour": "red", "cache_dir": "c",
+                             "cm_field": -4}))
+    with pytest.raises(ValueError,
+                       match=r"unknown config keys \['cache_dir', 'cm_field', 'colour', 'height_tol'\]"):
         Config.from_file(str(p))
     p.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
@@ -80,15 +82,15 @@ def test_config_rejects_negative_tower_levels():
 
 def test_config_rejects_mistyped_fields(tmp_path):
     p = tmp_path / "cfg.json"
-    for data, name in (({"depth": "2"}, "depth"), ({"cm_field": "x"}, "cm_field"),
+    for data, name in (({"depth": "2"}, "depth"), ({"tower_m": 0.0}, "tower_m"),
                        ({"depth": True}, "depth"), ({"lseries_precision": "1e-8"}, "lseries_precision")):
         p.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=f"^{name} must be"):
             Config.from_file(str(p))
     with pytest.raises(ValueError, match="^prime_bound must be int"):
         Config(prime_bound=1e5)
-    cfg = Config(heegner_residual=1, cm_field=-7)  # an int is a valid float
-    assert cfg.heegner_residual == 1 and cfg.cm_field == -7
+    cfg = Config(heegner_residual=1)  # an int is a valid float
+    assert cfg.heegner_residual == 1
 
 
 def test_cli_rejects_depth_zero(curve_file, tmp_path, capsys):
@@ -101,7 +103,7 @@ def test_cli_rejects_depth_zero(curve_file, tmp_path, capsys):
 def test_cli_reports_unreadable_config(curve_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in ('{"height_tol": 1e-4}', '{"tower_m": -1}', "not json", '{"depth": "2"}',
-                 '{"cm_field": "x"}'):
+                 '{"cm_field": -4}'):
         bad.write_text(text)
         assert main(["--curves", curve_file, "--config", str(bad)]) == 2
         assert "cannot read config" in capsys.readouterr().err
@@ -147,12 +149,50 @@ def test_run_witness_14a_names_its_rational_3_torsion_and_never_scans(e14a, monk
     assert "prime_sequence_s" in report.timing
 
 
-def test_run_witness_returns_when_no_heegner_orbit_fits_the_floor():
-    # N = 997 passes the gate, but no level-1 Heegner form has Im tau >= MIN_IM_TAU
+def test_run_witness_passes_where_every_heegner_form_has_small_im_tau():
+    # every level-1 Heegner form of N = 997, d_K = -19 has Im tau < 5e-3; the
+    # orbit scan runs until every class is found, and the run passes
     report = run_witness(CurveQ(0, -1, 1, -18, 36, 997, "g997.1"))
-    assert report.failed_at == "gz_correspondence" and not report.passed
-    assert "Im tau floor" in report.checks[-1]["error"]
+    assert report.passed and report.failed_at is None and report.d_K == -19
+    assert report.heegner["trace_relation"]["ell"] == 2
     assert "heegner_s" in report.timing
+
+
+@pytest.mark.parametrize("curve", [
+    CurveQ(0, 1, 1, 0, 1, 755, "g755.3"),
+    CurveQ(1, 1, 0, 4, -1, 5443, "g5443.1"),
+    CurveQ(1, 0, 1, 3, -3, 6689, "g6689.1"),
+])
+def test_run_witness_passes_without_summing_at_w_n_tau(curve):
+    # every level-1 form has Im tau < 5e-3, and z summed at W_N tau = -1/(N tau)
+    # would need 436,805, 14,294,885 (over TERM_CEILING) and 750,495 terms;
+    # Fricke reads z(W_N tau) from the orbit instead
+    report = run_witness(curve)
+    assert report.passed, report.checks[-1]
+    assert set(report.heegner["fricke"]) == {"dist_w_plus", "dist_w_minus"}
+
+
+def test_fricke_precision_unreachable_is_recorded_not_raised(e37a, monkeypatch):
+    def fricke_diagnostic(*args, **kwargs):
+        raise heegner.PrecisionUnreachable("1000001 terms needed")
+
+    monkeypatch.setattr(pipeline, "fricke_diagnostic", fricke_diagnostic)
+    report = run_witness(e37a)
+    assert report.heegner["fricke"] == {"error": "1000001 terms needed"}
+    assert report.passed  # a diagnostic, never a check
+
+
+@pytest.mark.parametrize("ainvs, q", [
+    ((0, 0, 1, 0, -7, 27), 2953),  # 27a1, CM by -3
+    ((0, 0, 1, 0, 0, 27), 2953),  # 27a3, CM by -3
+    ((0, 0, 0, 4, 0, 32), 809),  # 32a1, CM by -4
+    ((0, 0, 0, 0, 1, 36), 25447),  # 36a1, CM by -3
+    ((1, -1, 0, -2, -1, 49), 14519),  # 49a1, CM by -7
+    ((0, 0, 1, -1, 0, 37), 3),  # 37a, no CM
+])
+def test_run_witness_takes_the_cm_admissible_q_from_j(ainvs, q):
+    # with CM by d_F, q splits in Q(sqrt(d_F)) and q > 1 + 2|d_K|^4/phi(|d_K|)
+    assert run_witness(CurveQ(*ainvs)).q == q
 
 
 @pytest.mark.parametrize("curve", [
@@ -234,11 +274,13 @@ def test_run_witness_evaluates_L_over_K_at_the_config_precision(e37a):
     assert report.heegner["l_prime_K"] == report.l_values["L_over_K"]
 
 
-def test_doomed_aux_search_stops_at_the_floor(g427):
-    assert _pick_aux_ell(g427, -19) is None
+def test_aux_search_takes_the_smallest_inert_prime(g427):
+    ell, orbit = _pick_aux_ell(g427, -19)
+    assert (ell, orbit.level, orbit.class_count) == (2, 2, 3)
     report = run_witness(g427)
-    assert report.failed_at == "trace_relation"
-    assert report.heegner["trace_relation"] == {"error": "no feasible auxiliary inert prime"}
+    assert report.passed and report.failed_at is None
+    trace = report.heegner["trace_relation"]
+    assert (trace["ell"], trace["orbit_size"]) == (2, 3) and trace["residual"] < 1e-10
     assert "heegner_s" in report.timing
 
 

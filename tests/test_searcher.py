@@ -57,7 +57,7 @@ def test_choose_q_cm_bound():
     from heegner_witness.ec_core import CurveQ
 
     e_cm = CurveQ(0, 0, 0, 1, 0, 32, "32a")  # CM by Q(i), d_F = -4
-    q = choose_q(e_cm, -7, cm_field=-4)
+    q = choose_q(e_cm, -7)  # the CM field -4 is read from j = 1728
     assert q >= 809
     assert q > 1 + 2 * 7**4 / 6
     assert kronecker(-4, q) == 1
