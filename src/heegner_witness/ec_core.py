@@ -25,43 +25,62 @@ per block, each lane running BSGS on one point with the complete projective
 addition of Renes-Costello-Batina, so no lane needs an inversion or a case
 split, and giant steps matched to baby steps by an exact float64 test of
 p | X Z_j - X_j Z. A lane takes the first x < _POINT_TRIES where f(x) and
-the 3-division polynomial are both nonzero, all x of a block evaluated as
-one array, and one Legendre symbol chi_p(f) per lane says whether its point
-(x f, f^2) lies on E or on the quadratic twist E', whose order 2p + 2 - #E
-gives #E just as well. The point is never of order 2 or 3. The first giant
-step [m]P is read off the baby-step table by fixed windows of
-floor(log2(s + 1)) bits (`_window_mul`): about bits + bits/w additions
-and no select, where double-and-add took 2 bits additions and 3 bits selects.
-A lane is decided only when exactly one k in the Hasse interval has
-[k]P = O. The lanes that no block decides (no point, a degenerate sum or
-several such k: 2.4-3.1% of the six field-search pool tables, 6.2% of the
-j = 0 curve [0,0,1,0,0], 6.5% of y^2 = x^3 + x and 8.4% of y^2 = x^3 - x,
-primes 2500 to 26,600) run once more, with the point on the other curve of
-the pair, as Mestre's argument suggests (Cremona-Sutherland, JTNB 22,
-2010), when there are at least _BLOCK_MIN of them. Only the lanes this
-twist pass leaves undecided, or fewer than _BLOCK_MIN, fall back to
-`_ap_bsgs`, so every value equals the scalar one: 1 to 4 of 2,551 on those
-pool tables, 7 on j = 0, 10 on y^2 = x^3 + x and 14 on y^2 = x^3 - x. With
-p <= 10^6 < 2^20 every lane product stays below 2^43, far inside int64.
-_LANES = 256 was measured on the six field-search twist tables (15,564
-primes in [2500, 27000], 2-vCPU Xeon): 128, 256 and 512 lanes took
-0.67-0.95, 0.61-0.68 and 0.53 s, and the benchmark's field-search peak RSS
-rose over the scalar path by 0.79, 0.93 and 1.13 MB; 256 is the largest
-block that keeps the rise under 1 MB.
+the 3-division polynomial are both nonzero (`_lockstep_point`, which
+evaluates each x only on the lanes that have none yet: x = 0 serves every
+lane unless p | c4 c6), and one Legendre symbol chi_p(f) per lane says
+whether its point (x f, f^2) lies on E or on the quadratic twist E', whose
+order 2p + 2 - #E gives #E just as well. The point is never of order 2 or
+3. The first giant step [m]P is read off the baby-step table by fixed
+windows of floor(log2(s + 1)) bits (`_window_mul`): about bits + bits/w
+additions and no select, where double-and-add took 2 bits additions and
+3 bits selects. A lane is decided only when exactly one k in the Hasse
+interval has [k]P = O. The lanes that no block decides (no point, a
+degenerate sum or several such k: 2.4-3.1% of the six field-search pool
+tables, 6.2% of the j = 0 curve [0,0,1,0,0], 6.5% of y^2 = x^3 + x and
+8.2% of y^2 = x^3 - x, primes 2500 to 26,600) run once more, with the
+point on the other curve of the pair, as Mestre's argument suggests
+(Cremona-Sutherland, JTNB 22, 2010), when there are at least _BLOCK_MIN of
+them. Only the lanes this twist pass leaves undecided, or fewer than
+_BLOCK_MIN, fall back to `_ap_bsgs`, so every value equals the scalar one:
+1 to 4 of 2,551 on those pool tables, 7 on j = 0, 9 on y^2 = x^3 + x and
+13 on y^2 = x^3 - x. With p <= 10^6 < 2^20 every lane product stays below
+2^43, far inside int64.
 
-A block makes about 47 `_padd` calls of 52 numpy operations each (60
-calls of 55 with double-and-add), and costs a few ms almost whatever its
-width: on 37a, median of 9 on a 2-vCPU Xeon, 2.3, 2.7 and 5.0 ms for 4, 40
-and 256 primes from 2500, 3.6, 4.0 and 6.6 ms from 2*10^4, and 4.9, 5.7
-and 9.5 ms from 10^5, while `_ap_bsgs` costs 0.13-0.22 ms per prime. So
+_LANES = 640. A block's memory is its baby-step table and giant-step
+buffers, (3, s + 1, lanes) and (s, lanes) arrays; the point search, which
+evaluated all _POINT_TRIES x at once as (tries, lanes) arrays, now adds
+little. On g12283.1 near p = 26,000 the tracemalloc peak of one block is
+390, 757, 944 and 1,506 KB at 256, 512, 640 and 1024 lanes (466 KB at 256
+with the all-at-once search), while `_padd` costs 44-76, 72-112 and 82-119
+us at 256, 512 and 640 lanes, mostly per-call numpy overhead. So a wider
+block counts each prime for less: `ap_lockstep` over the 2,554 good primes
+of g12283.1 in [2500, 26,643] took 67, 50, 49 and 42 ms at 256, 512, 640
+and 1024 lanes. On the benchmark's field-search (8 s runs, 2-vCPU Xeon)
+wall_s was 0.160, 0.142 and 0.137 s at 256, 512 and 640 lanes, against
+0.164 s for the all-at-once search at 256 (medians over seeds 501-504 at
+256, 501-510 at 512 and 640), and peak RSS rose over the all-at-once
+search by -0.1, 0.05 and 0.18 MB. Which lanes reach `_ap_bsgs` moves
+with the block boundaries, since a block sizes s for its largest prime:
+over the good primes 2500 to 30,000 of the pool tables, 37a, [0,0,1,0,0]
+and y^2 = x^3 -+ x, 256, 384, 448, 512, 640, 768 and 1024 lanes sent 48,
+47, 48, 49, 46, 47 and 48 primes there. 640 is the fastest width measured
+at which no table sends more than at 256.
+
+A block makes about 51 `_padd` calls of 52 numpy operations each, and
+costs a few ms almost whatever its width: on 37a, the least of 15 runs in
+each of two, on a loaded 2-vCPU Xeon, 1.9-2.4, 2.6-3.0, 5.4-5.5 and
+7.2-9.5 ms for 4, 40, 256 and 640 primes from 2500, 2.2-4.0, 3.2-4.3,
+6.2-6.3 and 8.7-10.1 ms from 2*10^4, and 2.7-5.1, 3.3-5.1, 9.8-10.9 and
+10.4-14.9 ms from 10^5, while `_ap_bsgs` costs 0.10-0.27 ms per prime. So
 `ap_many` counts fewer than _BLOCK_MIN primes >= BSGS_MIN_P with
-`_ap_bsgs`. _BLOCK_MIN is the measured break-even: on 11a, 14a and 37a,
-with 4 to 40 consecutive good primes from 2500, 2*10^4 and 10^5 (median of
-9 runs, 2-vCPU Xeon), one `ap_lockstep` call became cheaper than the
-scalar loop at 16 to 24 primes, median 20 in each of two runs (the
-double-and-add kernel: median 28 and 32 on the same host, 32 when first
-measured). The same break-even gates the twist pass: a twist block for a
-few lanes costs more than counting them one by one.
+`_ap_bsgs`. _BLOCK_MIN is the measured break-even of the kernel with the
+all-at-once point search: on 11a, 14a and 37a, with 4 to 40 consecutive
+good primes from 2500, 2*10^4 and 10^5 (median of 9 runs, 2-vCPU Xeon),
+one `ap_lockstep` call became cheaper than the scalar loop at 16 to 24
+primes, median 20 in each of two runs (the double-and-add kernel: median
+28 and 32 on the same host, 32 when first measured). The same break-even
+gates the twist pass: a twist block for a few lanes costs more than
+counting them one by one.
 
 Between the batched kernels the crossover is lower, but it does not pay to
 move BSGS_MIN_P. Per prime, in full blocks of 256 primes from 1000,
@@ -101,7 +120,7 @@ from .arith import factorize, prime_divisors, prime_mask, primes_upto
 
 POINT_COUNT_CEILING = 10**6
 BSGS_MIN_P = 2500  # measured crossover: count_points is faster than _ap_bsgs below it
-_LANES = 256  # primes per lockstep block
+_LANES = 640  # primes per lockstep block
 _BLOCK_MIN = 20  # fewer primes >= BSGS_MIN_P than this are counted one by one
 _POINT_TRIES = 32  # x values a lane tries for a point before it falls back
 _FLAT_CHUNK = 2**13  # x values per ap_flat chunk
@@ -380,7 +399,7 @@ def _padd(P, Q, a, b3, p):
 def _lane_pow(x, e, p):
     """x^e mod p lane-wise; x reduced mod p, e >= 0 per lane."""
     r = np.ones_like(x)
-    for bit in range(int(e.max()).bit_length()):
+    for bit in range(int(e.max(initial=0)).bit_length()):
         r = np.where((e >> bit) & 1 == 1, r * x % p, r)
         x = x * x % p
     return r
@@ -405,20 +424,54 @@ def _window_mul(table, m, a, b3, p):
     return R
 
 
+def _lockstep_point(A: np.ndarray, B: np.ndarray, p: np.ndarray, twist: bool = False):
+    """(x, f, on_e, found) per lane: the lane's point P = (x f, f^2), f = f(x).
+
+    On the short model y^2 = f(x) = x^3 + A x + B of `_ap_bsgs`, a lane takes
+    the first x < _POINT_TRIES where f and the 3-division polynomial
+    3x^4 + 6A x^2 + 12B x - A^2 are both nonzero. With `twist` it takes the
+    first such x whose chi_p(f) differs from chi_p(f) at the first such x, so
+    the point lies on the other curve of the pair. Try x is evaluated only on
+    the lanes that have no x yet: x = 0 serves every lane unless p | c4 c6, so
+    a first pass mostly ends after one round, and a twist pass, where each
+    try about halves the lanes left, after 5 to 11 rounds on ever fewer lanes
+    (the field-search pool's twist blocks of 62 to 79 lanes). on_e is
+    chi_p(f) == 1 at the lane's x; a lane with no x (found is False) keeps
+    x = 0 and f = 1.
+    """
+    x0, f = np.zeros_like(p), np.ones_like(p)
+    first = np.zeros_like(p)  # with `twist`: chi_p(f) at the lane's first usable x, 0 before it
+    todo = np.arange(len(p))  # the lanes with no x yet
+    for x in range(_POINT_TRIES):
+        q, a, b = p[todo], A[todo], B[todo]
+        F = ((x * x + a) * x + b) % q
+        ok = (F != 0) & (((3 * x * x + 6 * a) * x * x + 12 * b * x - a * a) % q != 0)
+        if twist:
+            i = np.flatnonzero(ok)
+            chi = np.where(_lane_pow(F[i], (q[i] - 1) // 2, q[i]) == 1, 1, -1)
+            ref = first[todo[i]]
+            first[todo[i[ref == 0]]] = chi[ref == 0]
+            ok[i] = (ref != 0) & (chi != ref)  # the first usable x only sets ref
+        x0[todo[ok]], f[todo[ok]] = x, F[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            break
+    found = np.ones(len(p), dtype=bool)
+    found[todo] = False
+    on_e = first < 0 if twist else _lane_pow(f, (p - 1) // 2, p) == 1
+    return x0, f, on_e, found
+
+
 def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np.ndarray:
     """#E(F_p) for each prime of the int64 array `p`, one lane each; 0 where undecided.
 
-    One point per lane, on the short model y^2 = f(x) = x^3 + A x + B of
-    `_ap_bsgs`: f and the 3-division polynomial 3x^4 + 6A x^2 + 12B x - A^2
-    are evaluated for every x < _POINT_TRIES at once, and the lane takes the
-    first x where neither is 0. One Legendre symbol chi = chi_p(f) per lane
-    then places P = (x f, f^2) on Y^2 = X^3 + A f^2 X + B f^3, which is E
-    when chi = 1 and its quadratic twist E' (#E' = 2p + 2 - #E) otherwise.
-    With `twist`, chi is evaluated at every x, and the lane takes the first
-    such x whose chi differs from the first one's: the point lies on the
-    other curve. The 3-division polynomial of the scaled model at x f is f^4
-    times its value at x, so P has order > 3 on either curve; on a j = 0
-    model with B a square, x = 0 would give order 3 at every prime.
+    One point per lane, P = (x f, f^2) from `_lockstep_point`, on
+    Y^2 = X^3 + A f^2 X + B f^3, which is E when chi_p(f) = 1 and its
+    quadratic twist E' (#E' = 2p + 2 - #E) otherwise; with `twist`, on the
+    other curve of the pair from the one the first pass used. The 3-division
+    polynomial of the scaled model at x f is f^4 times its value at x, so P
+    has order > 3 on either curve; on a j = 0 model with B a square, x = 0
+    would give order 3 at every prime.
 
     Baby steps jP for 1 <= j <= S, then giant steps [m]P, m = lo + S,
     lo + 3S + 1, ..., whose windows [m - S, m + S] cover the Hasse interval
@@ -440,17 +493,7 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
     lo, hi = p + 1 - amax, p + 1 + amax
     A = np.array([-27 * c4 % q for q in p.tolist()], dtype=np.int64)
     B = np.array([-54 * c6 % q for q in p.tolist()], dtype=np.int64)
-    lanes = np.arange(len(p))
-    x = np.arange(_POINT_TRIES, dtype=np.int64)[:, None]  # F and usable are (tries, lanes)
-    F = ((x * x + A) * x + B) % p
-    usable = (F != 0) & (((3 * x * x + 6 * A) * x * x + 12 * B * x - A * A) % p != 0)
-    if twist:
-        square = _lane_pow(F, (p - 1) // 2, p) == 1
-        usable &= square != square[usable.argmax(axis=0), lanes]
-    x0 = usable.argmax(axis=0)  # the first usable x, or 0 where there is none
-    found = usable[x0, lanes]
-    f = F[x0, lanes]
-    on_e = square[x0, lanes] if twist else _lane_pow(f, (p - 1) // 2, p) == 1
+    x0, f, on_e, found = _lockstep_point(A, B, p, twist)
     a = A * f % p * f % p
     b3 = 3 * B * f % p * f % p * f % p
     P = (x0 * f % p, f * f % p, np.ones_like(p))

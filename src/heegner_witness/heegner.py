@@ -454,7 +454,11 @@ def rational_torsion_point(curve: CurveQ, q: int):
 
 
 def is_torsion(curve: CurveQ, P, multiple_bound: int = DEFAULT_TORSION_BOUND, lattice=None) -> bool:
-    """kP = O for some k <= bound; exact for rational points, mod-Lambda for CPoints."""
+    """kP = O for some k <= bound; exact for rational points, mod-Lambda for CPoints.
+
+    A rational P is not torsion as soon as some kP != O has 4x or 8y outside Z:
+    every torsion point of an integral model has 4x, 8y in Z (AEC VIII.7.1).
+    """
     if P is None:
         return True
     if isinstance(P, CPoint):
@@ -474,6 +478,8 @@ def is_torsion(curve: CurveQ, P, multiple_bound: int = DEFAULT_TORSION_BOUND, la
         acc = rational_add(curve, acc, Pf)
         if acc is None:
             return True
+        if (4 * acc[0]).denominator != 1 or (8 * acc[1]).denominator != 1:
+            return False
     return False
 
 
@@ -760,8 +766,8 @@ def gz_correspondence(
     lattice = lattice or period_lattice(curve)
     pk, recognized = trace_to_K(orbit, precision=precision, lattice=lattice)
     if recognized is not None:
-        nontorsion = not is_torsion(curve, recognized)
         height = canonical_height(curve, recognized)
+        nontorsion = height > 0.0  # canonical_height is 0.0 exactly on torsion points
         proxy = False
     else:
         nontorsion = not is_torsion(curve, pk, lattice=lattice)

@@ -177,8 +177,11 @@ def _exp1_fraction(x: np.ndarray) -> np.ndarray:
 
 
 def _tail_terms(x: float, target: float, linear_weight: bool) -> int:
-    """Smallest T with the tail bound below target for sum w(n) r^n, r = e^-x.
+    """A T with the tail bound below target for sum w(n) r^n, r = e^-x: the
+    first rung of the ladder T = 8, int(1.3 T) + 1, ... that meets it.
 
+    The bound falls with T, so the smallest such T lies between the rung
+    returned and the rung below it: the ladder overshoots by up to 30%.
     linear_weight=True bounds |a_n| r^n with a_n <= sqrt(3) n; otherwise
     bounds sqrt(3) r^n (the a_n/n series).
     """

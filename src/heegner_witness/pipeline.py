@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 from . import __version__
 from .arith import is_prime
-from .ec_core import CurveQ
+from .ec_core import CurveQ, cm_field
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
 from .heegner import (
     HeegnerOrbit,
@@ -43,6 +43,7 @@ from .searcher import (
     FieldSearchExhausted,
     PrimeSearchExhausted,
     choose_q,
+    cm_q_bound,
     find_K,
     prime_sequence,
     verify_prime_item,
@@ -146,9 +147,6 @@ class WitnessReport:
     versions: dict = field(default_factory=dict)
     timing: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _check(checks, name, ok, **data):
     entry = {"name": name, "pass": bool(ok)}
@@ -249,8 +247,11 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
             return finish("prime_sequence")
         items = prime_sequence(curve, d_K, q, needed, config.prime_bound)
     except PrimeSearchExhausted as e:
-        _check(checks, "prime_sequence", False, error=str(e),
-               partial=[it.p for it in e.partial])
+        error = str(e)
+        if cm_field(curve) is not None:
+            error += (f"; q = {q} was set by the CM lower bound 1 + 2|d_K|^4/phi(|d_K|)"
+                      f" = {cm_q_bound(d_K):.1f}")
+        _check(checks, "prime_sequence", False, error=error, partial=[it.p for it in e.partial])
         return finish("prime_sequence")
     finally:
         timing["prime_sequence_s"] = round(time.perf_counter() - t, 3)
@@ -398,7 +399,8 @@ def _canonical(obj):
 
 
 def canonical_json(report: WitnessReport) -> str:
-    data = _canonical(report.to_dict())
+    # no field holds a dataclass, and _canonical copies every container
+    data = _canonical({f.name: getattr(report, f.name) for f in fields(report)})
     hashed = {k: v for k, v in data.items() if k != "timing"}
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()

@@ -98,16 +98,21 @@ def find_K(
     raise FieldSearchExhausted(scan_bound, rejected)
 
 
+def cm_q_bound(d_K: int) -> float:
+    """1 + 2 |d_K|^4 / phi(|d_K|), which q must exceed when E has CM."""
+    return 1 + 2 * abs(d_K) ** 4 / euler_phi(abs(d_K))
+
+
 def choose_q(curve: CurveQ, d_K: int) -> int:
     """Smallest admissible odd prime q.
 
     Non-CM: (q, 2 d_K N) = 1. CM by the field of discriminant d_F, read from
-    j(E) by `ec_core.cm_field`: additionally (d_F/q) = 1 and
-    q > 1 + 2 |d_K|^4 / phi(|d_K|). The open-image constant is not enforced;
-    the prime sequence is verified per prime instead.
+    j(E) by `ec_core.cm_field`: additionally (d_F/q) = 1 and q > `cm_q_bound`.
+    The open-image constant is not enforced; the prime sequence is verified
+    per prime instead.
     """
     d_F = cm_field(curve)
-    lower = 3 if d_F is None else int(1 + 2 * abs(d_K) ** 4 / euler_phi(abs(d_K))) + 1
+    lower = 3 if d_F is None else int(cm_q_bound(d_K)) + 1
     q = lower if lower % 2 == 1 else lower + 1
     while True:
         if is_prime(q) and math.gcd(q, 2 * d_K * curve.N) == 1:
@@ -144,9 +149,9 @@ def prime_sequence(
     The three cheap conditions filter the primes up to `p_bound` lazily.
     `ap_many` counts the candidates' a_p in chunks, so the a_p above
     BSGS_MIN_P are counted in lockstep blocks: the first chunk has `count`
-    candidates, and each later one doubles, up to _LANES. The scan stops in
-    the chunk that holds the count-th accepted prime, so the a_p of the rest
-    of that chunk are counted but unused.
+    candidates, and each later one doubles, up to _LANES = 640. The scan
+    stops in the chunk that holds the count-th accepted prime, so the a_p of
+    the rest of that chunk are counted but unused.
     """
     candidates = (
         p for p in primes_upto(p_bound)

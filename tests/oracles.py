@@ -80,6 +80,27 @@ def prime_sequence_per_prime(curve: CurveQ, d_K: int, q: int, count: int, p_boun
     raise PrimeSearchExhausted(p_bound, items)
 
 
+def lockstep_point_eager(A, B, p, twist: bool = False, tries: int = 32):
+    """The lockstep kernel's point choice with every x < tries evaluated on
+    every lane at once, as (tries, lanes) arrays: (x, f, on_e, found) per lane.
+
+    A lane takes the first x where f(x) = x^3 + A x + B and the 3-division
+    polynomial are both nonzero; with `twist`, the first such x whose
+    Legendre symbol differs from the first one's. A lane with none reads
+    found = False.
+    """
+    lanes = np.arange(len(p))
+    x = np.arange(tries, dtype=np.int64)[:, None]
+    F = ((x * x + A) * x + B) % p
+    usable = (F != 0) & (((3 * x * x + 6 * A) * x * x + 12 * B * x - A * A) % p != 0)
+    square = np.array([[pow(int(v), (int(q) - 1) // 2, int(q)) == 1 for v, q in zip(row, p)]
+                       for row in F], dtype=bool)
+    if twist:
+        usable &= square != square[usable.argmax(axis=0), lanes]
+    x0 = usable.argmax(axis=0)
+    return x0, F[x0, lanes], square[x0, lanes], usable[x0, lanes]
+
+
 def _fp2_mul(u, v, p, eps):
     # elements of F_{p^2} = F_p(sqrt(eps)) as pairs (a, b) = a + b*sqrt(eps)
     return ((u[0] * v[0] + eps * u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p)

@@ -17,6 +17,7 @@ from heegner_witness.ec_core import (
     _add,
     _ap_bsgs,
     _lockstep_orders,
+    _lockstep_point,
     _mul,
     _padd,
     _window_mul,
@@ -33,7 +34,14 @@ from heegner_witness.ec_core import (
     reduce_mod,
     reduction_type,
 )
-from oracles import an_per_prime_ap, an_recursive, brute_count, count_points_ext, twist
+from oracles import (
+    an_per_prime_ap,
+    an_recursive,
+    brute_count,
+    count_points_ext,
+    lockstep_point_eager,
+    twist,
+)
 
 
 def test_discriminant_37a(e37a):
@@ -189,6 +197,34 @@ def test_twist_pass_leaves_few_lanes_to_the_scalar_path(e_ss, monkeypatch):
         assert twists == [False] and 0 < len(scalar) < ec_core._BLOCK_MIN, (curve, len(scalar))
 
 
+@pytest.mark.parametrize("case", ["j0", "j1728", "p | c4 c6"])
+def test_lazy_point_search_picks_the_eager_point(case, monkeypatch):
+    # every lane takes the same x and curve as when all tries are evaluated at once
+    if case == "p | c4 c6":  # 2503 | c4, 2521 and 2531 | c6, 2539 | both, among other primes
+        c4, c6 = 2503 * 2539 * 7, 2521 * 2531 * 2539 * 11
+        primes = [p for p in primes_upto(3200) if p >= 2500]
+    else:
+        curve = CurveQ(0, 0, 1, 0, 0, 27) if case == "j0" else CurveQ(0, 0, 0, -1, 0, 32)
+        c4, c6 = c_invariants(curve)
+        primes = [p for p in primes_upto(12000) if p >= 2500 and good_reduction(curve, p)]
+    p = np.array(primes, dtype=np.int64)
+    A = np.array([-27 * c4 % q for q in primes], dtype=np.int64)
+    B = np.array([-54 * c6 % q for q in primes], dtype=np.int64)
+    assert ((A == 0) | (B == 0)).any()  # lanes where x = 0 is not usable
+    default = ec_core._POINT_TRIES
+    for tries in (1, 2, default):  # few tries leave lanes with no x
+        monkeypatch.setattr(ec_core, "_POINT_TRIES", tries)
+        for twist_pass in (False, True):
+            x0, f, on_e, found = _lockstep_point(A, B, p, twist_pass)
+            want_x, want_f, want_on_e, want_found = lockstep_point_eager(A, B, p, twist_pass, tries)
+            assert found.tolist() == want_found.tolist(), (tries, twist_pass)
+            assert x0[found].tolist() == want_x[found].tolist(), (tries, twist_pass)
+            assert f[found].tolist() == want_f[found].tolist(), (tries, twist_pass)
+            assert on_e[found].tolist() == want_on_e[found].tolist(), (tries, twist_pass)
+            if tries == default:
+                assert found.all() and (x0 > 0).any()
+
+
 def test_window_mul_matches_affine_multiplication():
     # the kernel's window width w = floor(log2(s + 1)), s = isqrt(isqrt(4p)) + 1:
     # w = 3 at p = 2503 (s = 11), 4 at p = 29989 (s = 19), 5 at p = 999983 (s = 45)
@@ -261,7 +297,7 @@ def test_ap_many_matches_ap_in_the_order_given(e11a, e37a, monkeypatch):
     rng = random.Random(8)
     short, long = ec_core._BLOCK_MIN - 1, ec_core._LANES + 40
     for curve in (e11a, e37a):
-        good = [p for p in primes_upto(6000) if good_reduction(curve, p)]
+        good = [p for p in primes_upto(12000) if good_reduction(curve, p)]  # > long above 2500
         small = [p for p in good if p < BSGS_MIN_P]
         large = [p for p in good if p >= BSGS_MIN_P]
         for n_small, n_large in ((0, 0), (5, 0), (3, 2), (4, short), (1, short + 1), (30, long)):
