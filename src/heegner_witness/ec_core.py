@@ -60,8 +60,8 @@ wall_s was 0.160, 0.142 and 0.137 s at 256, 512 and 640 lanes, against
 0.164 s for the all-at-once search at 256 (medians over seeds 501-504 at
 256, 501-510 at 512 and 640), and peak RSS rose over the all-at-once
 search by -0.1, 0.05 and 0.18 MB. Which lanes reach `_ap_bsgs` moves
-with the block boundaries, since a block sizes s for its largest prime:
-over the good primes 2500 to 30,000 of the pool tables, 37a, [0,0,1,0,0]
+with the block boundaries, since a block sizes s, and runs its giant
+steps, for its largest prime: over the good primes 2500 to 30,000 of the pool tables, 37a, [0,0,1,0,0]
 and y^2 = x^3 -+ x, 256, 384, 448, 512, 640, 768 and 1024 lanes sent 48,
 47, 48, 49, 46, 47 and 48 primes there. 640 is the fastest width measured
 at which no table sends more than at 256.

@@ -182,20 +182,20 @@ def test_fricke_precision_unreachable_is_recorded_not_raised(e37a, monkeypatch):
     assert report.passed  # a diagnostic, never a check
 
 
-@pytest.mark.parametrize("ainvs, q, scan_fails", [
-    ((0, 0, 1, 0, -7, 27), 2953, False),  # 27a1, CM by -3
-    ((0, 0, 1, 0, 0, 27), 2953, False),  # 27a3, CM by -3
-    ((0, 0, 0, 4, 0, 32), 809, False),  # 32a1, CM by -4
-    ((0, 0, 0, 0, 1, 36), 25447, True),  # 36a1, CM by -3, d_K = -23
-    ((1, -1, 0, -2, -1, 49), 14519, True),  # 49a1, CM by -7, d_K = -19
-    ((0, 0, 1, -1, 0, 37), 3, False),  # 37a, no CM
+@pytest.mark.parametrize("ainvs, q", [
+    ((0, 0, 1, 0, -7, 27), 2953),  # 27a1, CM by -3
+    ((0, 0, 1, 0, 0, 27), 2953),  # 27a3, CM by -3
+    ((0, 0, 0, 4, 0, 32), 809),  # 32a1, CM by -4
+    ((0, 0, 0, 0, 1, 36), 25447),  # 36a1, CM by -3, d_K = -23
+    ((1, -1, 0, -2, -1, 49), 14519),  # 49a1, CM by -7, d_K = -19
+    ((0, 0, 1, -1, 0, 37), 3),  # 37a, no CM
 ])
-def test_run_witness_takes_the_cm_admissible_q_from_j(ainvs, q, scan_fails):
+def test_run_witness_takes_the_cm_admissible_q_from_j(ainvs, q):
     # with CM by d_F, q splits in Q(sqrt(d_F)) and q > 1 + 2|d_K|^4/phi(|d_K|)
     report = run_witness(CurveQ(*ainvs))
     assert report.q == q
-    assert (report.failed_at == "prime_sequence") == scan_fails
-    if scan_fails:  # so large a q leaves few p = -1 mod q below the scan bound; the error says why
+    if q > 10**4:  # 36a1, 49a1: few p = -1 mod q below the scan bound, and the error says why
+        assert report.failed_at == "prime_sequence"
         error = next(c["error"] for c in report.checks if c["name"] == "prime_sequence")
         bound = 1 + 2 * report.d_K**4 / euler_phi(-report.d_K)
         assert error.startswith("prime scan bound 100000 reached")
