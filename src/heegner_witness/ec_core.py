@@ -8,46 +8,50 @@ nonsingular. Models are assumed globally minimal.
 a_p at a good prime p >= BSGS_MIN_P comes from Shanks-Mestre baby-step
 giant-step on E and its quadratic twist (Cohen, GTM 138, 7.4.3), in
 O(p^(1/4)) group operations per point, and below it from an O(p) sum of
-quadratic characters. `ap` counts one prime: with the enumerator
-`count_points` (a quadratic-residue table on the long model) below
-BSGS_MIN_P, the measured crossover of the two scalar paths, and with
-`_ap_bsgs` from there on. The enumerator has two more roles: it is the test
+quadratic characters, except where a batch runs BSGS blocks anyway: they
+take its primes from LOCKSTEP_MIN_P up (`ap_many`). `ap` counts one prime:
+with the enumerator `count_points` (a quadratic-residue table on the long
+model) below BSGS_MIN_P, the measured crossover of the two scalar paths,
+and with `_ap_bsgs` from there on. The enumerator has two more roles: it is the test
 oracle for every batched path, and the independent recount that re-verifies
 accepted primes p >= 5, a different model and algorithm from each of them.
 Every path refuses p > POINT_COUNT_CEILING.
 
 `ap_many` is the one batched path: the a_n table and the prime scan both
-count through it. It sends p = 2 and 3 to `ap`, the primes
-5 <= p < BSGS_MIN_P to one `ap_flat` call, which lays the Legendre sums of
-many primes on the short model end to end in one flat numpy array, and the
-rest to one `ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes
-per block, each lane running BSGS on one point with the complete projective
-addition of Renes-Costello-Batina, so no lane needs an inversion or a case
-split, and giant steps matched to baby steps by an exact float64 test of
-p | X Z_j - X_j Z. A lane takes the first x < _POINT_TRIES where f(x) and
-the 3-division polynomial are both nonzero (`_lockstep_point`, which
-evaluates each x only on the lanes that have none yet: x = 0 serves every
-lane unless p | c4 c6), and one Legendre symbol chi_p(f) per lane says
-whether its point (x f, f^2) lies on E or on the quadratic twist E', whose
-order 2p + 2 - #E gives #E just as well. The point is never of order 2 or
-3. The first giant step [m]P is read off the baby-step table by fixed
-windows of floor(log2(s + 1)) bits (`_window_mul`): about bits + bits/w
-additions and no select, where double-and-add took 2 bits additions and
-3 bits selects. A lane is decided only when exactly one k in the Hasse
-interval has [k]P = O. The lanes that no block decides (no point, a
-degenerate sum or several such k: 2.4-3.1% of the six field-search pool
-tables, 6.2% of the j = 0 curve [0,0,1,0,0], 6.5% of y^2 = x^3 + x and
-8.2% of y^2 = x^3 - x, primes 2500 to 26,600) run once more, with the
-point on the other curve of the pair, as Mestre's argument suggests
-(Cremona-Sutherland, JTNB 22, 2010), when there are at least _BLOCK_MIN of
-them. Only the lanes this twist pass leaves undecided, or fewer than
-_BLOCK_MIN, fall back to `_ap_bsgs`, so every value equals the scalar one:
-1 to 4 of 2,551 on those pool tables, 7 on j = 0, 9 on y^2 = x^3 + x and
-13 on y^2 = x^3 - x. With p <= 10^6 < 2^20 every lane product stays below
-2^43, far inside int64.
+count through it. It sends p = 2 and 3 to `ap`, the primes 5 <= p <
+BSGS_MIN_P to one `ap_flat` call, which lays the Legendre sums of many primes
+on the short model end to end in one flat numpy array, and the rest to one
+`ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes per block,
+each lane running BSGS on one point with the complete projective addition of
+Renes-Costello-Batina, so no lane needs an inversion or a case split, and
+giant steps matched to baby steps by an exact float64 test of
+p | X Z_j - X_j Z. When that block runs, it also takes every prime from
+LOCKSTEP_MIN_P = 500 up, away from `ap_flat` (see below). A lane takes the
+first x < _POINT_TRIES where f(x) and the 3-division polynomial are both
+nonzero (`_lockstep_point`, which evaluates the tries in doubling windows
+only on the lanes that have no x yet: x = 0 serves every lane unless
+p | c4 c6), and one Legendre symbol chi_p(f) per lane says whether its point
+(x f, f^2) lies on E or on the quadratic twist E', whose order 2p + 2 - #E
+gives #E just as well. The point is never of order 2 or 3. The first giant
+step [m]P is read off the baby-step table by fixed windows of 3 bits
+(`_window_mul`): about bits + bits/3 additions and no select, where
+double-and-add took 2 bits additions and 3 bits selects. A lane is decided
+only when exactly one k in its Hasse interval has [k]P = O. Each lane sizes
+its baby and giant steps by its own Hasse interval, and its decision depends
+only on its prime and its point, never on the other lanes of its block. The
+lanes that no block decides (no point, a degenerate sum in the lane's own
+interval or several such k: 2.9-3.7% of the six field-search pool tables,
+6.4% of the j = 0 curve [0,0,1,0,0], 7.7% of y^2 = x^3 + x and 9.3% of
+y^2 = x^3 - x, primes 500 to 26,643) run once more, with the point on the
+other curve of the pair, as Mestre's argument suggests (Cremona-Sutherland,
+JTNB 22, 2010), when there are at least _BLOCK_MIN of them. Only the lanes
+this twist pass leaves undecided, or fewer than _BLOCK_MIN, fall back to
+`_ap_bsgs`, so every value equals the scalar one: 3 to 5 of 2,826 on those
+pool tables, 8 on j = 0, 20 on y^2 = x^3 + x and 19 on y^2 = x^3 - x. With
+p <= 10^6 < 2^20 every lane product stays below 2^43, far inside int64.
 
 _LANES = 640. A block's memory is its baby-step table and giant-step
-buffers, (3, s + 1, lanes) and (s, lanes) arrays; the point search, which
+buffers, (3, s + 2, lanes) and (s, lanes) arrays; the point search, which
 evaluated all _POINT_TRIES x at once as (tries, lanes) arrays, now adds
 little. On g12283.1 near p = 26,000 the tracemalloc peak of one block is
 390, 757, 944 and 1,506 KB at 256, 512, 640 and 1024 lanes (466 KB at 256
@@ -59,12 +63,11 @@ and 1024 lanes. On the benchmark's field-search (8 s runs, 2-vCPU Xeon)
 wall_s was 0.160, 0.142 and 0.137 s at 256, 512 and 640 lanes, against
 0.164 s for the all-at-once search at 256 (medians over seeds 501-504 at
 256, 501-510 at 512 and 640), and peak RSS rose over the all-at-once
-search by -0.1, 0.05 and 0.18 MB. Which lanes reach `_ap_bsgs` moves
-with the block boundaries, since a block sizes s, and runs its giant
-steps, for its largest prime: over the good primes 2500 to 30,000 of the pool tables, 37a, [0,0,1,0,0]
-and y^2 = x^3 -+ x, 256, 384, 448, 512, 640, 768 and 1024 lanes sent 48,
-47, 48, 49, 46, 47 and 48 primes there. 640 is the fastest width measured
-at which no table sends more than at 256.
+search by -0.1, 0.05 and 0.18 MB. (Those figures predate the per-lane
+search sizes.) Since no decision depends on the block, _LANES moves no
+prime to or from `_ap_bsgs`: 256, 640 and 1024 lanes give every prime the
+same output in both passes over the good primes 500 to 30,000 of the pool
+tables, 37a, [0,0,1,0,0] and y^2 = x^3 -+ x.
 
 A block makes about 51 `_padd` calls of 52 numpy operations each, and
 costs a few ms almost whatever its width: on 37a, the least of 15 runs in
@@ -82,16 +85,22 @@ primes, median 20 in each of two runs (the double-and-add kernel: median
 gates the twist pass: a twist block for a few lanes costs more than
 counting them one by one.
 
-Between the batched kernels the crossover is lower, but it does not pay to
-move BSGS_MIN_P. Per prime, in full blocks of 256 primes from 1000,
-`ap_flat` took 49-51 us and `ap_lockstep` 41-57 us; from 2500, 94-102 us
-against 39-68 us (11a, 37a, 14a, median of 7, 2-vCPU Xeon under a load that
-made both about 2.5 times slower than on an idle machine). But an a_n table
-holds only about 200 primes in [1000, 2500), one partial block at most:
-whole tables of 2,500 to 10^5 terms took within 16% of the fastest setting
-with BSGS_MIN_P at 1000, 1500 or 2500, none of them best throughout, and up
+A block that runs anyway takes the primes from LOCKSTEP_MIN_P up, but no
+block is started for them. `ap_flat` costs about 30 p ns per prime, while
+one more lane in a block that runs anyway costs 21-26 us: on g12283.1, 37a
+and 57a (median of 11, alternated, 2-vCPU Xeon), `ap_flat` took 12.1-12.5
+ms for the 272 good primes in [500, 2500), and `ap_lockstep` 5.7-7.2 ms
+more for the primes 500 to 26,643 than for 2500 to 26,643. A block started
+for small primes alone pays only for many of them: grown to 1000 terms, a
+table took 2.3-2.7 ms with `ap_flat` alone against 4.4-5.9 ms with its 73
+primes from 500 in a block, and grown to 2500 terms 12.1-13.5 ms against
+9.8-10.7 ms. So the block's floor moves and BSGS_MIN_P does not: moving
+it to 1000, 1500 or 2500 for whole tables of 2,500 to 10^5 terms was
+within 16% of the fastest setting, none of them best throughout, and up
 to 45% longer at 4000 (g25133.1, 37a and [0,0,1,0,0], median of 5, two
-runs). a_p values do not depend on it.
+runs, before the fill). LOCKSTEP_MIN_P stays above 229, where `_ap_bsgs`
+is proven (Cremona-Sutherland), and from 500 up every block has the 8
+baby steps that `_window_mul` reads. a_p values depend on neither.
 
 _FLAT_CHUNK = 2^13 x values: on the 364 good primes 5 <= p < 2500 of 37a
 (420,770 x values), chunks of 2^11, 2^12, 2^13, 2^14 and 2^15 took 15.0-17.7,
@@ -120,6 +129,7 @@ from .arith import factorize, prime_divisors, prime_mask, primes_upto
 
 POINT_COUNT_CEILING = 10**6
 BSGS_MIN_P = 2500  # measured crossover: count_points is faster than _ap_bsgs below it
+LOCKSTEP_MIN_P = 500  # ap_many's lockstep block, when one runs, takes the primes from here up
 _LANES = 640  # primes per lockstep block
 _BLOCK_MIN = 20  # fewer primes >= BSGS_MIN_P than this are counted one by one
 _POINT_TRIES = 32  # x values a lane tries for a point before it falls back
@@ -408,12 +418,14 @@ def _lane_pow(x, e, p):
 def _window_mul(table, m, a, b3, p):
     """[m]P lane-wise for m >= 0, from table[:, j] = [j]P (0 <= j <= s, [0]P = O).
 
-    `table` is (3, s + 1, lanes) int64. Fixed windows of w = floor(log2(s + 1))
-    bits, read from the top, so every digit 0 .. 2^w - 1 is a row of the
-    table: w doublings and one addition per window after the top one, and no
-    select. A (0:0:0) sum propagates to the result.
+    `table` is (3, rows, lanes) int64 with rows >= 8. Fixed windows of 3 bits,
+    read from the top, so every digit 0 .. 7 is a row of the table: three
+    doublings and one addition per window after the top one, and no select.
+    The width is fixed, not read from the table, so each lane's chain of sums
+    depends only on its own m and P: digits above a lane's top one are 0 and
+    only add O to O. A (0:0:0) sum propagates to the result.
     """
-    w = table.shape[1].bit_length() - 1
+    w = 3
     lanes = np.arange(table.shape[2])
     top = max(int(m.max()).bit_length() - 1, 0) // w * w  # the top window's low bit
     R = table[:, m >> top, lanes]
@@ -431,31 +443,39 @@ def _lockstep_point(A: np.ndarray, B: np.ndarray, p: np.ndarray, twist: bool = F
     the first x < _POINT_TRIES where f and the 3-division polynomial
     3x^4 + 6A x^2 + 12B x - A^2 are both nonzero. With `twist` it takes the
     first such x whose chi_p(f) differs from chi_p(f) at the first such x, so
-    the point lies on the other curve of the pair. Try x is evaluated only on
-    the lanes that have no x yet: x = 0 serves every lane unless p | c4 c6, so
-    a first pass mostly ends after one round, and a twist pass, where each
-    try about halves the lanes left, after 5 to 11 rounds on ever fewer lanes
-    (the field-search pool's twist blocks of 62 to 79 lanes). on_e is
+    the point lies on the other curve of the pair. The tries are evaluated in
+    windows that double, x = 0, then 1-2, 3-6, 7-14, ..., each as a
+    (window, lanes) array over only the lanes that have no x yet: x = 0
+    serves every lane unless p | c4 c6, so a first pass mostly ends after one
+    round, and a twist pass, where each try about halves the lanes left,
+    after 3 or 4 rounds (the field-search pool's twist blocks of 82 to 105
+    lanes), each with one `_lane_pow` call. on_e is
     chi_p(f) == 1 at the lane's x; a lane with no x (found is False) keeps
     x = 0 and f = 1.
     """
     x0, f = np.zeros_like(p), np.ones_like(p)
     first = np.zeros_like(p)  # with `twist`: chi_p(f) at the lane's first usable x, 0 before it
     todo = np.arange(len(p))  # the lanes with no x yet
-    for x in range(_POINT_TRIES):
+    start = 0
+    while start < _POINT_TRIES and todo.size:
+        x = np.arange(start, min(2 * start + 1, _POINT_TRIES))[:, None]
         q, a, b = p[todo], A[todo], B[todo]
         F = ((x * x + a) * x + b) % q
         ok = (F != 0) & (((3 * x * x + 6 * a) * x * x + 12 * b * x - a * a) % q != 0)
+        cols = np.arange(len(todo))
         if twist:
-            i = np.flatnonzero(ok)
-            chi = np.where(_lane_pow(F[i], (q[i] - 1) // 2, q[i]) == 1, 1, -1)
-            ref = first[todo[i]]
-            first[todo[i[ref == 0]]] = chi[ref == 0]
-            ok[i] = (ref != 0) & (chi != ref)  # the first usable x only sets ref
-        x0[todo[ok]], f[todo[ok]] = x, F[ok]
-        todo = todo[~ok]
-        if not todo.size:
-            break
+            r, c = np.nonzero(ok)
+            chi = np.zeros_like(F)
+            chi[r, c] = np.where(_lane_pow(F[r, c], (q[c] - 1) // 2, q[c]) == 1, 1, -1)
+            ref = first[todo]
+            new = (ref == 0) & ok.any(axis=0)  # the window's first usable x sets ref
+            ref[new] = chi[ok.argmax(axis=0)[new], cols[new]]
+            first[todo] = ref
+            ok &= chi == -ref  # ref is never 0 where ok
+        row, hit = ok.argmax(axis=0), ok.any(axis=0)
+        x0[todo[hit]], f[todo[hit]] = start + row[hit], F[row[hit], cols[hit]]
+        todo = todo[~hit]
+        start = 2 * start + 1
     found = np.ones(len(p), dtype=bool)
     found[todo] = False
     on_e = first < 0 if twist else _lane_pow(f, (p - 1) // 2, p) == 1
@@ -473,24 +493,33 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
     has order > 3 on either curve; on a j = 0 model with B a square, x = 0
     would give order 3 at every prime.
 
-    Baby steps jP for 1 <= j <= S, then giant steps [m]P, m = lo + S,
-    lo + 3S + 1, ..., whose windows [m - S, m + S] cover the Hasse interval
-    [lo, hi]; the first [m]P comes by fixed windows from the baby-step table
+    Each lane sizes its own search by its own Hasse interval [lo, hi] =
+    [p + 1 - a, p + 1 + a], a = isqrt(4p): baby steps jP for 1 <= j <= s,
+    s = isqrt(a) + 1, then giant steps [m]P, m = lo + s, lo + 3s + 1, ...,
+    whose windows [m - s, m + s] cover [lo, hi]. The block shares one
+    baby-step table, as deep as its largest s, and each lane matches only its
+    own first s rows. The first [m]P comes by fixed windows from that table
     (`_window_mul`). [m]P = +-jP when p | d = X Z_j - X_j Z, tested in
     float64 as d/p == rint(d/p): d and p are exact there (|d| < 2^40), a
     multiple gives an exact integer quotient below 2^30, and a non-multiple
     lies at least 1/p > 2^-20 from every integer while the division rounds
     by at most 2^-23, so the test is exact and needs no int64 remainder.
-    The sign is then read by cross-multiplying Y. Every k in [lo, hi] with
-    [k]P = O is counted, and a lane is decided when there is exactly one: the
-    group order of P's curve is a multiple of the order of P in [lo, hi], so
-    it is that k, and #E is k or 2p + 2 - k. A lane with no point, a (0:0:0)
-    sum or two or more such k reads 0.
+    Each giant step only records its matches; the signs, read by
+    cross-multiplying Y, and the counts are resolved once after the loop.
+    Every k in [lo, hi] with [k]P = O is counted, and a lane is decided when
+    there is exactly one: the group order of P's curve is a multiple of the
+    order of P in [lo, hi], so it is that k, and #E is k or 2p + 2 - k. A
+    lane with no point, with ord P <= s, with two or more such k, or with a
+    (0:0:0) sum while its window still lies in [lo, hi] reads 0. A (0:0:0)
+    sum after that hides nothing, and the other lanes of the block, its
+    width and its largest prime change none of these tests: a lane's output
+    depends only on its prime, its point and `twist`.
     """
     if not _POINT_TRIES:  # no x to try: every lane is undecided
         return np.zeros_like(p)
     amax = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
     lo, hi = p + 1 - amax, p + 1 + amax
+    s = np.array([math.isqrt(q) + 1 for q in amax.tolist()], dtype=np.int64)
     A = np.array([-27 * c4 % q for q in p.tolist()], dtype=np.int64)
     B = np.array([-54 * c6 % q for q in p.tolist()], dtype=np.int64)
     x0, f, on_e, found = _lockstep_point(A, B, p, twist)
@@ -498,71 +527,75 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
     b3 = 3 * B * f % p * f % p * f % p
     P = (x0 * f % p, f * f % p, np.ones_like(p))
 
-    s = math.isqrt(int(amax.max())) + 1
-    table = np.empty((3, s + 1, len(p)), dtype=np.int64)  # table[:, j] = [j]P
+    depth, lanes = int(s.max()), np.arange(len(p))
+    table = np.empty((3, depth + 2, len(p)), dtype=np.int64)  # table[:, j] = [j]P
     table[:, 0] = [[0], [1], [0]]
-    Q = P
-    for j in range(1, s + 1):
-        table[:, j] = last = Q
-        Q = _padd(Q, P, a, b3, p)
-    G = _padd(Q, last, a, b3, p)  # [s + 1]P + [s]P
-    # X and Z of the baby steps are kept as float64 for the match, Y as int64 for the sign
-    Xb, Yb, Zb = table[0, 1:].astype(np.float64), table[1, 1:], table[2, 1:].astype(np.float64)
+    table[:, 1] = Q = P
+    for j in range(2, depth + 2):
+        table[:, j] = Q = _padd(Q, P, a, b3, p)
+    G = _padd(table[:, s + 1, lanes], table[:, s, lanes], a, b3, p)  # [2s + 1]P
+    # X and Z of the baby steps are kept as float64 for the match
+    Xb, Zb = table[0, 1 : depth + 1].astype(np.float64), table[2, 1 : depth + 1].astype(np.float64)
+    own = np.arange(1, depth + 1)[:, None] <= s  # the lane's own baby steps
     # ord P <= s leaves several multiples in [lo, hi]: such a lane is undecided
-    big = Zb.all(axis=0)
+    big = ~(own & (Zb == 0)).any(axis=0)
     if not big.any():
         return np.zeros_like(p)
-    m = lo + s
-    R = _window_mul(table, m, a, b3, p)
+    Xb[~(own & big)] = np.nan  # a NaN quotient matches nothing
+    windows = 2 * amax // (2 * s + 1) + 1  # the last one reaches hi
+    R = _window_mul(table, lo + s, a, b3, p)
 
-    hits = np.zeros(len(p), dtype=np.int64)
-    last_k = np.zeros(len(p), dtype=np.int64)
-    js = np.arange(1, s + 1, dtype=np.int64)
     pf = p.astype(np.float64)
     quo, near = np.empty_like(Xb), np.empty_like(Xb)  # reused by every giant step
-    while True:
+    steps = []  # (j, lane, Y, Z) of each giant step's matches
+    for i in range(int(windows.max())):
+        if i:
+            R = _padd(R, G, a, b3, p)
         X, Y, Z = R
         np.multiply(X.astype(np.float64), Zb, out=quo)
         quo -= np.multiply(Xb, Z.astype(np.float64), out=near)
         quo /= pf
-        j, ln = np.nonzero((quo == np.rint(quo, out=near)) & big)  # [m]P = +-jP
-        yz, zy, q = Y[ln] * table[2, j + 1, ln], Yb[j, ln] * Z[ln], p[ln]
-        plus, minus = (yz - zy) % q == 0, (yz + zy) % q == 0
-        o = np.flatnonzero(Z == 0)  # [m]P = O
-        ks = np.concatenate((m[ln[plus]] - js[j[plus]], m[ln[minus]] + js[j[minus]], m[o]))
-        kl = np.concatenate((ln[plus], ln[minus], o))
-        inside = (lo[kl] <= ks) & (ks <= hi[kl])
-        hits += np.bincount(kl[inside], minlength=len(p))
-        last_k[kl[inside]] = ks[inside]
-        if (m + s - hi).min() >= 0:  # every window reached hi
-            break
-        R = _padd(R, G, a, b3, p)
-        m = m + 2 * s + 1
+        j, ln = np.nonzero(quo == np.rint(quo, out=near))  # [m]P = +-[j + 1]P
+        steps.append((j, ln, Y[ln], Z[ln]))
 
-    # a (0:0:0) baby step reaches G, and an earlier (0:0:0) giant step R
-    degenerate = [(X == 0) & (Y == 0) & (Z == 0) for X, Y, Z in (R, G)]
-    decided = found & big & ~degenerate[0] & ~degenerate[1] & (hits == 1)
+    i = np.repeat(np.arange(len(steps)), [len(st[0]) for st in steps])
+    j, ln, Y, Z = (np.concatenate(v) for v in zip(*steps))
+    m = lo[ln] + s[ln] + i * (2 * s[ln] + 1)
+    yz, zy, q = Y * table[2, j + 1, ln], table[1, j + 1, ln] * Z, p[ln]
+    plus, minus = (yz - zy) % q == 0, (yz + zy) % q == 0
+    o = (Z == 0) & (j == 0)  # [m]P = O matches every baby step: count it once
+    ks = np.concatenate((m[plus] - j[plus] - 1, m[minus] + j[minus] + 1, m[o]))
+    kl = np.concatenate((ln[plus], ln[minus], ln[o]))
+    inside = (lo[kl] <= ks) & (ks <= hi[kl])
+    hits = np.bincount(kl[inside], minlength=len(p))
+    last_k = np.zeros_like(p)
+    last_k[kl[inside]] = ks[inside]
+    # a (0:0:0) sum matches every baby step too, and so does every later sum
+    void = np.zeros(len(p), dtype=bool)
+    void[ln[(Y == 0) & (Z == 0) & (i < windows[ln])]] = True
+    decided = found & big & ~void & (hits == 1)
     return np.where(decided, np.where(on_e, last_k, 2 * p + 2 - last_k), 0)
 
 
 def ap_lockstep(curve: CurveQ, primes) -> np.ndarray:
-    """a_p for good primes BSGS_MIN_P <= p <= POINT_COUNT_CEILING, as `_ap_bsgs` gives.
+    """a_p for good primes LOCKSTEP_MIN_P <= p <= POINT_COUNT_CEILING, as `_ap_bsgs` gives.
 
     The primes run `_lockstep_orders` in blocks of _LANES, in the order
-    given; each block sizes its baby steps for its own largest prime, so
-    ascending primes give tight blocks, and memory stays bounded. When at
+    given; a block's baby-step table is as deep as its largest prime needs,
+    so ascending primes give tight blocks, and memory stays bounded. When at
     least _BLOCK_MIN lanes are left undecided by every block, they run once
     more, in blocks of _LANES, each with its point on the other curve of the
     pair E, E' (the twist pass). The lanes still undecided, or fewer than
     _BLOCK_MIN, fall back to `_ap_bsgs`. Every value is Hasse-checked. The
-    ceiling keeps every lane product below 2^63.
+    ceiling keeps every lane product below 2^63, and the floor gives every
+    table the rows [0]P .. [7]P that `_window_mul` reads.
     """
     ps = np.array(primes, dtype=np.int64)
     for q in ps.tolist():
         if q > POINT_COUNT_CEILING:
             raise PointCountBoundError(f"p = {q} exceeds point count ceiling {POINT_COUNT_CEILING}")
-        if q < BSGS_MIN_P:
-            raise ValueError(f"p = {q} is below BSGS_MIN_P = {BSGS_MIN_P}")
+        if q < LOCKSTEP_MIN_P:
+            raise ValueError(f"p = {q} is below LOCKSTEP_MIN_P = {LOCKSTEP_MIN_P}")
         if not good_reduction(curve, q):
             raise BadReductionError(f"{curve.label or curve.ainvs} has bad reduction at {q}")
     c4, c6 = c_invariants(curve)
@@ -602,6 +635,10 @@ def ap(curve: CurveQ, p: int) -> int:
 
 def ap_flat(curve: CurveQ, primes) -> np.ndarray:
     """a_p for good primes 5 <= p < BSGS_MIN_P, as int64 in the order given.
+
+    `ap_many` sends it the primes below BSGS_MIN_P, or only those below
+    LOCKSTEP_MIN_P when it runs a lockstep block, which counts the others
+    for less.
 
     a_p = -sum_x chi_p(x^3 + A x + B) on the short model of `_ap_bsgs`. The x
     values of consecutive primes lie end to end in one flat array of at most
@@ -649,17 +686,18 @@ def ap_flat(curve: CurveQ, primes) -> np.ndarray:
 def ap_many(curve: CurveQ, primes) -> np.ndarray:
     """a_p for each prime of good reduction in `primes`, as int64 in the order given.
 
-    p = 2 and 3 go through `ap`, and the primes 5 <= p < BSGS_MIN_P through
-    one `ap_flat` call. The others go in one `ap_lockstep` call when there are
-    at least _BLOCK_MIN of them, and through `ap` one by one otherwise;
-    ascending primes give tight blocks.
+    When at least _BLOCK_MIN primes are >= BSGS_MIN_P, every prime from
+    LOCKSTEP_MIN_P up goes in one `ap_lockstep` call, which then runs anyway
+    and counts a small prime for less than `ap_flat` does (see the module
+    docstring). Otherwise the primes >= BSGS_MIN_P go through `ap` one by
+    one. The primes 5 <= p left below that go through one `ap_flat` call,
+    and p = 2 and 3 through `ap`. Ascending primes give tight blocks.
     """
     ps = np.asarray(primes, dtype=np.int64)
     out = np.empty_like(ps)
-    flat = (ps >= 5) & (ps < BSGS_MIN_P)
-    batch = ps >= BSGS_MIN_P
-    if np.count_nonzero(batch) < _BLOCK_MIN:
-        batch[:] = False
+    block = np.count_nonzero(ps >= BSGS_MIN_P) >= _BLOCK_MIN
+    batch = ps >= LOCKSTEP_MIN_P if block else np.zeros(len(ps), dtype=bool)
+    flat = (ps >= 5) & (ps < BSGS_MIN_P) & ~batch
     for i in np.flatnonzero(~flat & ~batch).tolist():
         out[i] = ap(curve, int(ps[i]))
     if flat.any():

@@ -148,8 +148,10 @@ def prime_sequence(
 
     The three cheap conditions filter the primes up to `p_bound` lazily.
     `ap_many` counts the candidates' a_p in chunks, so the a_p above
-    BSGS_MIN_P are counted in lockstep blocks: the first chunk has `count`
-    candidates, and each later one doubles, up to _LANES = 640. The scan
+    BSGS_MIN_P are counted in lockstep blocks, and a chunk with a block
+    counts its candidates from LOCKSTEP_MIN_P = 500 up in it too: the first
+    chunk has `count` candidates, and each later one doubles, up to
+    _LANES = 640. The scan
     stops in the chunk that holds the count-th accepted prime, so the a_p of
     the rest of that chunk are counted but unused.
     """
@@ -178,8 +180,9 @@ def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem) -> bo
 
     a_p is recounted on the long model, by a different algorithm from the one
     `ap_many` used: `count_points` from p = 5 on (`ap_many` takes character
-    sums on the short model below BSGS_MIN_P and BSGS above it), and below 5,
-    where `ap_many` itself calls `count_points`, by testing every (x, y) in
+    sums on the short model below BSGS_MIN_P, or below LOCKSTEP_MIN_P in a
+    chunk that runs a lockstep block, and BSGS above), and below 5, where
+    `ap_many` itself calls `count_points`, by testing every (x, y) in
     F_p x F_p.
     """
     p = item.p

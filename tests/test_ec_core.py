@@ -23,6 +23,7 @@ from heegner_witness.ec_core import (
     _window_mul,
     an_series,
     BSGS_MIN_P,
+    LOCKSTEP_MIN_P,
     ap,
     ap_flat,
     ap_lockstep,
@@ -143,12 +144,44 @@ def test_bsgs_matches_enumerator(e11a, e37a, e_ss):
 
 
 def test_lockstep_kernel_matches_enumerator(e11a, e37a, e_ss):
+    # every good p from the floor, where a table growth's block takes primes from ap_flat,
+    # to 5000, and large primes in the same blocks
     for curve in _bsgs_curves(e11a, e37a, e_ss):
-        primes = [p for p in primes_upto(5000) if p >= 2500 and good_reduction(curve, p)]
+        primes = [p for p in primes_upto(5000) if p >= LOCKSTEP_MIN_P and good_reduction(curve, p)]
+        assert primes[0] < 520
         primes += LARGE_PRIMES
         got = ap_lockstep(curve, primes)
         assert isinstance(got, np.ndarray) and got.dtype == np.int64
         assert got.tolist() == _recount(curve, primes), curve
+
+
+def test_lockstep_decisions_do_not_depend_on_the_block(e37a, e_ss, monkeypatch):
+    # each prime's #E (0 if undecided) in both passes is the same at every block width, and
+    # in blocks of shuffled primes, whose baby-step tables and giant-step loops run for
+    # primes up to 60 times larger; y^2 = x^3 - x at p = 3301 (point of order 534) once
+    # depended on its block, through a (0:0:0) giant step past its own Hasse interval
+    outputs = {}
+    real_orders = ec_core._lockstep_orders
+
+    def orders(c4, c6, p, twist=False):
+        n = real_orders(c4, c6, p, twist)
+        for q, k in zip(p.tolist(), n.tolist()):
+            assert outputs.setdefault((twist, q), k) == k, (twist, q)
+        return n
+
+    monkeypatch.setattr(ec_core, "_lockstep_orders", orders)
+    rng = random.Random(16)
+    x3mx = CurveQ(0, 0, 0, -1, 0, 32)
+    for curve in (e37a, CurveQ(0, 0, 1, 0, 0, 27), x3mx, e_ss):
+        primes = [p for p in primes_upto(30000) if p >= LOCKSTEP_MIN_P and good_reduction(curve, p)]
+        outputs.clear()
+        for lanes, order in ((256, primes), (640, primes), (1024, primes),
+                             (640, rng.sample(primes, len(primes)))):
+            monkeypatch.setattr(ec_core, "_LANES", lanes)
+            ap_lockstep(curve, order)
+        if curve is x3mx:
+            assert outputs[False, 3301] == 3302 - _recount_one(x3mx, 3301)
+        assert sum(twist for twist, _ in outputs) >= ec_core._BLOCK_MIN, curve
 
 
 def test_lockstep_kernel_decides_j0_lanes():
@@ -226,14 +259,12 @@ def test_lazy_point_search_picks_the_eager_point(case, monkeypatch):
 
 
 def test_window_mul_matches_affine_multiplication():
-    # the kernel's window width w = floor(log2(s + 1)), s = isqrt(isqrt(4p)) + 1:
-    # w = 3 at p = 2503 (s = 11), 4 at p = 29989 (s = 19), 5 at p = 999983 (s = 45)
+    # windows of w = 3 bits over the kernel's baby-step tables, s = isqrt(isqrt(4p)) + 1 rows:
+    # s = 7 at p = 503, the least the kernel takes, 19 at p = 29989 and 45 at p = 999983
     rng = random.Random(13)
-    widths = set()
-    for p in (2503, 29989, 999983):
+    w = 3
+    for p in (503, 29989, 999983):
         s = math.isqrt(math.isqrt(4 * p)) + 1
-        w = (s + 1).bit_length() - 1
-        widths.add(w)
         lanes = []  # (a, b, P) with P on y^2 = x^3 + a x + b
         while len(lanes) < 12:
             a, x, y = (rng.randrange(p) for _ in range(3))
@@ -261,7 +292,6 @@ def test_window_mul_matches_affine_multiplication():
                     assert x == z == 0 and y != 0, (p, m)
                 else:
                     assert z != 0 and (x - want[0] * z) % p == 0 and (y - want[1] * z) % p == 0, (p, m)
-    assert widths == {3, 4, 5}
 
 
 def test_lockstep_kernel_blocks_and_fallback(e37a, monkeypatch):
@@ -308,9 +338,24 @@ def test_ap_many_matches_ap_in_the_order_given(e11a, e37a, monkeypatch):
             got = ap_many(curve, primes)
             assert isinstance(got, np.ndarray) and got.dtype == np.int64
             assert got.tolist() == [ap(curve, p) for p in primes], (n_small, n_large)
-            assert blocks == ([n_large] if n_large > short else [])
-            n_flat = sum(5 <= p for p in primes if p < BSGS_MIN_P)  # one call for all of them
+            # a block runs for > short primes >= BSGS_MIN_P and takes every prime from LOCKSTEP_MIN_P up
+            floor = LOCKSTEP_MIN_P if n_large > short else BSGS_MIN_P
+            n_block = sum(p >= LOCKSTEP_MIN_P for p in primes) if n_large > short else 0
+            assert blocks == ([n_block] if n_block else [])
+            n_flat = sum(5 <= p < floor for p in primes)  # one call for all of them
             assert flats == ([n_flat] if n_flat else [])
+    # two growths of 37a's table from 1000 terms: 37 primes in [2500, 2800) start a block,
+    # which takes the primes in [1000, 2500) too; 11 in [2500, 2600) start none
+    for n_max in (2800, 2600):
+        primes = [p for p in primes_upto(n_max) if p > 1000 and good_reduction(e37a, p)]
+        n_large = sum(p >= BSGS_MIN_P for p in primes)
+        blocks.clear()
+        flats.clear()
+        assert ap_many(e37a, primes).tolist() == [ap(e37a, p) for p in primes]
+        if n_max == 2800:
+            assert n_large >= ec_core._BLOCK_MIN and blocks == [len(primes)] and flats == []
+        else:
+            assert 0 < n_large < ec_core._BLOCK_MIN and blocks == [] and flats == [len(primes) - n_large]
     assert ap_many(e37a, [3001, 5, 3001]).tolist() == [ap(e37a, 3001), -2, ap(e37a, 3001)]
     for primes in ([5, 37], large[: ec_core._BLOCK_MIN] + [37]):
         with pytest.raises(BadReductionError):
@@ -432,7 +477,7 @@ def test_lockstep_kernel_checks_hasse_and_inputs(e37a, monkeypatch):
     with pytest.raises(BadReductionError):
         ap_lockstep(twist(e37a, -2503).curve, [2503])
     with pytest.raises(ValueError):
-        ap_lockstep(e37a, [2477])  # below BSGS_MIN_P
+        ap_lockstep(e37a, [2503, 491])  # below LOCKSTEP_MIN_P
     monkeypatch.setattr(ec_core, "_lockstep_orders", lambda c4, c6, p: 2 * p)
     with pytest.raises(ArithmeticError, match="Hasse"):
         ap_lockstep(e37a, [2503, 2521])
