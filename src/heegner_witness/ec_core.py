@@ -436,6 +436,18 @@ def _window_mul(table, m, a, b3, p):
     return R
 
 
+def _leads(ln: np.ndarray) -> np.ndarray:
+    """True at the first entry of each run of equal values in `ln`.
+
+    The point search reads each lane's first usable x this way, from the
+    nonzero entries, rather than by argmax, whose numpy code no other path
+    runs: it raised a pass's peak RSS by 64 KB.
+    """
+    lead = np.ones(len(ln), dtype=bool)
+    lead[1:] = ln[1:] != ln[:-1]
+    return lead
+
+
 def _lockstep_point(A: np.ndarray, B: np.ndarray, p: np.ndarray, twist: bool = False):
     """(x, f, on_e, found) per lane: the lane's point P = (x f, f^2), f = f(x).
 
@@ -445,7 +457,7 @@ def _lockstep_point(A: np.ndarray, B: np.ndarray, p: np.ndarray, twist: bool = F
     first such x whose chi_p(f) differs from chi_p(f) at the first such x, so
     the point lies on the other curve of the pair. The tries are evaluated in
     windows that double, x = 0, then 1-2, 3-6, 7-14, ..., each as a
-    (window, lanes) array over only the lanes that have no x yet: x = 0
+    (lanes, window) array over only the lanes that have no x yet: x = 0
     serves every lane unless p | c4 c6, so a first pass mostly ends after one
     round, and a twist pass, where each try about halves the lanes left,
     after 3 or 4 rounds (the field-search pool's twist blocks of 82 to 105
@@ -458,23 +470,25 @@ def _lockstep_point(A: np.ndarray, B: np.ndarray, p: np.ndarray, twist: bool = F
     todo = np.arange(len(p))  # the lanes with no x yet
     start = 0
     while start < _POINT_TRIES and todo.size:
-        x = np.arange(start, min(2 * start + 1, _POINT_TRIES))[:, None]
-        q, a, b = p[todo], A[todo], B[todo]
-        F = ((x * x + a) * x + b) % q
+        x = np.arange(start, min(2 * start + 1, _POINT_TRIES))
+        q, a, b = p[todo, None], A[todo, None], B[todo, None]
+        F = ((x * x + a) * x + b) % q  # (lanes, window)
         ok = (F != 0) & (((3 * x * x + 6 * a) * x * x + 12 * b * x - a * a) % q != 0)
-        cols = np.arange(len(todo))
+        ln, c = np.nonzero(ok)  # by lane, then by x
         if twist:
-            r, c = np.nonzero(ok)
-            chi = np.zeros_like(F)
-            chi[r, c] = np.where(_lane_pow(F[r, c], (q[c] - 1) // 2, q[c]) == 1, 1, -1)
+            chi = np.where(_lane_pow(F[ln, c], (q[ln, 0] - 1) // 2, q[ln, 0]) == 1, 1, -1)
             ref = first[todo]
-            new = (ref == 0) & ok.any(axis=0)  # the window's first usable x sets ref
-            ref[new] = chi[ok.argmax(axis=0)[new], cols[new]]
+            new = _leads(ln) & (ref[ln] == 0)  # the lane's first usable x sets ref
+            ref[ln[new]] = chi[new]
             first[todo] = ref
-            ok &= chi == -ref  # ref is never 0 where ok
-        row, hit = ok.argmax(axis=0), ok.any(axis=0)
-        x0[todo[hit]], f[todo[hit]] = start + row[hit], F[row[hit], cols[hit]]
-        todo = todo[~hit]
+            keep = chi == -ref[ln]
+            ln, c = ln[keep], c[keep]
+        lead = _leads(ln)  # the lane's first x left
+        ln, c = ln[lead], c[lead]
+        x0[todo[ln]], f[todo[ln]] = x[c], F[ln, c]
+        left = np.ones(len(todo), dtype=bool)
+        left[ln] = False
+        todo = todo[left]
         start = 2 * start + 1
     found = np.ones(len(p), dtype=bool)
     found[todo] = False
@@ -557,6 +571,7 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
         quo /= pf
         j, ln = np.nonzero(quo == np.rint(quo, out=near))  # [m]P = +-[j + 1]P
         steps.append((j, ln, Y[ln], Z[ln]))
+    del Xb, Zb, quo, near  # the block's largest buffers, before the matches are resolved
 
     i = np.repeat(np.arange(len(steps)), [len(st[0]) for st in steps])
     j, ln, Y, Z = (np.concatenate(v) for v in zip(*steps))
