@@ -87,20 +87,24 @@ counting them one by one.
 
 A block that runs anyway takes the primes from LOCKSTEP_MIN_P up, but no
 block is started for them. `ap_flat` costs about 30 p ns per prime, while
-one more lane in a block that runs anyway costs 21-26 us: on g12283.1, 37a
-and 57a (median of 11, alternated, 2-vCPU Xeon), `ap_flat` took 12.1-12.5
-ms for the 272 good primes in [500, 2500), and `ap_lockstep` 5.7-7.2 ms
-more for the primes 500 to 26,643 than for 2500 to 26,643. A block started
-for small primes alone pays only for many of them: grown to 1000 terms, a
-table took 2.3-2.7 ms with `ap_flat` alone against 4.4-5.9 ms with its 73
-primes from 500 in a block, and grown to 2500 terms 12.1-13.5 ms against
-9.8-10.7 ms. So the block's floor moves and BSGS_MIN_P does not: moving
-it to 1000, 1500 or 2500 for whole tables of 2,500 to 10^5 terms was
-within 16% of the fastest setting, none of them best throughout, and up
-to 45% longer at 4000 (g25133.1, 37a and [0,0,1,0,0], median of 5, two
-runs, before the fill). LOCKSTEP_MIN_P stays above 229, where `_ap_bsgs`
-is proven (Cremona-Sutherland), and from 500 up every block has the 8
-baby steps that `_window_mul` reads. a_p values depend on neither.
+one more lane in a block that runs anyway costs 21-26 us, its share of the
+twist pass and the scalar fallback included: on g12283.1, 37a and 57a
+(medians of 11 and of 31 alternated calls in two runs, 2-vCPU Xeon),
+`ap_flat` took 11.7-12.5 ms for the 272 good primes in [500, 2500), and
+`ap_lockstep` 5.7-7.2 ms more for the primes 500 to 26,643 than for 2500
+to 26,643. A block started for small primes alone pays only for many of
+them: grown to 1000 terms, a table took 2.3-2.7 ms with `ap_flat` alone
+against 4.4-5.9 ms with its 73 primes from 500 in a block, and grown to
+2500 terms 12.1-13.5 ms against 9.8-10.7 ms (one run). On the benchmark
+(20 s runs, 10 alternated pairs) the fill, with the per-lane search sizes,
+took pinned-cold wall_s from 0.222 to 0.201 s and aux-search from 0.032 to
+0.026 s. BSGS_MIN_P itself does not move: moving it to 1000, 1500 or 2500
+for whole tables of 2,500 to 10^5 terms was within 16% of the fastest
+setting, none of them best throughout, and up to 45% longer at 4000
+(g25133.1, 37a and [0,0,1,0,0], median of 5, two runs, before the fill).
+LOCKSTEP_MIN_P stays above 229, where `_ap_bsgs` is proven
+(Cremona-Sutherland), and from 500 up every table has the rows [0]P ..
+[7]P that `_window_mul` reads. a_p values depend on neither.
 
 _FLAT_CHUNK = 2^13 x values: on the 364 good primes 5 <= p < 2500 of 37a
 (420,770 x values), chunks of 2^11, 2^12, 2^13, 2^14 and 2^15 took 15.0-17.7,

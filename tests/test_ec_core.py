@@ -344,7 +344,7 @@ def test_ap_many_matches_ap_in_the_order_given(e11a, e37a, monkeypatch):
             assert blocks == ([n_block] if n_block else [])
             n_flat = sum(5 <= p < floor for p in primes)  # one call for all of them
             assert flats == ([n_flat] if n_flat else [])
-    # two growths of 37a's table from 1000 terms: 37 primes in [2500, 2800) start a block,
+    # two growths of 37a's table from 1000 terms: 40 primes in [2500, 2800) start a block,
     # which takes the primes in [1000, 2500) too; 11 in [2500, 2600) start none
     for n_max in (2800, 2600):
         primes = [p for p in primes_upto(n_max) if p > 1000 and good_reduction(e37a, p)]
