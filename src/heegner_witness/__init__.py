@@ -11,14 +11,7 @@ bookkeeping that rules out a finitely generated limit group.
 __version__ = "0.1.0"
 
 from .ec_core import CurveQ, an_series, ap, count_points, discriminant, good_reduction
-from .quadforms import (
-    class_group,
-    kronecker,
-    reduced_forms,
-    ring_class_structure,
-    splitting_type,
-    unit_quotient_structure,
-)
+from .quadforms import kronecker, reduced_forms
 
 __all__ = [
     "CurveQ",
@@ -28,10 +21,6 @@ __all__ = [
     "discriminant",
     "good_reduction",
     "kronecker",
-    "splitting_type",
     "reduced_forms",
-    "class_group",
-    "unit_quotient_structure",
-    "ring_class_structure",
     "__version__",
 ]

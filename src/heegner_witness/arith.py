@@ -139,10 +139,3 @@ def valuation(n: int, p: int) -> int:
         v += 1
     return v
 
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Unique residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    if math.gcd(m1, m2) != 1:
-        raise ValueError(f"moduli {m1}, {m2} are not coprime")
-    inv = pow(m1 % m2, -1, m2)
-    return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2)

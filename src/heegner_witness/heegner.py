@@ -232,10 +232,6 @@ class HeegnerTau:
     def tau(self) -> complex:
         return (-self.B + 1j * math.sqrt(-self.D)) / (2 * self.A)
 
-    @property
-    def im_tau(self) -> float:
-        return math.sqrt(-self.D) / (2 * self.A)
-
 
 @dataclass
 class HeegnerOrbit:

@@ -15,6 +15,7 @@ sequence prime, so it fails the run before the prime scan.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -155,6 +156,16 @@ def _check(checks, name, ok, **data):
     return ok
 
 
+@contextlib.contextmanager
+def _stage(timing: dict, name: str):
+    """Record the block's wall time as timing[f"{name}_s"], on every exit path."""
+    t = time.perf_counter()
+    try:
+        yield
+    finally:
+        timing[f"{name}_s"] = round(time.perf_counter() - t, 3)
+
+
 def _pick_aux_ell(curve: CurveQ, d_K: int) -> tuple[int, HeegnerOrbit] | None:
     """The smallest prime ell < 100 coprime to N d_K and inert in K, with its
     level-ell orbit, for the trace relation; None when there is none."""
@@ -187,36 +198,33 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
         return report
 
     # 1. analytic rank gate
-    t = time.perf_counter()
-    try:
-        le = l_eval(curve, config.lseries_precision)
-        gate = gate_from_leval(le, config.nonvanishing_threshold)
-        report.l_values = {
-            "epsilon": le.epsilon,
-            "L_1": le.value_at_1,
-            "L_prime_1": le.derivative_at_1,
-            "fe_residual": le.fe_residual,
-            "tail_bound": le.tail_bound,
-            "terms": le.terms_used,
-        }
-    except LSeriesInconclusiveError as e:
-        gate = "not_eligible"
-        report.l_values = {"error": str(e)}
+    with _stage(timing, "gate"):
+        try:
+            le = l_eval(curve, config.lseries_precision)
+            gate = gate_from_leval(le, config.nonvanishing_threshold)
+            report.l_values = {
+                "epsilon": le.epsilon,
+                "L_1": le.value_at_1,
+                "L_prime_1": le.derivative_at_1,
+                "fe_residual": le.fe_residual,
+                "tail_bound": le.tail_bound,
+                "terms": le.terms_used,
+            }
+        except LSeriesInconclusiveError as e:
+            gate = "not_eligible"
+            report.l_values = {"error": str(e)}
     report.gate = gate
-    timing["gate_s"] = round(time.perf_counter() - t, 3)
     if not _check(checks, "analytic_rank_gate", gate in ("rank0", "rank1"), result=gate):
         return finish("analytic_rank_gate")
 
     # 2. field search
-    t = time.perf_counter()
-    try:
-        fs = find_K(curve, config.dk_scan_bound, config.nonvanishing_threshold,
-                    config.lseries_precision, le)
-    except FieldSearchExhausted as e:
-        _check(checks, "find_K", False, error=str(e))
-        return finish("find_K")
-    finally:
-        timing["find_K_s"] = round(time.perf_counter() - t, 3)
+    with _stage(timing, "find_K"):
+        try:
+            fs = find_K(curve, config.dk_scan_bound, config.nonvanishing_threshold,
+                        config.lseries_precision, le)
+        except FieldSearchExhausted as e:
+            _check(checks, "find_K", False, error=str(e))
+            return finish("find_K")
     d_K = fs.d_K
     report.d_K = d_K
     report.field_search = {
@@ -237,24 +245,22 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     _check(checks, "choose_q", math.gcd(q, 2 * d_K * curve.N) == 1 and q % 2 == 1, q=q)
     v_cj = 0  # pipeline model uses c_j = 1
     needed = max(config.depth, config.tower_m + config.tower_r + v_cj + 1)
-    t = time.perf_counter()
-    try:
+    with _stage(timing, "prime_sequence"):
         point = rational_torsion_point(curve, q)
         if point is not None:  # q | #E(F_p) = p + 1 - a_p, so q | a_p when p = -1 mod q
             _check(checks, "prime_sequence", False, partial=[],
                    error=f"E(Q) has the point ({point[0]}, {point[1]}) of order {q}, "
                          f"so q divides a_p at every good p = -1 mod q")
             return finish("prime_sequence")
-        items = prime_sequence(curve, d_K, q, needed, config.prime_bound)
-    except PrimeSearchExhausted as e:
-        error = str(e)
-        if cm_field(curve) is not None:
-            error += (f"; q = {q} was set by the CM lower bound 1 + 2|d_K|^4/phi(|d_K|)"
-                      f" = {cm_q_bound(d_K):.1f}")
-        _check(checks, "prime_sequence", False, error=error, partial=[it.p for it in e.partial])
-        return finish("prime_sequence")
-    finally:
-        timing["prime_sequence_s"] = round(time.perf_counter() - t, 3)
+        try:
+            items = prime_sequence(curve, d_K, q, needed, config.prime_bound)
+        except PrimeSearchExhausted as e:
+            error = str(e)
+            if cm_field(curve) is not None:
+                error += (f"; q = {q} was set by the CM lower bound 1 + 2|d_K|^4/phi(|d_K|)"
+                          f" = {cm_q_bound(d_K):.1f}")
+            _check(checks, "prime_sequence", False, error=error, partial=[it.p for it in e.partial])
+            return finish("prime_sequence")
     report.prime_seq = [
         {
             "p": it.p,
@@ -271,8 +277,7 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     _check(checks, "prime_sequence", reverified, primes=[it.p for it in items])
 
     # 4. ring class structure per cumulative level, each prime enumerated once
-    t = time.perf_counter()
-    try:
+    with _stage(timing, "ring_class"):
         for s in ring_class_levels(d_K, [it.p for it in items])[1:]:
             report.ring_class.append(
                 {
@@ -283,8 +288,6 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
                     "degree": s.degree,
                 }
             )
-    finally:
-        timing["ring_class_s"] = round(time.perf_counter() - t, 3)
     _check(
         checks,
         "ring_class_structure",
@@ -295,8 +298,7 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     )
 
     # 5. Heegner numerics
-    t = time.perf_counter()
-    try:
+    with _stage(timing, "heegner"):
         try:
             orbit = heegner_orbit(curve, d_K, 1)
             lattice = period_lattice(curve)
@@ -342,39 +344,36 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
         except PrecisionUnreachable as e:
             heeg["trace_relation"] = {"ell": aux, "error": str(e)}
             ok = False
-    finally:
-        timing["heegner_s"] = round(time.perf_counter() - t, 3)
     if not _check(checks, "trace_relation", ok, **heeg["trace_relation"]):
         return finish("trace_relation")
 
     # 6. exact tower and the divisibility contradiction
-    t = time.perf_counter()
-    tower_primes = [it.p for it in items]
-    tl = tower_structure(q, tower_primes)
-    model = FormalMWModel(
-        q=q,
-        k=1,
-        c=(1,),
-        ap_values=tuple(it.a_p for it in items),
-        m=config.tower_m,
-        r=config.tower_r,
-    )
-    ctr = divisibility_contradiction(model)
-    report.tower = {
-        "q": q,
-        "primes": tower_primes,
-        "full_degree": tl.full_degree,
-        "quotient_degree": tl.quotient_degree,
-        "model": {"k": 1, "c": [1], "m": config.tower_m, "r": config.tower_r},
-        "index_bound_assumed_from": config.tower_m + config.tower_r + 1,
-        "contradiction": {
-            "derivable": ctr.derivable,
-            "witness_n": ctr.witness_n,
-            "ledger": ctr.ledger,
-            "reason": ctr.reason,
-        },
-    }
-    timing["tower_s"] = round(time.perf_counter() - t, 3)
+    with _stage(timing, "tower"):
+        tower_primes = [it.p for it in items]
+        tl = tower_structure(q, tower_primes)
+        model = FormalMWModel(
+            q=q,
+            k=1,
+            c=(1,),
+            ap_values=tuple(it.a_p for it in items),
+            m=config.tower_m,
+            r=config.tower_r,
+        )
+        ctr = divisibility_contradiction(model)
+        report.tower = {
+            "q": q,
+            "primes": tower_primes,
+            "full_degree": tl.full_degree,
+            "quotient_degree": tl.quotient_degree,
+            "model": {"k": 1, "c": [1], "m": config.tower_m, "r": config.tower_r},
+            "index_bound_assumed_from": config.tower_m + config.tower_r + 1,
+            "contradiction": {
+                "derivable": ctr.derivable,
+                "witness_n": ctr.witness_n,
+                "ledger": ctr.ledger,
+                "reason": ctr.reason,
+            },
+        }
     if not _check(checks, "divisibility_contradiction", ctr.derivable,
                   witness_n=ctr.witness_n):
         return finish("divisibility_contradiction")

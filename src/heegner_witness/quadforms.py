@@ -1,17 +1,18 @@
-"""Imaginary quadratic discriminants, form class groups, ring class structure.
+"""Imaginary quadratic discriminants, reduced forms, ring class structure.
 
 Binary quadratic forms (a, b, c) of discriminant D = b^2 - 4ac < 0 model ideal
-classes of the order of discriminant D; Gaussian composition gives the group
-law. The Galois group of the ring class field H_c over the Hilbert class field
-is computed two ways: exactly, by enumerating (O_K/c)^* / (Z/c)^*, and by the
-product-of-C_{p+1} shape it must have for squarefree c with all p | c inert.
-The enumeration is done per prime-power factor p^e || c, on
-(O_K/p^e)^* / (Z/p^e)^*, in numpy lanes: each unit is keyed by its coset, and
-every coset's order is found at once by Lagrange. The local order multisets
-are combined by CRT (an element's order is the lcm of its local orders).
-UNIT_QUOTIENT_CEILING bounds (p^e)^2, the residue count of one local
-enumeration. `ring_class_levels` enumerates each prime of a tower once and
-folds its local orders into every level that contains it.
+classes of the order of discriminant D; `reduced_forms` lists one reduced
+form per class, so `class_number` counts them. The Galois group of the ring
+class field H_c over the Hilbert class field is computed two ways: exactly,
+by enumerating (O_K/c)^* / (Z/c)^*, and by the product-of-C_{p+1} shape it
+must have for squarefree c with all p | c inert. The enumeration is done per
+prime-power factor p^e || c, on (O_K/p^e)^* / (Z/p^e)^*, in numpy lanes:
+each unit is keyed by its coset, and every coset's order is found at once by
+Lagrange. The local order multisets are combined by CRT (an element's order
+is the lcm of its local orders). UNIT_QUOTIENT_CEILING bounds (p^e)^2, the
+residue count of one local enumeration. `ring_class_levels` enumerates each
+prime of a tower once and folds its local orders into every level that
+contains it.
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ def is_fundamental(d: int) -> bool:
     return False
 
 
-def splitting_type(d_K: int, p: int) -> str:
-    """'split', 'inert' or 'ramified' for the prime p in Q(sqrt(d_K))."""
-    if not is_fundamental(d_K):
-        raise InvalidDiscriminantError(f"{d_K} is not a fundamental discriminant")
-    s = kronecker(d_K, p)
-    return {1: "split", -1: "inert", 0: "ramified"}[s]
-
-
 def _check_disc(D: int):
     if D >= 0 or D % 4 not in (0, 1):
         raise InvalidDiscriminantError(f"invalid form discriminant {D}")
@@ -105,12 +98,6 @@ def reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
         b = bn
 
 
-def principal_form(D: int) -> tuple[int, int, int]:
-    _check_disc(D)
-    k = D % 2
-    return (1, k, (k * k - D) // 4)
-
-
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     """All reduced primitive forms of discriminant D < 0; one per class."""
     _check_disc(D)
@@ -127,60 +114,6 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
                     forms.append((a, b, c))
         a += 1
     return sorted(forms)
-
-
-def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
-    # solutions of a x = b (mod m) as x = u + v k
-    g, d, _ = _gcdext(a, m)
-    if b % g != 0:
-        raise ArithmeticError("no solution in composition step")
-    u = (b // g) * d % m
-    v = m // g
-    return u, v
-
-
-def _gcdext(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def compose(f, g, D: int) -> tuple[int, int, int]:
-    """Gaussian composition of primitive forms of discriminant D, reduced output."""
-    a1, b1, c1 = f
-    a2, b2, c2 = g
-    for (a, b, c) in (f, g):
-        if b * b - 4 * a * c != D:
-            raise ValueError(f"form {(a, b, c)} does not have discriminant {D}")
-    s = (b1 + b2) // 2
-    h = (b2 - b1) // 2
-    w = math.gcd(math.gcd(a1, a2), s)
-    j = w
-    sa = a1 // w
-    t = a2 // w
-    u = s // w
-    mu, nu = _solve_linmod(t * u, h * u + sa * c1, sa * t)
-    lam = _solve_linmod(t * nu, h - t * mu, sa)[0]
-    k = mu + nu * lam
-    ell = (k * t - h) // sa
-    m = (t * u * k - h * u - c1 * sa) // (sa * t)
-    A = sa * t
-    B = j * u - (k * t + ell * sa)
-    C = k * ell - j * m
-    return reduce_form(A, B, C)
-
-
-def form_inverse(f, D: int) -> tuple[int, int, int]:
-    a, b, c = f
-    return reduce_form(a, -b, c)
 
 
 def canonical_invariants(orders) -> list[int]:
@@ -259,40 +192,6 @@ def abelian_invariants(n: int, element_orders) -> list[int]:
     return out
 
 
-@dataclass
-class ClassGroup:
-    D: int
-    forms: list
-    table: dict
-    invariants: list
-
-    @property
-    def order(self) -> int:
-        return len(self.forms)
-
-
-def class_group(D: int) -> ClassGroup:
-    """Form class group of discriminant D: representatives, table, invariants."""
-    forms = reduced_forms(D)
-    h = len(forms)
-    table = {}
-    for f in forms:
-        for g in forms:
-            table[(f, g)] = compose(f, g, D)
-    ident = reduce_form(*principal_form(D))
-    orders = []
-    for f in forms:
-        acc, o = f, 1
-        while acc != ident:
-            acc = table[(acc, f)]
-            o += 1
-            if o > h:
-                raise ArithmeticError("element order exceeds group order; composition bug")
-        orders.append(o)
-    inv = abelian_invariants(h, orders) if h > 1 else []
-    return ClassGroup(D, forms, table, inv)
-
-
 def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
@@ -368,37 +267,6 @@ def _invariants_of(orders: Counter) -> list[int]:
     return abelian_invariants(n, orders) if n > 1 else []
 
 
-def unit_quotient_structure(d_K: int, c: int) -> list[int]:
-    """Abelian invariants of (O_K/c)^* / (Z/c)^* by residue enumeration.
-
-    By CRT the quotient is the direct product of the local quotients
-    (O_K/p^e)^* / (Z/p^e)^* over the prime powers p^e || c. Each local
-    quotient is enumerated residue by residue; an element of the product has
-    order lcm of its local orders. The p + 1 formula is never used, so this
-    stays an independent check of `ring_class_structure`.
-
-    Requires d_K = 1 mod 4 (so O_K = Z[w], w = (1+sqrt(d_K))/2), gcd(c, d_K) = 1,
-    and (p^e)^2 within the enumeration ceiling for every p^e || c.
-    """
-    if d_K % 4 != 1:
-        raise InvalidDiscriminantError("residue enumeration needs d_K = 1 mod 4")
-    if c < 1:
-        raise ValueError("conductor must be positive")
-    if math.gcd(c, d_K) != 1:
-        raise ValueError("conductor must be coprime to d_K")
-    local = factorize(c)
-    for p, e in local:
-        if p ** (2 * e) > UNIT_QUOTIENT_CEILING:
-            raise ValueError(
-                f"({p}^{e})^2 = {p ** (2 * e)} exceeds the enumeration ceiling "
-                f"{UNIT_QUOTIENT_CEILING}"
-            )
-    orders = Counter({1: 1})
-    for p, e in local:
-        orders = _fold_orders(orders, _local_unit_quotient_orders(d_K, p, e))
-    return _invariants_of(orders)
-
-
 @dataclass(frozen=True)
 class RingClassStructure:
     d_K: int
@@ -452,8 +320,3 @@ def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
         levels.append(RingClassStructure(d_K, c, tuple(ps[:n]), factors, inv, math.prod(factors)))
     return levels
 
-
-def ring_class_structure(d_K: int, primes) -> RingClassStructure:
-    """Gal(H_c/H) for squarefree c = prod p_i with every p_i inert in K: the
-    last of `ring_class_levels`."""
-    return ring_class_levels(d_K, primes)[-1]

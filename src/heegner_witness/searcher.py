@@ -1,4 +1,4 @@
-"""Constructive searches: the field K, the prime q, the sequence {p_n}, Cartan counts.
+"""Constructive searches: the field K, the prime q, the sequence {p_n}.
 
 Each candidate is tested directly against the defining conditions, so the
 results are unconditional for the curve at hand; no effective Chebotarev
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .arith import crt_pair, euler_phi, is_prime, is_squarefree, prime_divisors, primes_upto
+from .arith import euler_phi, is_prime, is_squarefree, prime_divisors, primes_upto
 from . import ec_core
 from .ec_core import CurveQ, ap_many, cm_field, count_points, good_reduction, reduce_mod
 from .lseries import (
@@ -24,8 +24,6 @@ from .lseries import (
     l_over_K,
 )
 from .quadforms import kronecker
-
-CARTAN_MODULUS_BOUND = 200
 
 
 class FieldSearchExhausted(RuntimeError):
@@ -201,88 +199,3 @@ def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem) -> bo
         and a % q == item.ap_mod_q
     )
 
-
-def crt_target(q: int, d_K: int, a: int) -> int:
-    """The residue b mod q|d_K| with b = -1 mod q and b = a mod |d_K|."""
-    return crt_pair(q - 1, q, a % abs(d_K), abs(d_K))
-
-
-@dataclass(frozen=True)
-class CartanCountProblem:
-    modulus: int
-    types: tuple  # ('split' | 'nonsplit') per prime, aligned with sorted primes
-    det_target: int
-    trace_zero_mod: int | None = None  # count traces = 0 mod this divisor of m
-
-    def __post_init__(self):
-        m = self.modulus
-        if m < 2 or not is_squarefree(m):
-            raise ValueError(f"modulus {m} must be squarefree and > 1")
-        if math.gcd(self.det_target, m) != 1:
-            raise ValueError("determinant target must be invertible")
-        ps = prime_divisors(m)
-        if len(self.types) != len(ps):
-            raise ValueError("one Cartan type per prime factor required")
-        if self.trace_zero_mod is not None and m % self.trace_zero_mod != 0:
-            raise ValueError("trace modulus must divide m")
-
-
-def _local_cartan(p: int, kind: str):
-    """(det, trace) multiset of the split/nonsplit Cartan subgroup of GL2(F_p)."""
-    out = []
-    if kind == "split":
-        for x in range(1, p):
-            for y in range(1, p):
-                out.append(((x * y) % p, (x + y) % p))
-    elif kind == "nonsplit":
-        if p == 2:
-            # F_4^*: elements 1, t, t+1 with t^2 = t + 1; matrix of u = a + bt
-            # in basis (1, t) has det = norm, trace = 2a + b
-            for a, b in ((1, 0), (0, 1), (1, 1)):
-                det = (a * a + a * b + b * b) % 2
-                tr = (2 * a + b) % 2
-                out.append((det, tr))
-        else:
-            eps = next(e for e in range(2, p) if pow(e, (p - 1) // 2, p) == p - 1)
-            for x in range(p):
-                for y in range(p):
-                    if (x, y) == (0, 0):
-                        continue
-                    det = (x * x - eps * y * y) % p
-                    if det == 0:
-                        continue
-                    out.append((det, (2 * x) % p))
-    else:
-        raise ValueError(f"unknown Cartan type {kind!r}")
-    return out
-
-
-def cartan_counts(problem: CartanCountProblem) -> tuple[int, int]:
-    """Exact (det_count, trace0_det_count) by enumerating the Cartan subgroup."""
-    m = problem.modulus
-    if m > CARTAN_MODULUS_BOUND:
-        raise ValueError(f"modulus {m} exceeds brute-force bound {CARTAN_MODULUS_BOUND}")
-    ps = prime_divisors(m)
-    b = problem.det_target % m
-    tz = problem.trace_zero_mod
-    det_count, tr_count = 1, 1
-    for p, kind in zip(ps, problem.types):
-        loc = _local_cartan(p, kind)
-        bp = b % p
-        det_count *= sum(1 for d, _ in loc if d == bp)
-        if tz is not None and tz % p == 0:
-            tr_count *= sum(1 for d, t in loc if d == bp and t == 0)
-        else:
-            tr_count *= sum(1 for d, _ in loc if d == bp)
-    if det_count < euler_phi(m):
-        raise ArithmeticError(
-            f"Cartan determinant fiber {det_count} below phi({m}) = {euler_phi(m)}"
-        )
-    return det_count, (tr_count if tz is not None else 0)
-
-
-def cartan_group_order(m: int, types) -> int:
-    order = 1
-    for p, kind in zip(prime_divisors(m), types):
-        order *= (p - 1) ** 2 if kind == "split" else p * p - 1
-    return order

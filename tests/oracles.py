@@ -2,7 +2,10 @@
 
 Everything here deliberately takes the dumb route: brute-force enumeration,
 straight partial sums at a fixed term count, exact rational arithmetic.
-None of it shares evaluation code with the package paths it judges.
+None of it shares evaluation code with the package paths it judges, with one
+exception in the last section: `unit_quotient_structure` reuses
+`quadforms._local_unit_quotient_orders`, which `ring_class_levels` also runs,
+so `unit_quotient_whole_ring` remains the independent oracle for both.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +30,14 @@ from heegner_witness.ec_core import (
     reduce_mod,
     reduction_type,
 )
-from heegner_witness.arith import primes_upto
+from heegner_witness.arith import (
+    euler_phi,
+    factorize,
+    is_prime,
+    is_squarefree,
+    prime_divisors,
+    primes_upto,
+)
 from heegner_witness.heegner import (
     DEFAULT_TORSION_BOUND,
     PeriodLattice,
@@ -40,11 +51,18 @@ from heegner_witness.heegner import (
 )
 from heegner_witness.lseries import _tail_terms
 from heegner_witness.quadforms import (
+    UNIT_QUOTIENT_CEILING,
+    InvalidDiscriminantError,
+    _check_disc,
+    _fold_orders,
+    _invariants_of,
+    _local_unit_quotient_orders,
     abelian_invariants,
     class_number,
     is_fundamental,
     kronecker,
     reduce_form,
+    reduced_forms,
 )
 from heegner_witness.searcher import PrimeSearchExhausted, PrimeSeqItem
 
@@ -608,3 +626,422 @@ def trace_relation_scalar(base, up, precision: float = 1e-6) -> float:
         for t in translates:
             best = min(best, lattice.dist(w - t))
     return best
+
+
+# ---------------------------------------------------------------------------
+# References that tests call and a witness run does not. Four of them check
+# claims the pipeline relies on: the ring class group by residue enumeration
+# (acceptance criterion 01), Cartan counts (06), the index bound of an
+# r-generated subgroup of C_q^n (09) and the involution relation (10). The
+# form class group by Gaussian composition is tested in its own right.
+
+CARTAN_MODULUS_BOUND = 200
+ENUMERATION_CEILING = 10**6
+
+
+def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
+    """Unique residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
+    if math.gcd(m1, m2) != 1:
+        raise ValueError(f"moduli {m1}, {m2} are not coprime")
+    inv = pow(m1 % m2, -1, m2)
+    return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2)
+
+
+def crt_target(q: int, d_K: int, a: int) -> int:
+    """The residue b mod q|d_K| with b = -1 mod q and b = a mod |d_K|."""
+    return crt_pair(q - 1, q, a % abs(d_K), abs(d_K))
+
+
+@dataclass(frozen=True)
+class CartanCountProblem:
+    modulus: int
+    types: tuple  # ('split' | 'nonsplit') per prime, aligned with sorted primes
+    det_target: int
+    trace_zero_mod: int | None = None  # count traces = 0 mod this divisor of m
+
+    def __post_init__(self):
+        m = self.modulus
+        if m < 2 or not is_squarefree(m):
+            raise ValueError(f"modulus {m} must be squarefree and > 1")
+        if math.gcd(self.det_target, m) != 1:
+            raise ValueError("determinant target must be invertible")
+        ps = prime_divisors(m)
+        if len(self.types) != len(ps):
+            raise ValueError("one Cartan type per prime factor required")
+        if self.trace_zero_mod is not None and m % self.trace_zero_mod != 0:
+            raise ValueError("trace modulus must divide m")
+
+
+def _local_cartan(p: int, kind: str):
+    """(det, trace) multiset of the split/nonsplit Cartan subgroup of GL2(F_p)."""
+    out = []
+    if kind == "split":
+        for x in range(1, p):
+            for y in range(1, p):
+                out.append(((x * y) % p, (x + y) % p))
+    elif kind == "nonsplit":
+        if p == 2:
+            # F_4^*: elements 1, t, t+1 with t^2 = t + 1; matrix of u = a + bt
+            # in basis (1, t) has det = norm, trace = 2a + b
+            for a, b in ((1, 0), (0, 1), (1, 1)):
+                det = (a * a + a * b + b * b) % 2
+                tr = (2 * a + b) % 2
+                out.append((det, tr))
+        else:
+            eps = next(e for e in range(2, p) if pow(e, (p - 1) // 2, p) == p - 1)
+            for x in range(p):
+                for y in range(p):
+                    if (x, y) == (0, 0):
+                        continue
+                    det = (x * x - eps * y * y) % p
+                    if det == 0:
+                        continue
+                    out.append((det, (2 * x) % p))
+    else:
+        raise ValueError(f"unknown Cartan type {kind!r}")
+    return out
+
+
+def cartan_counts(problem: CartanCountProblem) -> tuple[int, int]:
+    """Exact (det_count, trace0_det_count) by enumerating the Cartan subgroup."""
+    m = problem.modulus
+    if m > CARTAN_MODULUS_BOUND:
+        raise ValueError(f"modulus {m} exceeds brute-force bound {CARTAN_MODULUS_BOUND}")
+    ps = prime_divisors(m)
+    b = problem.det_target % m
+    tz = problem.trace_zero_mod
+    det_count, tr_count = 1, 1
+    for p, kind in zip(ps, problem.types):
+        loc = _local_cartan(p, kind)
+        bp = b % p
+        det_count *= sum(1 for d, _ in loc if d == bp)
+        if tz is not None and tz % p == 0:
+            tr_count *= sum(1 for d, t in loc if d == bp and t == 0)
+        else:
+            tr_count *= sum(1 for d, _ in loc if d == bp)
+    if det_count < euler_phi(m):
+        raise ArithmeticError(
+            f"Cartan determinant fiber {det_count} below phi({m}) = {euler_phi(m)}"
+        )
+    return det_count, (tr_count if tz is not None else 0)
+
+
+def cartan_group_order(m: int, types) -> int:
+    order = 1
+    for p, kind in zip(prime_divisors(m), types):
+        order *= (p - 1) ** 2 if kind == "split" else p * p - 1
+    return order
+
+
+def _rank_mod_q(q: int, n: int, vectors) -> int:
+    rows = [list(v) for v in vectors]
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("generator vectors must have length n")
+    rank = 0
+    col = 0
+    while col < n and rank < len(rows):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % q != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col] % q, -1, q)
+        rows[rank] = [(x * inv) % q for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % q != 0:
+                f = rows[i][col] % q
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+@dataclass(frozen=True)
+class SubgroupFq:
+    """A subgroup of C_q^n given by generator vectors over F_q."""
+
+    q: int
+    n: int
+    generators: tuple
+    rank: int
+    index: int
+
+    def __post_init__(self):
+        if self.index * self.q**self.rank != self.q**self.n:
+            raise ValueError("index * order != q^n")
+
+
+def subgroup_of(q: int, n: int, generators) -> SubgroupFq:
+    if not is_prime(q):
+        raise ValueError(f"q = {q} must be prime")
+    r = _rank_mod_q(q, n, generators)
+    return SubgroupFq(q, n, tuple(tuple(v) for v in generators), r, q ** (n - r))
+
+
+def subgroup_index(q: int, n: int, generators) -> int:
+    """[C_q^n : <generators>] = q^(n - rank), exact linear algebra over F_q."""
+    return subgroup_of(q, n, generators).index
+
+
+def index_bound_bruteforce(q: int, n: int, r: int) -> int:
+    """Exhaustive minimum of [C_q^n : G] over subgroups G generated by r vectors."""
+    if q ** n > ENUMERATION_CEILING:
+        raise ValueError(f"q^n = {q ** n} exceeds enumeration ceiling")
+    if r < 0 or n < 0:
+        raise ValueError("need n, r >= 0")
+    vectors = list(itertools.product(range(q), repeat=n))
+    best = q ** n  # r = 0 or all-zero generators
+    for gens in itertools.combinations_with_replacement(vectors, r):
+        idx = subgroup_index(q, n, gens)
+        if idx < best:
+            best = idx
+    if best < q ** max(n - r, 0):
+        raise ArithmeticError("enumeration found an index below the q^(n-r) bound")
+    return best
+
+
+def _mat_mul(A, B, modulus):
+    n = len(A)
+    out = [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    if modulus is not None:
+        out = [[x % modulus for x in row] for row in out]
+    return [tuple(r) for r in out]
+
+
+def _mat_eq(A, B, modulus):
+    if modulus is None:
+        return all(Fraction(a) == Fraction(b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+    return all((a - b) % modulus == 0 for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def _identity(n, modulus):
+    return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+
+
+def _mat_inv(A, modulus):
+    n = len(A)
+    if n == 2:
+        a, b = A[0]
+        c, d = A[1]
+        det = a * d - b * c
+        if modulus is None:
+            det = Fraction(det)
+            if det == 0:
+                raise ValueError("singular matrix")
+            return [
+                (d / det, Fraction(-b) / det),
+                (Fraction(-c) / det, a / det),
+            ]
+        det %= modulus
+        inv = pow(det, -1, modulus)
+        return [
+            ((d * inv) % modulus, (-b * inv) % modulus),
+            ((-c * inv) % modulus, (a * inv) % modulus),
+        ]
+    # general size by Gauss-Jordan over Q or Z/modulus (modulus prime)
+    M = [[Fraction(x) if modulus is None else x % modulus for x in row] for row in A]
+    I = [[Fraction(int(i == j)) if modulus is None else int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(
+            (i for i in range(col, n) if (M[i][col] if modulus is None else M[i][col] % modulus)),
+            None,
+        )
+        if piv is None:
+            raise ValueError("singular matrix")
+        M[col], M[piv] = M[piv], M[col]
+        I[col], I[piv] = I[piv], I[col]
+        inv = (1 / M[col][col]) if modulus is None else pow(M[col][col], -1, modulus)
+        M[col] = [x * inv % modulus if modulus is not None else x * inv for x in M[col]]
+        I[col] = [x * inv % modulus if modulus is not None else x * inv for x in I[col]]
+        for i in range(n):
+            if i != col and M[i][col]:
+                f = M[i][col]
+                M[i] = [
+                    (a - f * b) % modulus if modulus is not None else a - f * b
+                    for a, b in zip(M[i], M[col])
+                ]
+                I[i] = [
+                    (a - f * b) % modulus if modulus is not None else a - f * b
+                    for a, b in zip(I[i], I[col])
+                ]
+    return [tuple(r) for r in I]
+
+
+def _mat_pow(A, e, modulus):
+    out = _identity(len(A), modulus)
+    while e:
+        if e & 1:
+            out = _mat_mul(out, A, modulus)
+        A = _mat_mul(A, A, modulus)
+        e >>= 1
+    return out
+
+
+def involution_check(q: int, T, S, modulus: int | None = None) -> str:
+    """Test the conjugation relation S T S^(-1) = T^(-1) for T of odd q-power order.
+
+    S must be an involution acting as -identity (the fixed-subspace-zero case).
+    Returns 'forces_identity' when the relation holds (then T^2 = 1 and odd
+    order forces T = 1), else 'relation_violated'.
+    """
+    if q == 2 or not is_prime(q):
+        raise ValueError("q must be an odd prime")
+    n = len(T)
+    T = [tuple(row) for row in T]
+    S = [tuple(row) for row in S]
+    ident = _identity(n, modulus)
+    if not _mat_eq(_mat_mul(S, S, modulus), ident, modulus):
+        raise ValueError("S is not an involution")
+    minus_ident = [tuple(-x if modulus is None else (-x) % modulus for x in row) for row in ident]
+    if not _mat_eq(S, minus_ident, modulus):
+        raise ValueError("S must act as -identity")
+    # T has q-power order iff T^(q^k) = 1 for some q^k <= cap: k q-th powerings
+    cap = 3 ** 12
+    acc, qk = T, 1
+    while not _mat_eq(acc, ident, modulus):
+        if qk * q > cap:
+            raise ValueError(f"T^(q^k) != 1 for all q^k <= {cap}: order not a power of {q}")
+        acc = _mat_pow(acc, q, modulus)
+        qk *= q
+    lhs = _mat_mul(_mat_mul(S, T, modulus), _mat_inv(S, modulus), modulus)
+    rhs = _mat_inv(T, modulus)
+    if _mat_eq(lhs, rhs, modulus):
+        # relation gives T^2 = 1; with odd q-power order only T = 1 remains
+        if not _mat_eq(T, ident, modulus):
+            raise ArithmeticError("relation held for a nontrivial odd-order T; impossible")
+        return "forces_identity"
+    return "relation_violated"
+
+
+def splitting_type(d_K: int, p: int) -> str:
+    """'split', 'inert' or 'ramified' for the prime p in Q(sqrt(d_K))."""
+    if not is_fundamental(d_K):
+        raise InvalidDiscriminantError(f"{d_K} is not a fundamental discriminant")
+    s = kronecker(d_K, p)
+    return {1: "split", -1: "inert", 0: "ramified"}[s]
+
+
+def principal_form(D: int) -> tuple[int, int, int]:
+    _check_disc(D)
+    k = D % 2
+    return (1, k, (k * k - D) // 4)
+
+
+def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
+    # solutions of a x = b (mod m) as x = u + v k
+    g, d, _ = _gcdext(a, m)
+    if b % g != 0:
+        raise ArithmeticError("no solution in composition step")
+    u = (b // g) * d % m
+    v = m // g
+    return u, v
+
+
+def _gcdext(a: int, b: int) -> tuple[int, int, int]:
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def compose(f, g, D: int) -> tuple[int, int, int]:
+    """Gaussian composition of primitive forms of discriminant D, reduced output."""
+    a1, b1, c1 = f
+    a2, b2, c2 = g
+    for (a, b, c) in (f, g):
+        if b * b - 4 * a * c != D:
+            raise ValueError(f"form {(a, b, c)} does not have discriminant {D}")
+    s = (b1 + b2) // 2
+    h = (b2 - b1) // 2
+    w = math.gcd(math.gcd(a1, a2), s)
+    j = w
+    sa = a1 // w
+    t = a2 // w
+    u = s // w
+    mu, nu = _solve_linmod(t * u, h * u + sa * c1, sa * t)
+    lam = _solve_linmod(t * nu, h - t * mu, sa)[0]
+    k = mu + nu * lam
+    ell = (k * t - h) // sa
+    m = (t * u * k - h * u - c1 * sa) // (sa * t)
+    A = sa * t
+    B = j * u - (k * t + ell * sa)
+    C = k * ell - j * m
+    return reduce_form(A, B, C)
+
+
+def form_inverse(f, D: int) -> tuple[int, int, int]:
+    a, b, c = f
+    return reduce_form(a, -b, c)
+
+
+@dataclass
+class ClassGroup:
+    D: int
+    forms: list
+    table: dict
+    invariants: list
+
+    @property
+    def order(self) -> int:
+        return len(self.forms)
+
+
+def class_group(D: int) -> ClassGroup:
+    """Form class group of discriminant D: representatives, table, invariants."""
+    forms = reduced_forms(D)
+    h = len(forms)
+    table = {}
+    for f in forms:
+        for g in forms:
+            table[(f, g)] = compose(f, g, D)
+    ident = reduce_form(*principal_form(D))
+    orders = []
+    for f in forms:
+        acc, o = f, 1
+        while acc != ident:
+            acc = table[(acc, f)]
+            o += 1
+            if o > h:
+                raise ArithmeticError("element order exceeds group order; composition bug")
+        orders.append(o)
+    inv = abelian_invariants(h, orders) if h > 1 else []
+    return ClassGroup(D, forms, table, inv)
+
+
+def unit_quotient_structure(d_K: int, c: int) -> list[int]:
+    """Abelian invariants of (O_K/c)^* / (Z/c)^* by residue enumeration.
+
+    By CRT the quotient is the direct product of the local quotients
+    (O_K/p^e)^* / (Z/p^e)^* over the prime powers p^e || c. Each local
+    quotient is enumerated residue by residue; an element of the product has
+    order lcm of its local orders. The p + 1 formula is never used, so this
+    checks the invariants `ring_class_levels` gives by that formula.
+
+    Requires d_K = 1 mod 4 (so O_K = Z[w], w = (1+sqrt(d_K))/2), gcd(c, d_K) = 1,
+    and (p^e)^2 within the enumeration ceiling for every p^e || c.
+    """
+    if d_K % 4 != 1:
+        raise InvalidDiscriminantError("residue enumeration needs d_K = 1 mod 4")
+    if c < 1:
+        raise ValueError("conductor must be positive")
+    if math.gcd(c, d_K) != 1:
+        raise ValueError("conductor must be coprime to d_K")
+    local = factorize(c)
+    for p, e in local:
+        if p ** (2 * e) > UNIT_QUOTIENT_CEILING:
+            raise ValueError(
+                f"({p}^{e})^2 = {p ** (2 * e)} exceeds the enumeration ceiling "
+                f"{UNIT_QUOTIENT_CEILING}"
+            )
+    orders = Counter({1: 1})
+    for p, e in local:
+        orders = _fold_orders(orders, _local_unit_quotient_orders(d_K, p, e))
+    return _invariants_of(orders)

@@ -15,12 +15,7 @@ import pytest
 
 from heegner_witness.arith import euler_phi, is_squarefree, primes_upto
 from heegner_witness.ec_core import an_series, ap, good_reduction
-from heegner_witness.galois_tower import (
-    FormalMWModel,
-    divisibility_contradiction,
-    index_bound_bruteforce,
-    involution_check,
-)
+from heegner_witness.galois_tower import FormalMWModel, divisibility_contradiction
 from heegner_witness.heegner import (
     canonical_height,
     gz_correspondence,
@@ -29,21 +24,24 @@ from heegner_witness.heegner import (
     trace_relation_check,
 )
 from heegner_witness.lseries import gate_from_leval, l_eval, l_over_K, root_number
-from heegner_witness.quadforms import canonical_invariants, kronecker, unit_quotient_structure
+from heegner_witness.quadforms import canonical_invariants, kronecker
 from heegner_witness.searcher import (
-    CartanCountProblem,
-    cartan_counts,
-    cartan_group_order,
     choose_q,
     find_K,
     prime_sequence,
     verify_prime_item,
 )
 from oracles import (
+    CartanCountProblem,
+    cartan_counts,
+    cartan_group_order,
     count_points_ext,
     height_doubling_oracle,
+    index_bound_bruteforce,
+    involution_check,
     l_derivative_straight,
     l_value_straight,
+    unit_quotient_structure,
 )
 
 FUNDAMENTALS = (-7, -11, -19, -43, -67, -163)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from heegner_witness.arith import (
-    crt_pair,
     euler_phi,
     factorize,
     is_prime,
@@ -12,6 +11,7 @@ from heegner_witness.arith import (
     primes_upto,
     valuation,
 )
+from oracles import crt_pair
 
 
 def test_primes_upto():

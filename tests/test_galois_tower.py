@@ -7,14 +7,16 @@ from heegner_witness.galois_tower import (
     ContradictionResult,
     FormalMWModel,
     divisibility_contradiction,
-    index_bound_bruteforce,
-    involution_check,
-    subgroup_index,
-    subgroup_of,
     tower_structure,
 )
-from heegner_witness.quadforms import ring_class_structure
-from oracles import matrix_order
+from heegner_witness.quadforms import ring_class_levels
+from oracles import (
+    index_bound_bruteforce,
+    involution_check,
+    matrix_order,
+    subgroup_index,
+    subgroup_of,
+)
 
 
 def test_tower_structure_basic():
@@ -40,7 +42,7 @@ def test_tower_degree_matches_ring_class_factors():
     q = 3
     primes = [5, 17]
     t = tower_structure(q, primes)
-    s = ring_class_structure(-7, primes)  # 5, 17 inert in Q(sqrt(-7))
+    s = ring_class_levels(-7, primes)[-1]  # 5, 17 inert in Q(sqrt(-7))
     assert s.degree == t.full_degree
     reduced = 1
     for p in primes:

@@ -136,7 +136,7 @@ def test_heegner_orbit_matches_unbounded_scan(e37a, e11a, g427):
         got = [(t.A, t.B, t.C) for t in orbit.taus]
         assert got == heegner_forms_unbounded(curve, d, level), (curve.label, d, level)
         compared += 1
-        low += min(t.im_tau for t in orbit.taus) < 5e-3
+        low += min(t.tau.imag for t in orbit.taus) < 5e-3
     assert compared == 9 and low == 3
 
 
@@ -145,7 +145,7 @@ def test_heegner_orbit_names_the_limit():
     # limit that remains, and the error names it
     g91707 = CurveQ(0, -1, 1, -22, -36, 91707, "g91707.1")
     orbit = heegner_orbit(g91707, -83, 2)
-    lowest = min(orbit.taus, key=lambda t: t.im_tau)
+    lowest = min(orbit.taus, key=lambda t: t.tau.imag)
     with pytest.raises(PrecisionUnreachable, match="^1434738 terms needed, TERM_CEILING is 1000000"):
         modular_param(g91707, lowest)
 

