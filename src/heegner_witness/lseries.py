@@ -1,9 +1,25 @@
 """Numeric L-values at s = 1: root numbers, L(1), L'(1), twists, L'(E/K,1).
 
-The root number is read off numerically from the Fricke symmetry of the
+E's own root number is read off numerically from the Fricke symmetry of the
 exponential sum g(t) = sum a_n exp(-2 pi n t / sqrt(N)), which must satisfy
 g(1/t) = eps * t^2 * g(t); the residual of the better sign is reported and a
 result is accepted only if it beats the tolerance.
+
+A twist's sign is not searched: for a fundamental d coprime to N,
+eps(E_d) = eps(E) kronecker(d, -N) (Atkin-Li, "Twists of newforms and
+pseudo-eigenvalues of W-operators", Invent. Math. 48, 1978). It is checked
+on the terms the twist's L-value already sums, by the split identity
+    L(E_d,1) = F(A) + eps F(1/A),  F(A) = sum a_n(E_d)/n exp(-c n A),
+c = 2 pi / (|d| sqrt(N)), which holds for every A > 0: the value at A = 1
+and the split at A = 1.07 must agree within the three series' tails plus
+a rounding allowance (`split_defect`). On the 27 twists the tests run
+(the pinned curves' fields and d = -3, -7, -103 of 11a, 37a, 389a and 14a)
+the right sign's defect is at most 2% of that bound and the wrong sign's at
+least 3*10^4 times it. An a_p off by one fails it too where the sums weigh
+it: at every good prime below T/4 of 11a, 37a and 389a twisted by -7 and of
+g12283.1 by -23. E's own root number still takes the numeric search; the
+package runs it only at d = 1, and the tests run it at twists as the
+reference for the closed form.
 
 Central values use the classical rapidly convergent series
     L(E,1)  = 2 sum a_n/n exp(-2 pi n / sqrt(N))            (eps = +1)
@@ -50,7 +66,8 @@ DEFAULT_PRECISION = 1e-8
 
 
 class LSeriesInconclusiveError(ArithmeticError):
-    """Neither functional equation sign fits within tolerance."""
+    """Neither functional equation sign fits within tolerance, or a given
+    sign fails its split identity."""
 
 
 _AN_CACHE: dict = {}
@@ -203,6 +220,24 @@ def _g_sum(curve: CurveQ, d: int, T: int, x: float) -> float:
     return fsum_blocks(a * np.exp(-x * n) for n, a in _blocks(curve, d, T))
 
 
+def _f_sum(curve: CurveQ, d: int, T: int, x: float) -> float:
+    """sum_{n<=T} a_n(E_d)/n e^{-x n}, correctly rounded by one fsum over the blocks."""
+    return fsum_blocks(a / n * np.exp(-x * n) for n, a in _blocks(curve, d, T))
+
+
+def _f_bound(x: float, T: int) -> float:
+    """Tail plus rounding bound of a computed `_f_sum(curve, d, T, x)`.
+
+    The tail is sum_{n>T} sqrt(3) r^n, r = e^-x. Each term a/n e^{-xn}, with
+    |a/n| <= sqrt(3), takes one rounding in a/n, one in x n (an error x n u
+    in the exponent), at most 4 ulp in np.exp and one in the product; one
+    more for the fsum and two for combining the sums: (x T + 10) u per unit
+    of sum sqrt(3) r^n <= sqrt(3)/(1 - r), u = 2^-52.
+    """
+    r = math.exp(-x)
+    return _SQRT3 * (r ** (T + 1) + (x * T + 10) * 2.0**-52) / (1 - r)
+
+
 def root_number(curve: CurveQ, precision: float = 1e-10, d: int = 1) -> tuple[int, float]:
     """Sign of the functional equation of E twisted by d, and the residual it
     leaves, from Fricke symmetry."""
@@ -229,6 +264,34 @@ def root_number(curve: CurveQ, precision: float = 1e-10, d: int = 1) -> tuple[in
     return eps, best[eps]
 
 
+def twist_sign(epsilon: int, curve: CurveQ, d: int) -> int:
+    """eps(E_d) = eps(E) kronecker(d, -N) for a fundamental d coprime to N
+    (Atkin-Li, Invent. Math. 48, 1978), from E's sign `epsilon`."""
+    return epsilon * kronecker(d, -curve.N)
+
+
+def split_defect(curve: CurveQ, d: int, T: int, sign: int, value_at_1: float) -> float:
+    """|F(A) + sign F(1/A) - L(E_d,1)| at A = 1.07, F(A) = sum_{n<=T}
+    a_n(E_d)/n e^{-c n A}, c = 2 pi / sqrt(N d^2), and L(E_d,1) as `l_eval`
+    summed it on the same T terms: 2 F(1) for sign +1, 0 for sign -1.
+
+    The identity holds for the full series at every A > 0 with the right
+    sign, so the defect is bounded by the tails and rounding of the three
+    sums (`_f_bound`). LSeriesInconclusiveError, naming both, when it is not.
+    """
+    c = 2.0 * math.pi / math.sqrt(_twist_conductor(curve, d))
+    A = 1.07
+    split = _f_sum(curve, d, T, c * A) + sign * _f_sum(curve, d, T, c / A)
+    defect = abs(split - value_at_1)
+    bound = _f_bound(c * A, T) + _f_bound(c / A, T) + (1 + sign) * _f_bound(c, T)
+    if not defect <= bound:
+        raise LSeriesInconclusiveError(
+            f"sign {sign} of the twist by {d} fails the split identity at A = {A}: "
+            f"defect {defect:.3e} exceeds the bound {bound:.3e} on {T} terms"
+        )
+    return defect
+
+
 @dataclass
 class LEval:
     value_at_1: float
@@ -239,21 +302,36 @@ class LEval:
     fe_residual: float
 
 
-def l_eval(curve: CurveQ, precision: float = DEFAULT_PRECISION, d: int = 1) -> LEval:
+def l_eval(
+    curve: CurveQ, precision: float = DEFAULT_PRECISION, d: int = 1, sign: int | None = None
+) -> LEval:
     """L(1) and, for odd sign, L'(1) of E twisted by d (E itself for d = 1),
-    with explicit truncation bounds."""
-    eps, resid = root_number(curve, d=d)
+    with explicit truncation bounds.
+
+    With d = 1 and no `sign`, the sign is `root_number`'s and fe_residual
+    its Fricke residual. Otherwise the sign is `sign`, or for a twist
+    `twist_sign` of E's own, and fe_residual is its `split_defect`, checked
+    on the T terms the value sums.
+    """
+    resid = None
+    if sign is None:
+        sign, resid = root_number(curve)
+        if d != 1:
+            sign, resid = twist_sign(sign, curve, d), None
     sqN = math.sqrt(_twist_conductor(curve, d))
     c = 2.0 * math.pi / sqN
     T = _tail_terms(c, precision / 4.0, linear_weight=False)
-    if eps == 1:
-        val = 2.0 * fsum_blocks(a / n * np.exp(-c * n) for n, a in _blocks(curve, d, T))
+    if sign == 1:
+        val, der = 2.0 * _f_sum(curve, d, T, c), None
         tail = 2.0 * _SQRT3 * math.exp(-c * (T + 1)) / (1 - math.exp(-c))
-        return LEval(val, None, 1, T, tail, resid)
-    der = 2.0 * fsum_blocks(a / n * exp1(c * n) for n, a in _blocks(curve, d, T))
-    r = math.exp(-c)
-    tail = 2.0 * _SQRT3 * r ** (T + 1) / (c * (T + 1) * (1 - r))
-    return LEval(0.0, der, -1, T, tail, resid)
+    else:
+        val = 0.0
+        der = 2.0 * fsum_blocks(a / n * exp1(c * n) for n, a in _blocks(curve, d, T))
+        r = math.exp(-c)
+        tail = 2.0 * _SQRT3 * r ** (T + 1) / (c * (T + 1) * (1 - r))
+    if resid is None:
+        resid = split_defect(curve, d, T, sign, val)
+    return LEval(val, der, sign, T, tail, resid)
 
 
 @dataclass
@@ -276,18 +354,24 @@ def l_over_K(
 ) -> LOverK:
     """L'(E/K,1) = L(E,1) L'(E_d,1) or L'(E,1) L(E_d,1), from E's one a_n table.
 
-    `le` is `l_eval(curve, precision)` when the caller already has it, as the
-    field search does; it is computed here otherwise. ValueError if d_K is
-    not fundamental or not coprime to N.
+    The twist's sign is `twist_sign` of le.epsilon, so the twist reads no
+    more a_n than its own L-value sums, and `l_eval` checks it by
+    `split_defect`. It must be -le.epsilon (Heegner parity:
+    kronecker(d_K, -N) = -1), or LSeriesInconclusiveError. `le` is
+    `l_eval(curve, precision)` when the caller already has it, as the field
+    search does; it is computed here otherwise. ValueError if d_K is not
+    fundamental or not coprime to N.
     """
+    _twist_conductor(curve, d_K)  # ValueError before any sum
     if le is None:
         le = l_eval(curve, precision)
-    te = l_eval(curve, precision, d_K)
-    if le.epsilon * te.epsilon != -1:
+    sign = twist_sign(le.epsilon, curve, d_K)
+    if le.epsilon * sign != -1:
         raise LSeriesInconclusiveError(
-            f"twist by {d_K} did not flip the sign ({le.epsilon}, {te.epsilon}); "
-            "Heegner parity violated, root number computation suspect"
+            f"twist by {d_K} does not flip the sign ({le.epsilon}, {sign}): "
+            f"kronecker({d_K}, -{curve.N}) = {le.epsilon * sign}, Heegner parity violated"
         )
+    te = l_eval(curve, precision, d_K, sign)
     if le.epsilon == -1:
         value = le.derivative_at_1 * te.value_at_1
     else:

@@ -222,7 +222,7 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
         try:
             fs = find_K(curve, config.dk_scan_bound, config.nonvanishing_threshold,
                         config.lseries_precision, le)
-        except FieldSearchExhausted as e:
+        except (FieldSearchExhausted, LSeriesInconclusiveError) as e:
             _check(checks, "find_K", False, error=str(e))
             return finish("find_K")
     d_K = fs.d_K
@@ -278,7 +278,12 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
 
     # 4. ring class structure per cumulative level, each prime enumerated once
     with _stage(timing, "ring_class"):
-        for s in ring_class_levels(d_K, [it.p for it in items])[1:]:
+        try:
+            levels = ring_class_levels(d_K, [it.p for it in items])[1:]
+        except ArithmeticError as e:  # enumeration and formula disagree
+            _check(checks, "ring_class_structure", False, error=str(e))
+            return finish("ring_class_structure")
+        for s in levels:
             report.ring_class.append(
                 {
                     "conductor": s.conductor,

@@ -361,10 +361,28 @@ def root_number_per_term(curve: CurveQ, precision: float = 1e-10, d: int = 1):
     return eps, best[eps]
 
 
+def split_defect_per_term(curve: CurveQ, d: int, T: int, sign: int, value_at_1: float):
+    """(defect, scale) of `lseries.split_defect`: |F(A) + sign F(1/A) - value_at_1|
+    at A = 1.07 with F(A) = sum_{n<=T} a_n(E_d)/n e^{-c n A}, one term at a time,
+    largest n first; scale is the sum of |term| over both sums and the value."""
+    c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
+    v = twisted_an(curve, d, T)
+    A = 1.07
+    terms_a = [v[n] / n * math.exp(-c * A * n) for n in range(T, 0, -1)]
+    terms_b = [v[n] / n * math.exp(-c / A * n) for n in range(T, 0, -1)]
+    defect = abs(float(sum(terms_a)) + sign * float(sum(terms_b)) - value_at_1)
+    scale = sum(map(abs, terms_a)) + sum(map(abs, terms_b)) + abs(value_at_1)
+    return defect, scale
+
+
 def l_eval_per_term(curve: CurveQ, precision: float, d: int = 1):
-    """(sign, residual, L(1) or L'(1), terms, tail) of `lseries.l_eval`,
-    summed one term at a time with `exp1_scalar`."""
-    eps, resid = root_number_per_term(curve, d=d)
+    """(sign, residual, residual scale, L(1) or L'(1), terms, tail) of
+    `lseries.l_eval`, summed one term at a time with `exp1_scalar`. For d = 1
+    the residual is `root_number_per_term`'s, already relative (scale 1); a
+    twist's sign is eps(E) kronecker(d, -N) and its residual the split defect."""
+    eps, resid = root_number_per_term(curve)
+    if d != 1:
+        eps = eps * kronecker(d, -curve.N)
     c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
     T = _tail_terms(c, precision / 4.0, linear_weight=False)
     v = twisted_an(curve, d, T)
@@ -375,7 +393,10 @@ def l_eval_per_term(curve: CurveQ, precision: float, d: int = 1):
     else:
         val = 2.0 * float(sum(v[n] / n * exp1_scalar(c * n) for n in range(T, 0, -1)))
         tail = 2.0 * math.sqrt(3.0) * r ** (T + 1) / (c * (T + 1) * (1 - r))
-    return eps, resid, val, T, tail
+    scale = 1.0
+    if d != 1:
+        resid, scale = split_defect_per_term(curve, d, T, eps, val if eps == 1 else 0.0)
+    return eps, resid, scale, val, T, tail
 
 
 def modular_param_per_term(curve: CurveQ, tau: complex, n_terms: int) -> complex:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,9 +16,12 @@ from heegner_witness.lseries import (
     l_eval,
     l_over_K,
     root_number,
+    twist_sign,
 )
 from heegner_witness.arith import primes_upto
 from heegner_witness.ec_core import CurveQ, an_series, good_reduction
+from heegner_witness.pipeline import parse_curve_file
+from heegner_witness.searcher import find_K
 from heegner_witness.quadforms import kronecker
 from oracles import (
     exp1_scalar,
@@ -25,6 +30,7 @@ from oracles import (
     l_eval_per_term,
     l_value_straight,
     root_number_per_term,
+    split_defect_per_term,
     twist,
     twisted_an,
 )
@@ -73,9 +79,11 @@ def test_l_eval_and_root_number_match_per_term_oracles(e11a, e37a, e389a, e14a):
             o_eps, o_resid = root_number_per_term(curve, d=d)
             assert eps == o_eps and abs(resid - o_resid) <= 1e-13, (curve.label, d)
             le = l_eval(curve, d=d)
-            o_eps, o_resid, o_val, o_T, o_tail = l_eval_per_term(curve, DEFAULT_PRECISION, d)
+            o_eps, o_resid, o_scale, o_val, o_T, o_tail = l_eval_per_term(
+                curve, DEFAULT_PRECISION, d)
             assert (le.epsilon, le.terms_used, le.tail_bound) == (o_eps, o_T, o_tail)
-            assert abs(le.fe_residual - o_resid) <= 1e-13, (curve.label, d)
+            # the Fricke residual for d = 1, the split defect for a twist
+            assert abs(le.fe_residual - o_resid) <= 1e-13 * o_scale, (curve.label, d)
             val = le.value_at_1 if le.epsilon == 1 else le.derivative_at_1
             assert _close(val, o_val), (curve.label, d, val, o_val)
 
@@ -182,7 +190,12 @@ def test_twists_by_character_match_twisted_models(e11a, e37a, e389a):
             assert st.values.tolist() == [
                 kronecker(d, n) * s[n] if n else 0 for n in range(3001)
             ], (curve.label, d)
-            assert l_eval(curve, d=d) == l_eval(model), (curve.label, d)
+            # the model's sign is searched numerically, the character's is
+            # eps(E) kronecker(d, -N); given that sign, the model's L-value
+            # and split defect are the character's to the bit
+            le = l_eval(curve, d=d)
+            assert le.epsilon == l_eval(model).epsilon, (curve.label, d)
+            assert le == l_eval(model, sign=le.epsilon), (curve.label, d)
 
 
 def test_cached_an_grows_in_place_counting_each_prime_once(e37a, monkeypatch):
@@ -234,3 +247,75 @@ def test_analytic_rank_gate(e11a, e37a, e389a):
     assert gate_from_leval(l_eval(e11a)) == "rank0"
     assert gate_from_leval(l_eval(e37a)) == "rank1"
     assert gate_from_leval(l_eval(e389a)) == "not_eligible"
+
+
+# d_K of every curve in perfbench/data/pinned.txt that passes the gate
+PINNED_D_K = {"11a": -7, "37a": -7, "14a": -31, "15a": -11, "17a": -15, "19a": -15,
+              "43a": -7, "53a": -7, "57a": -59, "61a": -15, "65a": -51, "79a": -7,
+              "83a": -15, "89a": -11, "91a": -55, "131a": -19}
+G12283 = CurveQ(0, -1, 1, -3, -5, 12283, "g12283.1")  # a field-search curve, d_K = -23
+
+
+def _pinned_twists():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    curves = parse_curve_file(os.path.join(root, "perfbench", "data", "pinned.txt"))
+    return [(c, PINNED_D_K[c.label]) for c in curves if c.label in PINNED_D_K]
+
+
+def test_twist_sign_matches_the_numeric_root_number(e11a, e37a, e389a, e14a, g427):
+    cases = [(curve, d) for curve in (e11a, e37a, e389a, e14a) for d in _twists(curve)]
+    cases += _pinned_twists() + [(g427, -19), (G12283, -23)]
+    assert len(cases) == 33
+    for curve, d in cases:
+        eps = root_number(curve)[0]
+        assert twist_sign(eps, curve, d) == root_number(curve, d=d)[0], (curve.label, d)
+
+
+def test_split_defect_matches_per_term_oracle_and_stays_in_its_bound():
+    for curve, d in _pinned_twists():
+        r = l_over_K(curve, d)
+        te = r.l_twist
+        assert te.epsilon == -r.l_curve.epsilon
+        want, scale = split_defect_per_term(curve, d, te.terms_used, te.epsilon, te.value_at_1)
+        assert abs(te.fe_residual - want) <= 1e-13 * scale, curve.label
+        # the bound is about the tails of the three sums; the right sign sits far below
+        c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
+        bound = sum(w * lseries._f_bound(x, te.terms_used)
+                    for w, x in ((1, c * 1.07), (1, c / 1.07), (1 + te.epsilon, c)))
+        assert te.fe_residual <= 0.05 * bound and bound < 2e-8, curve.label
+
+
+def test_l_over_K_rejects_a_flipped_gate_sign(e11a, e37a, g427):
+    for curve, d in ((e11a, -7), (e37a, -7), (g427, -19), (G12283, -23)):
+        le = l_eval(curve)
+        flipped = dataclasses.replace(le, epsilon=-le.epsilon)
+        with pytest.raises(LSeriesInconclusiveError,
+                           match=r"fails the split identity .* defect .* exceeds the bound"):
+            l_over_K(curve, d, le=flipped)
+
+
+def test_split_identity_catches_one_altered_a_p(e37a, monkeypatch):
+    # 37a, d = -7: every good p < T/2; g12283.1, d = -23: the smallest good
+    # primes and the largest below T/4, where a change still weighs e^{-c p}
+    monkeypatch.setattr(lseries, "_AN_CACHE", {})
+    for curve, d, pick in ((e37a, -7, lambda ps, T: ps),
+                           (G12283, -23, lambda ps, T: ps[:3] + [p for p in ps if p < T / 4][-2:])):
+        le = l_eval(curve)
+        sign = twist_sign(le.epsilon, curve, d)
+        T = l_eval(curve, d=d, sign=sign).terms_used
+        table = cached_an(curve, T).values
+        good = [p for p in primes_upto(T // 2) if math.gcd(p, curve.N * d) == 1]
+        for p in pick(good, T):
+            table[p] += 1
+            with pytest.raises(LSeriesInconclusiveError, match="split identity"):
+                l_over_K(curve, d, le=le)
+            table[p] -= 1
+        assert l_over_K(curve, d, le=le).l_twist.terms_used == T  # restored
+
+
+def test_find_K_grows_the_table_only_to_the_twist_terms(monkeypatch):
+    # the twist's sign used to be searched numerically, on 26,643 terms here
+    monkeypatch.setattr(lseries, "_AN_CACHE", {})
+    fs = find_K(G12283)
+    assert fs.d_K == -23 and fs.l_value_data.l_twist.terms_used == 12126
+    assert [s.n_max for s in lseries._AN_CACHE.values()] == [12126]

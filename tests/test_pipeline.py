@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from collections import Counter
 
 import pytest
 
@@ -213,10 +214,10 @@ def test_run_witness_evaluates_each_field_once(curve, monkeypatch):
     twists, at_find_K = [], []
     real_l_eval, real_find_K = lseries.l_eval, pipeline.find_K
 
-    def l_eval(curve, precision=lseries.DEFAULT_PRECISION, d=1):
+    def l_eval(curve, precision=lseries.DEFAULT_PRECISION, d=1, sign=None):
         if d != 1:
             twists.append(d)
-        return real_l_eval(curve, precision, d)
+        return real_l_eval(curve, precision, d, sign)
 
     def find_K(*args):
         fs = real_find_K(*args)
@@ -241,10 +242,10 @@ def test_find_K_reuses_the_gate_l_value(monkeypatch):
     own = []  # l_eval calls for E itself, d = 1
     real_l_eval = lseries.l_eval
 
-    def l_eval(curve, precision=lseries.DEFAULT_PRECISION, d=1):
+    def l_eval(curve, precision=lseries.DEFAULT_PRECISION, d=1, sign=None):
         if d == 1:
             own.append(precision)
-        return real_l_eval(curve, precision, d)
+        return real_l_eval(curve, precision, d, sign)
 
     for mod in (lseries, searcher, pipeline):
         if hasattr(mod, "l_eval"):
@@ -307,6 +308,42 @@ def test_step4_enumerates_each_level_prime_once(monkeypatch):
     report = run_witness(CurveQ(0, -1, 1, -2, 2, 57, "57a"))
     assert [r["primes"] for r in report.ring_class] == [[89], [89, 109]]
     assert seen == [(-59, 89, 1), (-59, 109, 1)]
+
+
+def test_step4_fails_its_check_when_enumeration_and_formula_disagree(e37a, monkeypatch):
+    # the orders of C_2 for every prime: the enumeration's invariants are not C_{p+1}'s
+    def local(d, p, e):
+        return Counter({1: 1, 2: 1})
+
+    monkeypatch.setattr(quadforms, "_local_unit_quotient_orders", local)
+    report = run_witness(e37a)
+    assert not report.passed and report.failed_at == "ring_class_structure"
+    last = report.checks[-1]
+    assert last["name"] == "ring_class_structure" and not last["pass"]
+    assert last["error"].startswith("ring class structure mismatch for d_K=-7, c=")
+    assert report.ring_class == [] and report.heegner is None
+
+
+@pytest.mark.parametrize("curve", [
+    CurveQ(0, -1, 1, -10, -20, 11, "11a"),
+    CurveQ(0, 0, 1, -1, 0, 37, "37a"),
+])
+def test_run_witness_fails_find_K_on_a_flipped_gate_sign(curve, monkeypatch):
+    # the twist's sign is eps(E) kronecker(d_K, -N); a wrong eps(E) fails the
+    # twist's split identity, and the run fails at find_K naming the defect
+    real = lseries.root_number
+
+    def root_number(curve, precision=1e-10, d=1):
+        eps, resid = real(curve, precision, d)
+        return -eps, resid
+
+    monkeypatch.setattr(lseries, "root_number", root_number)
+    report = run_witness(curve)
+    assert report.gate in ("rank0", "rank1")
+    assert not report.passed and report.failed_at == "find_K" and report.d_K is None
+    last = report.checks[-1]
+    assert last["name"] == "find_K" and not last["pass"]
+    assert "fails the split identity" in last["error"] and "exceeds the bound" in last["error"]
 
 
 def test_step5_builds_one_period_lattice(e37a, monkeypatch):
