@@ -23,6 +23,18 @@ def primes_upto(n: int) -> list[int]:
     return np.flatnonzero(prime_mask(n)).tolist()
 
 
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """The primes p with lo <= p <= hi, ascending, as an int64 array; only
+    the segment [lo, hi] is sieved, by the primes up to sqrt(hi)."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return np.zeros(0, dtype=np.int64)
+    segment = np.ones(hi - lo + 1, dtype=bool)
+    for p in np.flatnonzero(prime_mask(math.isqrt(hi))).tolist():
+        segment[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return np.flatnonzero(segment) + lo
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -522,7 +522,8 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
     multiple gives an exact integer quotient below 2^30, and a non-multiple
     lies at least 1/p > 2^-20 from every integer while the division rounds
     by at most 2^-23, so the test is exact and needs no int64 remainder.
-    Each giant step only records its matches; the signs, read by
+    Each giant step only records its matches, a sum with Z = 0 only at
+    j = 1 (it matches every baby step); the signs, read by
     cross-multiplying Y, and the counts are resolved once after the loop.
     Every k in [lo, hi] with [k]P = O is counted, and a lane is decided when
     there is exactly one: the group order of P's curve is a multiple of the
@@ -574,7 +575,10 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
         quo -= np.multiply(Xb, Z.astype(np.float64), out=near)
         quo /= pf
         j, ln = np.nonzero(quo == np.rint(quo, out=near))  # [m]P = +-[j + 1]P
-        steps.append((j, ln, Y[ln], Z[ln]))
+        Zm = Z[ln]
+        first = (Zm != 0) | (j == 0)  # a sum with Z = 0 matches every baby step: keep one
+        j, ln = j[first], ln[first]
+        steps.append((j, ln, Y[ln], Zm[first]))
     del Xb, Zb, quo, near  # the block's largest buffers, before the matches are resolved
 
     i = np.repeat(np.arange(len(steps)), [len(st[0]) for st in steps])
@@ -582,7 +586,7 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
     m = lo[ln] + s[ln] + i * (2 * s[ln] + 1)
     yz, zy, q = Y * table[2, j + 1, ln], table[1, j + 1, ln] * Z, p[ln]
     plus, minus = (yz - zy) % q == 0, (yz + zy) % q == 0
-    o = (Z == 0) & (j == 0)  # [m]P = O matches every baby step: count it once
+    o = Z == 0  # [m]P = O, recorded once, against [1]P
     ks = np.concatenate((m[plus] - j[plus] - 1, m[minus] + j[minus] + 1, m[o]))
     kl = np.concatenate((ln[plus], ln[minus], ln[o]))
     inside = (lo[kl] <= ks) & (ks <= hi[kl])

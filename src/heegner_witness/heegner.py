@@ -21,6 +21,7 @@ A witness run builds the period lattice once and passes it as `lattice=` to
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -678,14 +679,18 @@ def trace_to_K(orbit: HeegnerOrbit, precision: float = 1e-9, lattice: PeriodLatt
     return pk, recognized
 
 
+@functools.cache
 def _torsion_fractions(bound: int = DEFAULT_TORSION_BOUND):
     """Lattice coordinates (i/k, j/k), 0 <= i, j < k <= bound, of the torsion
     translates, each taken once: at the k with gcd(i, j, k) = 1. Ordered by
-    k, then i, then j."""
+    k, then i, then j. Built on the first call and returned, read-only, by
+    every later one."""
     k, i, j = np.indices((bound, bound, bound))
     k += 1
     new = (i < k) & (j < k) & (np.gcd(np.gcd(i, j), k) == 1)
-    return i[new] / k[new], j[new] / k[new]
+    s, t = i[new] / k[new], j[new] / k[new]
+    s.flags.writeable = t.flags.writeable = False
+    return s, t
 
 
 def trace_relation_check(

@@ -10,16 +10,21 @@ prime-power factor p^e || c, on (O_K/p^e)^* / (Z/p^e)^*, in numpy lanes:
 each unit is keyed by its coset, and every coset's order is found at once by
 Lagrange. The local order multisets are combined by CRT (an element's order
 is the lcm of its local orders). UNIT_QUOTIENT_CEILING bounds (p^e)^2, the
-residue count of one local enumeration. `ring_class_levels` enumerates each
-prime of a tower once and folds its local orders into every level that
-contains it.
+residue count of one local enumeration. A local enumeration runs once per
+(d, p, e) in a process, on first use, and its order multiset is kept as a
+read-only mapping, so towers that share K and a prime share it.
+`ring_class_levels` folds the local orders of each prime of a tower into
+every level that contains it, and compares every level with the formula.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as _np
 
@@ -196,8 +201,11 @@ def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
 
-def _local_unit_quotient_orders(d: int, p: int, e: int) -> Counter:
-    """Element-order multiset of (O_K/p^e)^* / (Z/p^e)^* by residue enumeration.
+@functools.cache
+def _local_unit_quotient_orders(d: int, p: int, e: int) -> MappingProxyType:
+    """Element-order multiset of (O_K/p^e)^* / (Z/p^e)^* by residue enumeration,
+    as a read-only order -> count mapping, enumerated once per (d, p, e) in a
+    process: every later call returns the same mapping.
 
     Every residue x + y w of O_K/m, m = p^e, is enumerated, and the units
     (norm prime to p) are keyed by their coset: x y^-1 when y is a unit,
@@ -250,10 +258,10 @@ def _local_unit_quotient_orders(d: int, p: int, e: int) -> Counter:
             u = power(u, ell)
         if u[1].any():
             raise ArithmeticError(f"a coset order does not divide the coset count {n}")
-    return Counter(orders.tolist())
+    return MappingProxyType(Counter(orders.tolist()))
 
 
-def _fold_orders(orders: Counter, local: Counter) -> Counter:
+def _fold_orders(orders: Counter, local: Mapping[int, int]) -> Counter:
     """Order multiset of a direct product: an element's order is the lcm of its parts'."""
     combined: Counter = Counter()
     for o1, n1 in orders.items():

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .arith import euler_phi, is_prime, is_squarefree, prime_divisors, primes_upto
+from .arith import euler_phi, is_prime, is_squarefree, prime_divisors, primes_between
 from . import ec_core
 from .ec_core import CurveQ, ap_many, cm_field, count_points, good_reduction, reduce_mod
 from .lseries import (
@@ -34,13 +34,18 @@ class FieldSearchExhausted(RuntimeError):
 
 
 class PrimeSearchExhausted(RuntimeError):
-    def __init__(self, bound, partial):
+    """The scan reached its bound; `candidates` counts the primes up to it
+    that met the three cheap conditions, so had their a_p counted."""
+
+    def __init__(self, bound, partial, candidates):
         super().__init__(
             f"prime scan bound {bound} reached with only {len(partial)} of the "
-            "requested primes found"
+            f"requested primes found; {candidates} of the primes p <= {bound} have "
+            "p = -1 mod q, are inert in K and have good reduction"
         )
         self.bound = bound
         self.partial = partial
+        self.candidates = candidates
 
 
 @dataclass
@@ -134,6 +139,22 @@ class PrimeSeqItem:
         return self.cong_q and self.inert and self.good_red and self.ap_ok
 
 
+def _candidates(curve: CurveQ, d_K: int, q: int, count: int, p_bound: int):
+    """The primes p <= p_bound with p = -1 mod q, p inert in K and good
+    reduction, ascending. Each segment (lo, hi] is sieved only when the one
+    before it is used up. hi starts at count * q, as the k-th p = -1 mod q
+    is k q - 1, so no smaller bound can hold `count` candidates; it doubles
+    from there, and the last segment ends at p_bound."""
+    lo, hi = 0, max(count, 1) * q
+    while lo < p_bound:
+        hi = min(hi, p_bound)
+        ps = primes_between(lo + 1, hi)
+        for p in ps[ps % q == q - 1].tolist():
+            if kronecker(d_K, p) == -1 and good_reduction(curve, p):
+                yield p
+        lo, hi = hi, 2 * hi
+
+
 def prime_sequence(
     curve: CurveQ,
     d_K: int,
@@ -144,25 +165,26 @@ def prime_sequence(
     """First `count` primes (ascending) with p = -1 mod q, p inert in K,
     good reduction, and q not dividing a_p.
 
-    The three cheap conditions filter the primes up to `p_bound` lazily.
+    The three cheap conditions filter the primes lazily, in sieve segments
+    whose end doubles from count * q and never passes `p_bound`
+    (`_candidates`): a scan sieves only as far as the chunk it stops in.
     `ap_many` counts the candidates' a_p in chunks, so the a_p above
     BSGS_MIN_P are counted in lockstep blocks, and a chunk with a block
     counts its candidates from LOCKSTEP_MIN_P = 500 up in it too: the first
     chunk has `count` candidates, and each later one doubles, up to
     _LANES = 640. The scan
     stops in the chunk that holds the count-th accepted prime, so the a_p of
-    the rest of that chunk are counted but unused.
+    the rest of that chunk are counted but unused. A scan that runs out of
+    candidates raises `PrimeSearchExhausted` with how many there were.
     """
-    candidates = (
-        p for p in primes_upto(p_bound)
-        if p % q == q - 1 and kronecker(d_K, p) == -1 and good_reduction(curve, p)
-    )
+    candidates = _candidates(curve, d_K, q, count, p_bound)
     items: list[PrimeSeqItem] = []
-    size = count
+    size, tried = count, 0
     while len(items) < count:
         chunk = list(itertools.islice(candidates, size))
         if not chunk:
-            raise PrimeSearchExhausted(p_bound, items)
+            raise PrimeSearchExhausted(p_bound, items, tried)
+        tried += len(chunk)
         for p, a in zip(chunk, ap_many(curve, chunk).tolist()):
             if a % q == 0:
                 continue

@@ -83,19 +83,20 @@ def prime_sequence_per_prime(curve: CurveQ, d_K: int, q: int, count: int, p_boun
     """The prime scan one prime at a time, each a_p from the scalar `ap`,
     stopping at the count-th accepted prime: the oracle for the chunked
     `searcher.prime_sequence`."""
-    items = []
+    items, candidates = [], 0
     for p in primes_upto(p_bound):
         if len(items) == count:
             return items
         if p % q != q - 1 or kronecker(d_K, p) != -1 or curve.N % p == 0:
             continue
+        candidates += 1
         a = ap(curve, p)
         if a % q == 0:
             continue
         items.append(PrimeSeqItem(p, True, True, True, True, a, a % q))
     if len(items) >= count:
         return items
-    raise PrimeSearchExhausted(p_bound, items)
+    raise PrimeSearchExhausted(p_bound, items, candidates)
 
 
 def lockstep_point_eager(A, B, p, twist: bool = False, tries: int = 32):

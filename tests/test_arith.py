@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from heegner_witness.arith import (
@@ -8,6 +9,7 @@ from heegner_witness.arith import (
     factorize,
     is_prime,
     is_squarefree,
+    primes_between,
     primes_upto,
     valuation,
 )
@@ -22,6 +24,17 @@ def test_primes_upto():
     assert all(type(p) is int for p in ps)  # Python ints, not numpy scalars
     for n in (-3, 0, 1, 2, 3, 4, 97, 1000):
         assert primes_upto(n) == [p for p in range(n + 1) if is_prime(p)], n
+
+
+def test_primes_between_sieves_one_segment():
+    ps = primes_upto(5000)
+    rng = random.Random(20)
+    cases = [(0, 1), (0, 2), (2, 2), (4, 4), (5, 4), (90, 96), (97, 97), (1, 5000), (4900, 5000)]
+    cases += [tuple(sorted(rng.sample(range(5001), 2))) for _ in range(40)]
+    for lo, hi in cases:
+        got = primes_between(lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == [p for p in ps if lo <= p <= hi], (lo, hi)
 
 
 def test_is_prime():

@@ -294,6 +294,40 @@ def test_window_mul_matches_affine_multiplication():
                     assert z != 0 and (x - want[0] * z) % p == 0 and (y - want[1] * z) % p == 0, (p, m)
 
 
+class _CountingNumpy:
+    """numpy for `ec_core`, recording how many giant-step matches each
+    `_lockstep_orders` call keeps (the counts it passes to np.repeat)."""
+
+    def __init__(self):
+        self.kept = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def repeat(self, a, repeats):
+        self.kept.append(sum(repeats))
+        return np.repeat(a, repeats)
+
+
+def test_lockstep_keeps_one_match_for_a_giant_step_on_O(g427, monkeypatch):
+    # a giant step with Z = 0 ([m]P = O, or a (0:0:0) sum) matches every baby
+    # step; only the match against [1]P is kept. In g427.1's first block
+    # (primes 500-5,600) 1,634 matches were kept before, 865 of them from the
+    # 85 giant steps with Z = 0 (48 of those (0:0:0) sums)
+    primes = [p for p in primes_upto(6000) if p >= LOCKSTEP_MIN_P and good_reduction(g427, p)]
+    block = np.array(primes[: ec_core._LANES], dtype=np.int64)
+    assert (block[0], block[-1]) == (503, 5569)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(ec_core, "np", counting)
+    n = _lockstep_orders(*c_invariants(g427), block)
+    monkeypatch.undo()
+    assert counting.kept == [1634 - 865 + 85]
+    decided = n != 0
+    assert int((~decided).sum()) == 45
+    want = np.array([p + 1 - ap(g427, p) for p in primes[: ec_core._LANES]])
+    assert (n[decided] == want[decided]).all()
+
+
 def test_lockstep_kernel_blocks_and_fallback(e37a, monkeypatch):
     # blocks of 7 lanes, in ascending and in shuffled order; some lanes are undecided
     primes = [p for p in primes_upto(3300) if p >= 2500 and good_reduction(e37a, p)]

@@ -342,6 +342,16 @@ def test_torsion_translates_match_fraction_oracle(e37a):
     assert len(got) == 1224
 
 
+def test_torsion_fractions_are_built_once_and_read_only():
+    s, t = heegner._torsion_fractions()
+    again = heegner._torsion_fractions()
+    assert again[0] is s and again[1] is t
+    for a in (s, t):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+
+
 @pytest.mark.parametrize(
     "curve, d_K, ell",
     [

@@ -1,15 +1,19 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from heegner_witness import ec_core, heegner, lseries, pipeline, quadforms, searcher
-from heegner_witness.arith import euler_phi, is_squarefree
+from heegner_witness.arith import euler_phi, is_prime, is_squarefree
 from heegner_witness.cli import main
 from heegner_witness.ec_core import CurveQ
 from heegner_witness.lseries import l_over_K
+from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import heegner_hypothesis
 from heegner_witness.pipeline import (
     Config,
@@ -203,6 +207,13 @@ def test_run_witness_takes_the_cm_admissible_q_from_j(ainvs, q):
         assert error.endswith(f"; q = {q} was set by the CM lower bound "
                               f"1 + 2|d_K|^4/phi(|d_K|) = {bound:.1f}")
         assert bound < q
+        # the candidates are the k q - 1 <= 10^5 that are prime, inert in K and of good reduction
+        candidates = sum(
+            1 for p in (k * q - 1 for k in range(1, 10**5 // q + 1))
+            if is_prime(p) and kronecker(report.d_K, p) == -1 and ainvs[5] % p
+        )
+        assert f"; {candidates} of the primes p <= 100000 have p = -1 mod q, are inert in K " \
+               "and have good reduction; q = " in error
 
 
 @pytest.mark.parametrize("curve", [
@@ -308,6 +319,51 @@ def test_step4_enumerates_each_level_prime_once(monkeypatch):
     report = run_witness(CurveQ(0, -1, 1, -2, 2, 57, "57a"))
     assert [r["primes"] for r in report.ring_class] == [[89], [89, 109]]
     assert seen == [(-59, 89, 1), (-59, 109, 1)]
+
+
+class _CountingNumpy:
+    """numpy for `quadforms`, counting the residue grids that
+    `_local_unit_quotient_orders` builds, one per enumeration."""
+
+    def __init__(self):
+        self.grids = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def divmod(self, *args):
+        self.grids += 1
+        return np.divmod(*args)
+
+
+def test_step4_enumerates_a_repeated_prime_once_per_process(monkeypatch):
+    # 17a and 19a share d_K = -15 and the tower primes 13 and 41: two enumerations
+    # serve both runs and every repeated ring_class_levels call
+    counting = _CountingNumpy()
+    monkeypatch.setattr(quadforms, "_np", counting)
+    quadforms._local_unit_quotient_orders.cache_clear()
+    reports = [run_witness(CurveQ(1, -1, 1, -1, -14, 17, "17a")),
+               run_witness(CurveQ(0, 1, 1, -9, -15, 19, "19a"))]
+    assert [(r.d_K, r.ring_class[-1]["primes"]) for r in reports] == [(-15, [13, 41])] * 2
+    assert counting.grids == 2
+    for _ in range(3):
+        quadforms.ring_class_levels(-15, [13, 41])
+    assert counting.grids == 2
+    info = quadforms._local_unit_quotient_orders.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 8, 2)
+
+
+def test_import_leaves_the_per_process_tables_empty():
+    # the local orders and the torsion grid are built on first use, never at import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    code = ("import heegner_witness.cli\n"
+            "from heegner_witness import heegner, quadforms\n"
+            "print(quadforms._local_unit_quotient_orders.cache_info().currsize,"
+            " heegner._torsion_fractions.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_step4_fails_its_check_when_enumeration_and_formula_disagree(e37a, monkeypatch):

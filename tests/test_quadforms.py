@@ -6,6 +6,7 @@ import pytest
 from heegner_witness.arith import is_squarefree, primes_upto
 from heegner_witness.quadforms import (
     UNIT_QUOTIENT_CEILING,
+    _local_unit_quotient_orders,
     InvalidDiscriminantError,
     abelian_invariants,
     canonical_invariants,
@@ -245,3 +246,14 @@ def test_class_number_formula_orders():
         for p in inert:
             if p * p * abs(d) <= 20000:
                 assert class_number(d * p * p) == h * (p + 1), (d, p)
+
+
+def test_local_orders_are_one_read_only_mapping_equal_to_a_fresh_enumeration():
+    for d, p, e in [(-7, 3, 1), (-7, 3, 2), (-15, 13, 1), (-59, 89, 1), (-19, 2, 3), (-11, 7, 2)]:
+        got = _local_unit_quotient_orders(d, p, e)
+        assert _local_unit_quotient_orders(d, p, e) is got
+        assert got == _local_unit_quotient_orders.__wrapped__(d, p, e)  # a fresh enumeration
+        with pytest.raises(TypeError):
+            got[1] = 2
+        with pytest.raises(TypeError):
+            del got[1]

@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from heegner_witness import ec_core, searcher
 from heegner_witness.arith import euler_phi, primes_upto
 from heegner_witness.ec_core import CurveQ
+from heegner_witness.pipeline import Config, parse_curve_file
 from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import (
     FieldSearchExhausted,
@@ -156,7 +158,7 @@ def _per_prime(i):
     try:
         return prime_sequence_per_prime(*SCANS[i]), None
     except PrimeSearchExhausted as e:
-        return None, (e.bound, e.partial)
+        return None, (e.bound, e.partial, e.candidates)
 
 
 @pytest.mark.parametrize("lanes", [None, 7])
@@ -171,7 +173,87 @@ def test_prime_sequence_matches_per_prime_scan(i, lanes, monkeypatch):
     else:
         with pytest.raises(PrimeSearchExhausted) as ei:
             prime_sequence(*SCANS[i])
-        assert (ei.value.bound, ei.value.partial) == exhausted
+        assert (ei.value.bound, ei.value.partial, ei.value.candidates) == exhausted
+        assert f"; {exhausted[2]} of the primes p <= {exhausted[0]} have" in str(ei.value)
+
+
+# d_K of every pinned curve (perfbench/data/pinned.txt) that reaches step 3
+PINNED_STEP3 = {"11a": -7, "37a": -7, "14a": -31, "15a": -11, "17a": -15, "19a": -15,
+                "43a": -7, "53a": -7, "57a": -59, "61a": -15, "65a": -51, "79a": -7,
+                "83a": -15, "89a": -11, "91a": -55, "131a": -19}
+
+
+def test_prime_sequence_matches_per_prime_scan_on_the_pinned_curves():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    curves = parse_curve_file(os.path.join(root, "perfbench", "data", "pinned.txt"))
+    config = Config()
+    count = max(config.depth, config.tower_m + config.tower_r + 1)
+    scans = 0
+    for curve in curves:
+        if curve.label not in PINNED_STEP3:
+            continue
+        d_K = PINNED_STEP3[curve.label]
+        q = choose_q(curve, d_K)
+        if curve.label == "14a":  # its scan exhausts: one of SCANS
+            assert (d_K, q, count) == SCANS[-1][1:4]
+            continue
+        want = prime_sequence_per_prime(curve, d_K, q, count, config.prime_bound)
+        assert prime_sequence(curve, d_K, q, count, config.prime_bound) == want, curve.label
+        scans += 1
+    assert scans == 15
+
+
+def _segments(monkeypatch):
+    """Record each (lo, hi) that `prime_sequence` sieves."""
+    seen = []
+    real = searcher.primes_between
+
+    def primes_between(lo, hi):
+        seen.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(searcher, "primes_between", primes_between)
+    return seen
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_prime_sequence_sieves_doubling_segments_only_as_far_as_needed(e37a, q, monkeypatch):
+    seen, chunks = _segments(monkeypatch), []
+    real = searcher.ap_many
+
+    def ap_many(curve, ps):
+        chunks.append(ps)
+        return real(curve, ps)
+
+    monkeypatch.setattr(searcher, "ap_many", ap_many)
+    count = 12
+    items = prime_sequence(e37a, -7, q, count)
+    assert items == prime_sequence_per_prime(e37a, -7, q, count)
+    assert len(seen) >= 4  # at least 3 doublings
+    his = [hi for _, hi in seen]
+    assert his == [count * q * 2**k for k in range(len(his))]
+    assert [lo for lo, _ in seen] == [1] + [hi + 1 for hi in his[:-1]]
+    # the sieve stops in the segment that holds the last candidate of the last chunk
+    assert his[-2] < chunks[-1][-1] <= his[-1]
+
+
+def test_prime_sequence_exhausts_at_its_bound_and_never_sieves_past_it(monkeypatch):
+    seen = _segments(monkeypatch)
+    scan = SCANS[5]  # 37a, q = 3, 50 primes wanted below 100
+    with pytest.raises(PrimeSearchExhausted) as ei:
+        prime_sequence(*scan)
+    assert seen == [(1, 100)]  # 50 * 3 > 100: one segment, cut at the bound
+    bound, partial, candidates = _per_prime(5)[1]
+    assert (ei.value.partial, ei.value.candidates) == (partial, candidates)
+    seen.clear()
+    with pytest.raises(PrimeSearchExhausted) as ei:
+        prime_sequence(E14A, -31, 3, 2, 10**4)
+    assert [hi for _, hi in seen] == [6 * 2**k for k in range(11)] + [10**4]
+    assert ei.value.partial == []
+    assert ei.value.candidates == sum(  # every candidate below the bound was scanned
+        1 for p in primes_upto(10**4)
+        if p % 3 == 2 and kronecker(-31, p) == -1 and E14A.N % p
+    )
 
 
 def test_prime_sequence_counts_in_doubling_chunks(monkeypatch):
