@@ -97,19 +97,16 @@ def _cmd_scan_k(args) -> int:
     curve = _lookup(pool, args.curve)
     try:
         res = find_K(curve, scan_bound=args.bound)
+        rejected = res.rejected
     except FieldSearchExhausted as e:
+        res, rejected = None, e.rejected
+    for d, reason in rejected:
+        print(f"  d_K={d} rejected: {reason}")
+    if res is None:
         print(f"no admissible field below {args.bound}")
-        for r in e.rejected:
-            print(
-                f"  d_K={r.d_K}: cong4={r.cong4} coprime={r.coprime} "
-                f"heegner={r.heegner} lprime_nonzero={r.lprime_nonzero}"
-            )
         return 1
     print(f"d_K = {res.d_K}")
-    print(f"  cong4={res.cong4} coprime={res.coprime} heegner={res.heegner} "
-          f"lprime_nonzero={res.lprime_nonzero}")
-    if res.l_value_data:
-        print(f"  L'(E/K,1) ~ {res.l_value_data.value:.9g}")
+    print(f"  L'(E/K,1) ~ {res.l_value_data.value:.9g}")
     return 0
 
 

@@ -1,25 +1,27 @@
-"""Numeric L-values at s = 1: root numbers, L(1), L'(1), twists, L'(E/K,1).
+"""Numeric L-values at s = 1: signs, L(1), L'(1), twists, L'(E/K,1).
 
-E's own root number is read off numerically from the Fricke symmetry of the
-exponential sum g(t) = sum a_n exp(-2 pi n t / sqrt(N)), which must satisfy
-g(1/t) = eps * t^2 * g(t); the residual of the better sign is reported and a
-result is accepted only if it beats the tolerance.
-
-A twist's sign is not searched: for a fundamental d coprime to N,
-eps(E_d) = eps(E) kronecker(d, -N) (Atkin-Li, "Twists of newforms and
-pseudo-eigenvalues of W-operators", Invent. Math. 48, 1978). It is checked
-on the terms the twist's L-value already sums, by the split identity
+One mechanism fixes every sign, the split identity
     L(E_d,1) = F(A) + eps F(1/A),  F(A) = sum a_n(E_d)/n exp(-c n A),
-c = 2 pi / (|d| sqrt(N)), which holds for every A > 0: the value at A = 1
-and the split at A = 1.07 must agree within the three series' tails plus
-a rounding allowance (`split_defect`). On the 27 twists the tests run
-(the pinned curves' fields and d = -3, -7, -103 of 11a, 37a, 389a and 14a)
-the right sign's defect is at most 2% of that bound and the wrong sign's at
-least 3*10^4 times it. An a_p off by one fails it too where the sums weigh
-it: at every good prime below T/4 of 11a, 37a and 389a twisted by -7 and of
-g12283.1 by -23. E's own root number still takes the numeric search; the
-package runs it only at d = 1, and the tests run it at twists as the
-reference for the closed form.
+c = 2 pi / (|d| sqrt(N)), which the full series meets for every A > 0 with
+the right sign eps (and L(E_d,1) = 2 F(1) for eps = +1, 0 for eps = -1).
+`l_eval` sums F(1), F(1.07) and F(1/1.07) on the T terms its L-value sums;
+a sign fits when its defect is within the three series' tails plus a
+rounding allowance. E's own sign is the one sign that fits: on the 25
+curves of `perfbench/data/pinned.txt` and `pins.json`, at the default
+precision, the right sign's defect is at most 0.13 of its bound and the
+wrong sign's at least 3.4*10^4 times it. When neither or both fit, the
+gate fails by name: at precision 1e-2 both fit on 13 of the 25 (9 of the
+17 pinned curves); from 1e-3 on, on none.
+
+A twist's sign is not chosen: for a fundamental d coprime to N,
+eps(E_d) = eps(E) kronecker(d, -N) (Atkin-Li, "Twists of newforms and
+pseudo-eigenvalues of W-operators", Invent. Math. 48, 1978), and the split
+identity checks it on the twist's own terms. On the 27 twists the tests
+run (the pinned curves' fields and d = -3, -7, -103 of 11a, 37a, 389a and
+14a) the right sign's defect is at most 2% of its bound and the wrong
+sign's at least 3*10^4 times it. An a_p off by one fails it too where the
+sums weigh it: at every good prime below T/4 of 11a, 37a and 389a twisted
+by -7 and of g12283.1 by -23.
 
 Central values use the classical rapidly convergent series
     L(E,1)  = 2 sum a_n/n exp(-2 pi n / sqrt(N))            (eps = +1)
@@ -60,17 +62,18 @@ from .quadforms import is_fundamental, kronecker
 _SQRT3 = math.sqrt(3.0)
 _EULER_GAMMA = 0.5772156649015328606
 _SUM_BLOCK = 1024  # terms per numpy block of a series sum (measured, see above)
+_SPLIT_A = 1.07  # the split point of the sign check
 
 DEFAULT_NONVANISHING_THRESHOLD = 1e-3
 DEFAULT_PRECISION = 1e-8
 
 
 class LSeriesInconclusiveError(ArithmeticError):
-    """Neither functional equation sign fits within tolerance, or a given
-    sign fails its split identity."""
+    """No sign, or both signs, meet the split identity, or a given sign
+    fails it."""
 
 
-_AN_CACHE: dict = {}
+_AN_CACHE: dict = {}  # the current curve's table only, by (ainvs, N)
 
 
 def cached_an(curve: CurveQ, n_max: int):
@@ -78,11 +81,14 @@ def cached_an(curve: CurveQ, n_max: int):
 
     A request beyond the cached table grows it to exactly max(n_max, 64)
     terms, counting only the primes beyond the old end; it never grows ahead.
+    A request for another curve drops the table held, so a process keeps
+    one table however many curves it runs.
     """
     key = (curve.ainvs, curve.N)
     cur = _AN_CACHE.get(key)
     if cur is None or cur.n_max < n_max:
         cur = an_series(curve, max(n_max, 64), cur)
+        _AN_CACHE.clear()
         _AN_CACHE[key] = cur
     return cur
 
@@ -193,31 +199,21 @@ def _exp1_fraction(x: np.ndarray) -> np.ndarray:
     return out * np.exp(-x)
 
 
-def _tail_terms(x: float, target: float, linear_weight: bool) -> int:
-    """A T with the tail bound below target for sum w(n) r^n, r = e^-x: the
-    first rung of the ladder T = 8, int(1.3 T) + 1, ... that meets it.
+def _tail_terms(x: float, target: float) -> int:
+    """A T with sqrt(3) r^(T+1)/(1 - r), the tail bound of an a_n/n series
+    sum a_n/n r^n, r = e^-x, below target: the first rung of the ladder
+    T = 8, int(1.3 T) + 1, ... that meets it.
 
     The bound falls with T, so the smallest such T lies between the rung
     returned and the rung below it: the ladder overshoots by up to 30%.
-    linear_weight=True bounds |a_n| r^n with a_n <= sqrt(3) n; otherwise
-    bounds sqrt(3) r^n (the a_n/n series).
     """
     r = math.exp(-x)
     T = 8
     while T < 10**7:
-        if linear_weight:
-            bound = _SQRT3 * r ** (T + 1) * ((T + 1) * (1 - r) + r) / (1 - r) ** 2
-        else:
-            bound = _SQRT3 * r ** (T + 1) / (1 - r)
-        if bound < target:
+        if _SQRT3 * r ** (T + 1) / (1 - r) < target:
             return T
         T = int(T * 1.3) + 1
     raise ArithmeticError("series tail will not reach target")
-
-
-def _g_sum(curve: CurveQ, d: int, T: int, x: float) -> float:
-    """sum_{n<=T} a_n(E_d) e^{-x n}, correctly rounded by one fsum over the blocks."""
-    return fsum_blocks(a * np.exp(-x * n) for n, a in _blocks(curve, d, T))
 
 
 def _f_sum(curve: CurveQ, d: int, T: int, x: float) -> float:
@@ -238,58 +234,10 @@ def _f_bound(x: float, T: int) -> float:
     return _SQRT3 * (r ** (T + 1) + (x * T + 10) * 2.0**-52) / (1 - r)
 
 
-def root_number(curve: CurveQ, precision: float = 1e-10, d: int = 1) -> tuple[int, float]:
-    """Sign of the functional equation of E twisted by d, and the residual it
-    leaves, from Fricke symmetry."""
-    sqN = math.sqrt(_twist_conductor(curve, d))
-    c = 2.0 * math.pi / sqN
-    ts = (1.07, 1.23)
-    x_min = c / max(ts)
-    T = _tail_terms(x_min, precision * 1e-2, linear_weight=True)
-    vals = {}
-    for t in ts:
-        vals[t] = _g_sum(curve, d, T, c * t)
-        vals[1.0 / t] = _g_sum(curve, d, T, c / t)
-    scale = max(abs(v) for v in vals.values()) + 1e-300
-    best = {}
-    for eps in (1, -1):
-        best[eps] = max(
-            abs(vals[1.0 / t] - eps * t * t * vals[t]) / scale for t in ts
-        )
-    eps = 1 if best[1] <= best[-1] else -1
-    if best[eps] > precision * 1e4:  # sign must fit far better than the tolerance floor
-        raise LSeriesInconclusiveError(
-            f"no functional equation sign fits: residuals {best}"
-        )
-    return eps, best[eps]
-
-
 def twist_sign(epsilon: int, curve: CurveQ, d: int) -> int:
     """eps(E_d) = eps(E) kronecker(d, -N) for a fundamental d coprime to N
     (Atkin-Li, Invent. Math. 48, 1978), from E's sign `epsilon`."""
     return epsilon * kronecker(d, -curve.N)
-
-
-def split_defect(curve: CurveQ, d: int, T: int, sign: int, value_at_1: float) -> float:
-    """|F(A) + sign F(1/A) - L(E_d,1)| at A = 1.07, F(A) = sum_{n<=T}
-    a_n(E_d)/n e^{-c n A}, c = 2 pi / sqrt(N d^2), and L(E_d,1) as `l_eval`
-    summed it on the same T terms: 2 F(1) for sign +1, 0 for sign -1.
-
-    The identity holds for the full series at every A > 0 with the right
-    sign, so the defect is bounded by the tails and rounding of the three
-    sums (`_f_bound`). LSeriesInconclusiveError, naming both, when it is not.
-    """
-    c = 2.0 * math.pi / math.sqrt(_twist_conductor(curve, d))
-    A = 1.07
-    split = _f_sum(curve, d, T, c * A) + sign * _f_sum(curve, d, T, c / A)
-    defect = abs(split - value_at_1)
-    bound = _f_bound(c * A, T) + _f_bound(c / A, T) + (1 + sign) * _f_bound(c, T)
-    if not defect <= bound:
-        raise LSeriesInconclusiveError(
-            f"sign {sign} of the twist by {d} fails the split identity at A = {A}: "
-            f"defect {defect:.3e} exceeds the bound {bound:.3e} on {T} terms"
-        )
-    return defect
 
 
 @dataclass
@@ -299,39 +247,56 @@ class LEval:
     epsilon: int
     terms_used: int
     tail_bound: float
-    fe_residual: float
+    split_defect: float
 
 
 def l_eval(
     curve: CurveQ, precision: float = DEFAULT_PRECISION, d: int = 1, sign: int | None = None
 ) -> LEval:
     """L(1) and, for odd sign, L'(1) of E twisted by d (E itself for d = 1),
-    with explicit truncation bounds.
+    with explicit truncation bounds, and the sign's split defect.
 
-    With d = 1 and no `sign`, the sign is `root_number`'s and fe_residual
-    its Fricke residual. Otherwise the sign is `sign`, or for a twist
-    `twist_sign` of E's own, and fe_residual is its `split_defect`, checked
-    on the T terms the value sums.
+    On the T terms the value sums, F(1), F(A) and F(1/A), A = 1.07, give
+    the defect |F(A) + s F(1/A) - (1 + s) F(1)| of a sign s, which the full
+    series meets exactly for the right sign; its bound is the three sums'
+    tails and rounding (`_f_bound`). With `sign` given (a twist's
+    `twist_sign`, from `l_over_K`), that sign must meet its bound; with none,
+    both are tried and the one that meets it is kept.
+    LSeriesInconclusiveError, naming the defects and bounds, when the given
+    sign fails, or when no sign or both signs fit.
     """
-    resid = None
-    if sign is None:
-        sign, resid = root_number(curve)
-        if d != 1:
-            sign, resid = twist_sign(sign, curve, d), None
-    sqN = math.sqrt(_twist_conductor(curve, d))
-    c = 2.0 * math.pi / sqN
-    T = _tail_terms(c, precision / 4.0, linear_weight=False)
+    c = 2.0 * math.pi / math.sqrt(_twist_conductor(curve, d))
+    T = _tail_terms(c, precision / 4.0)
+    f1 = 0.0 if sign == -1 else _f_sum(curve, d, T, c)  # only sign +1 reads F(1)
+    fa, fb = _f_sum(curve, d, T, c * _SPLIT_A), _f_sum(curve, d, T, c / _SPLIT_A)
+    tails = _f_bound(c * _SPLIT_A, T) + _f_bound(c / _SPLIT_A, T)
+    tried = {s: (abs(fa + s * fb - (1 + s) * f1), tails + (1 + s) * _f_bound(c, T))
+             for s in ((1, -1) if sign is None else (sign,))}
+    fits = [s for s, (defect, bound) in tried.items() if defect <= bound]
+    if len(fits) != 1:
+        of = "E" if d == 1 else f"the twist by {d}"
+        if sign is not None:
+            defect, bound = tried[sign]
+            raise LSeriesInconclusiveError(
+                f"sign {sign} of {of} fails the split identity at A = {_SPLIT_A}: "
+                f"defect {defect:.3e} exceeds the bound {bound:.3e} on {T} terms"
+            )
+        raise LSeriesInconclusiveError(
+            f"{'both signs' if fits else 'neither sign'} of {of} "
+            f"{'meet' if fits else 'meets'} the split identity at A = {_SPLIT_A} on {T} terms: "
+            + ", ".join(f"sign {s:+d} has defect {defect:.3e} against the bound {bound:.3e}"
+                        for s, (defect, bound) in tried.items())
+        )
+    sign = fits[0]
     if sign == 1:
-        val, der = 2.0 * _f_sum(curve, d, T, c), None
+        val, der = 2.0 * f1, None
         tail = 2.0 * _SQRT3 * math.exp(-c * (T + 1)) / (1 - math.exp(-c))
     else:
         val = 0.0
         der = 2.0 * fsum_blocks(a / n * exp1(c * n) for n, a in _blocks(curve, d, T))
         r = math.exp(-c)
         tail = 2.0 * _SQRT3 * r ** (T + 1) / (c * (T + 1) * (1 - r))
-    if resid is None:
-        resid = split_defect(curve, d, T, sign, val)
-    return LEval(val, der, sign, T, tail, resid)
+    return LEval(val, der, sign, T, tail, tried[sign][0])
 
 
 @dataclass

@@ -27,6 +27,9 @@ from .quadforms import kronecker
 
 
 class FieldSearchExhausted(RuntimeError):
+    """No candidate up to the bound was admissible; `rejected` lists each
+    squarefree d tried, with its reason, as (d, reason) pairs."""
+
     def __init__(self, bound, rejected):
         super().__init__(f"no admissible imaginary quadratic field with |d_K| <= {bound}")
         self.bound = bound
@@ -51,15 +54,8 @@ class PrimeSearchExhausted(RuntimeError):
 @dataclass
 class FieldSearchResult:
     d_K: int
-    cong4: bool
-    coprime: bool
-    heegner: bool
-    lprime_nonzero: bool
-    l_value_data: LOverK | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.cong4 and self.coprime and self.heegner and self.lprime_nonzero
+    l_value_data: LOverK
+    rejected: list  # (d, reason) for each squarefree d tried before d_K
 
 
 def heegner_hypothesis(curve: CurveQ, d: int) -> bool:
@@ -74,30 +70,29 @@ def find_K(
     precision: float = DEFAULT_PRECISION,
     le: LEval | None = None,
 ) -> FieldSearchResult:
-    """Smallest |d_K| with d_K = 1 mod 4, coprimality, Heegner hypothesis,
-    and L'(E/K,1) != 0 at the truncation target `precision`; the scan is
-    bounded, existence below the bound is not assumed.
+    """Smallest |d_K| with d_K = 1 mod 4 squarefree, coprime to 2N, the
+    Heegner hypothesis, and |L'(E/K,1)| > threshold at the truncation target
+    `precision`; the scan is bounded, existence below the bound is not
+    assumed, and `FieldSearchExhausted` lists every rejected d with its
+    reason.
 
     `le` is E's own `l_eval(curve, precision)`, which every candidate shares;
     it is computed once, before the scan, when not given."""
     if le is None:
         le = l_eval(curve, precision)
     rejected = []
-    d = -7
-    while -d <= scan_bound:
-        if is_squarefree(d):
-            cong4 = d % 4 == 1  # always true along this progression
-            coprime = math.gcd(d, 2 * curve.N) == 1
-            heegner = coprime and heegner_hypothesis(curve, d)
-            res = FieldSearchResult(d, cong4, coprime, heegner, False)
-            if cong4 and coprime and heegner:
-                lk = l_over_K(curve, d, precision, threshold, le)
-                res.l_value_data = lk
-                res.lprime_nonzero = lk.nonzero
-                if lk.nonzero:
-                    return res
-            rejected.append(res)
-        d -= 4
+    for d in range(-7, -scan_bound - 1, -4):
+        if not is_squarefree(d):
+            continue
+        if math.gcd(d, 2 * curve.N) != 1:
+            rejected.append((d, f"not coprime to 2N = {2 * curve.N}"))
+        elif not heegner_hypothesis(curve, d):
+            rejected.append((d, "Heegner hypothesis fails: a prime dividing N does not split"))
+        else:
+            lk = l_over_K(curve, d, precision, threshold, le)
+            if lk.nonzero:
+                return FieldSearchResult(d, lk, rejected)
+            rejected.append((d, f"L'(E/K,1) = {lk.value:.3e} is within the threshold {threshold:g} of 0"))
     raise FieldSearchExhausted(scan_bound, rejected)
 
 
@@ -127,16 +122,7 @@ def choose_q(curve: CurveQ, d_K: int) -> int:
 @dataclass(frozen=True)
 class PrimeSeqItem:
     p: int
-    cong_q: bool
-    inert: bool
-    good_red: bool
-    ap_ok: bool
     a_p: int
-    ap_mod_q: int
-
-    @property
-    def accepted(self) -> bool:
-        return self.cong_q and self.inert and self.good_red and self.ap_ok
 
 
 def _candidates(curve: CurveQ, d_K: int, q: int, count: int, p_bound: int):
@@ -188,7 +174,7 @@ def prime_sequence(
         for p, a in zip(chunk, ap_many(curve, chunk).tolist()):
             if a % q == 0:
                 continue
-            items.append(PrimeSeqItem(p, True, True, True, True, a, a % q))
+            items.append(PrimeSeqItem(p, a))
             if len(items) == count:
                 break
         size = max(size, min(2 * size, ec_core._LANES))
@@ -196,7 +182,9 @@ def prime_sequence(
 
 
 def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem) -> bool:
-    """Independent recomputation of all four flags for an accepted prime.
+    """Independent re-derivation of every condition on a sequence prime:
+    p = -1 mod q, p inert in K, good reduction, q not dividing a_p, and
+    a_p itself.
 
     a_p is recounted on the long model, by a different algorithm from the one
     `ap_many` used: `count_points` from p = 5 on (`ap_many` takes character
@@ -218,6 +206,4 @@ def verify_prime_item(curve: CurveQ, d_K: int, q: int, item: PrimeSeqItem) -> bo
         and curve.N % p != 0
         and a % q != 0
         and a == item.a_p
-        and a % q == item.ap_mod_q
     )
-

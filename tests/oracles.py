@@ -93,7 +93,7 @@ def prime_sequence_per_prime(curve: CurveQ, d_K: int, q: int, count: int, p_boun
         a = ap(curve, p)
         if a % q == 0:
             continue
-        items.append(PrimeSeqItem(p, True, True, True, True, a, a % q))
+        items.append(PrimeSeqItem(p, a))
     if len(items) >= count:
         return items
     raise PrimeSearchExhausted(p_bound, items, candidates)
@@ -344,12 +344,26 @@ def g_sum_per_term(v: list[int], T: int, x: float) -> float:
     return float(sum(v[n] * math.exp(-x * n) for n in range(T, 0, -1)))
 
 
+def _tail_terms_linear(x: float, target: float) -> int:
+    """The first rung of `lseries._tail_terms`'s ladder whose tail bound for
+    sum |a_n| r^n, r = e^-x, with |a_n| <= sqrt(3) n, is below target."""
+    r = math.exp(-x)
+    T = 8
+    while T < 10**7:
+        if math.sqrt(3.0) * r ** (T + 1) * ((T + 1) * (1 - r) + r) / (1 - r) ** 2 < target:
+            return T
+        T = int(T * 1.3) + 1
+    raise ArithmeticError("series tail will not reach target")
+
+
 def root_number_per_term(curve: CurveQ, precision: float = 1e-10, d: int = 1):
-    """(sign, residual) of `lseries.root_number` from per-term sums; the term
-    count comes from the package's tail rule, the sums do not."""
+    """(sign, residual) from the Fricke symmetry g(1/t) = eps t^2 g(t) of
+    g(t) = sum a_n(E_d) e^{-c n t}, c = 2 pi / sqrt(N d^2), at t = 1.07 and
+    1.23, per-term sums on their own, longer ladder: the reference numeric
+    root number, a different identity from the package's split identity."""
     c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
     ts = (1.07, 1.23)
-    T = _tail_terms(c / max(ts), precision * 1e-2, linear_weight=True)
+    T = _tail_terms_linear(c / max(ts), precision * 1e-2)
     v = twisted_an(curve, d, T)
     vals = {}
     for t in ts:
@@ -363,7 +377,7 @@ def root_number_per_term(curve: CurveQ, precision: float = 1e-10, d: int = 1):
 
 
 def split_defect_per_term(curve: CurveQ, d: int, T: int, sign: int, value_at_1: float):
-    """(defect, scale) of `lseries.split_defect`: |F(A) + sign F(1/A) - value_at_1|
+    """(defect, scale) of `lseries.l_eval`'s split defect: |F(A) + sign F(1/A) - value_at_1|
     at A = 1.07 with F(A) = sum_{n<=T} a_n(E_d)/n e^{-c n A}, one term at a time,
     largest n first; scale is the sum of |term| over both sums and the value."""
     c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
@@ -377,15 +391,13 @@ def split_defect_per_term(curve: CurveQ, d: int, T: int, sign: int, value_at_1: 
 
 
 def l_eval_per_term(curve: CurveQ, precision: float, d: int = 1):
-    """(sign, residual, residual scale, L(1) or L'(1), terms, tail) of
-    `lseries.l_eval`, summed one term at a time with `exp1_scalar`. For d = 1
-    the residual is `root_number_per_term`'s, already relative (scale 1); a
-    twist's sign is eps(E) kronecker(d, -N) and its residual the split defect."""
-    eps, resid = root_number_per_term(curve)
-    if d != 1:
-        eps = eps * kronecker(d, -curve.N)
+    """(sign, split defect, defect scale, L(1) or L'(1), terms, tail) of
+    `lseries.l_eval`, summed one term at a time with `exp1_scalar`. The sign
+    is `root_number_per_term`'s for E, and eps(E) kronecker(d, -N) for a
+    twist."""
+    eps = root_number_per_term(curve)[0] * kronecker(d, -curve.N)
     c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
-    T = _tail_terms(c, precision / 4.0, linear_weight=False)
+    T = _tail_terms(c, precision / 4.0)
     v = twisted_an(curve, d, T)
     r = math.exp(-c)
     if eps == 1:
@@ -394,9 +406,7 @@ def l_eval_per_term(curve: CurveQ, precision: float, d: int = 1):
     else:
         val = 2.0 * float(sum(v[n] / n * exp1_scalar(c * n) for n in range(T, 0, -1)))
         tail = 2.0 * math.sqrt(3.0) * r ** (T + 1) / (c * (T + 1) * (1 - r))
-    scale = 1.0
-    if d != 1:
-        resid, scale = split_defect_per_term(curve, d, T, eps, val if eps == 1 else 0.0)
+    resid, scale = split_defect_per_term(curve, d, T, eps, val if eps == 1 else 0.0)
     return eps, resid, scale, val, T, tail
 
 

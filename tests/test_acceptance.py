@@ -23,7 +23,7 @@ from heegner_witness.heegner import (
     is_torsion,
     trace_relation_check,
 )
-from heegner_witness.lseries import gate_from_leval, l_eval, l_over_K, root_number
+from heegner_witness.lseries import gate_from_leval, l_eval, l_over_K
 from heegner_witness.quadforms import canonical_invariants, kronecker
 from heegner_witness.searcher import (
     choose_q,
@@ -102,10 +102,8 @@ def test_criterion_03_l_values(e11a, e37a):
     assert abs(le11.value_at_1 - l_value_straight(e11a, 2000)) < 1e-6
     le37 = l_eval(e37a)
     assert abs(le37.derivative_at_1 - l_derivative_straight(e37a, 2000)) < 1e-6
-    eps11, res11 = root_number(e11a)
-    eps37, res37 = root_number(e37a)
-    assert eps11 == 1 and res11 < 1e-8
-    assert eps37 == -1 and res37 < 1e-8
+    assert le11.epsilon == 1 and le11.split_defect < 1e-8
+    assert le37.epsilon == -1 and le37.split_defect < 1e-8
     elapsed = time.perf_counter() - t0
     _report(3, "L(11a,1), L'(37a,1) vs straight-sum oracles; root numbers", elapsed, 10)
 
@@ -122,7 +120,7 @@ def test_criterion_05_field_and_prime_search(e37a):
     t0 = time.perf_counter()
     fs = find_K(e37a)
     assert fs.d_K == -7
-    assert fs.cong4 and fs.coprime and fs.heegner and fs.lprime_nonzero
+    assert fs.l_value_data.nonzero
     q = choose_q(e37a, fs.d_K)
     assert q == 3
     items = prime_sequence(e37a, fs.d_K, q, 3)

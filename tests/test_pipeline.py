@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -385,21 +386,123 @@ def test_step4_fails_its_check_when_enumeration_and_formula_disagree(e37a, monke
     CurveQ(0, 0, 1, -1, 0, 37, "37a"),
 ])
 def test_run_witness_fails_find_K_on_a_flipped_gate_sign(curve, monkeypatch):
-    # the twist's sign is eps(E) kronecker(d_K, -N); a wrong eps(E) fails the
-    # twist's split identity, and the run fails at find_K naming the defect
-    real = lseries.root_number
+    # a gate that kept the wrong sign: the twist's sign is eps(E)
+    # kronecker(d_K, -N), so it fails the twist's split identity, and the
+    # run fails at find_K naming the defect
+    real = pipeline.find_K
 
-    def root_number(curve, precision=1e-10, d=1):
-        eps, resid = real(curve, precision, d)
-        return -eps, resid
+    def find_K(curve, scan_bound, threshold, precision, le):
+        flipped = dataclasses.replace(le, epsilon=-le.epsilon)
+        return real(curve, scan_bound, threshold, precision, flipped)
 
-    monkeypatch.setattr(lseries, "root_number", root_number)
+    monkeypatch.setattr(pipeline, "find_K", find_K)
     report = run_witness(curve)
     assert report.gate in ("rank0", "rank1")
     assert not report.passed and report.failed_at == "find_K" and report.d_K is None
     last = report.checks[-1]
     assert last["name"] == "find_K" and not last["pass"]
     assert "fails the split identity" in last["error"] and "exceeds the bound" in last["error"]
+
+
+def _force_the_wrong_gate_sign(monkeypatch):
+    real = lseries.l_eval
+
+    def l_eval(curve, precision):
+        return real(curve, precision, sign=-real(curve, precision).epsilon)
+
+    monkeypatch.setattr(pipeline, "l_eval", l_eval)
+    return lambda report: "sign" in report.l_values["error"] and \
+        "fails the split identity" in report.l_values["error"]
+
+
+def _read_every_L_over_K_as_zero(monkeypatch):
+    real = searcher.l_over_K
+
+    def l_over_K(*args):
+        return dataclasses.replace(real(*args), value=0.0, nonzero=False)
+
+    monkeypatch.setattr(searcher, "l_over_K", l_over_K)
+    return lambda report: report.checks[-1]["error"].startswith("no admissible")
+
+
+def _negate_every_counted_a_p(monkeypatch):
+    real = searcher.ap_many
+    monkeypatch.setattr(searcher, "ap_many", lambda curve, primes: -real(curve, primes))
+    return lambda report: report.prime_seq == [{"p": 5, "a_p": 2}, {"p": 59, "a_p": -8}]
+
+
+def _drop_the_newest_factor_from_the_formula(monkeypatch):
+    real = quadforms.canonical_invariants
+    monkeypatch.setattr(quadforms, "canonical_invariants", lambda orders: real(orders[:-1]))
+    return lambda report: "enumeration (6,) vs formula ()" in report.checks[-1]["error"]
+
+
+def _read_every_height_as_zero(monkeypatch):
+    monkeypatch.setattr(heegner, "canonical_height", lambda curve, P, tol=1e-11: 0.0)
+    return lambda report: report.checks[-1]["nontorsion"] is False
+
+
+def _drop_a_class_from_the_level_ell_orbit(monkeypatch):
+    real = pipeline.heegner_orbit
+
+    def heegner_orbit(curve, d_K, level=1):
+        orbit = real(curve, d_K, level)
+        return orbit if level == 1 else dataclasses.replace(orbit, taus=orbit.taus[:-1])
+
+    monkeypatch.setattr(pipeline, "heegner_orbit", heegner_orbit)
+    return lambda report: report.checks[-1]["orbit_size"] == 3 and \
+        report.checks[-1]["residual"] > Config().heegner_residual
+
+
+@pytest.mark.parametrize("check, mutate", [
+    ("analytic_rank_gate", _force_the_wrong_gate_sign),
+    ("find_K", _read_every_L_over_K_as_zero),
+    ("prime_sequence", _negate_every_counted_a_p),
+    ("ring_class_structure", _drop_the_newest_factor_from_the_formula),
+    ("gz_correspondence", _read_every_height_as_zero),
+    ("trace_relation", _drop_a_class_from_the_level_ell_orbit),
+])
+def test_each_check_fails_the_run_under_its_mutation(check, mutate, e37a, monkeypatch):
+    # every check name a report can carry, except divisibility_contradiction,
+    # which its inputs make constant
+    names_the_fault = mutate(monkeypatch)
+    report = run_witness(e37a)
+    assert not report.passed and report.failed_at == check
+    last = report.checks[-1]
+    assert last["name"] == check and not last["pass"]
+    assert names_the_fault(report)
+
+
+def test_coarse_precision_fails_the_gate_naming_both_defects():
+    # at 1e-2 the gate's few terms fit both signs on 43a; the run fails by name
+    e43a = CurveQ(0, 1, 1, 0, 0, 43, "43a")
+    report = run_witness(e43a, Config(lseries_precision=1e-2))
+    assert not report.passed and report.failed_at == "analytic_rank_gate"
+    assert report.gate == "not_eligible" and report.checks[-1]["result"] == "not_eligible"
+    error = report.l_values["error"]
+    assert error.startswith("both signs of E meet the split identity")
+    assert "sign +1 has defect" in error and "sign -1 has defect" in error
+    assert run_witness(e43a, Config(lseries_precision=1e-4)).passed
+
+
+def test_stage_timings_keep_ten_microseconds(e37a, monkeypatch):
+    # a clock that moves 123.456 us per read: every stage reads 0.00012 s,
+    # which a 1 ms rounding would write as 0
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(pipeline.time, "perf_counter", lambda: next(ticks) * 123.456e-6)
+    timing = run_witness(e37a).timing
+    stages = {k: v for k, v in timing.items() if k != "total_s"}
+    assert set(stages) == {"gate_s", "find_K_s", "prime_sequence_s", "ring_class_s",
+                           "heegner_s", "tower_s"}
+    assert set(stages.values()) == {0.00012}
+    assert timing["total_s"] == round(timing["total_s"], 5) > sum(stages.values())
+
+
+def test_the_a_n_cache_keeps_only_the_current_curve(e11a, e37a, monkeypatch):
+    monkeypatch.setattr(lseries, "_AN_CACHE", {})
+    for curve in (e11a, e37a):
+        assert run_witness(curve).passed
+    assert list(lseries._AN_CACHE) == [(e37a.ainvs, e37a.N)]
 
 
 def test_step5_builds_one_period_lattice(e37a, monkeypatch):
@@ -485,6 +588,29 @@ def test_cli_scan_k_subcommand(capsys):
     rc = main(["scan-k", "--curve", "37a"])
     assert rc == 0
     assert "d_K = -7" in capsys.readouterr().out
+
+
+def test_cli_scan_k_names_each_rejected_candidate(tmp_path, capsys):
+    table = tmp_path / "curves.txt"
+    table.write_text("14a 1 0 1 4 -6 14\n")
+    rc = main(["scan-k", "--curve", "14a", "--curves", str(table)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "  d_K=-7 rejected: not coprime to 2N = 28"
+    assert lines[1].startswith("  d_K=-11 rejected: Heegner hypothesis fails")
+    assert [ln.split()[0] for ln in lines[:5]] == [f"d_K={d}" for d in (-7, -11, -15, -19, -23)]
+    assert lines[5] == "d_K = -31"
+
+
+def test_cli_scan_k_names_the_rejections_of_an_exhausted_scan(capsys):
+    # 389a has rank 2: every admissible field has L'(E/K,1) = 0
+    rc = main(["scan-k", "--curve", "389a", "--bound", "20"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("  d_K=-7 rejected: L'(E/K,1) = ")
+    assert lines[0].endswith("is within the threshold 0.001 of 0")
+    assert lines[2] == "  d_K=-15 rejected: Heegner hypothesis fails: a prime dividing N does not split"
+    assert lines[-1] == "no admissible field below 20"
 
 
 def test_cli_ap_subcommand(capsys):

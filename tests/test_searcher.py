@@ -31,9 +31,8 @@ from oracles import (
 
 def test_find_K_37a(e37a):
     res = find_K(e37a)
-    assert res.d_K == -7
-    assert res.cong4 and res.coprime and res.heegner and res.lprime_nonzero
-    assert res.accepted
+    assert res.d_K == -7 and res.rejected == []
+    assert res.l_value_data.d_K == -7 and res.l_value_data.nonzero
 
 
 def test_find_K_11a(e11a):
@@ -47,8 +46,24 @@ def test_find_K_stable_under_larger_bound(e37a):
 
 
 def test_find_K_exhaustion(e37a):
-    with pytest.raises(FieldSearchExhausted):
+    with pytest.raises(FieldSearchExhausted) as exc:
         find_K(e37a, scan_bound=5)
+    assert exc.value.rejected == []
+
+
+def test_find_K_names_each_rejected_candidate(e14a, e389a):
+    # 14a: -7 shares 7 with N, -11 fails the Heegner hypothesis
+    res = find_K(e14a)
+    assert res.d_K == -31
+    reasons = dict(res.rejected)
+    assert sorted(reasons) == [-23, -19, -15, -11, -7]
+    assert reasons[-7] == "not coprime to 2N = 28"
+    assert reasons[-11].startswith("Heegner hypothesis fails")
+    # 389a has rank 2: every admissible field has L'(E/K,1) = 0
+    with pytest.raises(FieldSearchExhausted) as exc:
+        find_K(e389a, scan_bound=20)
+    assert [d for d, _ in exc.value.rejected] == [-7, -11, -15, -19]
+    assert "within the threshold 0.001 of 0" in dict(exc.value.rejected)[-7]
 
 
 def test_choose_q(e37a, e11a):
@@ -71,7 +86,6 @@ def test_choose_q_cm_bound():
 def test_prime_sequence_37a(e37a):
     items = prime_sequence(e37a, -7, 3, 3)
     assert items[0].p == 5
-    assert all(it.accepted for it in items)
     # 11 must have been rejected: it is split in Q(sqrt(-7))
     assert 11 not in [it.p for it in items]
     assert kronecker(-7, 11) == 1
@@ -82,10 +96,9 @@ def test_prime_sequence_37a(e37a):
 
 
 def test_verify_prime_item_recounts_a_p(e11a):
-    # a_p = -2 is 37a's a_5 and agrees with ap_mod_q; only a recount sees 11a's a_5 = 1
-    poisoned = PrimeSeqItem(5, True, True, True, True, a_p=-2, ap_mod_q=1)
-    assert not verify_prime_item(e11a, -7, 3, poisoned)
-    assert verify_prime_item(e11a, -7, 3, PrimeSeqItem(5, True, True, True, True, 1, 1))
+    # a_p = -2 is 37a's a_5, not divisible by 3; only a recount sees 11a's a_5 = 1
+    assert not verify_prime_item(e11a, -7, 3, PrimeSeqItem(5, a_p=-2))
+    assert verify_prime_item(e11a, -7, 3, PrimeSeqItem(5, a_p=1))
 
 
 def test_verify_prime_item_catches_a_flipped_ap_flat_value(e37a, monkeypatch):
