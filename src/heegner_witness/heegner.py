@@ -10,12 +10,15 @@ that runs until every class is found. Fricke reads W_N tau from the orbit.
 All point identities are checked in C/Lambda up to sign and translation by
 torsion of small order, which is exactly the ambiguity a Heegner system leaves
 unpinned. The trace relation tries every sign and translate in one numpy
-pass. The Manin constant is taken to be 1; every shipped check is a ratio
-or a biconditional, so a nontrivial constant would cancel anyway.
+pass. The Manin constant is taken to be 1. The Gross-Zagier ratio and
+biconditional would cancel any other; the Fricke check, which reads z(0) =
+L(E,1) (Manin, Izv. 1972) modulo the lattice of E, assumes it.
 
-A witness run builds the period lattice once and passes it as `lattice=` to
-`gz_correspondence` (and so `trace_to_K`), `fricke_diagnostic` and
-`trace_relation_check`; each builds its own when called without one.
+A witness run sums each form once: `orbit_z` gives one z per class at the
+run's one step-5 precision, and `gz_correspondence` (and so `trace_to_K`),
+`fricke_diagnostic` and `trace_relation_check` read those z values with the
+one period lattice the run builds. Only `trace_to_K` sums again, at a tenth
+of that precision, to confirm a recognized point.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ import numpy as np
 
 from .arith import factorize, is_prime, is_squarefree, primes_upto, valuation
 from .ec_core import CurveQ, b_invariants, c_invariants, discriminant
-from .lseries import LOverK, cached_an, fsum_blocks, n_blocks
+from .lseries import LEval, LOverK, cached_an, fsum_blocks, n_blocks
 from .quadforms import class_number, kronecker, reduce_form
 from .searcher import heegner_hypothesis
 
 TERM_CEILING = 10**6
 DEFAULT_TORSION_BOUND = 16
+# the Fricke residual's allowance for rounding, which the z tails do not bound
+FRICKE_ROUNDING = 1e-10
 
 
 class PrecisionUnreachable(ArithmeticError):
@@ -87,22 +92,25 @@ class PeriodLattice:
     lambda_min: float
     wp_coeffs: tuple
 
-    def coords(self, z: complex) -> tuple[float, float]:
+    def coords(self, z):
+        """(a, b) with z = a omega1 + b omega2, lane-wise over an array of z."""
         w1, w2 = self.omega1, self.omega2
         det = w1 * w2.imag  # w1 real
         b = z.imag * w1 / det
         a = (z.real - b * w2.real) / w1
         return a, b
 
-    def reduce(self, z: complex) -> complex:
+    def reduce(self, z):
+        """z moved by the nearest lattice point of the rounded basis, lane-wise."""
         a, b = self.coords(z)
-        a -= round(a)
-        b -= round(b)
+        a = a - np.round(a)
+        b = b - np.round(b)
         return a * self.omega1 + b * self.omega2
 
-    def dist(self, z: complex) -> float:
-        """Distance from z to the nearest lattice point (rounded-basis metric)."""
-        return abs(self.reduce(z))
+    def dist(self, z):
+        """Distance from z to the nearest lattice point (rounded basis), lane-wise."""
+        r = self.reduce(z)  # np.hypot, like abs of a Python complex, is libm's hypot
+        return np.hypot(r.real, r.imag)
 
 
 def period_lattice(curve: CurveQ) -> PeriodLattice:
@@ -208,13 +216,13 @@ def _halve_and_double(lattice: PeriodLattice, z: complex):
 
 def elliptic_exp(lattice: PeriodLattice, z: complex) -> CPoint:
     """Point of E(C) at z mod Lambda: x = wp(z) - b2/12, y from wp'."""
-    zr = lattice.reduce(z)
+    zr = complex(lattice.reduce(z))
     if abs(zr) < 1e-13 * lattice.lambda_min:
         return CPoint(0j, None)
     P = _halve_and_double(lattice, zr)
     if P is None:
-        return CPoint(lattice.reduce(z), None)
-    return CPoint(lattice.reduce(z), P, 1e-12 * max(1.0, abs(P[0])))
+        return CPoint(zr, None)
+    return CPoint(zr, P, 1e-12 * max(1.0, abs(P[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -335,42 +343,48 @@ def modular_param(
     return CPoint(z, None, max(tail, 1e-15))
 
 
-def orbit_sum(orbit: HeegnerOrbit, precision: float = 1e-9) -> CPoint:
-    """Trace over the orbit: sum of z(tau) over the classes, fixed order."""
-    z = 0j
-    prec = 0.0
-    for t in orbit.taus:
-        cp = modular_param(orbit.curve, t, precision=precision)
+def orbit_z(orbit: HeegnerOrbit, precision: float) -> list[CPoint]:
+    """z(tau) of every form of the orbit, in class order, each summed by
+    `modular_param` with its tail below `precision`."""
+    return [modular_param(orbit.curve, t, precision=precision) for t in orbit.taus]
+
+
+def _trace(zs: list[CPoint]) -> CPoint:
+    """The sum of the z values in class order, with the sum of their tails."""
+    z, prec = 0j, 0.0
+    for cp in zs:
         z += cp.z
         prec += cp.prec
     return CPoint(z, None, prec)
 
 
-def fricke_diagnostic(
-    orbit: HeegnerOrbit, precision: float = 1e-9, lattice: PeriodLattice | None = None
-) -> dict:
-    """Stability of z under the level involution W_N: tau -> -1/(N tau), at
-    the orbit's first form, read from the orbit's own forms.
+def fricke_diagnostic(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLattice,
+                      le: LEval) -> dict:
+    """Manin's z(W_N tau) = w_N z(tau) + L(E,1) mod Lambda at the orbit's
+    first form, with w_N = -eps the eigenvalue of W_N: tau -> -1/(N tau).
 
-    With tau the root of (A, B, C), W_N tau is the root of (N C, -B, A/N), so
+    z(tau) integrates 2 pi i f from i infinity to tau, f | W_N = w_N f, and
+    the integral from i infinity to 0 is L(E,1) (Manin, Izv. 1972). With tau
+    the root of (A, B, C), W_N tau is the root of (N C, -B, A/N), so
     -conj(W_N tau) is the root of (N C, B, A/N): a Heegner form with the
     orbit's residue B = beta (mod 2N). It is Gamma_0(N)-equivalent to the
     orbit's form tau_m of its class, and a_n is real, so z(W_N tau) =
     conj(z(tau_m)) mod Lambda. No series is summed at W_N tau itself, whose
-    Im can be as small as 1e-9.
+    Im can be as small as 1e-9, nor anywhere: `zs` are the orbit's z values
+    (`orbit_z`) and `le` is E's own L-value from the gate.
 
-    Reported as the distance of z(W tau) -+ z(tau) to the lattice for both
-    signs; recorded for diagnostics, never asserted (the eigenvalue is
-    curve-dependent). `lattice` is the curve's period lattice, built here
-    when not given.
+    Returns w_N, the residual, the distance of conj(z_m) + eps z_0 - L(E,1)
+    to `lattice`, and its bound: the two z tails, the tail of L(E,1) when
+    eps = +1 (at eps = -1 it is 0 exactly) and FRICKE_ROUNDING.
     """
     curve, t = orbit.curve, orbit.taus[0]
-    lattice = lattice or period_lattice(curve)
     cls = reduce_form(curve.N * t.C, t.B, t.A // curve.N)
-    t_m = next(u for u in orbit.taus if reduce_form(u.A, u.B, u.C) == cls)
-    z1 = modular_param(curve, t, precision=precision).z
-    z2 = modular_param(curve, t_m, precision=precision).z.conjugate()
-    return {"dist_w_plus": lattice.dist(z2 - z1), "dist_w_minus": lattice.dist(z2 + z1)}
+    m = next(i for i, u in enumerate(orbit.taus) if reduce_form(u.A, u.B, u.C) == cls)
+    eps = le.epsilon
+    residual = lattice.dist(zs[m].z.conjugate() + eps * zs[0].z - le.value_at_1)
+    l_tail = le.tail_bound if eps == 1 else 0.0
+    bound = zs[0].prec + zs[m].prec + l_tail + FRICKE_ROUNDING
+    return {"w_N": -eps, "residual": float(residual), "bound": bound}
 
 
 # ---------------------------------------------------------------------------
@@ -650,29 +664,26 @@ def _recognize_point(curve: CurveQ, x_c: complex, y_c: complex, max_den=10**6, t
 # the headline operations
 
 
-def trace_to_K(orbit: HeegnerOrbit, precision: float = 1e-9, lattice: PeriodLattice | None = None):
-    """Trace of the basic Heegner point to K: the sum over `orbit`, the
-    level-1 orbit of Pic(O_K) conjugates.
+def trace_to_K(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLattice,
+               precision: float):
+    """Trace of the basic Heegner point to K: the sum of `zs`, the z values of
+    `orbit`, the level-1 orbit of Pic(O_K) conjugates, summed at `precision`.
 
     Returns (CPoint, recognized) where recognized is an exact rational point
-    when the x-coordinate survives continued-fraction recognition at two
-    precisions, else None. `lattice` is the curve's period lattice, built
-    here when not given.
+    when the x-coordinate survives continued-fraction recognition both from
+    `zs` and from the orbit summed again at precision / 10, else None.
     """
     if orbit.level != 1:
         raise ValueError(f"trace to K needs the level-1 orbit, got level {orbit.level}")
     curve = orbit.curve
-    lattice = lattice or period_lattice(curve)
-    zsum = orbit_sum(orbit, precision=precision)
+    zsum = _trace(zs)
     pk = elliptic_exp(lattice, zsum.z)
     pk.prec = max(pk.prec, zsum.prec)
     recognized = None
     if not pk.is_identity:
         cand = _recognize_point(curve, pk.xy[0], pk.xy[1])
         if cand is not None:
-            # confirm at a sharper precision
-            zsum2 = orbit_sum(orbit, precision=precision * 1e-2)
-            pk2 = elliptic_exp(lattice, zsum2.z)
+            pk2 = elliptic_exp(lattice, _trace(orbit_z(orbit, precision / 10)).z)
             cand2 = None if pk2.is_identity else _recognize_point(curve, pk2.xy[0], pk2.xy[1])
             if cand2 == cand:
                 recognized = cand
@@ -693,47 +704,32 @@ def _torsion_fractions(bound: int = DEFAULT_TORSION_BOUND):
     return s, t
 
 
-def trace_relation_check(
-    base: HeegnerOrbit,
-    up: HeegnerOrbit,
-    precision: float = 1e-6,
-    lattice: PeriodLattice | None = None,
-) -> float:
+def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, z_base: list[CPoint],
+                         z_up: list[CPoint], lattice: PeriodLattice) -> float:
     """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 in C/Lambda, with `base` the
-    level-1 orbit and `up` the orbit at a prime level ell of the same (E, K).
+    level-1 orbit and `up` the orbit at a prime level ell of the same (E, K),
+    and `z_base`, `z_up` their z values (`orbit_z`).
 
     Minimized over the sign and small torsion translates, the ambiguity left
     by the choice of Heegner system. The conjugate count is the class number
-    of the order of conductor ell. `lattice` is the curve's period lattice,
-    built here when not given.
+    of the order of conductor ell.
 
     Every sign and translate t = (i/k) omega1 + (j/k) omega2 is tried in one
-    array pass that makes, lane by lane, the float operations of
-    `lattice.dist(w - t)`: real and imaginary parts apart, one ufunc per
-    operation, so the minimum equals the scalar loop's bit for bit.
+    lane-wise `lattice.dist` call, which makes each lane's float operations
+    in the scalar call's order, so the minimum equals the scalar loop's bit
+    for bit.
     """
     curve, ell = base.curve, up.level
     if base.level != 1 or (up.curve, up.d_K) != (curve, base.d_K):
         raise ValueError("needs the level-1 and level-ell orbits of one curve and field")
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    lattice = lattice or period_lattice(curve)
-    target_prec = min(precision * 1e-3, 1e-9)
-    z_base = orbit_sum(base, precision=target_prec)
-    z_up = orbit_sum(up, precision=target_prec)
+    w_base, w_up = _trace(z_base).z, _trace(z_up).z
     a_ell = cached_an(curve, ell)[ell]
-    w1, w2 = lattice.omega1, lattice.omega2
     s, t = _torsion_fractions()
-    t_re = s * w1 + t * w2.real
-    t_im = t * w2.imag
-    ws = [z_up.z - sgn * a_ell * z_base.z for sgn in (1, -1)]
-    re = np.concatenate([w.real - t_re for w in ws])
-    im = np.concatenate([w.imag - t_im for w in ws])
-    b = im * w1 / (w1 * w2.imag)  # PeriodLattice.coords
-    a = (re - b * w2.real) / w1
-    a -= np.round(a)
-    b -= np.round(b)
-    return float(np.hypot(a * w1 + b * w2.real, b * w2.imag).min())
+    translates = s * lattice.omega1 + t * lattice.omega2
+    cands = np.concatenate([w_up - sgn * a_ell * w_base - translates for sgn in (1, -1)])
+    return float(lattice.dist(cands).min())
 
 
 @dataclass
@@ -750,22 +746,16 @@ class GZReport:
     ratio: float | None
 
 
-def gz_correspondence(
-    orbit: HeegnerOrbit,
-    lk: LOverK,
-    precision: float = 1e-9,
-    lattice: PeriodLattice | None = None,
-) -> GZReport:
+def gz_correspondence(orbit: HeegnerOrbit, zs: list[CPoint], lk: LOverK,
+                      lattice: PeriodLattice, precision: float) -> GZReport:
     """Both sides of the height/L'-derivative correspondence, plus the
-    nontorsion <=> nonvanishing biconditional, from the level-1 orbit and
-    the L'(E/K,1) of the same field. The proportionality constant is
-    reported (as `ratio`), never asserted. `lattice` is the curve's period
-    lattice, built here when not given."""
+    nontorsion <=> nonvanishing biconditional, from the level-1 orbit, its z
+    values `zs` summed at `precision`, and the L'(E/K,1) of the same field.
+    The proportionality constant is reported (as `ratio`), never asserted."""
     if orbit.d_K != lk.d_K:
         raise ValueError(f"orbit over d_K = {orbit.d_K}, L-value over d_K = {lk.d_K}")
     curve = orbit.curve
-    lattice = lattice or period_lattice(curve)
-    pk, recognized = trace_to_K(orbit, precision=precision, lattice=lattice)
+    pk, recognized = trace_to_K(orbit, zs, lattice, precision)
     if recognized is not None:
         height = canonical_height(curve, recognized)
         nontorsion = height > 0.0  # canonical_height is 0.0 exactly on torsion points

@@ -4,7 +4,7 @@ A witness run executes the full constructive chain for one curve:
 
     rank gate -> field K with L'(E/K,1) != 0 -> prime q -> prime sequence
     -> ring class structure -> Heegner checks (trace to K, Gross-Zagier
-    correspondence, trace relation at an auxiliary inert prime)
+    correspondence, Fricke, trace relation at an auxiliary inert prime)
     -> tower structure + divisibility contradiction
 
 and emits a deterministic JSON report; any gate failure or exhausted search
@@ -34,6 +34,7 @@ from .heegner import (
     fricke_diagnostic,
     gz_correspondence,
     heegner_orbit,
+    orbit_z,
     period_lattice,
     rational_torsion_point,
     trace_relation_check,
@@ -274,13 +275,14 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
             )
     _check(checks, "ring_class_structure", True, levels=len(levels))  # it fails only by raising
 
-    # 5. Heegner numerics
+    # 5. Heegner numerics: each form summed once, at one precision
+    precision = min(config.lseries_precision, config.heegner_residual * 1e-3)
     with _stage(timing, "heegner"):
         try:
             orbit = heegner_orbit(curve, d_K, 1)
             lattice = period_lattice(curve)
-            gz = gz_correspondence(orbit, fs.l_value_data, precision=config.lseries_precision,
-                                   lattice=lattice)
+            zs = orbit_z(orbit, precision)
+            gz = gz_correspondence(orbit, zs, fs.l_value_data, lattice, precision)
         except PrecisionUnreachable as e:
             _check(checks, "gz_correspondence", False, error=str(e))
             return finish("gz_correspondence")
@@ -292,17 +294,15 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
             "height_is_proxy": gz.height_is_proxy,
             "l_prime_K": gz.l_prime_K,
             "pk_nontorsion": gz.pk_nontorsion,
-            "biconditional_holds": gz.biconditional_holds,
             "ratio": gz.ratio,
         }
         report.heegner = heeg
         if not _check(checks, "gz_correspondence", gz.biconditional_holds,
                       nontorsion=gz.pk_nontorsion):
             return finish("gz_correspondence")
-        try:  # recorded, not asserted
-            heeg["fricke"] = fricke_diagnostic(orbit, lattice=lattice)
-        except PrecisionUnreachable as e:
-            heeg["fricke"] = {"error": str(e)}
+        heeg["fricke"] = fricke = fricke_diagnostic(orbit, zs, lattice, le)
+        if not _check(checks, "fricke", fricke["residual"] <= fricke["bound"], **fricke):
+            return finish("fricke")
         picked = _pick_aux_ell(curve, d_K)
         if picked is None:
             heeg["trace_relation"] = {"error": "no feasible auxiliary inert prime"}
@@ -310,8 +310,8 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
             return finish("trace_relation")
         aux, aux_orbit = picked
         try:
-            residual = trace_relation_check(orbit, aux_orbit, config.heegner_residual,
-                                            lattice=lattice)
+            residual = trace_relation_check(orbit, aux_orbit, zs, orbit_z(aux_orbit, precision),
+                                            lattice)
             heeg["trace_relation"] = {
                 "ell": aux,
                 "residual": residual,

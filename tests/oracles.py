@@ -46,7 +46,6 @@ from heegner_witness.heegner import (
     _wp,
     elliptic_exp,
     modular_param,
-    orbit_sum,
     period_lattice,
 )
 from heegner_witness.lseries import _tail_terms
@@ -567,14 +566,13 @@ def heegner_forms_unbounded(curve: CurveQ, d: int, level: int = 1) -> list:
     return [found[k] for k in sorted(found)]
 
 
-def fricke_direct(curve: CurveQ, tau: complex, precision: float = 1e-9,
-                  lattice: PeriodLattice | None = None) -> dict:
-    """The Fricke distances of z(W_N tau) -+ z(tau), with z summed at
-    W_N tau = -1/(N tau) itself, however small its Im."""
-    lattice = lattice or period_lattice(curve)
+def fricke_direct(curve: CurveQ, tau: complex, epsilon: int, l_1: float,
+                  lattice: PeriodLattice, precision: float = 1e-9) -> float:
+    """The distance of z(W_N tau) + eps z(tau) - L(E,1) to the lattice, with
+    z summed at W_N tau = -1/(N tau) itself, however small its Im."""
     z1 = modular_param(curve, tau, precision=precision).z
     z2 = modular_param(curve, -1.0 / (curve.N * tau), precision=precision).z
-    return {"dist_w_plus": lattice.dist(z2 - z1), "dist_w_minus": lattice.dist(z2 + z1)}
+    return lattice.dist(z2 + epsilon * z1 - l_1)
 
 
 def unit_quotient_whole_ring(d: int, c: int) -> list[int]:
@@ -641,15 +639,18 @@ def torsion_translates_fraction(lattice, bound: int) -> list[complex]:
     return out
 
 
-def trace_relation_scalar(base, up, precision: float = 1e-6) -> float:
-    """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 by the scalar loop: one
-    `lattice.dist` call per sign and torsion translate, the translates from
-    the Fraction set above, a_ell counted afresh."""
+def trace_relation_scalar(base, up, precision: float = 1e-9) -> float:
+    """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 by the scalar loop: each
+    orbit's z summed class by class at `precision`, one `lattice.dist` call
+    per sign and torsion translate, the translates from the Fraction set
+    above, a_ell counted afresh."""
     curve, ell = base.curve, up.level
     lattice = period_lattice(curve)
-    target_prec = min(precision * 1e-3, 1e-9)
-    z_base = orbit_sum(base, precision=target_prec).z
-    z_up = orbit_sum(up, precision=target_prec).z
+    z_base = z_up = 0j
+    for t in base.taus:
+        z_base += modular_param(curve, t, precision=precision).z
+    for t in up.taus:
+        z_up += modular_param(curve, t, precision=precision).z
     a_ell = ap(curve, ell)
     translates = torsion_translates_fraction(lattice, DEFAULT_TORSION_BOUND)
     best = math.inf

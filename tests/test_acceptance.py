@@ -21,6 +21,8 @@ from heegner_witness.heegner import (
     gz_correspondence,
     heegner_orbit,
     is_torsion,
+    orbit_z,
+    period_lattice,
     trace_relation_check,
 )
 from heegner_witness.lseries import gate_from_leval, l_eval, l_over_K
@@ -161,7 +163,10 @@ def test_criterion_07_trace_relation(e37a):
     t0 = time.perf_counter()
     orbit = heegner_orbit(e37a, -11, 2)
     assert orbit.class_count == 3
-    residual = trace_relation_check(heegner_orbit(e37a, -11, 1), orbit, precision=1e-6)
+    base = heegner_orbit(e37a, -11, 1)
+    precision = 1e-9  # min(lseries_precision, heegner_residual * 1e-3) at the default Config
+    residual = trace_relation_check(base, orbit, orbit_z(base, precision),
+                                    orbit_z(orbit, precision), period_lattice(e37a))
     assert residual < 1e-6
     _report(7, f"trace relation (37a, -11, ell=2): residual {residual:.2e}, orbit 3",
             time.perf_counter() - t0)
@@ -169,7 +174,9 @@ def test_criterion_07_trace_relation(e37a):
 
 def test_criterion_08_gross_zagier(e37a):
     t0 = time.perf_counter()
-    rep = gz_correspondence(heegner_orbit(e37a, -7, 1), l_over_K(e37a, -7))
+    orbit, precision = heegner_orbit(e37a, -7, 1), 1e-9  # the default step-5 precision
+    rep = gz_correspondence(orbit, orbit_z(orbit, precision), l_over_K(e37a, -7),
+                            period_lattice(e37a), precision)
     assert rep.recognized is not None
     assert not is_torsion(e37a, rep.recognized)
     assert rep.pk_nontorsion

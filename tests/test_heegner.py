@@ -18,7 +18,7 @@ from heegner_witness.heegner import (
     is_torsion,
     modular_param,
     on_curve,
-    orbit_sum,
+    orbit_z,
     period_lattice,
     rational_add,
     rational_multiple,
@@ -29,7 +29,7 @@ from heegner_witness.heegner import (
 )
 from heegner_witness import heegner, lseries
 from heegner_witness.ec_core import CurveQ, ap, b_invariants
-from heegner_witness.lseries import l_over_K
+from heegner_witness.lseries import l_eval, l_over_K
 from heegner_witness.pipeline import parse_curve_file
 from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import find_K
@@ -42,6 +42,19 @@ from oracles import (
     torsion_translates_fraction,
     trace_relation_scalar,
 )
+
+STEP5_PRECISION = 1e-9  # the step-5 precision of a witness run at the default Config
+
+
+def _trace_relation(base, up, precision=STEP5_PRECISION):
+    return trace_relation_check(base, up, orbit_z(base, precision), orbit_z(up, precision),
+                                period_lattice(base.curve))
+
+
+def _gz(curve, d_K, precision=STEP5_PRECISION):
+    orbit = heegner_orbit(curve, d_K, 1)
+    return gz_correspondence(orbit, orbit_z(orbit, precision), l_over_K(curve, d_K),
+                             period_lattice(curve), precision)
 
 
 def test_period_lattice_37a(e37a):
@@ -159,14 +172,17 @@ def test_fricke_read_from_the_orbit_matches_direct_evaluation():
     for curve in curves:
         if curve.label in ("389a", "14a"):  # stop at the gate and at the prime scan
             continue
+        le = l_eval(curve)
         orbit = heegner_orbit(curve, find_K(curve).d_K)
+        zs = orbit_z(orbit, STEP5_PRECISION)
         lattice = period_lattice(curve)
         for k, t in enumerate(orbit.taus):
             first = dataclasses.replace(orbit, taus=orbit.taus[k:] + orbit.taus[:k])
-            got = fricke_diagnostic(first, lattice=lattice)
-            want = fricke_direct(curve, t.tau, lattice=lattice)
-            for key, value in want.items():
-                assert abs(got[key] - value) <= 1e-10, (curve.label, t, key)
+            got = fricke_diagnostic(first, zs[k:] + zs[:k], lattice, le)
+            want = fricke_direct(curve, t.tau, le.epsilon, le.value_at_1, lattice)
+            assert got["w_N"] == -le.epsilon
+            assert abs(got["residual"] - want) <= 1e-10, (curve.label, t)
+            assert max(got["residual"], want) <= got["bound"], (curve.label, t)
             classes += 1
     assert classes == 25
 
@@ -204,15 +220,18 @@ def test_modular_param_term_ceiling(e37a):
 
 def test_trace_sum_order_independent(e37a):
     orb = heegner_orbit(e37a, -11, 2)
-    z = orbit_sum(orb, precision=1e-11)
-    zs = [modular_param(e37a, t, precision=1e-11).z for t in orb.taus]
+    zs = [cp.z for cp in orbit_z(orb, precision=1e-11)]
+    assert zs == [modular_param(e37a, t, precision=1e-11).z for t in orb.taus]
+    z = sum(zs)
     for perm in ([2, 0, 1], [1, 2, 0], [2, 1, 0]):
         alt = sum(zs[i] for i in perm)
-        assert abs(alt - z.z) < 1e-10
+        assert abs(alt - z) < 1e-10
 
 
 def test_trace_to_K_37a_recognizes_generator(e37a):
-    pk, recognized = trace_to_K(heegner_orbit(e37a, -7, 1))
+    orbit = heegner_orbit(e37a, -7, 1)
+    pk, recognized = trace_to_K(orbit, orbit_z(orbit, STEP5_PRECISION), period_lattice(e37a),
+                                STEP5_PRECISION)
     assert recognized is not None
     assert recognized == (Fraction(0), Fraction(0))
     assert not is_torsion(e37a, recognized)
@@ -321,15 +340,15 @@ def test_height_oracle_self_consistency(e37a):
 
 
 def test_trace_relation_37a_disc11_ell2(e37a):
-    res = trace_relation_check(heegner_orbit(e37a, -11, 1), heegner_orbit(e37a, -11, 2), precision=1e-6)
+    res = _trace_relation(heegner_orbit(e37a, -11, 1), heegner_orbit(e37a, -11, 2))
     assert res < 1e-6
 
 
 def test_trace_relation_monotone_terms(e37a):
     # residual already tiny at the default budget; a sharper target cannot hurt
     base, up = heegner_orbit(e37a, -11, 1), heegner_orbit(e37a, -11, 2)
-    r1 = trace_relation_check(base, up, precision=1e-5)
-    r2 = trace_relation_check(base, up, precision=1e-7)
+    r1 = _trace_relation(base, up, precision=1e-8)
+    r2 = _trace_relation(base, up, precision=1e-10)
     assert r2 < max(r1 * 10, 1e-7)
 
 
@@ -365,10 +384,9 @@ def test_torsion_fractions_are_built_once_and_read_only():
 def test_trace_relation_equals_scalar_oracle(curve, d_K, ell, monkeypatch):
     # the array pass makes the scalar loop's float operations, so the minima are equal
     base, up = heegner_orbit(curve, d_K, 1), heegner_orbit(curve, d_K, ell)
-    want = trace_relation_scalar(base, up)
+    want = trace_relation_scalar(base, up, STEP5_PRECISION)
     assert want < 1e-6
-    assert trace_relation_check(base, up) == want
-    assert trace_relation_check(base, up, lattice=period_lattice(curve)) == want
+    assert _trace_relation(base, up) == want
     # both signs are tried: with a_ell negated the other sign gives the same minimum
     real = heegner.cached_an
 
@@ -377,28 +395,31 @@ def test_trace_relation_equals_scalar_oracle(curve, d_K, ell, monkeypatch):
         return {ell: -table[ell]} if n == ell else table
 
     monkeypatch.setattr(heegner, "cached_an", flipped)
-    assert trace_relation_check(base, up) == want
+    assert _trace_relation(base, up) == want
 
 
 def test_trace_relation_rejects_non_inert(e37a):
     with pytest.raises(ValueError):
-        trace_relation_check(heegner_orbit(e37a, -7, 1), heegner_orbit(e37a, -7, 2))  # 2 splits in Q(sqrt(-7))
+        _trace_relation(heegner_orbit(e37a, -7, 1), heegner_orbit(e37a, -7, 2))  # 2 splits in Q(sqrt(-7))
 
 
 def test_step5_rejects_orbits_that_do_not_match(e37a):
     base, up = heegner_orbit(e37a, -11, 1), heegner_orbit(e37a, -11, 2)
+    other = heegner_orbit(e37a, -7, 1)
+    lattice, p = period_lattice(e37a), STEP5_PRECISION
+    z_base, z_up, z_other = orbit_z(base, p), orbit_z(up, p), orbit_z(other, p)
     with pytest.raises(ValueError):
-        trace_to_K(up)  # the trace to K starts at level 1
+        trace_to_K(up, z_up, lattice, p)  # the trace to K starts at level 1
     with pytest.raises(ValueError):
-        trace_relation_check(up, base)  # base and level-ell orbits swapped
+        trace_relation_check(up, base, z_up, z_base, lattice)  # base and level-ell orbits swapped
     with pytest.raises(ValueError):
-        trace_relation_check(heegner_orbit(e37a, -7, 1), up)  # two fields
+        trace_relation_check(other, up, z_other, z_up, lattice)  # two fields
     with pytest.raises(ValueError):
-        gz_correspondence(heegner_orbit(e37a, -7, 1), l_over_K(e37a, -11))
+        gz_correspondence(other, z_other, l_over_K(e37a, -11), lattice, p)
 
 
 def test_gz_correspondence_37a(e37a):
-    rep = gz_correspondence(heegner_orbit(e37a, -7, 1), l_over_K(e37a, -7))
+    rep = _gz(e37a, -7)
     assert rep.recognized == (Fraction(0), Fraction(0))
     assert not rep.height_is_proxy
     assert rep.pk_nontorsion
@@ -409,7 +430,7 @@ def test_gz_correspondence_37a(e37a):
 
 
 def test_gz_correspondence_11a(e11a):
-    rep = gz_correspondence(heegner_orbit(e11a, -7, 1), l_over_K(e11a, -7))
+    rep = _gz(e11a, -7)
     assert rep.l_nonzero
     assert rep.biconditional_holds
 

@@ -128,7 +128,9 @@ def test_run_witness_37a(e37a):
     assert rep.tower["contradiction"]["derivable"]
     assert "ring_class_s" in rep.timing
     names = [c["name"] for c in rep.checks]
-    assert names[0] == "analytic_rank_gate"
+    assert names == ["analytic_rank_gate", "find_K", "prime_sequence", "ring_class_structure",
+                     "gz_correspondence", "fricke", "trace_relation",
+                     "divisibility_contradiction"]
     assert all(c["pass"] for c in rep.checks)
 
 
@@ -175,17 +177,36 @@ def test_run_witness_passes_without_summing_at_w_n_tau(curve):
     # Fricke reads z(W_N tau) from the orbit instead
     report = run_witness(curve)
     assert report.passed, report.checks[-1]
-    assert set(report.heegner["fricke"]) == {"dist_w_plus", "dist_w_minus"}
+    fricke = report.heegner["fricke"]
+    assert set(fricke) == {"w_N", "residual", "bound"}
+    assert fricke["w_N"] == -report.l_values["epsilon"] and fricke["residual"] <= fricke["bound"]
 
 
-def test_fricke_precision_unreachable_is_recorded_not_raised(e37a, monkeypatch):
-    def fricke_diagnostic(*args, **kwargs):
-        raise heegner.PrecisionUnreachable("1000001 terms needed")
+@pytest.mark.parametrize("curve, confirmed", [
+    (CurveQ(0, -1, 1, -2, 2, 57, "57a"), True),  # the trace is recognized as a rational point
+    (CurveQ(0, -1, 1, -1, -1, 427, "g427.1"), False),  # no candidate to confirm
+], ids=lambda v: v.label if isinstance(v, CurveQ) else str(v))
+def test_step5_sums_each_form_once(curve, confirmed, monkeypatch):
+    # one sum per form of both orbits at the step-5 precision; only a
+    # recognized candidate sums the level-1 forms again, at a tenth of it
+    sums = Counter()
+    real = heegner.modular_param
 
-    monkeypatch.setattr(pipeline, "fricke_diagnostic", fricke_diagnostic)
-    report = run_witness(e37a)
-    assert report.heegner["fricke"] == {"error": "1000001 terms needed"}
-    assert report.passed  # a diagnostic, never a check
+    def modular_param(curve, tau, n_terms=None, precision=1e-9):
+        sums[tau, precision] += 1
+        return real(curve, tau, n_terms, precision)
+
+    monkeypatch.setattr(heegner, "modular_param", modular_param)
+    config = Config()
+    report = run_witness(curve, config)
+    assert report.passed and (report.heegner["recognized_x"] is not None) == confirmed
+    precision = min(config.lseries_precision, config.heegner_residual * 1e-3)
+    level_1 = heegner.heegner_orbit(curve, report.d_K, 1).taus
+    level_ell = heegner.heegner_orbit(curve, report.d_K, report.heegner["trace_relation"]["ell"]).taus
+    want = Counter({(t, precision): 1 for t in level_1 + level_ell})
+    if confirmed:
+        want.update({(t, precision / 10): 1 for t in level_1})
+    assert sums == want
 
 
 @pytest.mark.parametrize("ainvs, q", [
@@ -442,6 +463,17 @@ def _read_every_height_as_zero(monkeypatch):
     return lambda report: report.checks[-1]["nontorsion"] is False
 
 
+def _flip_the_sign_fricke_reads(monkeypatch):
+    real = pipeline.fricke_diagnostic
+
+    def fricke_diagnostic(orbit, zs, lattice, le):
+        return real(orbit, zs, lattice, dataclasses.replace(le, epsilon=-le.epsilon))
+
+    monkeypatch.setattr(pipeline, "fricke_diagnostic", fricke_diagnostic)
+    return lambda report: report.checks[-1]["w_N"] == -1 and \
+        report.checks[-1]["residual"] > report.checks[-1]["bound"]
+
+
 def _drop_a_class_from_the_level_ell_orbit(monkeypatch):
     real = pipeline.heegner_orbit
 
@@ -460,6 +492,7 @@ def _drop_a_class_from_the_level_ell_orbit(monkeypatch):
     ("prime_sequence", _negate_every_counted_a_p),
     ("ring_class_structure", _drop_the_newest_factor_from_the_formula),
     ("gz_correspondence", _read_every_height_as_zero),
+    ("fricke", _flip_the_sign_fricke_reads),
     ("trace_relation", _drop_a_class_from_the_level_ell_orbit),
 ])
 def test_each_check_fails_the_run_under_its_mutation(check, mutate, e37a, monkeypatch):
@@ -471,6 +504,30 @@ def test_each_check_fails_the_run_under_its_mutation(check, mutate, e37a, monkey
     last = report.checks[-1]
     assert last["name"] == check and not last["pass"]
     assert names_the_fault(report)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda le: dataclasses.replace(le, epsilon=-le.epsilon),
+    lambda le: dataclasses.replace(le, value_at_1=le.value_at_1 * (1 + 1e-6)),
+], ids=["flipped_sign", "L_1_off_by_1e-6"])
+def test_fricke_fails_on_a_wrong_sign_or_L_value(mutate, e11a, monkeypatch):
+    # 11a has eps = +1, so Manin's relation reads L(E,1) as well as the sign
+    real = pipeline.fricke_diagnostic
+    monkeypatch.setattr(pipeline, "fricke_diagnostic",
+                        lambda orbit, zs, lattice, le: real(orbit, zs, lattice, mutate(le)))
+    report = run_witness(e11a)
+    assert not report.passed and report.failed_at == "fricke"
+    last = report.checks[-1]
+    assert last["name"] == "fricke" and last["residual"] > last["bound"]
+
+
+def test_coarse_l_precision_leaves_step_5_at_its_own_precision():
+    # step 5 sums at min(lseries_precision, heegner_residual * 1e-3) = 1e-9,
+    # so a coarse L precision does not make 43a's Heegner trace look torsion
+    e43a = CurveQ(0, 1, 1, 0, 0, 43, "43a")
+    report = run_witness(e43a, Config(lseries_precision=1e-3))
+    assert report.passed and report.failed_at is None
+    assert report.heegner["pk_nontorsion"]
 
 
 def test_coarse_precision_fails_the_gate_naming_both_defects():
