@@ -130,6 +130,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import factorize, prime_divisors, prime_mask, primes_upto
+from .quadforms import kronecker
 
 POINT_COUNT_CEILING = 10**6
 BSGS_MIN_P = 2500  # measured crossover: count_points is faster than _ap_bsgs below it
@@ -733,50 +734,22 @@ def ap_many(curve: CurveQ, primes) -> np.ndarray:
 def reduction_type(curve: CurveQ, p: int) -> tuple[str, int]:
     """Classify bad reduction at p | N: ('multiplicative', +-1) or ('additive', 0).
 
-    The sign is +1 for split multiplicative reduction (tangent slopes at the
-    node rational over F_p), -1 for nonsplit.
+    The sign is +1 for split multiplicative reduction, -1 for nonsplit. Tate's
+    closed form holds at every p for an integral model singular at p (CurveQ
+    checks p | Delta): additive iff p | c4, else the sign is (-c6/p) (AEC VII.5;
+    Tate, "Algorithm for determining the type of a singular fiber", 1975). c4
+    and c6 are unchanged by the translation moving the singular point to (0, 0),
+    where b4 = b6 = 0 mod p. So for odd p, c4 = b2^2 and -c6 = b2^3 mod p, with
+    b2 = a1^2 + 4 a2 the discriminant of the tangent cone y^2 + a1 x y - a2 x^2.
+    At p = 2 a node has a1 odd, and -c6 = 1 + 4 a2 mod 8 is a square in Q_2 iff
+    a2 is even, which is when the cone y^2 + x y + a2 x^2 splits over F_2.
     """
     if good_reduction(curve, p):
         raise ValueError(f"{p} is a prime of good reduction")
-    a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
-    sing = None
-    if p == 2:
-        for x in (0, 1):
-            for y in (0, 1):
-                f = (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2
-                fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % 2
-                fy = (2 * y + a1 * x + a3) % 2
-                if f == 0 and fx == 0 and fy == 0:
-                    sing = (x, y)
-    else:
-        inv2 = pow(2, -1, p)
-        for x in range(p):
-            y = (-(a1 * x + a3) * inv2) % p
-            f = (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p
-            fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % p
-            if f == 0 and fx == 0:
-                sing = (x, y)
-                break
-    if sing is None:
-        raise ArithmeticError(f"no singular point found mod {p} despite p | N")
-    r, t = sing
-    # translate the singular point to the origin
-    a1s = a1 % p
-    a2s = (a2 + 3 * r) % p
-    a3s = (a3 + r * a1 + 2 * t) % p
-    a4s = (a4 + 2 * r * a2 + 3 * r * r - t * a1) % p
-    a6s = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) % p
-    if (a3s, a4s, a6s) != (0, 0, 0):
-        raise ArithmeticError(f"translation to singular point failed mod {p}")
-    # tangent cone y^2 + a1 x y - a2 x^2; node iff two distinct tangents
-    if p == 2:
-        if a1s == 0:
-            return ("additive", 0)
-        return ("multiplicative", 1 if a2s == 0 else -1)
-    dq = (a1s * a1s + 4 * a2s) % p
-    if dq == 0:
+    c4, c6 = c_invariants(curve)
+    if c4 % p == 0:
         return ("additive", 0)
-    return ("multiplicative", 1 if pow(dq, (p - 1) // 2, p) == 1 else -1)
+    return ("multiplicative", kronecker(-c6, p))
 
 
 @dataclass

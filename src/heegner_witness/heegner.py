@@ -464,28 +464,30 @@ def rational_torsion_point(curve: CurveQ, q: int):
     return None
 
 
-def is_torsion(curve: CurveQ, P, multiple_bound: int = DEFAULT_TORSION_BOUND, lattice=None) -> bool:
-    """kP = O for some k <= bound; exact for rational points, mod-Lambda for CPoints.
+def is_torsion(curve: CurveQ, P, lattice: PeriodLattice | None = None) -> bool:
+    """kP = O for some k <= B = DEFAULT_TORSION_BOUND; exact for rational P, mod the
+    run's `lattice` for a CPoint.
 
     A rational P is not torsion as soon as some kP != O has 4x or 8y outside Z:
     every torsion point of an integral model has 4x, 8y in Z (AEC VIII.7.1).
+    A CPoint within tol of a point of order <= B is torsion. Two such points lie
+    at least lambda_min / B^2 apart, so tol must stay below lambda_min / (2 B^2).
     """
     if P is None:
         return True
     if isinstance(P, CPoint):
         if P.is_identity:
             return True
-        lattice = lattice or period_lattice(curve)
-        tol = max(1e-7, 50 * P.prec)
-        for k in range(1, multiple_bound + 1):
-            if lattice.dist(k * P.z) < tol * k:
-                return True
-        return False
+        tol, limit = max(1e-7, 50 * P.prec), lattice.lambda_min / (2 * DEFAULT_TORSION_BOUND**2)
+        if tol >= limit:
+            raise PrecisionUnreachable(f"torsion tolerance {tol:.3g} is not below lambda_min/"
+                                       f"(2 B^2) = {limit:.3g}, B = {DEFAULT_TORSION_BOUND}")
+        return any(lattice.dist(k * P.z) < tol * k for k in range(1, DEFAULT_TORSION_BOUND + 1))
     Pf = (Fraction(P[0]), Fraction(P[1]))
     if not on_curve(curve, Pf):
         raise ValueError("point is not on the curve")
     acc = None
-    for _ in range(multiple_bound):
+    for _ in range(DEFAULT_TORSION_BOUND):
         acc = rational_add(curve, acc, Pf)
         if acc is None:
             return True

@@ -2,10 +2,26 @@
 
 Everything here deliberately takes the dumb route: brute-force enumeration,
 straight partial sums at a fixed term count, exact rational arithmetic.
-None of it shares evaluation code with the package paths it judges, with one
-exception in the last section: `unit_quotient_structure` reuses
-`quadforms._local_unit_quotient_orders`, which `ring_class_levels` also runs,
-so `unit_quotient_whole_ring` remains the independent oracle for both.
+What the oracles still share with the package paths they judge:
+
+- `ap`: the a_n oracles, the per-prime scan and the scalar trace relation
+  take each good a_p from it. It is `count_points` below BSGS_MIN_P, so they
+  judge the batched paths there, but at p = 2 and 3 `ap_many` calls `ap`
+  too. `brute_count` is the oracle for `ap` itself.
+- `an_series` gives the table of `twisted_an`, `l_eval_per_term` and
+  `modular_param_per_term`, which judge the sums, not the table.
+- `lseries._tail_terms` gives `l_eval_per_term` its term count.
+- `modular_param` and `period_lattice` feed the Fricke and trace-relation
+  references, and `elliptic_exp`, `_wp` and `_halve_and_double`
+  `elliptic_log`.
+- `quadforms.kronecker`, `reduce_form`, `class_number` and
+  `abelian_invariants`, and `unit_quotient_structure` in the last section
+  reuses `quadforms._local_unit_quotient_orders`, which `ring_class_levels`
+  also runs, so `unit_quotient_whole_ring` remains the independent oracle
+  for both.
+
+Bad-prime a_p comes from `reduction_type_search`, a search for the singular
+point mod p, and not from the package's closed form.
 """
 
 from __future__ import annotations
@@ -28,7 +44,6 @@ from heegner_witness.ec_core import (
     b_invariants,
     count_points,
     reduce_mod,
-    reduction_type,
 )
 from heegner_witness.arith import (
     euler_phi,
@@ -189,6 +204,50 @@ def count_points_ext(curve: CurveQ, p: int, k: int) -> int:
     return cnt
 
 
+def reduction_type_search(curve: CurveQ, p: int) -> tuple[str, int]:
+    """`ec_core.reduction_type` by search: find the singular point of E mod p,
+    translate it to (0, 0) and read the tangent cone y^2 + a1 x y - a2 x^2,
+    a node iff its two tangents are distinct, split iff they are rational."""
+    if curve.N % p != 0:
+        raise ValueError(f"{p} is a prime of good reduction")
+    a1, a2, a3, a4, a6 = (a % p for a in curve.ainvs)
+    sing = None
+    if p == 2:
+        for x in (0, 1):
+            for y in (0, 1):
+                f = (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2
+                fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % 2
+                fy = (2 * y + a1 * x + a3) % 2
+                if f == 0 and fx == 0 and fy == 0:
+                    sing = (x, y)
+    else:
+        inv2 = pow(2, -1, p)
+        for x in range(p):
+            y = (-(a1 * x + a3) * inv2) % p
+            f = (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p
+            fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % p
+            if f == 0 and fx == 0:
+                sing = (x, y)
+                break
+    if sing is None:
+        raise ArithmeticError(f"no singular point found mod {p} despite p | N")
+    r, t = sing
+    a2s = (a2 + 3 * r) % p
+    a3s = (a3 + r * a1 + 2 * t) % p
+    a4s = (a4 + 2 * r * a2 + 3 * r * r - t * a1) % p
+    a6s = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) % p
+    if (a3s, a4s, a6s) != (0, 0, 0):
+        raise ArithmeticError(f"translation to singular point failed mod {p}")
+    if p == 2:
+        if a1 == 0:
+            return ("additive", 0)
+        return ("multiplicative", 1 if a2s == 0 else -1)
+    dq = (a1 * a1 + 4 * a2s) % p
+    if dq == 0:
+        return ("additive", 0)
+    return ("multiplicative", 1 if pow(dq, (p - 1) // 2, p) == 1 else -1)
+
+
 def an_recursive(curve: CurveQ, n: int, _memo=None) -> int:
     """a_n by direct factorization and the prime-power recursion, no sieving."""
     if _memo is None:
@@ -210,7 +269,7 @@ def an_recursive(curve: CurveQ, n: int, _memo=None) -> int:
         if m > 1:
             val = an_recursive(curve, p ** e, _memo) * an_recursive(curve, m, _memo)
         elif curve.N % p == 0:
-            val = reduction_type(curve, p)[1] ** e
+            val = reduction_type_search(curve, p)[1] ** e
         elif e == 1:
             val = ap(curve, p)
         else:
@@ -238,7 +297,7 @@ def an_per_prime_ap(curve: CurveQ, n_max: int) -> list[int]:
         if m > 1:
             a[n] = a[n // m] * a[m]
         elif curve.N % p == 0:
-            a[n] = reduction_type(curve, p)[1] ** e
+            a[n] = reduction_type_search(curve, p)[1] ** e
         elif e == 1:
             a[n] = ap(curve, p)
         else:

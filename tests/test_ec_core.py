@@ -1,5 +1,8 @@
 import functools
+import importlib.util
+import itertools
 import math
+import os
 import random
 import types
 
@@ -8,7 +11,7 @@ import pytest
 import numpy as np
 
 from heegner_witness import ec_core
-from heegner_witness.arith import is_prime, primes_upto
+from heegner_witness.arith import is_prime, prime_divisors, primes_upto
 from heegner_witness.quadforms import kronecker
 from heegner_witness.ec_core import (
     BadReductionError,
@@ -35,12 +38,14 @@ from heegner_witness.ec_core import (
     reduce_mod,
     reduction_type,
 )
+from heegner_witness.pipeline import parse_curve_file
 from oracles import (
     an_per_prime_ap,
     an_recursive,
     brute_count,
     count_points_ext,
     lockstep_point_eager,
+    reduction_type_search,
     twist,
 )
 
@@ -620,6 +625,45 @@ def test_bad_prime_types(e11a, e37a):
     assert kind == "multiplicative" and s == 1
     kind, s = reduction_type(e37a, 37)
     assert kind == "multiplicative" and s == -1
+
+
+def _singular_pairs_of_the_box():
+    # every model a1 in {0, 1}, a2 in {-1, 0, 1}, a3 in {0, 1}, |a4|, |a6| <= 6,
+    # with N the primes <= 50 of Delta (all CurveQ asks), at each p <= 7 | N;
+    # non-minimal models included
+    pairs = []
+    for ainvs in itertools.product((0, 1), (-1, 0, 1), (0, 1), range(-6, 7), range(-6, 7)):
+        d = discriminant(ainvs)
+        if d:
+            curve = CurveQ(*ainvs, math.prod(p for p in primes_upto(50) if d % p == 0))
+            pairs += [(curve, p) for p in (2, 3, 5, 7) if curve.N % p == 0]
+    return pairs
+
+
+def _corpus_curves():
+    # the pinned table, the pins.json pools and the generated curves with N <= 3000
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "corpus", os.path.join(root, "perfbench", "corpus.py"))
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    pins = corpus.load_pins()
+    rows = pins["field-search"] + pins["aux-search"] + corpus.generated(2, 3000)
+    return parse_curve_file(str(corpus.PINNED_TABLE)) + [
+        CurveQ(*c["ainvs"], c["N"], c["label"]) for c in rows]
+
+
+def test_reduction_type_closed_form_matches_the_search():
+    box = _singular_pairs_of_the_box()
+    kinds = {(p, reduction_type_search(c, p)[0]) for c, p in box}
+    assert len(box) == 2325 and {(2, "additive"), (3, "additive")} <= kinds
+    for curve, p in box:
+        assert reduction_type(curve, p) == reduction_type_search(curve, p), (curve.ainvs, p)
+    curves = _corpus_curves()
+    assert len(curves) == 347
+    for curve in curves:
+        for p in prime_divisors(curve.N):
+            assert reduction_type(curve, p) == reduction_type_search(curve, p), (curve.label, p)
 
 
 def test_cm_field_is_read_from_j():

@@ -293,6 +293,12 @@ def test_is_torsion_cpoint(e37a):
     assert is_torsion(e37a, z2, lattice=lat)
     gen = elliptic_log(lat, 0j, 0j)
     assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 1e-12), lattice=lat)
+    # tol = 50 prec must stay below lambda_min/(2 B^2), where balls about the
+    # points of order <= B stop overlapping
+    limit = lat.lambda_min / (2 * heegner.DEFAULT_TORSION_BOUND**2)
+    assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 0.99 * limit / 50), lattice=lat)
+    with pytest.raises(PrecisionUnreachable, match="^torsion tolerance .* is not below"):
+        is_torsion(e37a, CPoint(gen, (0.0, 0.0), limit / 49), lattice=lat)
 
 
 def test_canonical_height_generator_37a(e37a):

@@ -530,6 +530,23 @@ def test_coarse_l_precision_leaves_step_5_at_its_own_precision():
     assert report.heegner["pk_nontorsion"]
 
 
+def test_coarse_step5_precision_fails_gz_by_name_not_as_torsion():
+    # at lseries_precision 1e-3 and heegner_residual 1.0 step 5 sums at 1e-3,
+    # and is_torsion's tolerance, 3.1e-2, is not below lambda_min/(2 B^2) =
+    # 6.0e-3: the run fails naming both, not with pk_nontorsion false
+    e43a = CurveQ(0, 1, 1, 0, 0, 43, "43a")
+    report = run_witness(e43a, Config(lseries_precision=1e-3, heegner_residual=1.0))
+    assert not report.passed and report.failed_at == "gz_correspondence"
+    assert report.heegner is None
+    check = report.checks[-1]
+    assert check["name"] == "gz_correspondence" and not check["pass"]
+    assert check["error"] == ("torsion tolerance 0.0313 is not below lambda_min/(2 B^2) = 0.00597,"
+                              " B = 16")
+    # at heegner_residual 0.1 the tolerance, 3.1e-3, is below the bound
+    report = run_witness(e43a, Config(lseries_precision=1e-3, heegner_residual=0.1))
+    assert report.passed and report.heegner["pk_nontorsion"]
+
+
 def test_coarse_precision_fails_the_gate_naming_both_defects():
     # at 1e-2 the gate's few terms fit both signs on 43a; the run fails by name
     e43a = CurveQ(0, 1, 1, 0, 0, 43, "43a")
