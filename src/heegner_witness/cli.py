@@ -5,8 +5,9 @@
     witness scan-k --curve LABEL [--bound B] [--curves FILE]
     witness tower --q Q --primes P1,P2,... [--r R] [--m M] [--c C]
 
-Exit code 0 iff every selected witness run passes. Nothing is written but
-the reports under --out.
+Exit code 0 iff every selected witness run passes; 2 when the table, the
+config or the --out directory cannot be used. Nothing is written but the
+reports under --out.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ def _cmd_witness(args) -> int:
         if not curves:
             print(f"no curve labelled {args.label!r} in {args.curves}", file=sys.stderr)
             return 2
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)  # fails by name before any curve runs
+        except OSError as e:
+            print(f"cannot write reports: {e}", file=sys.stderr)
+            return 2
     all_pass = True
     for curve in curves:
         report = run_witness(curve, config)
@@ -73,7 +80,11 @@ def _cmd_witness(args) -> int:
         print(f"[{report.label}] => {verdict}")
         if args.out:
             path = os.path.join(args.out, f"{report.label}.json")
-            emit_report(report, path)
+            try:
+                emit_report(report, path)
+            except OSError as e:
+                print(f"cannot write reports: {e}", file=sys.stderr)
+                return 2
             print(f"[{report.label}] report written to {path}")
         all_pass = all_pass and report.passed
     return 0 if all_pass else 1

@@ -43,6 +43,18 @@ three `l_eval` calls, with a tracemalloc peak of 15, 50, 177, 659 and
 1,831 KB. 1024 keeps the peak under 0.2 MB at about a fifth more time than
 one block.
 
+`exp1`'s two kernels step their lanes in numpy only while more than
+_SCALAR_LANES = 32 are live, and finish the rest in Python floats by the
+same IEEE operations in the same order, so every E1 value, L'(1) and report
+is bit for bit what an all-numpy loop gives. The Lentz fraction runs 90
+rounds for x just above 1 and 4 at x = 700, and an all-numpy loop pays ~10
+numpy calls per round however few lanes are left: 37a's 27 gate terms took
+0.96 ms against 1.43 ms for a 1024-lane block. Over the gate grids of the
+11 pinned rank-1 curves, three twist grids of 81-518 terms and two
+1024-lane blocks (minimum of 3 per grid, median of 9 rounds, 2-vCPU Xeon),
+thresholds of 0, 16, 24, 32, 48 and 64 lanes took 22.2, 9.6, 9.0, 8.5, 8.5
+and 8.5 ms in total; 37a's grid alone takes 0.16 ms at 32.
+
 The quadratic twist of E by a fundamental discriminant d coprime to N has
 conductor N d^2 and coefficients kronecker(d, n) a_n(E), so every function
 here reads a twist from E's own a_n table; no twisted model is built.
@@ -63,6 +75,7 @@ _SQRT3 = math.sqrt(3.0)
 _EULER_GAMMA = 0.5772156649015328606
 _SUM_BLOCK = 1024  # terms per numpy block of a series sum (measured, see above)
 _SPLIT_A = 1.07  # the split point of the sign check
+_SCALAR_LANES = 32  # live E1 lanes at which a kernel goes on in Python floats (measured, see above)
 
 DEFAULT_NONVANISHING_THRESHOLD = 1e-3
 DEFAULT_PRECISION = 1e-8
@@ -136,10 +149,14 @@ def exp1(x) -> np.ndarray:
 
     x <= 1 sums the power series and x > 1 runs the modified Lentz continued
     fraction. Each lane stops at its own convergence test, so its value does
-    not depend on the other lanes.
+    not depend on the other lanes. Both kernels step their lanes in numpy
+    while more than _SCALAR_LANES are live and finish the rest in Python
+    floats, with the same IEEE operations in the same order: the tail moves
+    no value by a bit, it only stops paying numpy's per-call cost for the
+    few slowest lanes. ValueError for any x that is not > 0, NaN included.
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.count_nonzero(x <= 0):
+    if np.count_nonzero(~(x > 0)):
         raise ValueError("E1 needs x > 0")
     flat = x.ravel()
     out = np.empty_like(flat)
@@ -152,11 +169,14 @@ def exp1(x) -> np.ndarray:
 
 def _exp1_series(x: np.ndarray) -> np.ndarray:
     """-gamma - ln x + sum (-1)^(k+1) x^k / (k k!) for 0 < x <= 1, each lane
-    stopping after its first term below 1e-18."""
+    stopping after its first term below 1e-18.
+
+    The last _SCALAR_LANES live lanes take the steps term *= x/k, add =
+    term/k and s +- add in Python floats; -gamma - ln x stays lane-wise."""
     s, term, x_live = np.zeros_like(x), np.ones_like(x), x
     out, lane = np.empty_like(x), np.arange(len(x))
     k = 1
-    while lane.size:
+    while lane.size > _SCALAR_LANES:
         term *= x_live / k
         add = term / k
         s += add if k % 2 == 1 else -add
@@ -166,21 +186,35 @@ def _exp1_series(x: np.ndarray) -> np.ndarray:
             keep = ~done
             lane, s, term, x_live = lane[keep], s[keep], term[keep], x_live[keep]
         k += 1
+    for j, sj, tj, xj in zip(lane.tolist(), s.tolist(), term.tolist(), x_live.tolist()):
+        kj = k
+        while True:
+            tj *= xj / kj
+            add = tj / kj
+            sj += add if kj % 2 == 1 else -add
+            if add < 1e-18:
+                break
+            kj += 1
+        out[j] = sj
     return -_EULER_GAMMA - np.log(x) + out
 
 
 def _exp1_fraction(x: np.ndarray) -> np.ndarray:
     """e^{-x}/(x+1- 1/(x+3- 4/(x+5- ...))) for x > 1 by modified Lentz, each
     lane stopping at its first factor delta with |delta - 1| < 1e-16, which
-    in float64 means delta == 1, or after 199 factors."""
+    in float64 means delta == 1, or after 199 factors.
+
+    Lanes just above 1 take up to 90 factors and lanes near 700 a handful, so the
+    loop runs lane-wise only while more than _SCALAR_LANES lanes are live;
+    the rest take d = 1/(d a + b), c = a/c + b and h *= c d, with the same
+    stop and cap, in Python floats. e^{-x} stays lane-wise."""
     b = x + 1.0
     c = np.full_like(x, 1.0 / 1e-300)
     d = 1.0 / b
     h = d.copy()
     out, lane = np.empty_like(x), np.arange(len(x))
-    for i in range(1, 200):
-        if not lane.size:
-            break
+    i = 1
+    while i < 200 and lane.size > _SCALAR_LANES:
         a = float(-i * i)
         b += 2.0
         d *= a
@@ -195,7 +229,18 @@ def _exp1_fraction(x: np.ndarray) -> np.ndarray:
             out[lane[done]] = h[done]
             keep = ~done
             lane, b, c, d, h = lane[keep], b[keep], c[keep], d[keep], h[keep]
-    out[lane] = h
+        i += 1
+    for j, bj, cj, dj, hj in zip(lane.tolist(), b.tolist(), c.tolist(), d.tolist(), h.tolist()):
+        for ij in range(i, 200):
+            a = float(-ij * ij)
+            bj += 2.0
+            dj = 1.0 / (dj * a + bj)
+            cj = a / cj + bj
+            delta = cj * dj
+            hj *= delta
+            if delta == 1.0:
+                break
+        out[j] = hj
     return out * np.exp(-x)
 
 

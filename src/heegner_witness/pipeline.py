@@ -29,6 +29,7 @@ from .arith import is_prime
 from .ec_core import CurveQ, cm_field
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
 from .heegner import (
+    DEFAULT_TORSION_BOUND,
     HeegnerOrbit,
     PrecisionUnreachable,
     fricke_diagnostic,
@@ -275,12 +276,18 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
             )
     _check(checks, "ring_class_structure", True, levels=len(levels))  # it fails only by raising
 
-    # 5. Heegner numerics: each form summed once, at one precision
-    precision = min(config.lseries_precision, config.heegner_residual * 1e-3)
+    # 5. Heegner numerics: each form summed once, at one precision. The trace
+    # of h forms carries a tail of at most h * precision, and is_torsion's
+    # tolerance, 50 times that, must stay below lambda_min / (2 B^2): the last
+    # bound keeps it at half that, so a coarse config cannot make the
+    # torsion test undecidable.
     with _stage(timing, "heegner"):
         try:
             orbit = heegner_orbit(curve, d_K, 1)
             lattice = period_lattice(curve)
+            precision = min(config.lseries_precision, config.heegner_residual * 1e-3,
+                            lattice.lambda_min / (200 * DEFAULT_TORSION_BOUND**2
+                                                  * orbit.class_count))
             zs = orbit_z(orbit, precision)
             gz = gz_correspondence(orbit, zs, fs.l_value_data, lattice, precision)
         except PrecisionUnreachable as e:

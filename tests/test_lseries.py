@@ -58,6 +58,45 @@ def test_exp1_matches_the_scalar_oracle():
     assert np.all(np.abs(exp1(x) - want) <= 1e-15 * want)
 
 
+def test_exp1_refuses_every_x_not_above_zero():
+    # NaN is neither <= 1 nor > 1: no kernel would write its lane
+    for bad in (np.nan, 0.0, -0.0, -1.0, -np.inf):
+        with pytest.raises(ValueError, match="^E1 needs x > 0$"):
+            exp1(np.array([bad, 2.0]))
+    with pytest.raises(ValueError, match="^E1 needs x > 0$"):
+        exp1(np.full((2, 2), np.nan))
+
+
+def test_exp1_scalar_tail_moves_no_bit(monkeypatch):
+    # each kernel finishes its last _SCALAR_LANES live lanes in Python floats
+    # by the numpy loop's own steps: all lanes in numpy (0), the default and
+    # all lanes in Python floats (10^9) give the same bytes
+    K = lseries._SCALAR_LANES
+    rng = np.random.default_rng(24)
+    grids = [np.array([])]
+    for n in (1, K - 1, K, K + 1, 1024, 2048):
+        grids += [rng.uniform(1e-6, 1.0, n), rng.uniform(1.0, 40.0, n), rng.uniform(1e-6, 40.0, n)]
+    near_one = [1.0]
+    for toward in (0.0, 2.0):
+        x = 1.0
+        for _ in range(4):
+            x = np.nextafter(x, toward)
+            near_one.append(x)
+    grids += [np.array(near_one), np.linspace(700.0, 800.0, 201)]  # e^-x subnormal or 0
+    for curve, d_K in _pinned_twists():  # the pinned gate and twist grids x = c n
+        for d in (1, d_K):
+            c = 2.0 * math.pi / math.sqrt(curve.N * d * d)
+            T = lseries._tail_terms(c, DEFAULT_PRECISION / 4.0)
+            grids.append(c * np.arange(1, T + 1, dtype=np.float64))
+    inputs = grids + [g[::-1] for g in grids] + [g.reshape(2, -1) for g in grids if g.size % 2 == 0]
+    want = [exp1(x) for x in inputs]
+    for k in (0, 10**9):
+        monkeypatch.setattr(lseries, "_SCALAR_LANES", k)
+        for x, w in zip(inputs, want):
+            got = exp1(x)
+            assert got.shape == w.shape and got.tobytes() == w.tobytes(), (k, x.shape)
+
+
 # the twists the kernel tests run: d = 1 and d in (-3, -7, -103) coprime to N
 def _twists(curve):
     return [d for d in (1, -3, -7, -103) if math.gcd(d, curve.N) == 1]

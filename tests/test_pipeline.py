@@ -106,6 +106,27 @@ def test_cli_rejects_depth_zero(curve_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_an_unusable_out_directory_before_any_curve(curve_file, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file")
+    for out in (blocker, blocker / "reports"):
+        assert main(["--curves", curve_file, "--label", "37a", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot write reports: ")
+        assert captured.out == ""  # no curve ran
+    assert blocker.read_text() == "a regular file"
+
+
+def test_cli_reports_a_failed_report_write_by_name(curve_file, tmp_path, capsys):
+    # the directory is there, but the first report cannot be written into it
+    out = tmp_path / "out"
+    (out / "37a.json").mkdir(parents=True)
+    assert main(["--curves", curve_file, "--label", "37a", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write reports: ")
+    assert "[37a] => PASS" in captured.out and "report written" not in captured.out
+
+
 def test_cli_reports_unreadable_config(curve_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for text in ('{"height_tol": 1e-4}', '{"tower_m": -1}', "not json", '{"depth": "2"}',
@@ -530,21 +551,28 @@ def test_coarse_l_precision_leaves_step_5_at_its_own_precision():
     assert report.heegner["pk_nontorsion"]
 
 
-def test_coarse_step5_precision_fails_gz_by_name_not_as_torsion():
-    # at lseries_precision 1e-3 and heegner_residual 1.0 step 5 sums at 1e-3,
-    # and is_torsion's tolerance, 3.1e-2, is not below lambda_min/(2 B^2) =
-    # 6.0e-3: the run fails naming both, not with pk_nontorsion false
-    e43a = CurveQ(0, 1, 1, 0, 0, 43, "43a")
-    report = run_witness(e43a, Config(lseries_precision=1e-3, heegner_residual=1.0))
-    assert not report.passed and report.failed_at == "gz_correspondence"
-    assert report.heegner is None
-    check = report.checks[-1]
-    assert check["name"] == "gz_correspondence" and not check["pass"]
-    assert check["error"] == ("torsion tolerance 0.0313 is not below lambda_min/(2 B^2) = 0.00597,"
-                              " B = 16")
-    # at heegner_residual 0.1 the tolerance, 3.1e-3, is below the bound
-    report = run_witness(e43a, Config(lseries_precision=1e-3, heegner_residual=0.1))
-    assert report.passed and report.heegner["pk_nontorsion"]
+def test_coarse_step5_configs_sum_at_a_precision_the_torsion_test_decides():
+    # step 5 sums at min(lseries_precision, heegner_residual * 1e-3,
+    # lambda_min / (200 B^2 h)), so is_torsion's tolerance stays below half
+    # its limit lambda_min / (2 B^2). Summed at the first two alone, these
+    # runs failed at gz_correspondence: 43a with "torsion tolerance 0.0313
+    # is not below lambda_min/(2 B^2) = 0.00597", 19a with 0.00321 against
+    # 0.00266
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    table = {c.label: c for c in parse_curve_file(os.path.join(root, "perfbench", "data",
+                                                                "pinned.txt"))}
+    for config, labels in ((Config(lseries_precision=1e-3, heegner_residual=1.0), ("11a", "43a")),
+                           (Config(lseries_precision=1e-4, heegner_residual=0.1),
+                            ("19a", "65a", "83a"))):
+        for label in labels:
+            report = run_witness(table[label], config)
+            assert report.passed and report.heegner["pk_nontorsion"], label
+    # the limit itself still refuses a trace as coarse as 43a's was, wherever it lies
+    lattice = heegner.period_lattice(table["43a"])
+    coarse = heegner.CPoint(0.1 + 0.1j, (0.0, 0.0), 1e-3)
+    with pytest.raises(heegner.PrecisionUnreachable,
+                       match=r"^torsion tolerance 0\.05 is not below lambda_min/\(2 B\^2\) = 0\.00597"):
+        heegner.is_torsion(table["43a"], coarse, lattice=lattice)
 
 
 def test_coarse_precision_fails_the_gate_naming_both_defects():
