@@ -47,43 +47,53 @@ other curve of the pair, as Mestre's argument suggests (Cremona-Sutherland,
 JTNB 22, 2010), when there are at least _BLOCK_MIN of them. Only the lanes
 this twist pass leaves undecided, or fewer than _BLOCK_MIN, fall back to
 `_ap_bsgs`, so every value equals the scalar one: 3 to 5 of 2,826 on those
-pool tables, 8 on j = 0, 20 on y^2 = x^3 + x and 19 on y^2 = x^3 - x. With
-p <= 10^6 < 2^20 every lane product stays below 2^43, far inside int64.
+pool tables, 8 on j = 0, 20 on y^2 = x^3 + x and 19 on y^2 = x^3 - x.
+`_padd` reduces 8 of its values mod p, only where int64 needs it: with
+p <= POINT_COUNT_CEILING = 10^6 its largest intermediate stays below
+6 p^3 <= 6 * 10^18 < 2^63, and a higher ceiling fails a test, since numpy
+wraps int64 products without a warning.
 
 _LANES = 640. A block's memory is its baby-step table and giant-step
 buffers, (3, s + 2, lanes) and (s, lanes) arrays; the point search, which
 evaluated all _POINT_TRIES x at once as (tries, lanes) arrays, now adds
 little. On g12283.1 near p = 26,000 the tracemalloc peak of one block is
 390, 757, 944 and 1,506 KB at 256, 512, 640 and 1024 lanes (466 KB at 256
-with the all-at-once search), while `_padd` costs 44-76, 72-112 and 82-119
-us at 256, 512 and 640 lanes, mostly per-call numpy overhead. So a wider
-block counts each prime for less: `ap_lockstep` over the 2,554 good primes
-of g12283.1 in [2500, 26,643] took 67, 50, 49 and 42 ms at 256, 512, 640
-and 1024 lanes. On the benchmark's field-search (8 s runs, 2-vCPU Xeon)
-wall_s was 0.160, 0.142 and 0.137 s at 256, 512 and 640 lanes, against
-0.164 s for the all-at-once search at 256 (medians over seeds 501-504 at
-256, 501-510 at 512 and 640), and peak RSS rose over the all-at-once
-search by -0.1, 0.05 and 0.18 MB. (Those figures predate the per-lane
-search sizes.) Since no decision depends on the block, _LANES moves no
-prime to or from `_ap_bsgs`: 256, 640 and 1024 lanes give every prime the
-same output in both passes over the good primes 500 to 30,000 of the pool
-tables, 37a, [0,0,1,0,0] and y^2 = x^3 -+ x.
+with the all-at-once search), while `_padd` costs 33-49, 47-72 and 53-77
+us at 256, 512 and 640 lanes (47-75, 70-103 and 82-110 us with every value
+reduced; medians of 300 calls, 5 alternated rounds, primes 2500 to
+30,000), mostly per-call numpy overhead. So a wider block counts each
+prime for less: `ap_lockstep` over the 2,554 good primes of g12283.1 in
+[2500, 26,643] took 67, 50, 49 and 42 ms at 256, 512, 640 and 1024 lanes.
+On the benchmark's field-search (8 s runs, 2-vCPU Xeon) wall_s was 0.160,
+0.142 and 0.137 s at 256, 512 and 640 lanes, against 0.164 s for the
+all-at-once search at 256 (medians over seeds 501-504 at 256, 501-510 at
+512 and 640), and peak RSS rose over the all-at-once search by -0.1, 0.05
+and 0.18 MB. (Those figures predate the per-lane search sizes.) Since no
+decision depends on the block, _LANES moves no prime to or from
+`_ap_bsgs`: 256, 640 and 1024 lanes give every prime the same output in
+both passes over the good primes 500 to 30,000 of the pool tables, 37a,
+[0,0,1,0,0] and y^2 = x^3 -+ x.
 
-A block makes about 51 `_padd` calls of 52 numpy operations each, and
+A block makes about 51 `_padd` calls of 41 numpy operations each, and
 costs a few ms almost whatever its width: on 37a, the least of 15 runs in
 each of two, on a loaded 2-vCPU Xeon, 1.9-2.4, 2.6-3.0, 5.4-5.5 and
 7.2-9.5 ms for 4, 40, 256 and 640 primes from 2500, 2.2-4.0, 3.2-4.3,
 6.2-6.3 and 8.7-10.1 ms from 2*10^4, and 2.7-5.1, 3.3-5.1, 9.8-10.9 and
-10.4-14.9 ms from 10^5, while `_ap_bsgs` costs 0.10-0.27 ms per prime. So
-`ap_many` counts fewer than _BLOCK_MIN primes >= BSGS_MIN_P with
-`_ap_bsgs`. _BLOCK_MIN is the measured break-even of the kernel with the
-all-at-once point search: on 11a, 14a and 37a, with 4 to 40 consecutive
-good primes from 2500, 2*10^4 and 10^5 (median of 9 runs, 2-vCPU Xeon),
-one `ap_lockstep` call became cheaper than the scalar loop at 16 to 24
-primes, median 20 in each of two runs (the double-and-add kernel: median
-28 and 32 on the same host, 32 when first measured). The same break-even
-gates the twist pass: a twist block for a few lanes costs more than
-counting them one by one.
+10.4-14.9 ms from 10^5 (with the 13-remainder `_padd`), while `_ap_bsgs`
+costs 0.10-0.27 ms per prime. So `ap_many` counts fewer than _BLOCK_MIN
+primes >= BSGS_MIN_P with `_ap_bsgs`. _BLOCK_MIN is the measured
+break-even of the kernel with the all-at-once point search: on 11a, 14a
+and 37a, with 4 to 40 consecutive good primes from 2500, 2*10^4 and 10^5
+(median of 9 runs, 2-vCPU Xeon), one `ap_lockstep` call became cheaper
+than the scalar loop at 16 to 24 primes, median 20 in each of two runs
+(the double-and-add kernel: median 28 and 32 on the same host, 32 when
+first measured). The 8-remainder `_padd` moves it down a little: taken as
+the first of 4, 6, ..., 40 primes where the block is cheaper, two runs
+each, alternated with the 13-remainder law, it was median 16 and 14 (12 to
+16 over the nine curve and start pairs) against 16 and 18 (14 to 22),
+within this host's noise. _BLOCK_MIN stays 20 until the kernel is re-tuned
+on the step-5 tables. The same break-even gates the twist pass: a twist
+block for a few lanes costs more than counting them one by one.
 
 A block that runs anyway takes the primes from LOCKSTEP_MIN_P up, but no
 block is started for them. `ap_flat` costs about 30 p ns per prime, while
@@ -92,19 +102,21 @@ twist pass and the scalar fallback included: on g12283.1, 37a and 57a
 (medians of 11 and of 31 alternated calls in two runs, 2-vCPU Xeon),
 `ap_flat` took 11.7-12.5 ms for the 272 good primes in [500, 2500), and
 `ap_lockstep` 5.7-7.2 ms more for the primes 500 to 26,643 than for 2500
-to 26,643. A block started for small primes alone pays only for many of
-them: grown to 1000 terms, a table took 2.3-2.7 ms with `ap_flat` alone
-against 4.4-5.9 ms with its 73 primes from 500 in a block, and grown to
-2500 terms 12.1-13.5 ms against 9.8-10.7 ms (one run). On the benchmark
-(20 s runs, 10 alternated pairs) the fill, with the per-lane search sizes,
-took pinned-cold wall_s from 0.222 to 0.201 s and aux-search from 0.032 to
-0.026 s. BSGS_MIN_P itself does not move: moving it to 1000, 1500 or 2500
-for whole tables of 2,500 to 10^5 terms was within 16% of the fastest
-setting, none of them best throughout, and up to 45% longer at 4000
-(g25133.1, 37a and [0,0,1,0,0], median of 5, two runs, before the fill).
-LOCKSTEP_MIN_P stays above 229, where `_ap_bsgs` is proven
-(Cremona-Sutherland), and from 500 up every table has the rows [0]P ..
-[7]P that `_window_mul` reads. a_p values depend on neither.
+to 26,643 (with the 8-remainder `_padd`, 2.7-5.5 ms, 10-20 us per lane,
+against 3.7-6.1 ms for the 13-remainder law in the same alternated runs,
+while `ap_flat` took 8.1-11.4 ms). A block started for small primes alone
+pays only for many of them: grown to 1000 terms, a table took 2.3-2.7 ms
+with `ap_flat` alone against 4.4-5.9 ms with its 73 primes from 500 in a
+block, and grown to 2500 terms 12.1-13.5 ms against 9.8-10.7 ms (one run).
+On the benchmark (20 s runs, 10 alternated pairs) the fill, with the
+per-lane search sizes, took pinned-cold wall_s from 0.222 to 0.201 s and
+aux-search from 0.032 to 0.026 s. BSGS_MIN_P itself does not move: moving
+it to 1000, 1500 or 2500 for whole tables of 2,500 to 10^5 terms was
+within 16% of the fastest setting, none of them best throughout, and up to
+45% longer at 4000 (g25133.1, 37a and [0,0,1,0,0], median of 5, two runs,
+before the fill). LOCKSTEP_MIN_P stays above 229, where `_ap_bsgs` is
+proven (Cremona-Sutherland), and from 500 up every table has the rows
+[0]P .. [7]P that `_window_mul` reads. a_p values depend on neither.
 
 _FLAT_CHUNK = 2^13 x values: on the 364 good primes 5 <= p < 2500 of 37a
 (420,770 x values), chunks of 2^11, 2^12, 2^13, 2^14 and 2^15 took 15.0-17.7,
@@ -392,23 +404,61 @@ def _padd(P, Q, a, b3, p):
     The complete formulas of Renes-Costello-Batina (EUROCRYPT 2016, eq. (1)):
     no inversion and no case split, with O = (0:1:0). The sum is the
     degenerate (0:0:0) exactly when P - Q has order 2, and (0:0:0) then
-    propagates through every later sum. Inputs are reduced mod p < 2^20, so
-    every product stays below 2^43.
+    propagates through every later sum.
+
+    Inputs, a and b3 lie in [0, p), p <= POINT_COUNT_CEILING, and are never
+    written (they are rows and views of the baby-step table). Only 8 values
+    are reduced, where int64 needs it; with p <= 10^6 every bound is below
+    6 p^3 <= 6 * 10^18 < 2^63:
+      t0 = X1 X2, t2 = Z1 Z2           in [0, p^2), unreduced
+      u, v, w = X1 Y2 + X2 Y1, ...     in [0, 2 p^2), unreduced
+      t1 = Y1 Y2                       reduced from [0, p^2)
+      at2 = a t2                       reduced from [0, p^3)
+      al = a v + b3 t2                 reduced from [0, 3 p^3)
+      s = t1 + al, d = t1 - al         in [0, 2p) and (-p, p)
+      be = a (t0 - at2) + b3 v         reduced from (-p^2, 3 p^3)
+      ga = 3 t0 + at2                  reduced from [0, 3 p^2 + p)
+      X3 = u d - w be                  reduced from (-4 p^3, 2 p^3)
+      Y3 = s d + ga be                 reduced from (-2 p^2, 3 p^2)
+      Z3 = w s + u ga                  reduced from [0, 6 p^3)
+    Each output is the residue in [0, p) the fully reduced law gives.
     """
     X1, Y1, Z1 = P
     X2, Y2, Z2 = Q
-    t0 = X1 * X2 % p
-    t1 = Y1 * Y2 % p
-    t2 = Z1 * Z2 % p
-    u = ((X1 + Y1) * (X2 + Y2) - t0 - t1) % p  # X1 Y2 + X2 Y1
-    v = ((X1 + Z1) * (X2 + Z2) - t0 - t2) % p  # X1 Z2 + X2 Z1
-    w = ((Y1 + Z1) * (Y2 + Z2) - t1 - t2) % p  # Y1 Z2 + Y2 Z1
-    at2 = a * t2 % p
-    al = (a * v + b3 * t2) % p
+    t0 = X1 * X2
+    t1 = Y1 * Y2
+    t1 %= p
+    t2 = Z1 * Z2
+    u = X1 * Y2
+    u += X2 * Y1
+    v = X1 * Z2
+    v += X2 * Z1
+    w = Y1 * Z2
+    w += Y2 * Z1
+    at2 = a * t2
+    at2 %= p
+    al = a * v
+    al += b3 * t2
+    al %= p
     s, d = t1 + al, t1 - al
-    be = (a * (t0 - at2) + b3 * v) % p
-    ga = (3 * t0 + at2) % p
-    return (u * d - w * be) % p, (s * d + ga * be) % p, (w * s + u * ga) % p
+    be = t0 - at2
+    be *= a
+    be += b3 * v
+    be %= p
+    ga = t0  # t0 is not read again
+    ga *= 3
+    ga += at2
+    ga %= p
+    X3 = u * d
+    X3 -= w * be
+    X3 %= p
+    Y3 = s * d
+    Y3 += ga * be
+    Y3 %= p
+    Z3 = w * s
+    Z3 += u * ga
+    Z3 %= p
+    return X3, Y3, Z3
 
 
 def _lane_pow(x, e, p):
@@ -417,6 +467,15 @@ def _lane_pow(x, e, p):
     for bit in range(int(e.max(initial=0)).bit_length()):
         r = np.where((e >> bit) & 1 == 1, r * x % p, r)
         x = x * x % p
+    return r
+
+
+def _lane_isqrt(n):
+    """isqrt(n) lane-wise for int64 n >= 0 below 2^52: the float64 root,
+    moved by one where it is too large or too small, so it is exact."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
     return r
 
 
@@ -537,9 +596,9 @@ def _lockstep_orders(c4: int, c6: int, p: np.ndarray, twist: bool = False) -> np
     """
     if not _POINT_TRIES:  # no x to try: every lane is undecided
         return np.zeros_like(p)
-    amax = np.array([math.isqrt(4 * q) for q in p.tolist()], dtype=np.int64)
+    amax = _lane_isqrt(4 * p)
     lo, hi = p + 1 - amax, p + 1 + amax
-    s = np.array([math.isqrt(q) + 1 for q in amax.tolist()], dtype=np.int64)
+    s = _lane_isqrt(amax) + 1
     A = np.array([-27 * c4 % q for q in p.tolist()], dtype=np.int64)
     B = np.array([-54 * c6 % q for q in p.tolist()], dtype=np.int64)
     x0, f, on_e, found = _lockstep_point(A, B, p, twist)
@@ -611,8 +670,9 @@ def ap_lockstep(curve: CurveQ, primes) -> np.ndarray:
     more, in blocks of _LANES, each with its point on the other curve of the
     pair E, E' (the twist pass). The lanes still undecided, or fewer than
     _BLOCK_MIN, fall back to `_ap_bsgs`. Every value is Hasse-checked. The
-    ceiling keeps every lane product below 2^63, and the floor gives every
-    table the rows [0]P .. [7]P that `_window_mul` reads.
+    ceiling keeps `_padd`'s largest intermediate, below 6 p^3, inside int64,
+    and the floor gives every table the rows [0]P .. [7]P that `_window_mul`
+    reads.
     """
     ps = np.array(primes, dtype=np.int64)
     for q in ps.tolist():

@@ -134,6 +134,28 @@ def lockstep_point_eager(A, B, p, twist: bool = False, tries: int = 32):
     return x0, F[x0, lanes], square[x0, lanes], usable[x0, lanes]
 
 
+def padd_reduced(P, Q, a, b3, p):
+    """The complete addition of `ec_core._padd` with every intermediate reduced
+    mod p: 13 remainders, every product below 4 p^2 < 2^42.
+
+    The reference for the kernel's law, which reduces only 8 values.
+    """
+    X1, Y1, Z1 = P
+    X2, Y2, Z2 = Q
+    t0 = X1 * X2 % p
+    t1 = Y1 * Y2 % p
+    t2 = Z1 * Z2 % p
+    u = ((X1 + Y1) * (X2 + Y2) - t0 - t1) % p  # X1 Y2 + X2 Y1
+    v = ((X1 + Z1) * (X2 + Z2) - t0 - t2) % p  # X1 Z2 + X2 Z1
+    w = ((Y1 + Z1) * (Y2 + Z2) - t1 - t2) % p  # Y1 Z2 + Y2 Z1
+    at2 = a * t2 % p
+    al = (a * v + b3 * t2) % p
+    s, d = t1 + al, t1 - al
+    be = (a * (t0 - at2) + b3 * v) % p
+    ga = (3 * t0 + at2) % p
+    return (u * d - w * be) % p, (s * d + ga * be) % p, (w * s + u * ga) % p
+
+
 def _fp2_mul(u, v, p, eps):
     # elements of F_{p^2} = F_p(sqrt(eps)) as pairs (a, b) = a + b*sqrt(eps)
     return ((u[0] * v[0] + eps * u[1] * v[1]) % p, (u[0] * v[1] + u[1] * v[0]) % p)

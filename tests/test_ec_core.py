@@ -19,6 +19,7 @@ from heegner_witness.ec_core import (
     PointCountBoundError,
     _add,
     _ap_bsgs,
+    _lane_isqrt,
     _lockstep_orders,
     _lockstep_point,
     _mul,
@@ -27,6 +28,7 @@ from heegner_witness.ec_core import (
     an_series,
     BSGS_MIN_P,
     LOCKSTEP_MIN_P,
+    POINT_COUNT_CEILING,
     ap,
     ap_flat,
     ap_lockstep,
@@ -45,6 +47,7 @@ from oracles import (
     brute_count,
     count_points_ext,
     lockstep_point_eager,
+    padd_reduced,
     reduction_type_search,
     twist,
 )
@@ -493,6 +496,64 @@ def test_complete_addition_matches_affine_law():
         else:
             assert z != 0 and (x - S[0] * z) % p == 0 and (y - S[1] * z) % p == 0, (P, Q)
     assert degenerate > 0
+
+
+class _RemainderCounter(np.ndarray):
+    """An int64 array that counts the np.remainder calls taking it."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.remainder:
+            _RemainderCounter.calls += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _RemainderCounter) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_padd_equals_the_fully_reduced_law_at_the_int64_limit():
+    # 640-lane blocks at the largest primes the kernel takes and at random ones from
+    # LOCKSTEP_MIN_P, inputs read-only: an in-place write to a table row raises here
+    rng = np.random.default_rng(25)
+    primes = np.array(primes_upto(POINT_COUNT_CEILING), dtype=np.int64)
+    primes = primes[primes >= LOCKSTEP_MIN_P]
+    assert primes[-1] > 999_000
+    for p in (primes[-640:], rng.choice(primes, 640)):
+        top = [p - 1] * 8  # X1, Y1, Z1, X2, Y2, Z2, a, b3
+        rand = list(rng.integers(0, p, (8, len(p))))
+        mixed = [np.where(rng.random(len(p)) < 0.5, p - 1, v) for v in rand]
+        mixed[0][:64], mixed[1][:64], mixed[2][:64] = 0, 1, 0  # P = O
+        mixed[3][32:96], mixed[4][32:96], mixed[5][32:96] = 0, 1, 0  # Q = O
+        mixed[0][96:128], mixed[1][96:128], mixed[2][96:128] = 0, 0, 0  # P = (0:0:0)
+        mixed[3][112:160], mixed[4][112:160], mixed[5][112:160] = 0, 0, 0  # Q = (0:0:0)
+        for v in (*top, *rand, *mixed, p):
+            v.flags.writeable = False
+        for X in (top, rand, mixed):
+            for P, Q in ((X[:3], X[3:6]), (X[:3], X[:3])):  # a sum and a doubling
+                want = padd_reduced(P, Q, X[6], X[7], p)
+                got = _padd(P, Q, X[6], X[7], p)
+                for g, w in zip(got, want):
+                    assert g.dtype == np.int64 and (g == w).all()
+    _RemainderCounter.calls = 0
+    _padd(mixed[:3], mixed[3:6], mixed[6], mixed[7], p.view(_RemainderCounter))
+    assert _RemainderCounter.calls == 8
+
+
+def test_padd_headroom_covers_the_point_count_ceiling():
+    # `_padd`'s largest intermediate, w s + u ga in Z3, lies below 6 p^3; numpy wraps
+    # int64 products silently, so a ceiling above about 1.15 * 10^6 must fail here
+    assert 6 * POINT_COUNT_CEILING**3 < 2**63
+
+
+def test_lane_isqrt_is_exact():
+    n = np.arange(2**20 + 1, dtype=np.int64)
+    assert _lane_isqrt(n).tolist() == [math.isqrt(k) for k in range(2**20 + 1)]
+    ps = [p for p in primes_upto(POINT_COUNT_CEILING) if p >= LOCKSTEP_MIN_P]
+    for m in (ps, [4 * p for p in ps]):
+        assert _lane_isqrt(np.array(m, dtype=np.int64)).tolist() == [math.isqrt(k) for k in m]
+    # either side of large squares, where a float root may round across an integer
+    k = np.arange(2**25, 2**26, 4099, dtype=np.int64)
+    near = np.concatenate((k * k - 1, k * k, k * k + 1))
+    assert _lane_isqrt(near).tolist() == [math.isqrt(v) for v in near.tolist()]
 
 
 def test_lockstep_kernel_reaches_both_ends_of_the_hasse_interval(e_ss):
