@@ -5,15 +5,16 @@
     witness scan-k --curve LABEL [--bound B] [--curves FILE]
     witness tower --q Q --primes P1,P2,... [--r R] [--m M] [--c C]
 
-Exit code 0 iff every selected witness run passes; 2 when the table, the
-config or the --out directory cannot be used. Nothing is written but the
-reports under --out.
+Exit code 0 when every selected witness run passes, `scan-k` finds a field
+or `tower` derives a contradiction, and 1 when not; every subcommand exits
+2, with one line on stderr naming it, on input it cannot use (a table,
+label, config, --out directory, --pmax or tower data). Nothing is written
+but the reports under --out.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -30,27 +31,30 @@ BUILTIN_CURVES = [
 ]
 
 
-def _curve_pool(path: str | None) -> list[CurveQ]:
-    if not path:
-        return list(BUILTIN_CURVES)
-    try:
-        return parse_curve_file(path)
-    except (OSError, ValueError) as e:
-        raise SystemExit(f"cannot read curve table: {e}")
-
-
-def _lookup(pool, label):
+def _pick_curve(args) -> CurveQ | None:
+    """The --curve curve of the --curves table, or of the builtin curves
+    without one; None, after one line on stderr, when the table cannot be
+    read or has no such label."""
+    pool = BUILTIN_CURVES
+    if args.curves:
+        try:
+            pool = parse_curve_file(args.curves)
+        except (OSError, ValueError) as e:
+            print(f"cannot read curve table: {e}", file=sys.stderr)
+            return None
     for c in pool:
-        if c.label == label:
+        if c.label == args.curve:
             return c
-    raise SystemExit(f"unknown curve label {label!r}; known: {[c.label for c in pool]}")
+    print(f"unknown curve label {args.curve!r}; known: {[c.label for c in pool]}",
+          file=sys.stderr)
+    return None
 
 
 def _cmd_witness(args) -> int:
     try:
         config = Config.from_file(args.config) if args.config else Config()
         if args.depth is not None:
-            config = dataclasses.replace(config, depth=args.depth)  # re-runs the checks
+            config = config._replace(depth=args.depth)  # re-runs the checks
     except (OSError, ValueError) as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return 2
@@ -91,8 +95,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_ap(args) -> int:
-    pool = _curve_pool(args.curves)
-    curve = _lookup(pool, args.curve)
+    curve = _pick_curve(args)
+    if curve is None:
+        return 2
     if args.pmax > POINT_COUNT_CEILING:
         print(f"--pmax {args.pmax} exceeds the point count ceiling {POINT_COUNT_CEILING}",
               file=sys.stderr)
@@ -104,8 +109,9 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_scan_k(args) -> int:
-    pool = _curve_pool(args.curves)
-    curve = _lookup(pool, args.curve)
+    curve = _pick_curve(args)
+    if curve is None:
+        return 2
     try:
         res = find_K(curve, scan_bound=args.bound)
         rejected = res.rejected
@@ -121,15 +127,28 @@ def _cmd_scan_k(args) -> int:
     return 0
 
 
+def _prime_entry(entry: str) -> int:
+    try:
+        return int(entry)
+    except ValueError:
+        raise ValueError(f"--primes entry {entry!r} is not an integer") from None
+
+
 def _cmd_tower(args) -> int:
-    primes = [int(t) for t in args.primes.split(",") if t]
-    t = tower_structure(args.q, primes)
+    try:
+        primes = [_prime_entry(e) for e in args.primes.split(",") if e]
+        t = tower_structure(args.q, primes)
+        if args.ap is not None and len(args.ap) != t.n:
+            raise ValueError(f"--ap {args.ap} has length {len(args.ap)}, not the {t.n} of --primes")
+        model = FormalMWModel(
+            q=args.q, k=1, c=(args.c,), ap_values=tuple(args.ap or [1] * t.n),
+            m=args.m, r=args.r,
+        )
+    except ValueError as e:
+        print(f"cannot build the tower: {e}", file=sys.stderr)
+        return 2
     print(f"full degree {t.full_degree} = " + " * ".join(str(f) for f in t.full_factors))
     print(f"quotient C_{args.q}^{t.n}, degree {t.quotient_degree}")
-    model = FormalMWModel(
-        q=args.q, k=1, c=(args.c,), ap_values=tuple(args.ap or [1] * t.n),
-        m=args.m, r=args.r,
-    )
     res = divisibility_contradiction(model)
     if res.derivable:
         print(f"contradiction witness at level n = {res.witness_n} "

@@ -137,7 +137,6 @@ more per 26,600-term table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,27 +162,31 @@ class PointCountBoundError(ValueError):
     """Requested field size exceeds POINT_COUNT_CEILING."""
 
 
-@dataclass(frozen=True)
 class CurveQ:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    N: int
-    label: str | None = None
+    """A curve over Q by its a-invariants, conductor N and an optional label,
+    checked at construction against its discriminant.
 
-    def __post_init__(self):
-        if self.N <= 0:
+    A slotted class, not a tuple: `b_invariants` and `discriminant` tell a
+    CurveQ from an a-invariant tuple by `isinstance(curve, tuple)`. Equal and
+    hashed by all seven fields.
+    """
+
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "N", "label")
+
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int, N: int,
+                 label: str | None = None):
+        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
+        self.N, self.label = N, label
+        if N <= 0:
             raise ValueError("conductor must be positive")
         d = discriminant(self)
         if d == 0:
             raise ValueError("singular model (discriminant 0)")
-        for p in prime_divisors(self.N):
+        for p in prime_divisors(N):
             if d % p != 0:
                 raise ValueError(f"conductor prime {p} does not divide the discriminant")
         for p in primes_upto(_VALIDATION_PMAX):
-            if self.N % p != 0 and d % p == 0:
+            if N % p != 0 and d % p == 0:
                 raise ValueError(
                     f"model is singular mod {p} but {p} does not divide N; "
                     "non-minimal model or wrong conductor"
@@ -192,6 +195,19 @@ class CurveQ:
     @property
     def ainvs(self) -> tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    def __eq__(self, other):
+        if type(other) is not CurveQ:
+            return NotImplemented
+        return (self.ainvs, self.N, self.label) == (other.ainvs, other.N, other.label)
+
+    def __hash__(self):
+        return hash((self.ainvs, self.N, self.label))
+
+    def __repr__(self):
+        a1, a2, a3, a4, a6 = self.ainvs
+        return (f"CurveQ(a1={a1!r}, a2={a2!r}, a3={a3!r}, a4={a4!r}, a6={a6!r}, "
+                f"N={self.N!r}, label={self.label!r})")
 
 
 def b_invariants(curve) -> tuple[int, int, int, int]:
@@ -237,21 +253,16 @@ def good_reduction(curve: CurveQ, p: int) -> bool:
     return curve.N % p != 0
 
 
-@dataclass(frozen=True)
 class CurveFp:
-    """A curve with good reduction at p, coefficients reduced mod p."""
+    """A curve with good reduction at p, coefficients reduced mod p; a
+    singular reduction raises BadReductionError at construction."""
 
-    p: int
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    __slots__ = ("p", "a1", "a2", "a3", "a4", "a6")
 
-    def __post_init__(self):
-        d = discriminant((self.a1, self.a2, self.a3, self.a4, self.a6))
-        if d % self.p == 0:
-            raise BadReductionError(f"singular reduction mod {self.p}")
+    def __init__(self, p: int, a1: int, a2: int, a3: int, a4: int, a6: int):
+        self.p, self.a1, self.a2, self.a3, self.a4, self.a6 = p, a1, a2, a3, a4, a6
+        if discriminant((a1, a2, a3, a4, a6)) % p == 0:
+            raise BadReductionError(f"singular reduction mod {p}")
 
 
 def reduce_mod(curve: CurveQ, p: int) -> CurveFp:
@@ -812,10 +823,13 @@ def reduction_type(curve: CurveQ, p: int) -> tuple[str, int]:
     return ("multiplicative", kronecker(-c6, p))
 
 
-@dataclass
 class AnSeries:
-    n_max: int
-    values: np.ndarray  # index n, values[0] unused
+    """a_1..a_{n_max} of one curve; `values` is indexed by n, values[0] unused."""
+
+    __slots__ = ("n_max", "values")
+
+    def __init__(self, n_max: int, values: np.ndarray):
+        self.n_max, self.values = n_max, values
 
     def __getitem__(self, n: int) -> int:
         return int(self.values[n])

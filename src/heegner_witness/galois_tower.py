@@ -18,13 +18,12 @@ subgroup of C_q^n has index at least q^(n-r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import is_prime, valuation
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(NamedTuple):
     q: int
     primes: tuple
     full_factors: tuple  # p_i + 1
@@ -53,7 +52,6 @@ def tower_structure(q: int, primes) -> TowerLevel:
 
 
 
-@dataclass(frozen=True)
 class FormalMWModel:
     """Hypothetical finitely generated configuration to be contradicted.
 
@@ -61,32 +59,32 @@ class FormalMWModel:
     c[j] are the coefficients of the fixed traced base point; ap_values are
     the a_{p_i} along the tower; m is the level where all traced points are
     assumed defined; r bounds the generator count of the acting subgroup.
+    A slotted class whose constructor checks q, len(c) = k and m, r >= 0.
     """
 
-    q: int
-    k: int
-    c: tuple
-    ap_values: tuple
-    m: int = 0
-    r: int = 0
+    __slots__ = ("q", "k", "c", "ap_values", "m", "r")
 
-    def __post_init__(self):
-        if not is_prime(self.q) or self.q == 2:
+    def __init__(self, q: int, k: int, c: tuple, ap_values: tuple, m: int = 0, r: int = 0):
+        if not is_prime(q) or q == 2:
             raise ValueError("q must be an odd prime")
-        if len(self.c) != self.k:
+        if len(c) != k:
             raise ValueError("coefficient vector length must equal k")
-        if self.m < 0 or self.r < 0:
+        if m < 0 or r < 0:
             raise ValueError("m, r must be >= 0")
+        self.q, self.k, self.c, self.ap_values, self.m, self.r = q, k, c, ap_values, m, r
 
 
-@dataclass
 class ContradictionResult:
-    derivable: bool
-    reason: str
-    witness_n: int | None = None
-    j: int | None = None
-    v_q_cj: int | None = None
-    ledger: list = field(default_factory=list)
+    """The verdict of `divisibility_contradiction`; `ledger` is a fresh list
+    per result unless one is given."""
+
+    __slots__ = ("derivable", "reason", "witness_n", "j", "v_q_cj", "ledger")
+
+    def __init__(self, derivable: bool, reason: str, witness_n: int | None = None,
+                 j: int | None = None, v_q_cj: int | None = None, ledger: list | None = None):
+        self.derivable, self.reason, self.witness_n = derivable, reason, witness_n
+        self.j, self.v_q_cj = j, v_q_cj
+        self.ledger = [] if ledger is None else ledger
 
 
 def divisibility_contradiction(model: FormalMWModel) -> ContradictionResult:

@@ -26,8 +26,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +82,7 @@ def _two_division_roots(curve: CurveQ):
     return complex(e1), cpl[0], cpl[1]
 
 
-@dataclass
-class PeriodLattice:
+class PeriodLattice(NamedTuple):
     curve: CurveQ
     omega1: float
     omega2: complex
@@ -151,11 +150,18 @@ def period_lattice(curve: CurveQ) -> PeriodLattice:
 # exp / log between C/Lambda and the curve
 
 
-@dataclass
 class CPoint:
-    z: complex | None  # None only if unset; identity has z = 0
-    xy: tuple | None  # (x, y) complex pair, None for the identity
-    prec: float = 1e-12
+    """A point of E(C): z in C/Lambda (0 at the identity), (x, y) as a
+    complex pair or None for the identity, and the precision of z.
+
+    A slotted class, not a tuple: the point functions take an exact point as
+    an (x, y) tuple, and `trace_to_K` raises `prec` in place.
+    """
+
+    __slots__ = ("z", "xy", "prec")
+
+    def __init__(self, z: complex | None, xy: tuple | None, prec: float = 1e-12):
+        self.z, self.xy, self.prec = z, xy, prec
 
     @property
     def is_identity(self) -> bool:
@@ -229,8 +235,7 @@ def elliptic_exp(lattice: PeriodLattice, z: complex) -> CPoint:
 # Heegner forms and the modular parametrization
 
 
-@dataclass(frozen=True)
-class HeegnerTau:
+class HeegnerTau(NamedTuple):
     A: int
     B: int
     C: int
@@ -242,8 +247,7 @@ class HeegnerTau:
         return (-self.B + 1j * math.sqrt(-self.D)) / (2 * self.A)
 
 
-@dataclass
-class HeegnerOrbit:
+class HeegnerOrbit(NamedTuple):
     curve: CurveQ
     d_K: int
     level: int
@@ -734,8 +738,7 @@ def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, z_base: list[CPoi
     return float(lattice.dist(cands).min())
 
 
-@dataclass
-class GZReport:
+class GZReport(NamedTuple):
     d_K: int
     z_K: complex
     recognized: tuple | None

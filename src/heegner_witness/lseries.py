@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,8 +285,9 @@ def twist_sign(epsilon: int, curve: CurveQ, d: int) -> int:
     return epsilon * kronecker(d, -curve.N)
 
 
-@dataclass
-class LEval:
+class LEval(NamedTuple):
+    """L(1) or L'(1) of E or a twist, its sign, and the bounds `l_eval` kept."""
+
     value_at_1: float
     derivative_at_1: float | None
     epsilon: int
@@ -344,8 +345,7 @@ def l_eval(
     return LEval(val, der, sign, T, tail, tried[sign][0])
 
 
-@dataclass
-class LOverK:
+class LOverK(NamedTuple):
     """L'(E/K, 1) through the factorization L(E/K,s) = L(E,s) L(E_d,s)."""
 
     d_K: int

@@ -22,7 +22,6 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields, asdict
 
 from . import __version__
 from .arith import is_prime
@@ -59,22 +58,31 @@ _CONFIG_TYPES = {
 }
 
 
-@dataclass
 class Config:
-    lseries_precision: float = 1e-8
-    heegner_residual: float = 1e-6
-    nonvanishing_threshold: float = 1e-3
-    dk_scan_bound: int = 499
-    prime_bound: int = 10**5
-    depth: int = 1  # least sequence primes searched for; tower_m + tower_r + 1 at least
-    tower_r: int = 1  # generator bound of the hypothetical acting subgroup
-    tower_m: int = 0  # level where the traced points are assumed defined
+    """Run settings, checked at construction: each field's type against the
+    constructor's annotation, then its range. `_replace` and `from_file`
+    construct, so they check too."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[f.type]):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+    __slots__ = ("lseries_precision", "heegner_residual", "nonvanishing_threshold",
+                 "dk_scan_bound", "prime_bound", "depth", "tower_r", "tower_m")
+
+    def __init__(
+        self,
+        lseries_precision: float = 1e-8,
+        heegner_residual: float = 1e-6,
+        nonvanishing_threshold: float = 1e-3,
+        dk_scan_bound: int = 499,
+        prime_bound: int = 10**5,
+        depth: int = 1,  # least sequence primes searched for; tower_m + tower_r + 1 at least
+        tower_r: int = 1,  # generator bound of the hypothetical acting subgroup
+        tower_m: int = 0,  # level where the traced points are assumed defined
+    ):
+        given = locals()
+        for name in self.__slots__:
+            value, kind = given[name], Config.__init__.__annotations__[name]
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+            setattr(self, name, value)
         for name in ("lseries_precision", "heegner_residual", "nonvanishing_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -84,6 +92,14 @@ class Config:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
+    def _asdict(self) -> dict:
+        """The fields by name, in order, like a NamedTuple's `_asdict`."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def _replace(self, **changes) -> "Config":
+        """A new Config with `changes` applied, checked like any other."""
+        return Config(**{**self._asdict(), **changes})
+
     @classmethod
     def from_file(cls, path: str) -> "Config":
         """Config from a JSON object; unknown keys are rejected, not ignored."""
@@ -91,7 +107,7 @@ class Config:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"{path}: config must be a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown = sorted(set(data) - set(cls.__slots__))
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")
         return cls(**data)
@@ -130,24 +146,28 @@ def parse_curve_file(path: str) -> list[CurveQ]:
     return curves
 
 
-@dataclass
 class WitnessReport:
-    label: str
-    curve: dict
-    passed: bool
-    failed_at: str | None
-    checks: list
-    config: dict = field(default_factory=dict)
-    gate: str | None = None
-    d_K: int | None = None
-    q: int | None = None
-    prime_seq: list = field(default_factory=list)
-    ring_class: list = field(default_factory=list)
-    l_values: dict | None = None
-    heegner: dict | None = None
-    tower: dict | None = None
-    versions: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
+    """One witness run, which `run_witness` fills in stage by stage and
+    `canonical_json` writes slot by slot. A container left out is a fresh
+    one per report."""
+
+    __slots__ = ("label", "curve", "passed", "failed_at", "checks", "config", "gate", "d_K", "q",
+                 "prime_seq", "ring_class", "l_values", "heegner", "tower", "versions", "timing")
+
+    def __init__(self, label: str, curve: dict, passed: bool, failed_at: str | None, checks: list,
+                 config: dict | None = None, gate: str | None = None, d_K: int | None = None,
+                 q: int | None = None, prime_seq: list | None = None,
+                 ring_class: list | None = None, l_values: dict | None = None,
+                 heegner: dict | None = None, tower: dict | None = None,
+                 versions: dict | None = None, timing: dict | None = None):
+        self.label, self.curve, self.passed, self.failed_at = label, curve, passed, failed_at
+        self.checks, self.gate, self.d_K, self.q = checks, gate, d_K, q
+        self.l_values, self.heegner, self.tower = l_values, heegner, tower
+        self.config = {} if config is None else config
+        self.prime_seq = [] if prime_seq is None else prime_seq
+        self.ring_class = [] if ring_class is None else ring_class
+        self.versions = {} if versions is None else versions
+        self.timing = {} if timing is None else timing
 
 
 def _check(checks, name, ok, **data):
@@ -187,7 +207,7 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
         passed=False,
         failed_at=None,
         checks=checks,
-        config=asdict(config),
+        config=config._asdict(),
         versions={"package": __version__},
         timing=timing,
     )
@@ -383,8 +403,9 @@ def _canonical(obj):
 
 
 def canonical_json(report: WitnessReport) -> str:
-    # no field holds a dataclass, and _canonical copies every container
-    data = _canonical({f.name: getattr(report, f.name) for f in fields(report)})
+    # every slot holds only dicts, lists and scalars, never a record (a
+    # NamedTuple would be written as a list), and _canonical copies each one
+    data = _canonical({name: getattr(report, name) for name in report.__slots__})
     hashed = {k: v for k, v in data.items() if k != "timing"}
     digest = hashlib.sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()

@@ -23,8 +23,8 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as _np
 
@@ -275,8 +275,7 @@ def _invariants_of(orders: Counter) -> list[int]:
     return abelian_invariants(n, orders) if n > 1 else []
 
 
-@dataclass(frozen=True)
-class RingClassStructure:
+class RingClassStructure(NamedTuple):
     d_K: int
     conductor: int
     primes: tuple

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import euler_phi, is_prime, is_squarefree, prime_divisors, primes_between
 from . import ec_core
@@ -51,8 +51,7 @@ class PrimeSearchExhausted(RuntimeError):
         self.candidates = candidates
 
 
-@dataclass
-class FieldSearchResult:
+class FieldSearchResult(NamedTuple):
     d_K: int
     l_value_data: LOverK
     rejected: list  # (d, reason) for each squarefree d tried before d_K
@@ -119,8 +118,7 @@ def choose_q(curve: CurveQ, d_K: int) -> int:
         q += 2
 
 
-@dataclass(frozen=True)
-class PrimeSeqItem:
+class PrimeSeqItem(NamedTuple):
     p: int
     a_p: int
 

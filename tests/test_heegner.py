@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import os
 import random
@@ -177,7 +176,7 @@ def test_fricke_read_from_the_orbit_matches_direct_evaluation():
         zs = orbit_z(orbit, STEP5_PRECISION)
         lattice = period_lattice(curve)
         for k, t in enumerate(orbit.taus):
-            first = dataclasses.replace(orbit, taus=orbit.taus[k:] + orbit.taus[:k])
+            first = orbit._replace(taus=orbit.taus[k:] + orbit.taus[:k])
             got = fricke_diagnostic(first, zs[k:] + zs[:k], lattice, le)
             want = fricke_direct(curve, t.tau, le.epsilon, le.value_at_1, lattice)
             assert got["w_N"] == -le.epsilon

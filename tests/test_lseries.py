@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 
@@ -314,7 +313,7 @@ def test_split_defect_matches_per_term_oracle_and_stays_in_its_bound():
 def test_l_over_K_rejects_a_flipped_gate_sign(e11a, e37a, g427):
     for curve, d in ((e11a, -7), (e37a, -7), (g427, -19), (G12283, -23)):
         le = l_eval(curve)
-        flipped = dataclasses.replace(le, epsilon=-le.epsilon)
+        flipped = le._replace(epsilon=-le.epsilon)
         with pytest.raises(LSeriesInconclusiveError,
                            match=r"fails the split identity .* defect .* exceeds the bound"):
             l_over_K(curve, d, le=flipped)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -13,6 +12,7 @@ from heegner_witness import ec_core, heegner, lseries, pipeline, quadforms, sear
 from heegner_witness.arith import euler_phi, is_prime, is_squarefree
 from heegner_witness.cli import main
 from heegner_witness.ec_core import CurveQ
+from heegner_witness.galois_tower import ContradictionResult
 from heegner_witness.lseries import l_over_K
 from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import heegner_hypothesis
@@ -396,17 +396,36 @@ def test_step4_enumerates_a_repeated_prime_once_per_process(monkeypatch):
     assert (info.misses, info.hits, info.currsize) == (2, 8, 2)
 
 
+def _fresh_import(code: str) -> str:
+    """stdout of `code` run after `import heegner_witness.cli` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", "import heegner_witness.cli\n" + code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout
+
+
 def test_import_leaves_the_per_process_tables_empty():
     # the local orders and the torsion grid are built on first use, never at import
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
-    code = ("import heegner_witness.cli\n"
-            "from heegner_witness import heegner, quadforms\n"
-            "print(quadforms._local_unit_quotient_orders.cache_info().currsize,"
-            " heegner._torsion_fractions.cache_info().currsize)")
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.split() == ["0", "0"]
+    out = _fresh_import("from heegner_witness import heegner, quadforms\n"
+                        "print(quadforms._local_unit_quotient_orders.cache_info().currsize,"
+                        " heegner._torsion_fractions.cache_info().currsize)")
+    assert out.split() == ["0", "0"]
+
+
+def test_record_defaults_are_fresh_containers():
+    a, b = (pipeline.WitnessReport("x", {}, False, None, []) for _ in range(2))
+    for name in ("config", "prime_seq", "ring_class", "versions", "timing"):
+        assert not getattr(a, name) and getattr(a, name) is not getattr(b, name)
+    r, s = (ContradictionResult(False, "none") for _ in range(2))
+    assert r.ledger == [] and r.ledger is not s.ledger
+
+
+def test_import_path_loads_no_dataclasses():
+    # the records are NamedTuples and slotted classes: each @dataclass would add about
+    # 1 ms to every process's start-up, and importing dataclasses itself 2 ms more
+    out = _fresh_import("import sys\nprint('dataclasses' in sys.modules)")
+    assert out.split() == ["False"]
 
 
 def test_step4_fails_its_check_when_enumeration_and_formula_disagree(e37a, monkeypatch):
@@ -434,7 +453,7 @@ def test_run_witness_fails_find_K_on_a_flipped_gate_sign(curve, monkeypatch):
     real = pipeline.find_K
 
     def find_K(curve, scan_bound, threshold, precision, le):
-        flipped = dataclasses.replace(le, epsilon=-le.epsilon)
+        flipped = le._replace(epsilon=-le.epsilon)
         return real(curve, scan_bound, threshold, precision, flipped)
 
     monkeypatch.setattr(pipeline, "find_K", find_K)
@@ -461,7 +480,7 @@ def _read_every_L_over_K_as_zero(monkeypatch):
     real = searcher.l_over_K
 
     def l_over_K(*args):
-        return dataclasses.replace(real(*args), value=0.0, nonzero=False)
+        return real(*args)._replace(value=0.0, nonzero=False)
 
     monkeypatch.setattr(searcher, "l_over_K", l_over_K)
     return lambda report: report.checks[-1]["error"].startswith("no admissible")
@@ -488,7 +507,7 @@ def _flip_the_sign_fricke_reads(monkeypatch):
     real = pipeline.fricke_diagnostic
 
     def fricke_diagnostic(orbit, zs, lattice, le):
-        return real(orbit, zs, lattice, dataclasses.replace(le, epsilon=-le.epsilon))
+        return real(orbit, zs, lattice, le._replace(epsilon=-le.epsilon))
 
     monkeypatch.setattr(pipeline, "fricke_diagnostic", fricke_diagnostic)
     return lambda report: report.checks[-1]["w_N"] == -1 and \
@@ -500,7 +519,7 @@ def _drop_a_class_from_the_level_ell_orbit(monkeypatch):
 
     def heegner_orbit(curve, d_K, level=1):
         orbit = real(curve, d_K, level)
-        return orbit if level == 1 else dataclasses.replace(orbit, taus=orbit.taus[:-1])
+        return orbit if level == 1 else orbit._replace(taus=orbit.taus[:-1])
 
     monkeypatch.setattr(pipeline, "heegner_orbit", heegner_orbit)
     return lambda report: report.checks[-1]["orbit_size"] == 3 and \
@@ -528,8 +547,8 @@ def test_each_check_fails_the_run_under_its_mutation(check, mutate, e37a, monkey
 
 
 @pytest.mark.parametrize("mutate", [
-    lambda le: dataclasses.replace(le, epsilon=-le.epsilon),
-    lambda le: dataclasses.replace(le, value_at_1=le.value_at_1 * (1 + 1e-6)),
+    lambda le: le._replace(epsilon=-le.epsilon),
+    lambda le: le._replace(value_at_1=le.value_at_1 * (1 + 1e-6)),
 ], ids=["flipped_sign", "L_1_off_by_1e-6"])
 def test_fricke_fails_on_a_wrong_sign_or_L_value(mutate, e11a, monkeypatch):
     # 11a has eps = +1, so Manin's relation reads L(E,1) as well as the sign
@@ -720,6 +739,28 @@ def test_cli_ap_subcommand(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].split() == ["2", "-2"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["ap", "--curve", "11a", "--pmax", "10", "--curves", "missing.txt"], "missing.txt"),
+    (["ap", "--curve", "99z", "--pmax", "10"], "'99z'"),
+    (["scan-k", "--curve", "11a", "--curves", "missing.txt"], "missing.txt"),
+    (["scan-k", "--curve", "99z"], "'99z'"),
+    (["tower", "--q", "4", "--primes", "5"], "q = 4 must be an odd prime"),
+    (["tower", "--q", "3", "--primes", "5,x"], "--primes entry 'x' is not an integer"),
+    (["tower", "--q", "3", "--primes", "4,17"], "4 is not prime"),
+    (["tower", "--q", "3", "--primes", "5,17", "--ap", "1"],
+     "--ap [1] has length 1, not the 2 of --primes"),
+], ids=["ap-unreadable-table", "ap-unknown-label", "scan-k-unreadable-table",
+        "scan-k-unknown-label", "tower-q-not-odd-prime", "tower-entry-not-integer",
+        "tower-entry-not-prime", "tower-ap-length"])
+def test_cli_refuses_unusable_input_with_exit_2_by_name(argv, named, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and named in out.err
 
 
 def test_cli_writes_nothing_outside_the_report_directory(curve_file, tmp_path, monkeypatch):
