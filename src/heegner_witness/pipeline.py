@@ -16,12 +16,19 @@ sequence prime, so it fails the run before the prime scan.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import math
 import os
 import tempfile
 import time
+
+try:  # CPython's own SHA-256, so no process loads OpenSSL for one digest per report
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .arith import is_prime
@@ -407,7 +414,7 @@ def canonical_json(report: WitnessReport) -> str:
     # NamedTuple would be written as a list), and _canonical copies each one
     data = _canonical({name: getattr(report, name) for name in report.__slots__})
     hashed = {k: v for k, v in data.items() if k != "timing"}
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     data["canonical_hash"] = digest
@@ -415,11 +422,11 @@ def canonical_json(report: WitnessReport) -> str:
 
 
 def emit_report(report: WitnessReport, path: str):
-    """Write the canonical JSON atomically."""
+    """Write the canonical JSON atomically; a report that cannot be serialized writes nothing."""
+    text = canonical_json(report) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report.", suffix=".tmp")
     with os.fdopen(fd, "w") as fh:
-        fh.write(canonical_json(report))
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)

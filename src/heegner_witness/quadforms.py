@@ -3,18 +3,18 @@
 Binary quadratic forms (a, b, c) of discriminant D = b^2 - 4ac < 0 model ideal
 classes of the order of discriminant D; `reduced_forms` lists one reduced
 form per class, so `class_number` counts them. The Galois group of the ring
-class field H_c over the Hilbert class field is computed two ways: exactly,
-by enumerating (O_K/c)^* / (Z/c)^*, and by the product-of-C_{p+1} shape it
-must have for squarefree c with all p | c inert. The enumeration is done per
-prime-power factor p^e || c, on (O_K/p^e)^* / (Z/p^e)^*, in numpy lanes:
-each unit is keyed by its coset, and every coset's order is found at once by
-Lagrange. The local order multisets are combined by CRT (an element's order
-is the lcm of its local orders). UNIT_QUOTIENT_CEILING bounds (p^e)^2, the
-residue count of one local enumeration. A local enumeration runs once per
-(d, p, e) in a process, on first use, and its order multiset is kept as a
-read-only mapping, so towers that share K and a prime share it.
-`ring_class_levels` folds the local orders of each prime of a tower into
-every level that contains it, and compares every level with the formula.
+class field H_c over the Hilbert class field, (O_K/c)^* / (Z/c)^* for
+squarefree c with all p | c inert, is found two ways: by the product of
+C_{p+1} it must have, and, for d_K = 1 mod 4, prime by prime from the
+local quotients (O_K/p)^* / (Z/p)^*. Each local quotient is counted by its
+O(p) cosets of F_p^* and certified cyclic by a generator, so its element
+orders are phi(k) of each order k dividing the count. The local order
+multisets are combined by CRT (an element's order is the lcm of its local
+orders). A local certificate runs once per (d, p) in a process, on first
+use, and its order multiset is kept as a read-only mapping, so towers that
+share K and a prime share it. `ring_class_levels` folds the local orders of
+each prime of a tower into every level that contains it, and compares every
+level with the formula.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from typing import NamedTuple
 import numpy as _np
 
 from .arith import factorize, is_prime, is_squarefree
-
-UNIT_QUOTIENT_CEILING = 10**6
-
 
 class InvalidDiscriminantError(ValueError):
     pass
@@ -201,64 +198,62 @@ def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
 
-@functools.cache
-def _local_unit_quotient_orders(d: int, p: int, e: int) -> MappingProxyType:
-    """Element-order multiset of (O_K/p^e)^* / (Z/p^e)^* by residue enumeration,
-    as a read-only order -> count mapping, enumerated once per (d, p, e) in a
-    process: every later call returns the same mapping.
+def _cyclic_order(d: int, p: int) -> int:
+    """Order n of (O_K/p)^* / (Z/p)^*, O_K = Z[w] with w^2 = w + (d - 1)/4,
+    once a generator certifies that the group is cyclic.
 
-    Every residue x + y w of O_K/m, m = p^e, is enumerated, and the units
-    (norm prime to p) are keyed by their coset: x y^-1 when y is a unit,
-    else m + y x^-1, as x is then a unit. The keys marked in a boolean array
-    of length 2m are the cosets; key r < m stands for r + w and key m + s for
-    1 + s w. The coset count n is the group order. An element lies in the
-    identity coset when its w-coordinate is zero, and its order is found for
-    every coset at once by Lagrange: for each l^a || n, the order of the
-    (n / l^a)-th power is the l-part of the order.
+    A unit x + y w with y != 0 is y (r + w), r = x/y, so the cosets of F_p^*
+    are F_p^* itself and r + w for each r in F_p with N(r + w) = r^2 + r +
+    (1 - d)/4 != 0 mod p: counting those r gives n. A generator is an
+    r + w whose n-th power lies in F_p^* and whose (n/l)-th does not, for
+    every prime l | n; x + y w lies in F_p^* iff y = 0. By Lagrange a power
+    (r + w)^n outside F_p^* disproves the count, so it raises at once.
     """
-    m = p**e
-    w2 = ((d - 1) // 4) % m  # w^2 = w2 + w
-    nf = ((1 - d) // 4) % m  # norm of x + y w is x^2 + x y + nf y^2
+    w2, nf = (d - 1) // 4 % p, (1 - d) // 4 % p
+    r = _np.arange(p, dtype=_np.int64)
+    norms = (r * r + r + nf) % p  # N(r + w)
+    n = 1 + _np.count_nonzero(norms)
+    if n == 1:
+        return 1
+    ells = [ell for ell, _ in factorize(n)]
 
-    def mul(u, v):
-        (x1, y1), (x2, y2) = u, v
-        yy = y1 * y2 % m
-        return (x1 * x2 + yy * w2) % m, (x1 * y2 + x2 * y1 + yy) % m
-
-    def power(u, k: int):
-        out = (_np.ones_like(u[0]), _np.zeros_like(u[1]))
+    def w_part(x: int, k: int) -> int:
+        # the w-coordinate of (x + w)^k
+        a, b, y = 1, 0, 1
         while k:
             if k & 1:
-                out = mul(out, u)
+                a, b = (a * x + w2 * b * y) % p, (a * y + b * x + b * y) % p
             k >>= 1
-            if k:
-                u = mul(u, u)
-        return out
+            x, y = (x * x + w2 * y * y) % p, (2 * x * y + y * y) % p
+        return b
 
-    X, Y = _np.divmod(_np.arange(m * m, dtype=_np.int64), m)
-    unit = (X * X + X * Y + nf * (Y * Y)) % p != 0
-    x, y = X[unit], Y[unit]
-    phi = m - m // p
-    inv = power((_np.arange(m, dtype=_np.int64), _np.zeros(m, dtype=_np.int64)), phi - 1)[0]
-    keys = _np.where(y % p != 0, x * inv[y] % m, m + y * inv[x] % m)
-    marked = _np.zeros(2 * m, dtype=bool)
-    marked[keys] = True
-    cosets = _np.flatnonzero(marked)
-    n = cosets.size
-    if n * phi != x.size:
-        raise ArithmeticError(f"{x.size} units do not split into {n} cosets of {phi} (m = {m})")
-    lo = cosets < m
-    reps = (_np.where(lo, cosets, 1), _np.where(lo, 1, cosets - m))
-    orders = _np.ones(n, dtype=_np.int64)
-    for ell, a in factorize(n):
-        u = power(reps, n // ell**a)
-        for _ in range(a):
-            moved = u[1] != 0
-            orders[moved] *= ell
-            u = power(u, ell)
-        if u[1].any():
-            raise ArithmeticError(f"a coset order does not divide the coset count {n}")
-    return MappingProxyType(Counter(orders.tolist()))
+    for r in map(int, _np.flatnonzero(norms)):
+        if w_part(r, n):
+            break
+        if all(w_part(r, n // ell) for ell in ells):
+            return n
+    raise ArithmeticError(
+        f"no generator certifies (O_K/p)^*/(Z/p)^* as cyclic of order {n} for d_K={d}, p={p}"
+    )
+
+
+@functools.cache
+def _local_unit_quotient_orders(d: int, p: int) -> MappingProxyType:
+    """Element-order multiset of (O_K/p)^* / (Z/p)^*, d = 1 mod 4, as a
+    read-only order -> count mapping, certified once per (d, p) in a process:
+    every later call returns the same mapping.
+
+    The group is cyclic of order n = `_cyclic_order(d, p)`, so it has phi(k)
+    elements of order k for each k | n.
+    """
+    orders = {1: 1}
+    for ell, a in factorize(_cyclic_order(d, p)):
+        orders = {
+            k * ell**j: c * (ell**j - ell ** (j - 1) if j else 1)
+            for k, c in orders.items()
+            for j in range(a + 1)
+        }
+    return MappingProxyType(orders)
 
 
 def _fold_orders(orders: Counter, local: Mapping[int, int]) -> Counter:
@@ -289,10 +284,10 @@ def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
     for squarefree c with every p_i inert in K.
 
     The group is C_{p_1+1} x ... x C_{p_n+1}; invariants are returned in
-    elementary divisor form. Each level is cross-checked against residue
-    enumeration while d_K = 1 mod 4 and every p_i so far has p_i^2 within
-    the enumeration ceiling. Each p_i is enumerated once, and its local
-    order multiset is folded into the previous level's.
+    elementary divisor form. When d_K = 1 mod 4 every level is cross-checked:
+    each p_i's local quotient is counted coset by coset and certified cyclic
+    by a generator, once, and its order multiset is folded into the previous
+    level's.
     """
     if not is_fundamental(d_K):
         raise InvalidDiscriminantError(f"{d_K} is not fundamental")
@@ -308,12 +303,7 @@ def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
     levels = []
     for n in range(len(ps) + 1):
         if n and orders is not None:
-            p = ps[n - 1]
-            orders = (
-                _fold_orders(orders, _local_unit_quotient_orders(d_K, p, 1))
-                if p * p <= UNIT_QUOTIENT_CEILING
-                else None
-            )
+            orders = _fold_orders(orders, _local_unit_quotient_orders(d_K, ps[n - 1]))
         factors = tuple(p + 1 for p in ps[:n])
         inv = tuple(canonical_invariants(factors))
         c = math.prod(ps[:n])

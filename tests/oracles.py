@@ -15,10 +15,12 @@ What the oracles still share with the package paths they judge:
   references, and `elliptic_exp`, `_wp` and `_halve_and_double`
   `elliptic_log`.
 - `quadforms.kronecker`, `reduce_form`, `class_number` and
-  `abelian_invariants`, and `unit_quotient_structure` in the last section
-  reuses `quadforms._local_unit_quotient_orders`, which `ring_class_levels`
-  also runs, so `unit_quotient_whole_ring` remains the independent oracle
-  for both.
+  `abelian_invariants`; `unit_quotient_structure` in the last section
+  folds its local grids with `quadforms._fold_orders`. Its grids,
+  `local_unit_quotient_grid`, enumerate every residue and share nothing
+  with the coset count and generator that certify `ring_class_levels`'s
+  local quotients, and `unit_quotient_whole_ring` checks the grids with
+  no CRT split.
 
 Bad-prime a_p comes from `reduction_type_search`, a search for the singular
 point mod p, and not from the package's closed form.
@@ -27,6 +29,7 @@ point mod p, and not from the package's closed form.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections import Counter
@@ -65,12 +68,10 @@ from heegner_witness.heegner import (
 )
 from heegner_witness.lseries import _tail_terms
 from heegner_witness.quadforms import (
-    UNIT_QUOTIENT_CEILING,
     InvalidDiscriminantError,
     _check_disc,
     _fold_orders,
     _invariants_of,
-    _local_unit_quotient_orders,
     abelian_invariants,
     class_number,
     is_fundamental,
@@ -751,6 +752,7 @@ def trace_relation_scalar(base, up, precision: float = 1e-9) -> float:
 
 CARTAN_MODULUS_BOUND = 200
 ENUMERATION_CEILING = 10**6
+UNIT_QUOTIENT_CEILING = 10**6  # bounds (p^e)^2, the residues of one local grid
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -1130,13 +1132,72 @@ def class_group(D: int) -> ClassGroup:
     return ClassGroup(D, forms, table, inv)
 
 
+@functools.cache
+def local_unit_quotient_grid(d: int, p: int, e: int) -> Counter:
+    """Element-order multiset of (O_K/p^e)^* / (Z/p^e)^*, d = 1 mod 4, by
+    enumerating all (p^e)^2 residues of O_K/p^e at once in numpy.
+
+    The units x + y w (norm prime to p) are keyed by their coset: x y^-1
+    when y is a unit, else m + y x^-1, as x is then a unit. The keys marked
+    in a boolean array of length 2m are the cosets; key r < m stands for
+    r + w and key m + s for 1 + s w. The coset count n is the group order.
+    An element lies in the identity coset when its w-coordinate is zero,
+    and its order is found for every coset at once by Lagrange: for each
+    l^a || n, the order of the (n / l^a)-th power is the l-part of the
+    order. Cached, so the tests that fold the same local grid share it.
+    """
+    m = p**e
+    w2 = ((d - 1) // 4) % m  # w^2 = w2 + w
+    nf = ((1 - d) // 4) % m  # norm of x + y w is x^2 + x y + nf y^2
+
+    def mul(u, v):
+        (x1, y1), (x2, y2) = u, v
+        yy = y1 * y2 % m
+        return (x1 * x2 + yy * w2) % m, (x1 * y2 + x2 * y1 + yy) % m
+
+    def power(u, k: int):
+        out = (np.ones_like(u[0]), np.zeros_like(u[1]))
+        while k:
+            if k & 1:
+                out = mul(out, u)
+            k >>= 1
+            if k:
+                u = mul(u, u)
+        return out
+
+    X, Y = np.divmod(np.arange(m * m, dtype=np.int64), m)
+    unit = (X * X + X * Y + nf * (Y * Y)) % p != 0
+    x, y = X[unit], Y[unit]
+    phi = m - m // p
+    inv = power((np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64)), phi - 1)[0]
+    keys = np.where(y % p != 0, x * inv[y] % m, m + y * inv[x] % m)
+    marked = np.zeros(2 * m, dtype=bool)
+    marked[keys] = True
+    cosets = np.flatnonzero(marked)
+    n = cosets.size
+    if n * phi != x.size:
+        raise ArithmeticError(f"{x.size} units do not split into {n} cosets of {phi} (m = {m})")
+    lo = cosets < m
+    reps = (np.where(lo, cosets, 1), np.where(lo, 1, cosets - m))
+    orders = np.ones(n, dtype=np.int64)
+    for ell, a in factorize(n):
+        u = power(reps, n // ell**a)
+        for _ in range(a):
+            moved = u[1] != 0
+            orders[moved] *= ell
+            u = power(u, ell)
+        if u[1].any():
+            raise ArithmeticError(f"a coset order does not divide the coset count {n}")
+    return Counter(orders.tolist())
+
+
 def unit_quotient_structure(d_K: int, c: int) -> list[int]:
     """Abelian invariants of (O_K/c)^* / (Z/c)^* by residue enumeration.
 
     By CRT the quotient is the direct product of the local quotients
     (O_K/p^e)^* / (Z/p^e)^* over the prime powers p^e || c. Each local
-    quotient is enumerated residue by residue; an element of the product has
-    order lcm of its local orders. The p + 1 formula is never used, so this
+    quotient is enumerated residue by residue (`local_unit_quotient_grid`);
+    an element of the product has order lcm of its local orders. The p + 1 formula is never used, so this
     checks the invariants `ring_class_levels` gives by that formula.
 
     Requires d_K = 1 mod 4 (so O_K = Z[w], w = (1+sqrt(d_K))/2), gcd(c, d_K) = 1,
@@ -1157,5 +1218,5 @@ def unit_quotient_structure(d_K: int, c: int) -> list[int]:
             )
     orders = Counter({1: 1})
     for p, e in local:
-        orders = _fold_orders(orders, _local_unit_quotient_orders(d_K, p, e))
+        orders = _fold_orders(orders, local_unit_quotient_grid(d_K, p, e))
     return _invariants_of(orders)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -349,51 +350,68 @@ def test_aux_search_takes_the_smallest_inert_prime(g427):
 
 
 def test_step4_enumerates_each_level_prime_once(monkeypatch):
-    # 57a's level 2 has c = 89 * 109, c^2 > 10^6, but each p^2 is within the
-    # ceiling, so both primes are enumerated, once each, for both levels
+    # 57a's level 2 has c = 89 * 109: each prime is certified once, for both levels
     seen = []
     real = quadforms._local_unit_quotient_orders
 
-    def local(d, p, e):
-        seen.append((d, p, e))
-        return real(d, p, e)
+    def local(d, p):
+        seen.append((d, p))
+        return real(d, p)
 
     monkeypatch.setattr(quadforms, "_local_unit_quotient_orders", local)
     report = run_witness(CurveQ(0, -1, 1, -2, 2, 57, "57a"))
     assert [r["primes"] for r in report.ring_class] == [[89], [89, 109]]
-    assert seen == [(-59, 89, 1), (-59, 109, 1)]
-
-
-class _CountingNumpy:
-    """numpy for `quadforms`, counting the residue grids that
-    `_local_unit_quotient_orders` builds, one per enumeration."""
-
-    def __init__(self):
-        self.grids = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def divmod(self, *args):
-        self.grids += 1
-        return np.divmod(*args)
+    assert seen == [(-59, 89), (-59, 109)]
 
 
 def test_step4_enumerates_a_repeated_prime_once_per_process(monkeypatch):
-    # 17a and 19a share d_K = -15 and the tower primes 13 and 41: two enumerations
+    # 17a and 19a share d_K = -15 and the tower primes 13 and 41: two certificates
     # serve both runs and every repeated ring_class_levels call
-    counting = _CountingNumpy()
-    monkeypatch.setattr(quadforms, "_np", counting)
+    certified = []
+    real = quadforms._cyclic_order
+
+    def cyclic_order(d, p):
+        certified.append((d, p))
+        return real(d, p)
+
+    monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
     quadforms._local_unit_quotient_orders.cache_clear()
     reports = [run_witness(CurveQ(1, -1, 1, -1, -14, 17, "17a")),
                run_witness(CurveQ(0, 1, 1, -9, -15, 19, "19a"))]
     assert [(r.d_K, r.ring_class[-1]["primes"]) for r in reports] == [(-15, [13, 41])] * 2
-    assert counting.grids == 2
+    assert certified == [(-15, 13), (-15, 41)]
     for _ in range(3):
         quadforms.ring_class_levels(-15, [13, 41])
-    assert counting.grids == 2
+    assert certified == [(-15, 13), (-15, 41)]
     info = quadforms._local_unit_quotient_orders.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 8, 2)
+
+
+class _MiscountingNumpy:
+    """numpy for `quadforms` whose coset count is off by `delta`."""
+
+    def __init__(self, delta):
+        self.delta = delta
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def count_nonzero(self, *args):
+        return np.count_nonzero(*args) + self.delta
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_step4_fails_a_coset_count_one_off_at_32a2s_tower_primes(delta, monkeypatch):
+    # 32a2's tower primes 56629 and 66337 are certified like any other: with one
+    # coset too many or too few no generator exists, and the error names d_K, p and n
+    monkeypatch.setattr(quadforms, "_np", _MiscountingNumpy(delta))
+    monkeypatch.setattr(quadforms, "_local_unit_quotient_orders",
+                        quadforms._local_unit_quotient_orders.__wrapped__)
+    report = run_witness(CurveQ(0, 0, 0, -1, 0, 32, "32a2"))
+    assert (report.d_K, report.failed_at) == (-7, "ring_class_structure")
+    assert report.checks[-1]["error"] == (
+        "no generator certifies (O_K/p)^*/(Z/p)^* as cyclic of order "
+        f"{56630 + delta} for d_K=-7, p=56629")
 
 
 def _fresh_import(code: str) -> str:
@@ -428,9 +446,18 @@ def test_import_path_loads_no_dataclasses():
     assert out.split() == ["False"]
 
 
+def test_import_path_loads_no_openssl():
+    # the report digest is CPython's builtin SHA-256: _hashlib would map libcrypto
+    # into every process for one digest per report
+    if all(importlib.util.find_spec(m) is None for m in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no builtin SHA-256 module")
+    out = _fresh_import("import sys\nprint('_hashlib' in sys.modules)")
+    assert out.split() == ["False"]
+
+
 def test_step4_fails_its_check_when_enumeration_and_formula_disagree(e37a, monkeypatch):
     # the orders of C_2 for every prime: the enumeration's invariants are not C_{p+1}'s
-    def local(d, p, e):
+    def local(d, p):
         return Counter({1: 1, 2: 1})
 
     monkeypatch.setattr(quadforms, "_local_unit_quotient_orders", local)
@@ -667,6 +694,14 @@ def test_emit_report_deterministic(e389a, tmp_path):
     assert d1["canonical_hash"] == d2["canonical_hash"]
     d1.pop("timing"), d2.pop("timing")
     assert d1 == d2
+
+
+def test_emit_report_leaves_nothing_when_the_report_cannot_be_serialized(e37a, tmp_path):
+    report = run_witness(e37a)
+    report.timing["total_s"] = float("nan")
+    with pytest.raises(ValueError, match="non-finite float in report"):
+        emit_report(report, str(tmp_path / "37a.json"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_canonical_json_float_formatting(e389a):

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from heegner_witness.arith import is_squarefree, primes_upto
+from heegner_witness import quadforms
 from heegner_witness.quadforms import (
-    UNIT_QUOTIENT_CEILING,
     _local_unit_quotient_orders,
     InvalidDiscriminantError,
     abelian_invariants,
@@ -18,9 +18,11 @@ from heegner_witness.quadforms import (
     ring_class_levels,
 )
 from oracles import (
+    UNIT_QUOTIENT_CEILING,
     class_group,
     compose,
     form_inverse,
+    local_unit_quotient_grid,
     principal_form,
     splitting_type,
     unit_quotient_structure,
@@ -249,11 +251,40 @@ def test_class_number_formula_orders():
 
 
 def test_local_orders_are_one_read_only_mapping_equal_to_a_fresh_enumeration():
-    for d, p, e in [(-7, 3, 1), (-7, 3, 2), (-15, 13, 1), (-59, 89, 1), (-19, 2, 3), (-11, 7, 2)]:
-        got = _local_unit_quotient_orders(d, p, e)
-        assert _local_unit_quotient_orders(d, p, e) is got
-        assert got == _local_unit_quotient_orders.__wrapped__(d, p, e)  # a fresh enumeration
+    for d, p in [(-7, 3), (-7, 2), (-15, 13), (-59, 89), (-19, 2), (-11, 7)]:
+        got = _local_unit_quotient_orders(d, p)
+        assert _local_unit_quotient_orders(d, p) is got
+        assert got == _local_unit_quotient_orders.__wrapped__(d, p)  # a fresh certificate
         with pytest.raises(TypeError):
             got[1] = 2
         with pytest.raises(TypeError):
             del got[1]
+
+
+def test_local_certificate_matches_the_residue_grid():
+    # every prime p < 700 not dividing d, split and inert alike: the coset count
+    # and the generator give the order multiset that enumerating all p^2 residues gives
+    cases = [(d, p) for d in FUNDAMENTALS for p in primes_upto(700) if d % p]
+    cases += PINNED_LEVEL_PRIMES
+    for d, p in cases:
+        got = _local_unit_quotient_orders.__wrapped__(d, p)
+        assert dict(got) == dict(local_unit_quotient_grid(d, p, 1)), (d, p)
+
+
+def test_a_tower_prime_past_the_grid_ceiling_is_cross_checked(monkeypatch):
+    # 32a2's level: d_K = -7 and both primes have p^2 > 10^6, far past any grid
+    ps = [56629, 66337]
+    assert all(p * p > UNIT_QUOTIENT_CEILING for p in ps)
+    certified = []
+    real = quadforms._cyclic_order
+
+    def cyclic_order(d, p):
+        certified.append((d, p))
+        return real(d, p)
+
+    monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
+    monkeypatch.setattr(quadforms, "_local_unit_quotient_orders",
+                        _local_unit_quotient_orders.__wrapped__)
+    levels = ring_class_levels(-7, ps)
+    assert certified == [(-7, 56629), (-7, 66337)]
+    assert [t.invariants for t in levels] == [(), (56630,), (1618, 2321830)]
