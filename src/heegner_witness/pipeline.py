@@ -125,7 +125,8 @@ class CurveFileError(ValueError):
 
 
 def parse_curve_file(path: str) -> list[CurveQ]:
-    """One curve per line: 'label a1 a2 a3 a4 a6 N'; '#' starts a comment."""
+    """One curve per line: 'label a1 a2 a3 a4 a6 N'; '#' starts a comment. A
+    label names its report file, so it holds no '/', '\\' or NUL and is not '.' or '..'."""
     curves: list[CurveQ] = []
     seen = set()
     with open(path) as fh:
@@ -139,6 +140,8 @@ def parse_curve_file(path: str) -> list[CurveQ]:
                     f"{path}:{lineno}: expected 'label a1 a2 a3 a4 a6 N', got {len(parts)} fields"
                 )
             label = parts[0]
+            if label in (".", "..") or any(ch in label for ch in "/\\\0"):
+                raise CurveFileError(f"{path}:{lineno}: label {label!r} is not a file name")
             if label in seen:
                 raise CurveFileError(f"{path}:{lineno}: duplicate label {label!r}")
             seen.add(label)
@@ -422,11 +425,19 @@ def canonical_json(report: WitnessReport) -> str:
 
 
 def emit_report(report: WitnessReport, path: str):
-    """Write the canonical JSON atomically; a report that cannot be serialized writes nothing."""
+    """Write the canonical JSON atomically, with the mode open(path, "w") would
+    give; a report that cannot be serialized or written leaves nothing behind."""
     text = canonical_json(report) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report.", suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the rename
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -4,26 +4,20 @@ Binary quadratic forms (a, b, c) of discriminant D = b^2 - 4ac < 0 model ideal
 classes of the order of discriminant D; `reduced_forms` lists one reduced
 form per class, so `class_number` counts them. The Galois group of the ring
 class field H_c over the Hilbert class field, (O_K/c)^* / (Z/c)^* for
-squarefree c with all p | c inert, is found two ways: by the product of
-C_{p+1} it must have, and, for d_K = 1 mod 4, prime by prime from the
-local quotients (O_K/p)^* / (Z/p)^*. Each local quotient is counted by its
-O(p) cosets of F_p^* and certified cyclic by a generator, so its element
-orders are phi(k) of each order k dividing the count. The local order
-multisets are combined by CRT (an element's order is the lcm of its local
-orders). A local certificate runs once per (d, p) in a process, on first
-use, and its order multiset is kept as a read-only mapping, so towers that
-share K and a prime share it. `ring_class_levels` folds the local orders of
-each prime of a tower into every level that contains it, and compares every
-level with the formula.
+squarefree c with all p | c inert and d_K = 1 mod 4, is found two ways: by
+the product of C_{p+1} it must have, and prime by prime from the local
+quotients (O_K/p)^* / (Z/p)^*. Each local quotient is counted by its O(p)
+cosets of F_p^* and certified cyclic of that order n_p by a generator, once
+per (d, p) in a process, on first use, so towers that share K and a prime
+share it. By CRT the level's group is the product of the C_{n_p};
+`ring_class_levels` takes its elementary divisors by gcd/lcm exchange and
+compares them with the formula's at every level.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
-from collections.abc import Mapping
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as _np
@@ -143,64 +137,27 @@ def canonical_invariants(orders) -> list[int]:
     return divisors
 
 
-def pow_divides(o: int, p: int, j: int) -> bool:
-    # does x of order o satisfy x^(p^j) = 1, i.e. o | p^j
-    while o % p == 0:
-        o //= p
-        j -= 1
-        if j < 0:
-            return False
-    return o == 1
-
-
-def _exact_plog(n: int, p: int) -> int:
-    e = 0
-    while n > 1:
-        if n % p != 0:
-            raise ArithmeticError(f"count {n} is not a power of {p}")
-        n //= p
-        e += 1
-    return e
-
-
-def abelian_invariants(n: int, element_orders) -> list[int]:
-    """Elementary divisors of an abelian group of order n given all element orders."""
-    cnt = Counter(element_orders)
-    if sum(cnt.values()) != n:
-        raise ValueError("element order multiset does not match group order")
-    partitions: dict[int, list[int]] = {}
-    for p, e_max in factorize(n):
-        s = [0]
-        for j in range(1, e_max + 1):
-            cj = sum(c for o, c in cnt.items() if pow_divides(o, p, j))
-            s.append(_exact_plog(cj, p))
-        # number of cyclic p-factors of exponent >= j is s[j] - s[j-1]
-        ranks = [s[j] - s[j - 1] for j in range(1, e_max + 1)]
-        part = []
-        for j, r in enumerate(ranks, start=1):
-            nxt = ranks[j] if j < len(ranks) else 0
-            for _ in range(r - nxt):
-                part.append(p ** j)
-        partitions[p] = sorted(part, reverse=True)
-    width = max((len(v) for v in partitions.values()), default=0)
-    out = []
-    for i in range(width):
-        d = 1
-        for p, part in partitions.items():
-            if i < len(part):
-                d *= part[i]
-        out.append(d)
-    out.sort()
-    return out
-
-
 def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
 
+def _elementary_divisors(orders) -> list[int]:
+    """Elementary divisors, each dividing the next, of prod C_n over orders: the
+    Smith form of diag(orders). Each n is carried along the chain, trading
+    places with every m for gcd(m, n) and lcm(m, n), as C_m x C_n = C_gcd x C_lcm."""
+    chain: list[int] = []
+    for n in orders:
+        for i, m in enumerate(chain):
+            chain[i], n = math.gcd(m, n), math.lcm(m, n)
+        chain.append(n)
+    return [m for m in chain if m > 1]
+
+
+@functools.cache
 def _cyclic_order(d: int, p: int) -> int:
     """Order n of (O_K/p)^* / (Z/p)^*, O_K = Z[w] with w^2 = w + (d - 1)/4,
-    once a generator certifies that the group is cyclic.
+    once a generator certifies that the group is cyclic; certified once per
+    (d, p) in a process, so towers that share K and a prime share it.
 
     A unit x + y w with y != 0 is y (r + w), r = x/y, so the cosets of F_p^*
     are F_p^* itself and r + w for each r in F_p with N(r + w) = r^2 + r +
@@ -212,7 +169,7 @@ def _cyclic_order(d: int, p: int) -> int:
     w2, nf = (d - 1) // 4 % p, (1 - d) // 4 % p
     r = _np.arange(p, dtype=_np.int64)
     norms = (r * r + r + nf) % p  # N(r + w)
-    n = 1 + _np.count_nonzero(norms)
+    n = 1 + int(_np.count_nonzero(norms))
     if n == 1:
         return 1
     ells = [ell for ell, _ in factorize(n)]
@@ -237,39 +194,6 @@ def _cyclic_order(d: int, p: int) -> int:
     )
 
 
-@functools.cache
-def _local_unit_quotient_orders(d: int, p: int) -> MappingProxyType:
-    """Element-order multiset of (O_K/p)^* / (Z/p)^*, d = 1 mod 4, as a
-    read-only order -> count mapping, certified once per (d, p) in a process:
-    every later call returns the same mapping.
-
-    The group is cyclic of order n = `_cyclic_order(d, p)`, so it has phi(k)
-    elements of order k for each k | n.
-    """
-    orders = {1: 1}
-    for ell, a in factorize(_cyclic_order(d, p)):
-        orders = {
-            k * ell**j: c * (ell**j - ell ** (j - 1) if j else 1)
-            for k, c in orders.items()
-            for j in range(a + 1)
-        }
-    return MappingProxyType(orders)
-
-
-def _fold_orders(orders: Counter, local: Mapping[int, int]) -> Counter:
-    """Order multiset of a direct product: an element's order is the lcm of its parts'."""
-    combined: Counter = Counter()
-    for o1, n1 in orders.items():
-        for o2, n2 in local.items():
-            combined[math.lcm(o1, o2)] += n1 * n2
-    return combined
-
-
-def _invariants_of(orders: Counter) -> list[int]:
-    n = sum(orders.values())
-    return abelian_invariants(n, orders) if n > 1 else []
-
-
 class RingClassStructure(NamedTuple):
     d_K: int
     conductor: int
@@ -281,16 +205,18 @@ class RingClassStructure(NamedTuple):
 
 def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
     """Gal(H_c/H) at every level c = p_1 ... p_n, n = 0, ..., len(primes),
-    for squarefree c with every p_i inert in K.
+    for squarefree c with every p_i inert in K and d_K = 1 mod 4.
 
     The group is C_{p_1+1} x ... x C_{p_n+1}; invariants are returned in
-    elementary divisor form. When d_K = 1 mod 4 every level is cross-checked:
-    each p_i's local quotient is counted coset by coset and certified cyclic
-    by a generator, once, and its order multiset is folded into the previous
-    level's.
+    elementary divisor form. Every level is cross-checked: each p_i's local
+    quotient is certified cyclic of order n_i once (`_cyclic_order`), and
+    the elementary divisors of C_{n_1} x ... x C_{n_k} must equal the
+    formula's.
     """
     if not is_fundamental(d_K):
         raise InvalidDiscriminantError(f"{d_K} is not fundamental")
+    if d_K % 4 != 1:
+        raise InvalidDiscriminantError(f"{d_K} is not 1 mod 4, so O_K is not Z[(1 + sqrt(d_K))/2]")
     ps = list(primes)
     if len(set(ps)) != len(ps):
         raise ValueError("tower primes must be distinct")
@@ -299,21 +225,19 @@ def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
             raise ValueError(f"{p} is not prime")
         if kronecker(d_K, p) != -1:
             raise ValueError(f"{p} is not inert in Q(sqrt({d_K}))")
-    orders = Counter({1: 1}) if d_K % 4 == 1 else None
+    orders: list[int] = []
     levels = []
     for n in range(len(ps) + 1):
-        if n and orders is not None:
-            orders = _fold_orders(orders, _local_unit_quotient_orders(d_K, ps[n - 1]))
+        if n:
+            orders.append(_cyclic_order(d_K, ps[n - 1]))
         factors = tuple(p + 1 for p in ps[:n])
         inv = tuple(canonical_invariants(factors))
         c = math.prod(ps[:n])
-        if orders is not None:
-            enum = tuple(_invariants_of(orders))
-            if enum != inv:
-                raise ArithmeticError(
-                    f"ring class structure mismatch for d_K={d_K}, c={c}: "
-                    f"enumeration {enum} vs formula {inv}"
-                )
+        enum = tuple(_elementary_divisors(orders))
+        if enum != inv:
+            raise ArithmeticError(
+                f"ring class structure mismatch for d_K={d_K}, c={c}: "
+                f"enumeration {enum} vs formula {inv}"
+            )
         levels.append(RingClassStructure(d_K, c, tuple(ps[:n]), factors, inv, math.prod(factors)))
     return levels
-

@@ -14,13 +14,14 @@ What the oracles still share with the package paths they judge:
 - `modular_param` and `period_lattice` feed the Fricke and trace-relation
   references, and `elliptic_exp`, `_wp` and `_halve_and_double`
   `elliptic_log`.
-- `quadforms.kronecker`, `reduce_form`, `class_number` and
-  `abelian_invariants`; `unit_quotient_structure` in the last section
-  folds its local grids with `quadforms._fold_orders`. Its grids,
-  `local_unit_quotient_grid`, enumerate every residue and share nothing
-  with the coset count and generator that certify `ring_class_levels`'s
-  local quotients, and `unit_quotient_whole_ring` checks the grids with
-  no CRT split.
+- `quadforms.kronecker`, `reduce_form` and `class_number`. The
+  element-order multisets live here: `class_group` and the unit quotient
+  oracles take their invariants with `abelian_invariants`, and
+  `unit_quotient_structure` in the last section folds its local grids
+  with `_fold_orders`. Its grids, `local_unit_quotient_grid`, enumerate
+  every residue and share nothing with the coset count, the generator and
+  the gcd/lcm exchange that check `ring_class_levels`, and
+  `unit_quotient_whole_ring` checks the grids with no CRT split.
 
 Bad-prime a_p comes from `reduction_type_search`, a search for the singular
 point mod p, and not from the package's closed form.
@@ -70,9 +71,6 @@ from heegner_witness.lseries import _tail_terms
 from heegner_witness.quadforms import (
     InvalidDiscriminantError,
     _check_disc,
-    _fold_orders,
-    _invariants_of,
-    abelian_invariants,
     class_number,
     is_fundamental,
     kronecker,
@@ -1096,6 +1094,71 @@ def compose(f, g, D: int) -> tuple[int, int, int]:
 def form_inverse(f, D: int) -> tuple[int, int, int]:
     a, b, c = f
     return reduce_form(a, -b, c)
+
+
+def _pow_divides(o: int, p: int, j: int) -> bool:
+    # does x of order o satisfy x^(p^j) = 1, i.e. o | p^j
+    while o % p == 0:
+        o //= p
+        j -= 1
+        if j < 0:
+            return False
+    return o == 1
+
+
+def _exact_plog(n: int, p: int) -> int:
+    e = 0
+    while n > 1:
+        if n % p != 0:
+            raise ArithmeticError(f"count {n} is not a power of {p}")
+        n //= p
+        e += 1
+    return e
+
+
+def abelian_invariants(n: int, element_orders) -> list[int]:
+    """Elementary divisors of an abelian group of order n given all element orders."""
+    cnt = Counter(element_orders)
+    if sum(cnt.values()) != n:
+        raise ValueError("element order multiset does not match group order")
+    partitions: dict[int, list[int]] = {}
+    for p, e_max in factorize(n):
+        s = [0]
+        for j in range(1, e_max + 1):
+            cj = sum(c for o, c in cnt.items() if _pow_divides(o, p, j))
+            s.append(_exact_plog(cj, p))
+        # number of cyclic p-factors of exponent >= j is s[j] - s[j-1]
+        ranks = [s[j] - s[j - 1] for j in range(1, e_max + 1)]
+        part = []
+        for j, r in enumerate(ranks, start=1):
+            nxt = ranks[j] if j < len(ranks) else 0
+            for _ in range(r - nxt):
+                part.append(p ** j)
+        partitions[p] = sorted(part, reverse=True)
+    width = max((len(v) for v in partitions.values()), default=0)
+    out = []
+    for i in range(width):
+        d = 1
+        for p, part in partitions.items():
+            if i < len(part):
+                d *= part[i]
+        out.append(d)
+    out.sort()
+    return out
+
+
+def _fold_orders(orders: Counter, local: Counter) -> Counter:
+    """Order multiset of a direct product: an element's order is the lcm of its parts'."""
+    combined: Counter = Counter()
+    for o1, n1 in orders.items():
+        for o2, n2 in local.items():
+            combined[math.lcm(o1, o2)] += n1 * n2
+    return combined
+
+
+def _invariants_of(orders: Counter) -> list[int]:
+    n = sum(orders.values())
+    return abelian_invariants(n, orders) if n > 1 else []
 
 
 @dataclass

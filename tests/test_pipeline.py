@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import math
@@ -45,6 +46,15 @@ def test_parse_curve_file(curve_file):
     assert [c.label for c in curves] == ["11a", "37a", "389a"]
     assert curves[1].ainvs == (0, 0, 1, -1, 0)
     assert curves[1].N == 37
+
+
+@pytest.mark.parametrize("label", ["../escaped", "a/b", "/abs", "a\\b", "a\0b", ".", ".."])
+def test_parse_rejects_a_label_that_is_not_a_file_name(label, tmp_path):
+    # a label names its report file in --out: it may not reach outside it
+    p = tmp_path / "labels.txt"
+    p.write_text(f"11a 0 -1 1 -10 -20 11\n{label} 0 -1 1 -10 -20 11\n")
+    with pytest.raises(CurveFileError, match="labels.txt:2: label .* is not a file name"):
+        parse_curve_file(str(p))
 
 
 def test_parse_rejects_bad_lines(tmp_path):
@@ -126,6 +136,7 @@ def test_cli_reports_a_failed_report_write_by_name(curve_file, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.err.startswith("cannot write reports: ")
     assert "[37a] => PASS" in captured.out and "report written" not in captured.out
+    assert os.listdir(out) == ["37a.json"]  # no temporary file is left beside it
 
 
 def test_cli_reports_unreadable_config(curve_file, tmp_path, capsys):
@@ -352,13 +363,13 @@ def test_aux_search_takes_the_smallest_inert_prime(g427):
 def test_step4_enumerates_each_level_prime_once(monkeypatch):
     # 57a's level 2 has c = 89 * 109: each prime is certified once, for both levels
     seen = []
-    real = quadforms._local_unit_quotient_orders
+    real = quadforms._cyclic_order
 
-    def local(d, p):
+    def cyclic_order(d, p):
         seen.append((d, p))
         return real(d, p)
 
-    monkeypatch.setattr(quadforms, "_local_unit_quotient_orders", local)
+    monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
     report = run_witness(CurveQ(0, -1, 1, -2, 2, 57, "57a"))
     assert [r["primes"] for r in report.ring_class] == [[89], [89, 109]]
     assert seen == [(-59, 89), (-59, 109)]
@@ -368,14 +379,14 @@ def test_step4_enumerates_a_repeated_prime_once_per_process(monkeypatch):
     # 17a and 19a share d_K = -15 and the tower primes 13 and 41: two certificates
     # serve both runs and every repeated ring_class_levels call
     certified = []
-    real = quadforms._cyclic_order
+    real = quadforms._cyclic_order.__wrapped__
 
+    @functools.cache
     def cyclic_order(d, p):
         certified.append((d, p))
         return real(d, p)
 
     monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
-    quadforms._local_unit_quotient_orders.cache_clear()
     reports = [run_witness(CurveQ(1, -1, 1, -1, -14, 17, "17a")),
                run_witness(CurveQ(0, 1, 1, -9, -15, 19, "19a"))]
     assert [(r.d_K, r.ring_class[-1]["primes"]) for r in reports] == [(-15, [13, 41])] * 2
@@ -383,7 +394,7 @@ def test_step4_enumerates_a_repeated_prime_once_per_process(monkeypatch):
     for _ in range(3):
         quadforms.ring_class_levels(-15, [13, 41])
     assert certified == [(-15, 13), (-15, 41)]
-    info = quadforms._local_unit_quotient_orders.cache_info()
+    info = cyclic_order.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 8, 2)
 
 
@@ -405,8 +416,7 @@ def test_step4_fails_a_coset_count_one_off_at_32a2s_tower_primes(delta, monkeypa
     # 32a2's tower primes 56629 and 66337 are certified like any other: with one
     # coset too many or too few no generator exists, and the error names d_K, p and n
     monkeypatch.setattr(quadforms, "_np", _MiscountingNumpy(delta))
-    monkeypatch.setattr(quadforms, "_local_unit_quotient_orders",
-                        quadforms._local_unit_quotient_orders.__wrapped__)
+    monkeypatch.setattr(quadforms, "_cyclic_order", quadforms._cyclic_order.__wrapped__)
     report = run_witness(CurveQ(0, 0, 0, -1, 0, 32, "32a2"))
     assert (report.d_K, report.failed_at) == (-7, "ring_class_structure")
     assert report.checks[-1]["error"] == (
@@ -424,9 +434,9 @@ def _fresh_import(code: str) -> str:
 
 
 def test_import_leaves_the_per_process_tables_empty():
-    # the local orders and the torsion grid are built on first use, never at import
+    # the local certificates and the torsion grid are built on first use, never at import
     out = _fresh_import("from heegner_witness import heegner, quadforms\n"
-                        "print(quadforms._local_unit_quotient_orders.cache_info().currsize,"
+                        "print(quadforms._cyclic_order.cache_info().currsize,"
                         " heegner._torsion_fractions.cache_info().currsize)")
     assert out.split() == ["0", "0"]
 
@@ -456,11 +466,8 @@ def test_import_path_loads_no_openssl():
 
 
 def test_step4_fails_its_check_when_enumeration_and_formula_disagree(e37a, monkeypatch):
-    # the orders of C_2 for every prime: the enumeration's invariants are not C_{p+1}'s
-    def local(d, p):
-        return Counter({1: 1, 2: 1})
-
-    monkeypatch.setattr(quadforms, "_local_unit_quotient_orders", local)
+    # C_2 for every prime: the enumeration's invariants are not C_{p+1}'s
+    monkeypatch.setattr(quadforms, "_cyclic_order", lambda d, p: 2)
     report = run_witness(e37a)
     assert not report.passed and report.failed_at == "ring_class_structure"
     last = report.checks[-1]
@@ -702,6 +709,26 @@ def test_emit_report_leaves_nothing_when_the_report_cannot_be_serialized(e37a, t
     with pytest.raises(ValueError, match="non-finite float in report"):
         emit_report(report, str(tmp_path / "37a.json"))
     assert os.listdir(tmp_path) == []
+
+
+def test_emit_report_leaves_nothing_when_the_rename_fails(tmp_path):
+    (tmp_path / "x.json").mkdir()
+    with pytest.raises(OSError):
+        emit_report(pipeline.WitnessReport("x", {}, False, None, []), str(tmp_path / "x.json"))
+    assert os.listdir(tmp_path) == ["x.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_emit_report_gives_the_mode_open_would_give(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        emit_report(pipeline.WitnessReport("x", {}, False, None, []), str(tmp_path / "x.json"))
+        with open(tmp_path / "plain.json", "w"):
+            pass
+    finally:
+        os.umask(old)
+    modes = [os.stat(tmp_path / name).st_mode & 0o777 for name in ("x.json", "plain.json")]
+    assert modes == [0o666 & ~umask] * 2
 
 
 def test_canonical_json_float_formatting(e389a):

@@ -6,9 +6,9 @@ import pytest
 from heegner_witness.arith import is_squarefree, primes_upto
 from heegner_witness import quadforms
 from heegner_witness.quadforms import (
-    _local_unit_quotient_orders,
+    _cyclic_order,
+    _elementary_divisors,
     InvalidDiscriminantError,
-    abelian_invariants,
     canonical_invariants,
     class_number,
     is_fundamental,
@@ -19,6 +19,8 @@ from heegner_witness.quadforms import (
 )
 from oracles import (
     UNIT_QUOTIENT_CEILING,
+    _invariants_of,
+    abelian_invariants,
     class_group,
     compose,
     form_inverse,
@@ -236,7 +238,7 @@ def test_ring_class_invariants_all_fundamentals_small():
             (p, q) for i, p in enumerate(inert) for q in inert[i + 1 :] if p * q <= 60
         ]
         for ps in prods:
-            s = ring_class_levels(d, list(ps))[-1]  # asserts internally: each p^2 <= 10^6
+            s = ring_class_levels(d, list(ps))[-1]  # asserts internally
             assert s.degree == math.prod(p + 1 for p in ps)
 
 
@@ -250,25 +252,25 @@ def test_class_number_formula_orders():
                 assert class_number(d * p * p) == h * (p + 1), (d, p)
 
 
-def test_local_orders_are_one_read_only_mapping_equal_to_a_fresh_enumeration():
-    for d, p in [(-7, 3), (-7, 2), (-15, 13), (-59, 89), (-19, 2), (-11, 7)]:
-        got = _local_unit_quotient_orders(d, p)
-        assert _local_unit_quotient_orders(d, p) is got
-        assert got == _local_unit_quotient_orders.__wrapped__(d, p)  # a fresh certificate
-        with pytest.raises(TypeError):
-            got[1] = 2
-        with pytest.raises(TypeError):
-            del got[1]
+def test_cyclic_order_is_certified_once_and_equals_a_fresh_certificate():
+    _cyclic_order.cache_clear()
+    pairs = [(-7, 3), (-7, 2), (-15, 13), (-59, 89), (-19, 2), (-11, 7)]
+    for d, p in pairs:
+        got = _cyclic_order(d, p)
+        assert type(got) is int and _cyclic_order(d, p) == got
+        assert got == _cyclic_order.__wrapped__(d, p)  # a fresh certificate
+    info = _cyclic_order.cache_info()
+    assert (info.misses, info.hits) == (len(pairs), len(pairs))
 
 
 def test_local_certificate_matches_the_residue_grid():
     # every prime p < 700 not dividing d, split and inert alike: the coset count
-    # and the generator give the order multiset that enumerating all p^2 residues gives
+    # and the generator give the cyclic group that enumerating all p^2 residues gives
     cases = [(d, p) for d in FUNDAMENTALS for p in primes_upto(700) if d % p]
     cases += PINNED_LEVEL_PRIMES
     for d, p in cases:
-        got = _local_unit_quotient_orders.__wrapped__(d, p)
-        assert dict(got) == dict(local_unit_quotient_grid(d, p, 1)), (d, p)
+        n = _cyclic_order.__wrapped__(d, p)
+        assert _invariants_of(local_unit_quotient_grid(d, p, 1)) == ([n] if n > 1 else []), (d, p)
 
 
 def test_a_tower_prime_past_the_grid_ceiling_is_cross_checked(monkeypatch):
@@ -276,15 +278,42 @@ def test_a_tower_prime_past_the_grid_ceiling_is_cross_checked(monkeypatch):
     ps = [56629, 66337]
     assert all(p * p > UNIT_QUOTIENT_CEILING for p in ps)
     certified = []
-    real = quadforms._cyclic_order
 
     def cyclic_order(d, p):
         certified.append((d, p))
-        return real(d, p)
+        return _cyclic_order.__wrapped__(d, p)
 
     monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
-    monkeypatch.setattr(quadforms, "_local_unit_quotient_orders",
-                        _local_unit_quotient_orders.__wrapped__)
     levels = ring_class_levels(-7, ps)
     assert certified == [(-7, 56629), (-7, 66337)]
     assert [t.invariants for t in levels] == [(), (56630,), (1618, 2321830)]
+
+
+def test_ring_class_levels_refuses_d_K_not_1_mod_4():
+    # fundamental, but O_K is not Z[(1 + sqrt(d_K))/2], which the local
+    # certificates count in: refused before any tower prime is looked at
+    for d_K, ps in [(-4, [3]), (-20, [7])]:
+        assert is_fundamental(d_K)
+        with pytest.raises(InvalidDiscriminantError, match=f"{d_K} is not 1 mod 4"):
+            ring_class_levels(d_K, ps)
+
+
+def test_elementary_divisors_match_canonical_invariants():
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        orders = [rng.choice([1, 1, 2, 3, 4, 6, 8, 9, 12, 16, 25, 27, 30, 36, 60, 72,
+                              rng.randint(1, 10**4)])
+                  for _ in range(rng.randint(0, 6))]
+        assert _elementary_divisors(orders) == canonical_invariants(orders), orders
+
+
+def test_a_wrong_local_order_fails_its_own_level(monkeypatch):
+    # 41's local quotient read as C_41 instead of C_42: levels 0 and 1 pass the
+    # stand-in, level 2 (c = 3 * 41) is the first that names the mismatch
+    def cyclic_order(d, p):
+        return p if p == 41 else _cyclic_order.__wrapped__(d, p)
+
+    monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
+    with pytest.raises(ArithmeticError, match=r"d_K=-7, c=123: enumeration \(164,\) vs formula \(2, 84\)"):
+        ring_class_levels(-7, [3, 41, 5])
+    assert [t.conductor for t in ring_class_levels(-7, [3, 5])] == [1, 3, 15]
