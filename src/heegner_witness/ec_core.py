@@ -19,8 +19,9 @@ Every path refuses p > POINT_COUNT_CEILING.
 
 `ap_many` is the one batched path: the a_n table and the prime scan both
 count through it. It sends p = 2 and 3 to `ap`, the primes 5 <= p <
-BSGS_MIN_P to one `ap_flat` call, which lays the Legendre sums of many primes
-on the short model end to end in one flat numpy array, and the rest to one
+BSGS_MIN_P to one `ap_flat` call, which sums the Legendre symbols of many
+primes on the short model over the pairs {x, -x}, one numpy row per prime
+in runs of consecutive primes, and the rest to one
 `ap_lockstep` call: one prime per int64 numpy lane, _LANES lanes per block,
 each lane running BSGS on one point with the complete projective addition of
 Renes-Costello-Batina, so no lane needs an inversion or a case split, and
@@ -96,7 +97,8 @@ on the step-5 tables. The same break-even gates the twist pass: a twist
 block for a few lanes costs more than counting them one by one.
 
 A block that runs anyway takes the primes from LOCKSTEP_MIN_P up, but no
-block is started for them. `ap_flat` costs about 30 p ns per prime, while
+block is started for them. `ap_flat` cost about 30 p ns per prime when it
+summed every x (about 13 p ns over the pairs {x, -x}, below), while
 one more lane in a block that runs anyway costs 21-26 us, its share of the
 twist pass and the scalar fallback included: on g12283.1, 37a and 57a
 (medians of 11 and of 31 alternated calls in two runs, 2-vCPU Xeon),
@@ -108,6 +110,13 @@ while `ap_flat` took 8.1-11.4 ms). A block started for small primes alone
 pays only for many of them: grown to 1000 terms, a table took 2.3-2.7 ms
 with `ap_flat` alone against 4.4-5.9 ms with its 73 primes from 500 in a
 block, and grown to 2500 terms 12.1-13.5 ms against 9.8-10.7 ms (one run).
+Over the pairs, on 37a, 57a, 91a and g12283.1 (medians of 21 alternated
+calls, two runs), `ap_flat` took 0.7-0.9 ms for those 73 primes against
+1.3-2.1 ms for a block, and 4.3-6.2 ms for the 272 primes in [500, 2500)
+against 3.3-6.0 ms; on the tables the pinned run grows, a block of their
+own for the primes from 500 wins only on 91a (4.7 against 3.9 ms for its
+call) and loses on 57a, 65a, 131a, 14a, 61a and 83a (12.8 against 16.2 ms
+over all seven calls).
 On the benchmark (20 s runs, 10 alternated pairs) the fill, with the
 per-lane search sizes, took pinned-cold wall_s from 0.222 to 0.201 s and
 aux-search from 0.032 to 0.026 s. BSGS_MIN_P itself does not move: moving
@@ -118,16 +127,27 @@ before the fill). LOCKSTEP_MIN_P stays above 229, where `_ap_bsgs` is
 proven (Cremona-Sutherland), and from 500 up every table has the rows
 [0]P .. [7]P that `_window_mul` reads. a_p values depend on neither.
 
-_FLAT_CHUNK = 2^13 x values: on the 364 good primes 5 <= p < 2500 of 37a
-(420,770 x values), chunks of 2^11, 2^12, 2^13, 2^14 and 2^15 took 15.0-17.7,
-12.0-13.5, 9.9-11.5, 9.6-11.2 and 11.4-12.9 ms (two runs, median of 41
-each). Smaller chunks bring the benchmark's pinned-cold peak RSS down by at
-most 0.07 MB (2^11). The kernel is int64, like the rest of this module. An
-int32 kernel (with x, A, B < p < 2500, (x^2 + A) x + B < 2^24) took 8.3 ms
-at 2^13, but its int32 and int8 numpy loops fault in more of numpy's code:
-over 10 alternating pairs per workload it raised the benchmark's peak RSS
-by 0.15-0.38 MB over the per-prime enumeration it replaced, against -0.02
-to +0.18 MB for int64.
+_FLAT_CHUNK = 2^12 pairs {x, -x} per run of `ap_flat`. Replaying the 58
+`ap_flat` calls of one in-process run of the pinned table (1,878 primes;
+median of 21 rounds, two runs, 2-vCPU Xeon), runs of 2^11, 2^12, 2^13, 2^14
+and 2^15 pairs took 23.0-23.7, 18.3-18.4, 17.6-18.0, 18.1-18.6 and 20.3-20.5
+ms, against 22.9-23.0 ms for the full-range kernel it replaced (2^13 x
+values per chunk, four remainders per pair); on 37a's 364 good primes below
+2500, 4.5-6.7 ms at 2^13 pairs against 7.0-7.2 ms (median of 41, four runs).
+The tracemalloc peak of that 37a call is 228, 413 and 709 KB at 2^12, 2^13
+and 2^14 pairs, against 598 KB for the full-range kernel. Runs of 2^12 pairs
+take about 4% more time than 2^13 but keep peak RSS lower on the benchmark's
+aux-search (3 s runs, three each, 2-vCPU Xeon): 32.75-32.82 MB on g427.2 at
+2^12 and 32.95-32.96 MB at 2^13, against 32.82-32.85 MB for the full-range
+kernel, and 32.93-32.97, 32.92-32.97 and 33.08-33.11 MB on g427.1. The
+kernel stays int64, like the rest of this module, because int32 and int8
+numpy loops fault in more of numpy's code and peak RSS is a benchmark
+metric: a full-range int32 kernel (x, A, B < p < 2500 keep every value below
+2^24) raised the benchmark's peak RSS by 0.15-0.38 MB over the per-prime
+enumeration it replaced (10 alternating pairs per workload), against -0.02
+to +0.18 MB for int64; a half-range int32 prototype measured 7% less time
+than this kernel but 0.4 MB more peak RSS, and one that casts its columns to
+int32 at entry took 18.9 ms against 16.2 ms on the replay (both at 2^13).
 
 _AN_BLOCK = 2^11 n: blocks of 2^13 raised the peak RSS of a witness run on
 the aux-search curve g427.1 by 0.23 MB over 2^11, while 2^11 costs 0.3 ms
@@ -149,7 +169,7 @@ LOCKSTEP_MIN_P = 500  # ap_many's lockstep block, when one runs, takes the prime
 _LANES = 640  # primes per lockstep block
 _BLOCK_MIN = 20  # fewer primes >= BSGS_MIN_P than this are counted one by one
 _POINT_TRIES = 32  # x values a lane tries for a point before it falls back
-_FLAT_CHUNK = 2**13  # x values per ap_flat chunk
+_FLAT_CHUNK = 2**12  # pairs {x, -x} per run of ap_flat
 _AN_BLOCK = 2**11  # n per block of the a_n recursion
 _VALIDATION_PMAX = 50
 
@@ -728,6 +748,20 @@ def ap(curve: CurveQ, p: int) -> int:
     return a
 
 
+def _flat_groups(ps: list[int]):
+    """(i, j, top) for runs ps[i:j] of consecutive primes whose rows, each
+    top // 2 pairs wide, top the run's largest prime, hold at most
+    _FLAT_CHUNK pairs in all; a prime wider than that is a run alone."""
+    i = 0
+    while i < len(ps):
+        top, j = ps[i], i + 1
+        while j < len(ps) and (j + 1 - i) * (max(top, ps[j]) // 2) <= _FLAT_CHUNK:
+            top = max(top, ps[j])
+            j += 1
+        yield i, j, top
+        i = j
+
+
 def ap_flat(curve: CurveQ, primes) -> np.ndarray:
     """a_p for good primes 5 <= p < BSGS_MIN_P, as int64 in the order given.
 
@@ -735,14 +769,26 @@ def ap_flat(curve: CurveQ, primes) -> np.ndarray:
     LOCKSTEP_MIN_P when it runs a lockstep block, which counts the others
     for less.
 
-    a_p = -sum_x chi_p(x^3 + A x + B) on the short model of `_ap_bsgs`. The x
-    values of consecutive primes lie end to end in one flat array of at most
-    _FLAT_CHUNK entries (a prime with more x values is counted alone), over one
-    quadratic-residue table laid out the same way: chi[base + x^2 mod p] is 1,
-    the x = 0 slot 0 and every other slot -1. np.add.reduceat sums each
-    prime's segment. The arithmetic is int64 (see the module docstring for
-    int32). A prime dividing N or the discriminant raises BadReductionError,
-    and every value is Hasse-checked.
+    a_p = -sum_x chi_p(x^3 + A x + B) on the short model of `_ap_bsgs`
+    (Cohen, GTM 138, 7.4), summed over the pairs {x, -x}: g(x) = x^3 + A x is
+    odd, so
+        a_p = -chi_p(B) - sum_{x=1}^{(p-1)/2} [chi_p(B + g(x)) + chi_p(B - g(x))].
+    A pair costs two remainders, r = x^2 mod p and g = x (r + A) mod p, and
+    two lookups, at B + g and B + p - g, in a quadratic-residue row of length
+    2p that holds chi_p twice, so neither lookup needs a remainder. The r of
+    x = 1..(p-1)/2 are the nonzero squares, each once, so they also write the
+    row: 1 at r and r + p, 0 at 0 and p, -1 elsewhere.
+
+    Consecutive primes of the input form runs of at most _FLAT_CHUNK pairs
+    (`_flat_groups`), one row per prime as wide as the run's largest prime
+    needs, with p, A and B as broadcast columns. The width is a running
+    maximum, not a sort, so any order is counted right, and ascending
+    primes, as the a_n table asks for them, leave little padding. A padded
+    x of a narrower row writes only squares (0 and p are cleared after), and
+    np.add.reduceat sums its lookups apart from the row's pairs, to be
+    dropped. The arithmetic is int64 (see the module docstring for int32). A
+    prime dividing N or the discriminant raises BadReductionError, and every
+    value is Hasse-checked.
     """
     ps = np.array(primes, dtype=np.int64)
     if ps.size and (ps.min() < 5 or ps.max() >= BSGS_MIN_P):
@@ -757,21 +803,26 @@ def ap_flat(curve: CurveQ, primes) -> np.ndarray:
     if singular.any():
         raise BadReductionError(f"singular reduction mod {ps[singular][0]}")
     out = np.empty_like(ps)
-    ends = np.cumsum(ps)
-    i = 0
-    while i < len(ps):
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] - ps[i] + _FLAT_CHUNK, side="right")))
-        seg = ps[i:j]
-        base = ends[i:j] - ends[i] + ps[i] - seg  # where each prime's segment starts
-        off = np.repeat(base, seg)
-        q, a, b = (np.repeat(v[i:j], seg) for v in (ps, A, B))
-        x = np.arange(len(q)) - off
-        x2 = x * x % q
-        chi = np.full(len(q), -1, dtype=np.int8)
-        chi[off + x2] = 1
-        chi[base] = 0
-        out[i:j] = -np.add.reduceat(chi[off + ((x2 + a) * x + b) % q], base, dtype=np.int64)
-        i = j
+    for i, j, top in _flat_groups(ps.tolist()):
+        k, w = j - i, top // 2
+        p, a, b = ps[i:j, None], A[i:j, None], B[i:j, None]
+        x = np.arange(1, w + 1)
+        r = x * x % p  # x <= (p - 1)/2: each nonzero square once
+        g = x * (r + a) % p
+        row = np.arange(0, 2 * k * top, 2 * top)[:, None]
+        chi = np.full(2 * k * top, -1, dtype=np.int8)  # each row chi_p twice over
+        chi[row + r] = 1
+        chi[row + p + r] = 1
+        chi[row] = chi[row + p] = 0
+        at = row + b
+        pairs = np.empty(2 * k * w + 1, dtype=np.int8)  # 0 after the last row
+        pairs[: k * w] = chi[at + g].reshape(-1)
+        pairs[k * w : -1] = chi[at + p - g].reshape(-1)
+        pairs[-1] = 0
+        start = np.arange(0, 2 * k * w, w).reshape(2, k, 1)
+        cut = np.concatenate((start, start + p // 2), axis=2).reshape(-1)
+        sums = np.add.reduceat(pairs, cut, dtype=np.int64)[::2]  # the odd ones sum padding
+        out[i:j] = -sums[:k] - sums[k:] - chi[at[:, 0]]
     hasse = np.flatnonzero(out * out > 4 * ps)
     if hasse.size:
         raise ArithmeticError(f"Hasse bound violated at p={ps[hasse[0]]}: a_p={out[hasse[0]]}")

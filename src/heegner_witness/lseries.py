@@ -106,6 +106,12 @@ def cached_an(curve: CurveQ, n_max: int):
     return cur
 
 
+def held_an(curve: CurveQ):
+    """The table `cached_an` holds for `curve`, as long as it is, or None;
+    it never counts a prime."""
+    return _AN_CACHE.get((curve.ainvs, curve.N))
+
+
 def _twist_conductor(curve: CurveQ, d: int) -> int:
     """N d^2, the conductor of the twist by d; d must be fundamental and coprime to N."""
     if d != 1 and not is_fundamental(d):

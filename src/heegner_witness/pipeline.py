@@ -19,7 +19,6 @@ import contextlib
 import json
 import math
 import os
-import tempfile
 import time
 
 try:  # CPython's own SHA-256, so no process loads OpenSSL for one digest per report
@@ -46,7 +45,7 @@ from .heegner import (
     rational_torsion_point,
     trace_relation_check,
 )
-from .lseries import LSeriesInconclusiveError, cached_an, gate_from_leval, l_eval
+from .lseries import LSeriesInconclusiveError, cached_an, gate_from_leval, held_an, l_eval
 from .quadforms import kronecker, ring_class_levels
 from .searcher import (
     FieldSearchExhausted,
@@ -274,7 +273,7 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
                          f"so q divides a_p at every good p = -1 mod q")
             return finish("prime_sequence")
         try:
-            items = prime_sequence(curve, d_K, q, needed, config.prime_bound)
+            items = prime_sequence(curve, d_K, q, needed, config.prime_bound, held_an(curve))
         except PrimeSearchExhausted as e:
             error = str(e)
             if cm_field(curve) is not None:
@@ -430,14 +429,25 @@ def emit_report(report: WitnessReport, path: str):
     text = canonical_json(report) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report.", suffix=".tmp")
+    fd, tmp = _create_temp(directory)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp's 0600 would survive the rename
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _create_temp(directory: str) -> tuple[int, str]:
+    """A new file .report.<random>.tmp in `directory`, open for writing. It is
+    created with mode 0o666 and the kernel applies the umask, as open(path,
+    "w") does, and the process umask is never changed. A name that exists is
+    passed over for a fresh one, as mkstemp does."""
+    for _ in range(os.TMP_MAX):
+        tmp = os.path.join(directory, f".report.{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+    raise FileExistsError(f"no unused temporary report name in {directory}")

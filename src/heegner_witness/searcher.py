@@ -8,13 +8,14 @@ reported (bounded scans), never papered over.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import NamedTuple
 
 from .arith import euler_phi, is_prime, is_squarefree, prime_divisors, primes_between
 from . import ec_core
-from .ec_core import CurveQ, ap_many, cm_field, count_points, good_reduction, reduce_mod
+from .ec_core import AnSeries, CurveQ, ap_many, cm_field, count_points, good_reduction, reduce_mod
 from .lseries import (
     DEFAULT_NONVANISHING_THRESHOLD,
     DEFAULT_PRECISION,
@@ -145,6 +146,7 @@ def prime_sequence(
     q: int,
     count: int,
     p_bound: int = 10**5,
+    table: AnSeries | None = None,
 ) -> list[PrimeSeqItem]:
     """First `count` primes (ascending) with p = -1 mod q, p inert in K,
     good reduction, and q not dividing a_p.
@@ -152,16 +154,19 @@ def prime_sequence(
     The three cheap conditions filter the primes lazily, in sieve segments
     whose end doubles from count * q and never passes `p_bound`
     (`_candidates`): a scan sieves only as far as the chunk it stops in.
-    `ap_many` counts the candidates' a_p in chunks, so the a_p above
-    BSGS_MIN_P are counted in lockstep blocks, and a chunk with a block
-    counts its candidates from LOCKSTEP_MIN_P = 500 up in it too: the first
-    chunk has `count` candidates, and each later one doubles, up to
-    _LANES = 640. The scan
-    stops in the chunk that holds the count-th accepted prime, so the a_p of
-    the rest of that chunk are counted but unused. A scan that runs out of
-    candidates raises `PrimeSearchExhausted` with how many there were.
+    The candidates come in chunks: the first has `count` of them, and each
+    later one doubles, up to _LANES = 640. A chunk's a_p up to the length
+    of `table`, the curve's a_n table when one is held, are read from it;
+    the table is never grown for the scan. `ap_many` counts the rest, so
+    the a_p above BSGS_MIN_P are counted in lockstep blocks, and a chunk
+    with a block counts its candidates from LOCKSTEP_MIN_P = 500 up in it
+    too. The scan stops in the chunk that holds the count-th accepted
+    prime, so the a_p of the rest of that chunk are counted but unused. A
+    scan that runs out of candidates raises `PrimeSearchExhausted` with how
+    many there were.
     """
     candidates = _candidates(curve, d_K, q, count, p_bound)
+    known = 0 if table is None else table.n_max
     items: list[PrimeSeqItem] = []
     size, tried = count, 0
     while len(items) < count:
@@ -169,7 +174,11 @@ def prime_sequence(
         if not chunk:
             raise PrimeSearchExhausted(p_bound, items, tried)
         tried += len(chunk)
-        for p, a in zip(chunk, ap_many(curve, chunk).tolist()):
+        held = bisect.bisect_right(chunk, known)
+        a_ps = table.values[chunk[:held]].tolist() if held else []
+        if held < len(chunk):
+            a_ps += ap_many(curve, chunk[held:]).tolist()
+        for p, a in zip(chunk, a_ps):
             if a % q == 0:
                 continue
             items.append(PrimeSeqItem(p, a))

@@ -422,13 +422,29 @@ def test_ap_flat_matches_enumerator(e11a, e37a, e_ss, e14a, monkeypatch):
         assert got.tolist() == want, curve
         order = rng.sample(range(len(primes)), len(primes))
         assert ap_flat(curve, [primes[i] for i in order]).tolist() == [want[i] for i in order]
-    # chunks of 40 x values: most chunk edges fall between primes, and every
-    # prime above 40 is longer than a chunk and is counted alone
-    monkeypatch.setattr(ec_core, "_FLAT_CHUNK", 40)
-    for curve in (e37a, _flat_curves(e11a, e37a, e_ss, e14a)[-1]):
-        primes = [p for p in primes_upto(300) if p >= 5 and good_reduction(curve, p)]
-        assert ap_flat(curve, primes).tolist() == _recount(curve, primes)
+    # runs of at most 40 pairs: a run ends between primes, and every prime
+    # above 81 is wider than a run and is counted alone; at 2 pairs, every prime is
+    for chunk in (40, 2):
+        monkeypatch.setattr(ec_core, "_FLAT_CHUNK", chunk)
+        for curve in (e37a, _flat_curves(e11a, e37a, e_ss, e14a)[-1]):
+            primes = [p for p in primes_upto(300) if p >= 5 and good_reduction(curve, p)]
+            assert ap_flat(curve, primes).tolist() == _recount(curve, primes)
     assert ap_flat(e37a, []).tolist() == []
+
+
+def test_ap_flat_rows_of_widely_different_primes(e11a, e37a, e_ss, e14a):
+    # one run holds rows as wide as its largest prime, whatever the order: a small
+    # prime's row is mostly padding, and the widest row may come first, last or
+    # between; j0 has A = 0 and j1728 B = 0 at every p
+    rng = random.Random(30)
+    for curve in _flat_curves(e11a, e37a, e_ss, e14a):
+        good = [p for p in primes_upto(BSGS_MIN_P - 1) if p >= 5 and good_reduction(curve, p)]
+        small, wide = good[0], good[-1]
+        assert wide // 2 * 3 <= ec_core._FLAT_CHUNK  # three widest rows share one run
+        mixed = rng.sample(good[:40], 10) + rng.sample(good[-40:], 3)
+        rng.shuffle(mixed)
+        for primes in ([small, wide], [wide, small], [wide, small, wide], mixed, mixed[::-1]):
+            assert ap_flat(curve, primes).tolist() == _recount(curve, primes), (curve, primes)
 
 
 def test_ap_flat_checks_its_inputs(e37a, monkeypatch):

@@ -271,6 +271,28 @@ def test_run_witness_takes_the_cm_admissible_q_from_j(ainvs, q):
                "and have good reduction; q = " in error
 
 
+def test_a_model_that_is_not_optimal_fails_fricke_by_the_optimal_lattice(monkeypatch):
+    # 27a3 is not X_0(27)-optimal: its z values lie in the lattice of the optimal
+    # curve 27a1, so Manin's relation misses 27a3's lattice by 27a1's omega_1
+    e27a1, e27a3 = CurveQ(0, 0, 1, 0, -7, 27, "27a1"), CurveQ(0, 0, 1, 0, 0, 27, "27a3")
+    optimal = heegner.period_lattice(e27a1)
+    against_optimal = []
+    real = pipeline.fricke_diagnostic
+
+    def fricke_diagnostic(orbit, zs, lattice, le):
+        against_optimal.append(real(orbit, zs, optimal, le))
+        return real(orbit, zs, lattice, le)
+
+    monkeypatch.setattr(pipeline, "fricke_diagnostic", fricke_diagnostic)
+    report = run_witness(e27a3)  # a failed report, not an exception
+    assert not report.passed and report.failed_at == "fricke"
+    last = report.checks[-1]
+    assert last["name"] == "fricke" and last["residual"] > last["bound"]
+    assert abs(last["residual"] - optimal.omega1) <= last["bound"]
+    (in_optimal,) = against_optimal
+    assert in_optimal["residual"] <= in_optimal["bound"] == last["bound"]
+
+
 @pytest.mark.parametrize("curve", [
     CurveQ(0, 0, 1, -1, 0, 37, "37a"),  # passes: step 5 runs to the end
     CurveQ(0, 0, 1, -2, -2, 811, "g811.1"),  # three candidate fields
@@ -341,6 +363,19 @@ def test_step5_reads_a_ell_from_the_a_n_table(e37a, monkeypatch):
     trace = report.heegner["trace_relation"]
     assert trace["a_ell"] == real_ap(e37a, trace["ell"])
     assert counted.count(trace["ell"]) == 1  # by the table only
+
+
+def test_step3_reads_a_p_from_the_a_n_table(monkeypatch):
+    # 57a's tower primes 89 and 109 lie in the 1930-term table its gate and L'(E/K,1) grew
+    e57a = CurveQ(0, -1, 1, -2, 2, 57, "57a")
+    counted, held = [], []
+    real, real_held = searcher.ap_many, pipeline.held_an
+    monkeypatch.setattr(searcher, "ap_many", lambda curve, ps: counted.append(ps) or real(curve, ps))
+    monkeypatch.setattr(pipeline, "held_an", lambda curve: held.append(real_held(curve)) or held[-1])
+    monkeypatch.setattr(lseries, "_AN_CACHE", {})
+    report = run_witness(e57a)
+    assert report.passed and [it["p"] for it in report.prime_seq] == [89, 109]
+    assert [table.n_max for table in held] == [1930] and counted == []
 
 
 def test_run_witness_evaluates_L_over_K_at_the_config_precision(e37a):
@@ -521,8 +556,15 @@ def _read_every_L_over_K_as_zero(monkeypatch):
 
 
 def _negate_every_counted_a_p(monkeypatch):
-    real = searcher.ap_many
+    # step 3 reads a_p from the a_n table and counts those beyond it with ap_many
+    real, real_held = searcher.ap_many, pipeline.held_an
+
+    def held_an(curve):
+        table = real_held(curve)
+        return None if table is None else ec_core.AnSeries(table.n_max, -table.values)
+
     monkeypatch.setattr(searcher, "ap_many", lambda curve, primes: -real(curve, primes))
+    monkeypatch.setattr(pipeline, "held_an", held_an)
     return lambda report: report.prime_seq == [{"p": 5, "a_p": 2}, {"p": 59, "a_p": -8}]
 
 
@@ -729,6 +771,30 @@ def test_emit_report_gives_the_mode_open_would_give(umask, tmp_path):
         os.umask(old)
     modes = [os.stat(tmp_path / name).st_mode & 0o777 for name in ("x.json", "plain.json")]
     assert modes == [0o666 & ~umask] * 2
+
+
+def test_emit_report_never_touches_the_umask(tmp_path, monkeypatch):
+    umask = os.umask(0o022)
+    os.umask(umask)
+
+    def refuse(mask):
+        raise AssertionError("emit_report changed the process umask")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    emit_report(pipeline.WitnessReport("x", {}, False, None, []), str(tmp_path / "x.json"))
+    assert os.stat(tmp_path / "x.json").st_mode & 0o777 == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["x.json"]
+
+
+def test_emit_report_passes_over_a_stale_temporary_file(tmp_path, monkeypatch):
+    names = iter([b"\0" * 6, b"\0" * 6, b"\1" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(names))
+    stale = tmp_path / ".report.000000000000.tmp"
+    stale.write_text("stale")
+    emit_report(pipeline.WitnessReport("x", {}, False, None, []), str(tmp_path / "x.json"))
+    assert sorted(os.listdir(tmp_path)) == [stale.name, "x.json"]
+    assert stale.read_text() == "stale"
+    assert json.loads((tmp_path / "x.json").read_text())["label"] == "x"
 
 
 def test_canonical_json_float_formatting(e389a):

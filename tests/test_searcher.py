@@ -7,7 +7,7 @@ import pytest
 
 from heegner_witness import ec_core, searcher
 from heegner_witness.arith import euler_phi, primes_upto
-from heegner_witness.ec_core import CurveQ
+from heegner_witness.ec_core import AnSeries, CurveQ, an_series
 from heegner_witness.pipeline import Config, parse_curve_file
 from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import (
@@ -116,6 +116,49 @@ def test_verify_prime_item_catches_a_flipped_ap_flat_value(e37a, monkeypatch):
 
     monkeypatch.setattr(ec_core, "ap_flat", flipped)
     poisoned = prime_sequence(e37a, -7, 3, 4)
+    assert [it.p for it in poisoned] == [it.p for it in items]
+    assert poisoned[2].a_p == -target.a_p
+    assert not verify_prime_item(e37a, -7, 3, poisoned[2])
+    assert all(verify_prime_item(e37a, -7, 3, it) for i, it in enumerate(poisoned) if i != 2)
+
+
+def _record_ap_many(monkeypatch):
+    chunks = []
+    real = searcher.ap_many
+
+    def ap_many(curve, ps):
+        chunks.append(list(ps))
+        return real(curve, ps)
+
+    monkeypatch.setattr(searcher, "ap_many", ap_many)
+    return chunks
+
+
+def test_prime_sequence_reads_a_p_from_the_table_and_counts_only_beyond_it(e37a, monkeypatch):
+    want = prime_sequence_per_prime(e37a, -7, 3, 12)
+    chunks = _record_ap_many(monkeypatch)
+    for n_max in (100, 200, want[-1].p - 1):
+        table = an_series(e37a, n_max)
+        values = table.values.copy()
+        chunks.clear()
+        assert prime_sequence(e37a, -7, 3, 12, 10**5, table) == want
+        # every chunk beyond the table is counted, each from its first prime past it
+        assert chunks and all(p > n_max for chunk in chunks for p in chunk)
+        assert table.n_max == n_max and (table.values == values).all()  # never grown
+    chunks.clear()
+    assert prime_sequence(e37a, -7, 3, 12, 10**5, an_series(e37a, 4000)) == want
+    assert chunks == []  # the scan's last chunk ends in the table: nothing is counted
+
+
+def test_verify_prime_item_catches_a_flipped_table_value(e37a):
+    # a wrong a_p read from the a_n table fails the recount like a counted one
+    table = an_series(e37a, 400)
+    items = prime_sequence(e37a, -7, 3, 4, 10**5, table)
+    target = items[2]
+    assert target.p <= table.n_max and target.a_p != 0
+    values = table.values.copy()
+    values[target.p] *= -1
+    poisoned = prime_sequence(e37a, -7, 3, 4, 10**5, AnSeries(table.n_max, values))
     assert [it.p for it in poisoned] == [it.p for it in items]
     assert poisoned[2].a_p == -target.a_p
     assert not verify_prime_item(e37a, -7, 3, poisoned[2])
