@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import factorize, is_prime, is_squarefree, primes_upto, valuation
+from .arith import factorize, is_prime, is_squarefree
 from .ec_core import CurveQ, b_invariants, c_invariants, discriminant
 from .lseries import LEval, LOverK, cached_an, fsum_blocks, n_blocks
 from .quadforms import class_number, kronecker, reduce_form
@@ -113,7 +113,20 @@ class PeriodLattice(NamedTuple):
 
 
 def period_lattice(curve: CurveQ) -> PeriodLattice:
-    """Lattice of the real curve by the optimal AGM; validates against c4, c6."""
+    """Lattice of the real curve by the optimal AGM; validates against c4, c6.
+
+    The check: with tau = w2/w1, q = e^{2 pi i tau} and u = 2 pi / w1,
+    u^4 E4(tau) = c4 and u^6 E6(tau) = c6, where E4 = 1 + 240 S3 and
+    E6 = 1 - 504 S5, S_k = sum n^k q^n / (1 - q^n), each within 1e-6 ref,
+    ref = max(|c4|, |c6|, 1). The sums stop at the first n (at most 79)
+    whose omitted tails move neither side by more than 1e-9 ref, a
+    thousandth of the tolerance. With r = |q| < 1, each omitted term has
+    |m^k q^m / (1 - q^m)| <= m^k r^m / (1 - r), and for m > n the ratio of
+    consecutive m^k r^m is at most rho = ((n + 2)/(n + 1))^5 r, k <= 5.
+    So while rho < 1, the tail of S_k past n is at most
+    (n + 1)^k r^(n+1) / ((1 - r)(1 - rho)), and u^4 240 and u^6 504 times
+    those tails are what the stop compares with 1e-9 ref.
+    """
     e1, e2, e3 = _two_division_roots(curve)
     w1 = cmath.pi / _agm_optimal(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
     w2 = cmath.pi / _agm_optimal(cmath.sqrt(e3 - e1), cmath.sqrt(e3 - e2))
@@ -122,14 +135,24 @@ def period_lattice(curve: CurveQ) -> PeriodLattice:
     w1 = abs(w1.real)
     if (w2 / w1).imag < 0:
         w2 = -w2
-    # validate lattice invariants through Eisenstein series at tau = w2/w1
-    tau = w2 / w1
-    q = cmath.exp(2j * cmath.pi * tau)
-    e4 = 1 + 240 * sum(n**3 * q**n / (1 - q**n) for n in range(1, 80))
-    e6 = 1 - 504 * sum(n**5 * q**n / (1 - q**n) for n in range(1, 80))
+    q = cmath.exp(2j * cmath.pi * (w2 / w1))
+    r = abs(q)
     c4, c6 = c_invariants(curve)
-    scale = (2 * cmath.pi / w1) ** 4 * e4, (2 * cmath.pi / w1) ** 6 * e6
     ref = max(abs(c4), abs(c6), 1.0)
+    u4, u6 = (2 * math.pi / w1) ** 4, (2 * math.pi / w1) ** 6
+    s3 = s5 = 0j
+    qn = 1.0 + 0j
+    for n in range(1, 80):
+        qn *= q
+        t = qn / (1 - qn)
+        s3 += n**3 * t
+        s5 += n**5 * t
+        rho = ((n + 2) / (n + 1)) ** 5 * r
+        if rho < 1:
+            tail = r ** (n + 1) / ((1 - r) * (1 - rho))
+            if max(240 * u4 * (n + 1) ** 3, 504 * u6 * (n + 1) ** 5) * tail <= 1e-9 * ref:
+                break
+    scale = u4 * (1 + 240 * s3), u6 * (1 - 504 * s5)
     if abs(scale[0] - c4) > 1e-6 * ref or abs(scale[1] - c6) > 1e-6 * ref:
         raise ArithmeticError(
             f"period lattice fails invariant check: {scale} vs {(c4, c6)}"
@@ -377,18 +400,35 @@ def fricke_diagnostic(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLatt
     Im can be as small as 1e-9, nor anywhere: `zs` are the orbit's z values
     (`orbit_z`) and `le` is E's own L-value from the gate.
 
-    Returns w_N, the residual, the distance of conj(z_m) + eps z_0 - L(E,1)
+    Returns w_N, the residual, the distance of r = conj(z_m) + eps z_0 - L(E,1)
     to `lattice`, and its bound: the two z tails, the tail of L(E,1) when
     eps = +1 (at eps = -1 it is 0 exactly) and FRICKE_ROUNDING.
+
+    A residual over its bound is named when k r lies within k times the
+    bound of the lattice for some k <= 163, which bounds the degree of a
+    cyclic rational isogeny (Mazur; Kenku): then r is a k-torsion point of
+    C/Lambda_E, a period of f outside Lambda_E, and the model is not
+    X_0(N)-optimal. The smallest such k is returned as `order`, with r's
+    lattice coordinates and the `error` that names it.
     """
     curve, t = orbit.curve, orbit.taus[0]
     cls = reduce_form(curve.N * t.C, t.B, t.A // curve.N)
     m = next(i for i, u in enumerate(orbit.taus) if reduce_form(u.A, u.B, u.C) == cls)
     eps = le.epsilon
-    residual = lattice.dist(zs[m].z.conjugate() + eps * zs[0].z - le.value_at_1)
+    r = lattice.reduce(zs[m].z.conjugate() + eps * zs[0].z - le.value_at_1)
+    residual = float(np.hypot(r.real, r.imag))  # lattice.dist, with r kept
     l_tail = le.tail_bound if eps == 1 else 0.0
     bound = zs[0].prec + zs[m].prec + l_tail + FRICKE_ROUNDING
-    return {"w_N": -eps, "residual": float(residual), "bound": bound}
+    out = {"w_N": -eps, "residual": residual, "bound": bound}
+    if residual > bound:
+        k = np.arange(2, 164)
+        hit = np.flatnonzero(lattice.dist(k * r) <= k * bound)
+        if hit.size:
+            order = int(k[hit[0]])
+            out.update(order=order, coordinates=[float(c) for c in lattice.coords(r)],
+                       error=f"model is not X_0({curve.N})-optimal: the Fricke residual has "
+                             f"order {order} mod Lambda_E")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -444,14 +484,11 @@ def rational_torsion_point(curve: CurveQ, q: int):
     """A point of E(Q) of exact order q, the odd prime q, checked in Fractions,
     or None: then none was found, which does not prove that none exists.
 
-    Mazur allows q <= 7 only. E(Q)[q] injects into E(F_p) at good p != q, so a
-    good p < 64 with q not dividing p + 1 - a_p rules it out. Otherwise the
-    point lies at some k*omega_1/q on E(R), with 4x, 8y in Z (Nagell-Lutz; AEC VIII.7).
+    Mazur allows q <= 7 only, and #E(Q)_tors divides m = `torsion_bound`, so
+    q not dividing m rules it out. Otherwise the point lies at some
+    k*omega_1/q on E(R), with 4x, 8y in Z (Nagell-Lutz; AEC VIII.7).
     """
-    if q > 7:
-        return None
-    table = cached_an(curve, 64)
-    if any((p + 1 - table[p]) % q for p in primes_upto(64) if p != q and curve.N % p):
+    if q > 7 or torsion_bound(curve) % q:
         return None
     try:
         lattice = period_lattice(curve)
@@ -468,36 +505,70 @@ def rational_torsion_point(curve: CurveQ, q: int):
     return None
 
 
-def is_torsion(curve: CurveQ, P, lattice: PeriodLattice | None = None) -> bool:
-    """kP = O for some k <= B = DEFAULT_TORSION_BOUND; exact for rational P, mod the
-    run's `lattice` for a CPoint.
+_ODD_PRIMES_TO_64 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
-    A rational P is not torsion as soon as some kP != O has 4x or 8y outside Z:
-    every torsion point of an integral model has 4x, 8y in Z (AEC VIII.7.1).
-    A CPoint within tol of a point of order <= B is torsion. Two such points lie
-    at least lambda_min / B^2 apart, so tol must stay below lambda_min / (2 B^2).
+
+def torsion_bound(curve: CurveQ, d_K: int | None = None) -> int:
+    """m, a multiple of #E(Q)_tors, or with `d_K` m_K, a multiple of
+    #E(K)_tors for K = Q(sqrt(d_K)), read from the curve's a_n table.
+
+    At a prime of good reduction over an odd p, reduction embeds the torsion
+    of E over Q_p or its unramified quadratic extension in the points of the
+    residue field (AEC VII.3.1; e = 1 < p - 1). m is the gcd of
+    #E(F_p) = p + 1 - a_p over the odd p < 64 with p not dividing N, and m_K
+    the gcd over those that do not divide d_K either, of p + 1 - a_p where p
+    splits in K and of #E(F_{p^2}) = (p + 1)^2 - a_p^2 where it is inert.
+    The gate leaves a table of at least 64 terms, so the table never grows.
+    """
+    table = cached_an(curve, 64)
+    m = 0
+    for p in _ODD_PRIMES_TO_64:
+        if curve.N % p == 0 or (d_K is not None and d_K % p == 0):
+            continue
+        a = table[p]
+        m = math.gcd(m, p + 1 - a if d_K is None or kronecker(d_K, p) == 1
+                     else (p + 1) ** 2 - a * a)
+    if m == 0:
+        raise ValueError("no prime of good reduction among the odd p < 64")
+    return m
+
+
+def is_torsion(curve: CurveQ, P, lattice: PeriodLattice | None = None,
+               d_K: int | None = None) -> bool:
+    """Whether P is torsion: exact for rational P, mod the run's `lattice`
+    for a CPoint.
+
+    A rational P is torsion if and only if [m]P = O, m = `torsion_bound`.
+    A CPoint of E(K), K = Q(sqrt(d_K)), is torsion when it lies within tol
+    of a point of order dividing m_K = torsion_bound(curve, d_K), that is
+    when m_K z lies within m_K tol of the lattice. Those points, the
+    (1/m_K) Lambda mod Lambda, lie at least lambda_min / m_K apart, so tol
+    must stay below lambda_min / (2 m_K). Without `d_K` the field is not
+    known: kz is tried for every k <= B = DEFAULT_TORSION_BOUND, and the
+    points of order <= B lie at least lambda_min / B^2 apart, so tol must
+    stay below lambda_min / (2 B^2).
     """
     if P is None:
         return True
     if isinstance(P, CPoint):
         if P.is_identity:
             return True
-        tol, limit = max(1e-7, 50 * P.prec), lattice.lambda_min / (2 * DEFAULT_TORSION_BOUND**2)
+        tol = max(1e-7, 50 * P.prec)
+        B = DEFAULT_TORSION_BOUND
+        if d_K is None:
+            orders, spacing, symbol, named = range(1, B + 1), B * B, "B^2", f"B = {B}"
+        else:
+            m = torsion_bound(curve, d_K)
+            orders, spacing, symbol, named = (m,), m, "m_K", f"m_K = {m}"
+        limit = lattice.lambda_min / (2 * spacing)
         if tol >= limit:
             raise PrecisionUnreachable(f"torsion tolerance {tol:.3g} is not below lambda_min/"
-                                       f"(2 B^2) = {limit:.3g}, B = {DEFAULT_TORSION_BOUND}")
-        return any(lattice.dist(k * P.z) < tol * k for k in range(1, DEFAULT_TORSION_BOUND + 1))
+                                       f"(2 {symbol}) = {limit:.3g}, {named}")
+        return any(lattice.dist(k * P.z) < tol * k for k in orders)
     Pf = (Fraction(P[0]), Fraction(P[1]))
     if not on_curve(curve, Pf):
         raise ValueError("point is not on the curve")
-    acc = None
-    for _ in range(DEFAULT_TORSION_BOUND):
-        acc = rational_add(curve, acc, Pf)
-        if acc is None:
-            return True
-        if (4 * acc[0]).denominator != 1 or (8 * acc[1]).denominator != 1:
-            return False
-    return False
+    return rational_multiple(curve, Pf, torsion_bound(curve)) is None
 
 
 def _duplication_polys(curve: CurveQ):
@@ -544,6 +615,17 @@ def _duplication_resultant(curve: CurveQ) -> int:
     return res
 
 
+def _reduces_to_singular_point(curve: CurveQ, x: Fraction, y: Fraction, p: int) -> bool:
+    """Whether (x, y) reduces mod p to a singular point of the model: x is
+    p-integral (then so is y) and both partial derivatives vanish mod p."""
+    if x.denominator % p == 0:
+        return False  # it reduces to O
+    a1, a2, a3, a4, _ = curve.ainvs
+    xm = x.numerator * pow(x.denominator, -1, p) % p
+    ym = y.numerator * pow(y.denominator, -1, p) % p
+    return (2 * ym + a1 * xm + a3) % p == 0 and (3 * xm * xm + 2 * a2 * xm + a4 - a1 * ym) % p == 0
+
+
 def canonical_height(curve: CurveQ, P, tol: float = 1e-11) -> float:
     """Neron-Tate height, normalized as lim h(x(2^n P)) / 4^n.
 
@@ -551,6 +633,16 @@ def canonical_height(curve: CurveQ, P, tol: float = 1e-11) -> float:
     under duplication with corrections log max(|F|,|G|) on the normalized
     coordinate pair (bounded, evaluated in floats) minus log gcd (supported
     on primes of Delta^2, tracked exactly by bounded modular arithmetic).
+
+    The gcd is tracked only at the primes p | Delta where P reduces to the
+    singular point of the model mod p. Elsewhere P lies in E_0(Q_p), a
+    subgroup (AEC VII.2.1), so every 2^n P does too. On E_0(Q_p) the local
+    height is max(0, -v(x))/2 + v(Delta)/12 for any integral model, so the
+    duplication formula for local heights gives v(x(2Q)) = -v(G(x_Q)) at
+    p-integral x_Q, so F(x_Q) is a p-adic unit whenever p | G(x_Q); at
+    x_Q = a/b with p | b, F(a, b) = a^4 mod p. Either way p never divides
+    both, and such a tracker would add exactly 0.0 at every step
+    (Silverman, "Computing heights on elliptic curves", Math. Comp. 51, 1988).
     """
     if P is None:
         return 0.0
@@ -562,17 +654,17 @@ def canonical_height(curve: CurveQ, P, tol: float = 1e-11) -> float:
         return 0.0
     F, G = _duplication_polys(curve)
     res = abs(_duplication_resultant(curve))
-    primes = [p for p, _ in factorize(res)]
     n_steps = 40
     trackers = {}
-    for p in primes:
-        v_res = valuation(res, p)
-        k0 = v_res * (n_steps + 2) + 8
-        trackers[p] = [x.numerator % p**k0, x.denominator % p**k0, k0, v_res]
+    for p, e in factorize(discriminant(curve)):
+        if _reduces_to_singular_point(curve, x, y, p):
+            v_res = 2 * e
+            k0 = v_res * (n_steps + 2) + 8
+            trackers[p] = [x.numerator % p**k0, x.denominator % p**k0, k0, v_res]
     scale0 = max(abs(x.numerator), x.denominator)
     height = math.log(scale0)
     ra, rb = x.numerator / scale0, x.denominator / scale0
-    logp = {p: math.log(p) for p in primes}
+    logp = {p: math.log(p) for p in trackers}
     c_bound = 10.0
     for n in range(n_steps):
         fa, gb = F(ra, rb), G(ra, rb)
@@ -766,7 +858,7 @@ def gz_correspondence(orbit: HeegnerOrbit, zs: list[CPoint], lk: LOverK,
         nontorsion = height > 0.0  # canonical_height is 0.0 exactly on torsion points
         proxy = False
     else:
-        nontorsion = not is_torsion(curve, pk, lattice=lattice)
+        nontorsion = not is_torsion(curve, pk, lattice=lattice, d_K=orbit.d_K)
         height = (lattice.dist(pk.z) / lattice.omega1) ** 2 if pk.z is not None else 0.0
         proxy = True
     holds = nontorsion == lk.nonzero

@@ -62,6 +62,7 @@ here reads a twist from E's own a_n table; no twisted model is built.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -136,6 +137,16 @@ def fsum_blocks(parts) -> float:
     return math.fsum(itertools.chain.from_iterable(part.tolist() for part in parts))
 
 
+@functools.lru_cache(maxsize=1)
+def _twist_row(d: int) -> np.ndarray:
+    """kronecker(d, n) for n = 0..|d| - 1, read-only. Built on the first of
+    the passes an `l_eval` of the twist makes and returned to the rest; only
+    the last d is kept, as the field search tries one d after another."""
+    row = np.array([kronecker(d, n) for n in range(abs(d))], dtype=np.int64)
+    row.flags.writeable = False
+    return row
+
+
 def _blocks(curve: CurveQ, d: int, T: int):
     """(n, a_n) of the twist by d for n = 1..T, block by block, as float64 arrays.
 
@@ -144,7 +155,7 @@ def _blocks(curve: CurveQ, d: int, T: int):
     """
     v = cached_an(curve, T).values
     if d != 1:
-        chi = np.array([kronecker(d, n) for n in range(abs(d))], dtype=np.int64)
+        chi = _twist_row(d)
     for lo, hi in n_blocks(T):
         a = v[lo:hi] if d == 1 else v[lo:hi] * chi[np.arange(lo, hi) % abs(d)]
         yield np.arange(lo, hi, dtype=np.float64), a.astype(np.float64)

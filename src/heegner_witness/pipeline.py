@@ -307,9 +307,9 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
 
     # 5. Heegner numerics: each form summed once, at one precision. The trace
     # of h forms carries a tail of at most h * precision, and is_torsion's
-    # tolerance, 50 times that, must stay below lambda_min / (2 B^2): the last
-    # bound keeps it at half that, so a coarse config cannot make the
-    # torsion test undecidable.
+    # tolerance, 50 times that, must stay below lambda_min / (2 m_K): the last
+    # bound keeps it at lambda_min / (4 B^2), so a coarse config cannot make
+    # the torsion test undecidable while m_K < 2 B^2.
     with _stage(timing, "heegner"):
         try:
             orbit = heegner_orbit(curve, d_K, 1)

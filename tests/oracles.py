@@ -14,6 +14,9 @@ What the oracles still share with the package paths they judge:
 - `modular_param` and `period_lattice` feed the Fricke and trace-relation
   references, and `elliptic_exp`, `_wp` and `_halve_and_double`
   `elliptic_log`.
+- `canonical_height_every_prime` takes the duplication polynomials, the
+  resultant and the exact torsion test from `heegner`, and judges which
+  primes the package's `canonical_height` tracks.
 - `quadforms.kronecker`, `reduce_form` and `class_number`. The
   element-order multisets live here: `class_group` and the unit quotient
   oracles take their invariants with `abelian_invariants`, and
@@ -56,15 +59,20 @@ from heegner_witness.arith import (
     is_squarefree,
     prime_divisors,
     primes_upto,
+    valuation,
 )
 from heegner_witness.heegner import (
     DEFAULT_TORSION_BOUND,
     PeriodLattice,
     PrecisionUnreachable,
+    _duplication_polys,
+    _duplication_resultant,
     _halve_and_double,
     _wp,
     elliptic_exp,
+    is_torsion,
     modular_param,
+    on_curve,
     period_lattice,
 )
 from heegner_witness.lseries import _tail_terms
@@ -600,6 +608,73 @@ def height_doubling_oracle(curve: CurveQ, P, k: int = 10) -> float:
             return 0.0
     x = Q[0]
     return math.log(max(abs(x.numerator), x.denominator)) / 4 ** k
+
+
+def canonical_height_every_prime(curve: CurveQ, P, tol: float = 1e-11) -> float:
+    """Neron-Tate height, normalized as lim h(x(2^n P)) / 4^n.
+
+    Computed without exact big-integer blowup: the naive height telescopes
+    under duplication with corrections log max(|F|,|G|) on the normalized
+    coordinate pair (bounded, evaluated in floats) minus log gcd (supported
+    on primes of Delta^2, tracked exactly by bounded modular arithmetic).
+
+    The package's `canonical_height` as it was before it tracked the gcd only
+    at primes of singular reduction: here every prime of Delta^2 is tracked.
+    """
+    if P is None:
+        return 0.0
+    x = Fraction(P[0])
+    y = Fraction(P[1])
+    if not on_curve(curve, (x, y)):
+        raise ValueError("point is not on the curve")
+    if is_torsion(curve, (x, y)):
+        return 0.0
+    F, G = _duplication_polys(curve)
+    res = abs(_duplication_resultant(curve))
+    primes = [p for p, _ in factorize(res)]
+    n_steps = 40
+    trackers = {}
+    for p in primes:
+        v_res = valuation(res, p)
+        k0 = v_res * (n_steps + 2) + 8
+        trackers[p] = [x.numerator % p**k0, x.denominator % p**k0, k0, v_res]
+    scale0 = max(abs(x.numerator), x.denominator)
+    height = math.log(scale0)
+    ra, rb = x.numerator / scale0, x.denominator / scale0
+    logp = {p: math.log(p) for p in primes}
+    c_bound = 10.0
+    for n in range(n_steps):
+        fa, gb = F(ra, rb), G(ra, rb)
+        cn = math.log(max(abs(fa), abs(gb)))
+        glog = 0.0
+        for p, st in trackers.items():
+            a_, b_, kp, v_res = st
+            if kp <= v_res + 1:
+                continue  # precision spent; tail bound covers the remainder
+            mod = p**kp
+            fm = F(a_, b_) % mod
+            gm = G(a_, b_) % mod
+
+            def vp(val):
+                if val == 0:
+                    return kp
+                v = 0
+                while val % p == 0:
+                    val //= p
+                    v += 1
+                return v
+
+            v = min(vp(fm), vp(gm))
+            glog += v * logp[p]
+            pv = p**v
+            st[0], st[1], st[2] = (fm // pv) % p ** (kp - v), (gm // pv) % p ** (kp - v), kp - v
+        height += (cn - glog) / 4 ** (n + 1)
+        c_bound = max(c_bound, abs(cn) + math.log(res))
+        sc = max(abs(fa), abs(gb))
+        ra, rb = fa / sc, gb / sc
+        if n > 8 and c_bound / 4 ** (n + 1) < tol:
+            break
+    return height
 
 
 def naive_height(x: Fraction) -> float:

@@ -27,12 +27,14 @@ from heegner_witness.heegner import (
     trace_to_K,
 )
 from heegner_witness import heegner, lseries
-from heegner_witness.ec_core import CurveQ, ap, b_invariants
+from heegner_witness.arith import factorize
+from heegner_witness.ec_core import CurveQ, ap, b_invariants, discriminant
 from heegner_witness.lseries import l_eval, l_over_K
 from heegner_witness.pipeline import parse_curve_file
 from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import find_K
 from oracles import (
+    canonical_height_every_prime,
     elliptic_log,
     fricke_direct,
     heegner_forms_unbounded,
@@ -68,6 +70,26 @@ def test_period_lattice_11a(e11a):
     assert abs(lat.omega1 - 1.2692093042795538) < 1e-10
     # rhombic: Re(omega2) = omega1 / 2
     assert abs(lat.omega2.real - lat.omega1 / 2) < 1e-10
+
+
+def test_period_lattice_check_keeps_its_tolerance(monkeypatch):
+    # the Eisenstein sums stop where their tails are below a thousandth of the
+    # 1e-6 tolerance: invariants off by half the tolerance still pass, and
+    # off by twice it fail, on every curve of the pinned table
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    curves = parse_curve_file(os.path.join(root, "perfbench", "data", "pinned.txt"))
+    real = heegner.c_invariants
+    for curve in curves:
+        c4, c6 = real(curve)
+        ref = max(abs(c4), abs(c6), 1.0)
+        for s4, s6 in ((0.5, 0), (0, -0.5), (2, 0), (0, -2)):
+            shifted = (c4 + s4 * 1e-6 * ref, c6 + s6 * 1e-6 * ref)
+            monkeypatch.setattr(heegner, "c_invariants", lambda c, shifted=shifted: shifted)
+            if abs(s4 + s6) < 1:
+                period_lattice(curve)
+            else:
+                with pytest.raises(ArithmeticError, match="fails invariant check"):
+                    period_lattice(curve)
 
 
 def test_period_half_gives_two_torsion(e37a):
@@ -287,17 +309,52 @@ def test_rational_torsion_point_none_without_q_torsion(ainvs, q):
 
 def test_is_torsion_cpoint(e37a):
     lat = period_lattice(e37a)
+    m_K = heegner.torsion_bound(e37a, -7)  # E(K), K = Q(sqrt(-7)), has no torsion but O
+    assert m_K == 1
     assert is_torsion(e37a, CPoint(0j, None))
     z2 = CPoint(lat.omega1 / 2, (0.0, 0.0), 1e-12)
-    assert is_torsion(e37a, z2, lattice=lat)
+    assert is_torsion(e37a, z2, lattice=lat)  # no field given: every order up to B is tried
+    assert not is_torsion(e37a, z2, lattice=lat, d_K=-7)  # order 2 does not divide m_K
     gen = elliptic_log(lat, 0j, 0j)
-    assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 1e-12), lattice=lat)
-    # tol = 50 prec must stay below lambda_min/(2 B^2), where balls about the
-    # points of order <= B stop overlapping
-    limit = lat.lambda_min / (2 * heegner.DEFAULT_TORSION_BOUND**2)
-    assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 0.99 * limit / 50), lattice=lat)
+    assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 1e-12), lattice=lat, d_K=-7)
+    # tol = 50 prec must stay below lambda_min/(2 m_K), where balls about the
+    # points of order dividing m_K stop overlapping
+    limit = lat.lambda_min / (2 * m_K)
+    assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 0.99 * limit / 50), lattice=lat, d_K=-7)
     with pytest.raises(PrecisionUnreachable, match="^torsion tolerance .* is not below"):
-        is_torsion(e37a, CPoint(gen, (0.0, 0.0), limit / 49), lattice=lat)
+        is_torsion(e37a, CPoint(gen, (0.0, 0.0), limit / 49), lattice=lat, d_K=-7)
+
+
+@pytest.mark.parametrize("ainvs, divides_m", [
+    ((0, 0, 1, -1, 0, 37), 1),  # 37a: m = 1
+    (E11A, 5),  # 11a: Z/5
+    ((1, 0, 1, 4, -6, 14), 6),  # 14a: Z/6
+    ((1, 1, 1, -10, -10, 15), 8),  # 15a: Z/4 x Z/2
+    ((1, -1, 1, -1, -14, 17), 4),  # 17a: Z/4
+    ((0, 1, 1, -9, -15, 19), 3),  # 19a: Z/3
+    ((1, 0, 0, -1, 0, 65), 2),  # 65a: Z/2
+])
+def test_torsion_bound_is_a_multiple_of_the_rational_torsion(ainvs, divides_m):
+    curve = CurveQ(*ainvs)
+    m = heegner.torsion_bound(curve)
+    assert m == 1 if divides_m == 1 else m % divides_m == 0
+    # over a field of the Heegner hypothesis, m_K is a multiple of m
+    d_K = find_K(curve).d_K
+    assert heegner.torsion_bound(curve, d_K) % m == 0
+
+
+def test_torsion_points_stay_torsion_under_the_bound(e11a):
+    assert heegner.torsion_bound(e11a) == heegner.torsion_bound(e11a, -7) == 5
+    P = (Fraction(5), Fraction(5))  # of order 5
+    assert is_torsion(e11a, P) and canonical_height(e11a, P) == 0.0
+    e65a = CurveQ(1, 0, 0, -1, 0, 65, "65a")  # m = 2: (0, 0) has order 2, (1, -1) infinite order
+    assert heegner.torsion_bound(e65a) == 2
+    assert is_torsion(e65a, (Fraction(0), Fraction(0)))
+    assert not is_torsion(e65a, (Fraction(1), Fraction(-1)))
+    lat = period_lattice(e11a)
+    for k in range(1, 5):
+        assert is_torsion(e11a, CPoint(k * lat.omega1 / 5, (0.0, 0.0), 1e-12), lattice=lat, d_K=-7)
+    assert not is_torsion(e11a, CPoint(lat.omega1 / 3, (0.0, 0.0), 1e-12), lattice=lat, d_K=-7)
 
 
 def test_canonical_height_generator_37a(e37a):
@@ -305,6 +362,45 @@ def test_canonical_height_generator_37a(e37a):
     oracle = height_doubling_oracle(e37a, (Fraction(0), Fraction(0)), k=10)
     assert abs(h - oracle) < 1e-4
     assert abs(h - 0.05111140823996884) < 1e-9
+
+
+# the points the pinned and pins.json witness runs recognize, and 57a's
+# (-1, 1), which reduces to the singular point mod 3: (label, a-invariants,
+# N, x, y, the primes whose gcd canonical_height tracks)
+HEIGHT_POINTS = [
+    ("37a", (0, 0, 1, -1, 0), 37, 0, 0, set()),
+    ("43a", (0, 1, 1, 0, 0), 43, 0, 0, set()),
+    ("53a", (1, -1, 1, 0, 0), 53, 0, -1, set()),
+    ("57a", (0, -1, 1, -2, 2), 57, 1, -1, set()),
+    ("61a", (1, 0, 0, -2, 1), 61, 1, 0, set()),
+    ("65a", (1, 0, 0, -1, 0), 65, 1, -1, set()),
+    ("79a", (1, 1, 1, -2, 0), 79, 0, 0, set()),
+    ("83a", (1, 1, 1, 1, 0), 83, 0, 0, set()),
+    ("89a", (1, 1, 1, -1, 0), 89, 0, -1, set()),
+    ("91a", (0, 0, 1, 1, 0), 91, 0, -1, set()),
+    ("131a", (0, -1, 1, 1, 0), 131, 0, 0, set()),
+    ("g12283.1", (0, -1, 1, -3, -5), 12283, Fraction(25, 9), Fraction(8, 27), set()),
+    ("g4429.1", (0, 1, 1, -4, -3), 4429, Fraction(-3, 4), Fraction(-9, 8), set()),
+    ("g18469.1", (0, 0, 1, -16, -24), 18469, 20, -88, set()),
+    ("g427.2", (1, 0, 1, -8, 7), 427, 1, 0, set()),
+    ("57a (-1, 1)", (0, -1, 1, -2, 2), 57, -1, 1, {3}),
+]
+
+
+@pytest.mark.parametrize("label, ainvs, N, x, y, tracked", HEIGHT_POINTS,
+                         ids=[row[0] for row in HEIGHT_POINTS])
+def test_canonical_height_equals_the_every_prime_oracle(label, ainvs, N, x, y, tracked):
+    # the gcd is tracked only where P reduces to the singular point; the
+    # heights of P, ..., 6P equal, bit for bit, those with every prime of
+    # Delta tracked
+    curve = CurveQ(*ainvs, N, label)
+    P = (Fraction(x), Fraction(y))
+    assert on_curve(curve, P)
+    assert tracked == {p for p, _ in factorize(discriminant(curve))
+                       if heegner._reduces_to_singular_point(curve, *P, p)}
+    for k in range(1, 7):
+        Q = rational_multiple(curve, P, k)
+        assert canonical_height(curve, Q) == canonical_height_every_prime(curve, Q), (label, k)
 
 
 def test_canonical_height_torsion_and_identity(e37a, e11a):

@@ -221,6 +221,28 @@ def test_twists_by_character_match_twisted_models(e11a, e37a, e389a):
             assert le == l_eval(model, sign=le.epsilon), (curve.label, d)
 
 
+def test_twist_row_is_built_once_per_l_eval_and_read_only(e37a, monkeypatch):
+    # the passes of one l_eval share one row; the values are the ones a
+    # fresh row per pass gives, bit for bit
+    calls = []
+    real = lseries.kronecker
+
+    def counted(d, n):
+        calls.append(d)
+        return real(d, n)
+
+    lseries._twist_row.cache_clear()
+    fresh = l_eval(e37a, d=-11)
+    monkeypatch.setattr(lseries, "kronecker", counted)
+    lseries._twist_row.cache_clear()
+    assert l_eval(e37a, d=-11) == fresh
+    assert calls == [-11] * 11  # one row of |d| values for all the passes
+    row = lseries._twist_row(-11)
+    assert row.tolist() == [real(-11, n) for n in range(11)]
+    with pytest.raises(ValueError):
+        row[0] = 1
+
+
 def test_cached_an_grows_in_place_counting_each_prime_once(e37a, monkeypatch):
     counted = []
     real_ap, real_flat, real_lockstep = ec_core.ap, ec_core.ap_flat, ec_core.ap_lockstep

@@ -291,6 +291,29 @@ def test_a_model_that_is_not_optimal_fails_fricke_by_the_optimal_lattice(monkeyp
     assert abs(last["residual"] - optimal.omega1) <= last["bound"]
     (in_optimal,) = against_optimal
     assert in_optimal["residual"] <= in_optimal["bound"] == last["bound"]
+    # 27a1's omega_1 is a third of 27a3's: the check names the residual's order
+    assert last["order"] == 3 and last["error"] == ("model is not X_0(27)-optimal: the Fricke "
+                                                    "residual has order 3 mod Lambda_E")
+    assert report.heegner["fricke"] == {k: v for k, v in last.items() if k not in ("name", "pass")}
+
+
+@pytest.mark.parametrize("curve, order", [
+    (CurveQ(0, -1, 1, 0, 0, 11, "g11.1"), 5),  # 11a3's model
+    (CurveQ(1, -1, 1, -1, 0, 17, "g17.1"), 4),
+    (CurveQ(0, 1, 1, 1, 0, 19, "g19.1"), 3),
+    (CurveQ(1, -1, 0, 1, 0, 55, "g55.1"), 2),
+], ids=lambda v: v.label if isinstance(v, CurveQ) else str(v))
+def test_a_model_that_is_not_optimal_is_named_with_the_order_of_its_fricke_residual(curve, order):
+    report = run_witness(curve)
+    assert not report.passed and report.failed_at == "fricke"
+    last = report.checks[-1]
+    assert last["residual"] > last["bound"] and last["order"] == order
+    assert last["error"] == (f"model is not X_0({curve.N})-optimal: the Fricke residual has "
+                             f"order {order} mod Lambda_E")
+    # k r lies within k times the bound of the lattice, at the coordinates reported
+    a, b = last["coordinates"]
+    assert max(abs(order * a - round(order * a)), abs(order * b - round(order * b))) < 1e-8
+    assert math.gcd(math.gcd(round(order * a), round(order * b)), order) == 1
 
 
 @pytest.mark.parametrize("curve", [
@@ -670,6 +693,22 @@ def test_coarse_step5_configs_sum_at_a_precision_the_torsion_test_decides():
         heegner.is_torsion(table["43a"], coarse, lattice=lattice)
 
 
+@pytest.mark.parametrize("curve", [
+    CurveQ(1, 0, 0, -2, 1, 61, "61a"),
+    CurveQ(1, 0, 1, -5, 1, 4771, "g4771.4"),
+    CurveQ(0, 0, 1, -16, -24, 18469, "g18469.1"),
+], ids=lambda c: c.label)
+def test_coarse_configs_test_the_trace_only_for_the_orders_E_of_K_can_have(curve):
+    # m_K = 1 on all three, so E(K) has no torsion but O and the trace is
+    # tested against the lattice alone. With every order up to 16 tried,
+    # traces 1.15, 0.53 and 0.22 from the lattice read as torsion at these
+    # configs, and the runs failed gz_correspondence though L'(E/K,1) != 0
+    for precision in (1e-3, 1e-4):
+        report = run_witness(curve, Config(lseries_precision=precision, heegner_residual=1.0))
+        assert report.passed and report.heegner["pk_nontorsion"], (curve.label, precision)
+        assert heegner.torsion_bound(curve, report.d_K) == 1
+
+
 def test_coarse_precision_fails_the_gate_naming_both_defects():
     # at 1e-2 the gate's few terms fit both signs on 43a; the run fails by name
     e43a = CurveQ(0, 1, 1, 0, 0, 43, "43a")
@@ -724,12 +763,18 @@ def test_report_hashes_match_golden():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    assert sorted(golden) == ["perfbench/data/pinned.txt", "testdata.txt"]
+    assert sorted(golden) == ["perfbench/data/pinned.txt", "perfbench/data/pins.json",
+                              "testdata.txt"]
     for path, want in golden.items():
-        got = {
-            c.label: json.loads(canonical_json(run_witness(c)))["canonical_hash"]
-            for c in parse_curve_file(os.path.join(root, path))
-        }
+        if path.endswith(".json"):  # the curves of the field-search and aux-search pools
+            with open(os.path.join(root, path)) as fh:
+                pins = json.load(fh)
+            curves = [CurveQ(*c["ainvs"], c["N"], c["label"])
+                      for c in pins["field-search"] + pins["aux-search"]]
+        else:
+            curves = parse_curve_file(os.path.join(root, path))
+        got = {c.label: json.loads(canonical_json(run_witness(c)))["canonical_hash"]
+               for c in curves}
         assert got == want, path
 
 
