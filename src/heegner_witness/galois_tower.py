@@ -118,16 +118,8 @@ def divisibility_contradiction(model: FormalMWModel) -> ContradictionResult:
     rows = []
     for n in range(model.m + 1, witness + 1):
         need = max(n - model.m - model.r, 0)
-        prod_v = sum(valuation(a, q) for a in model.ap_values[:n])  # = 0 by check above
-        rhs_v = prod_v + v
-        rows.append(
-            {
-                "level": n,
-                "required_power": need,
-                "v_q_rhs": rhs_v,
-                "divisible": need <= rhs_v,
-            }
-        )
+        # q divides no a_p (`bad` above), so the right side's q-valuation is v
+        rows.append({"level": n, "required_power": need, "v_q_rhs": v, "divisible": need <= v})
     assert rows[-1]["divisible"] is False
     return ContradictionResult(True, "q-valuation overflow", witness, j, v, rows)
 

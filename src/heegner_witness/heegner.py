@@ -543,28 +543,23 @@ def is_torsion(curve: CurveQ, P, lattice: PeriodLattice | None = None,
     of a point of order dividing m_K = torsion_bound(curve, d_K), that is
     when m_K z lies within m_K tol of the lattice. Those points, the
     (1/m_K) Lambda mod Lambda, lie at least lambda_min / m_K apart, so tol
-    must stay below lambda_min / (2 m_K). Without `d_K` the field is not
-    known: kz is tried for every k <= B = DEFAULT_TORSION_BOUND, and the
-    points of order <= B lie at least lambda_min / B^2 apart, so tol must
-    stay below lambda_min / (2 B^2).
+    must stay below lambda_min / (2 m_K). A CPoint other than O needs
+    `d_K`: ValueError without it.
     """
     if P is None:
         return True
     if isinstance(P, CPoint):
         if P.is_identity:
             return True
-        tol = max(1e-7, 50 * P.prec)
-        B = DEFAULT_TORSION_BOUND
         if d_K is None:
-            orders, spacing, symbol, named = range(1, B + 1), B * B, "B^2", f"B = {B}"
-        else:
-            m = torsion_bound(curve, d_K)
-            orders, spacing, symbol, named = (m,), m, "m_K", f"m_K = {m}"
-        limit = lattice.lambda_min / (2 * spacing)
+            raise ValueError("is_torsion needs d_K, the field K = Q(sqrt(d_K)), for a CPoint")
+        tol = max(1e-7, 50 * P.prec)
+        m = torsion_bound(curve, d_K)
+        limit = lattice.lambda_min / (2 * m)
         if tol >= limit:
             raise PrecisionUnreachable(f"torsion tolerance {tol:.3g} is not below lambda_min/"
-                                       f"(2 {symbol}) = {limit:.3g}, {named}")
-        return any(lattice.dist(k * P.z) < tol * k for k in orders)
+                                       f"(2 m_K) = {limit:.3g}, m_K = {m}")
+        return lattice.dist(m * P.z) < tol * m
     Pf = (Fraction(P[0]), Fraction(P[1]))
     if not on_curve(curve, Pf):
         raise ValueError("point is not on the curve")
@@ -720,15 +715,10 @@ def _cf_convergents(v: float, max_den: int):
 
 def recognize_rational(v: float, max_den: int = 10**6, tol: float = 1e-9):
     """Best small-denominator fraction within tol, else None."""
-    best = None
     for f in _cf_convergents(v, max_den):
-        if f.denominator > max_den:
-            break
-        err = abs(v - float(f))
-        if err < tol:
-            best = f
-            break
-    return best
+        if abs(v - float(f)) < tol:
+            return f
+    return None
 
 
 def _recognize_point(curve: CurveQ, x_c: complex, y_c: complex, max_den=10**6, tol=1e-7):

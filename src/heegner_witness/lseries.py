@@ -62,7 +62,6 @@ here reads a twist from E's own a_n table; no twisted model is built.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -137,27 +136,18 @@ def fsum_blocks(parts) -> float:
     return math.fsum(itertools.chain.from_iterable(part.tolist() for part in parts))
 
 
-@functools.lru_cache(maxsize=1)
-def _twist_row(d: int) -> np.ndarray:
-    """kronecker(d, n) for n = 0..|d| - 1, read-only. Built on the first of
-    the passes an `l_eval` of the twist makes and returned to the rest; only
-    the last d is kept, as the field search tries one d after another."""
-    row = np.array([kronecker(d, n) for n in range(abs(d))], dtype=np.int64)
-    row.flags.writeable = False
-    return row
-
-
-def _blocks(curve: CurveQ, d: int, T: int):
-    """(n, a_n) of the twist by d for n = 1..T, block by block, as float64 arrays.
+def _blocks(curve: CurveQ, chi: np.ndarray | None, T: int):
+    """(n, a_n) of the twist with character row chi for n = 1..T, block by
+    block, as float64 arrays; E itself for chi None.
 
     a_n(E_d) = kronecker(d, n) a_n(E), a character periodic mod |d|, read
-    from E's one table. Both are integers far below 2^53, so exact.
+    from E's one table. `l_eval` builds chi = kronecker(d, n) for n = 0..|d|-1
+    once and passes it to each of its sums. Both are integers far below
+    2^53, so exact.
     """
     v = cached_an(curve, T).values
-    if d != 1:
-        chi = _twist_row(d)
     for lo, hi in n_blocks(T):
-        a = v[lo:hi] if d == 1 else v[lo:hi] * chi[np.arange(lo, hi) % abs(d)]
+        a = v[lo:hi] if chi is None else v[lo:hi] * chi[np.arange(lo, hi) % len(chi)]
         yield np.arange(lo, hi, dtype=np.float64), a.astype(np.float64)
 
 
@@ -278,13 +268,13 @@ def _tail_terms(x: float, target: float) -> int:
     raise ArithmeticError("series tail will not reach target")
 
 
-def _f_sum(curve: CurveQ, d: int, T: int, x: float) -> float:
+def _f_sum(curve: CurveQ, chi: np.ndarray | None, T: int, x: float) -> float:
     """sum_{n<=T} a_n(E_d)/n e^{-x n}, correctly rounded by one fsum over the blocks."""
-    return fsum_blocks(a / n * np.exp(-x * n) for n, a in _blocks(curve, d, T))
+    return fsum_blocks(a / n * np.exp(-x * n) for n, a in _blocks(curve, chi, T))
 
 
 def _f_bound(x: float, T: int) -> float:
-    """Tail plus rounding bound of a computed `_f_sum(curve, d, T, x)`.
+    """Tail plus rounding bound of a computed `_f_sum(curve, chi, T, x)`.
 
     The tail is sum_{n>T} sqrt(3) r^n, r = e^-x. Each term a/n e^{-xn}, with
     |a/n| <= sqrt(3), takes one rounding in a/n, one in x n (an error x n u
@@ -330,8 +320,9 @@ def l_eval(
     """
     c = 2.0 * math.pi / math.sqrt(_twist_conductor(curve, d))
     T = _tail_terms(c, precision / 4.0)
-    f1 = 0.0 if sign == -1 else _f_sum(curve, d, T, c)  # only sign +1 reads F(1)
-    fa, fb = _f_sum(curve, d, T, c * _SPLIT_A), _f_sum(curve, d, T, c / _SPLIT_A)
+    chi = None if d == 1 else np.array([kronecker(d, n) for n in range(abs(d))], dtype=np.int64)
+    f1 = 0.0 if sign == -1 else _f_sum(curve, chi, T, c)  # only sign +1 reads F(1)
+    fa, fb = _f_sum(curve, chi, T, c * _SPLIT_A), _f_sum(curve, chi, T, c / _SPLIT_A)
     tails = _f_bound(c * _SPLIT_A, T) + _f_bound(c / _SPLIT_A, T)
     tried = {s: (abs(fa + s * fb - (1 + s) * f1), tails + (1 + s) * _f_bound(c, T))
              for s in ((1, -1) if sign is None else (sign,))}
@@ -356,7 +347,7 @@ def l_eval(
         tail = 2.0 * _SQRT3 * math.exp(-c * (T + 1)) / (1 - math.exp(-c))
     else:
         val = 0.0
-        der = 2.0 * fsum_blocks(a / n * exp1(c * n) for n, a in _blocks(curve, d, T))
+        der = 2.0 * fsum_blocks(a / n * exp1(c * n) for n, a in _blocks(curve, chi, T))
         r = math.exp(-c)
         tail = 2.0 * _SQRT3 * r ** (T + 1) / (c * (T + 1) * (1 - r))
     return LEval(val, der, sign, T, tail, tried[sign][0])

@@ -307,9 +307,11 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
 
     # 5. Heegner numerics: each form summed once, at one precision. The trace
     # of h forms carries a tail of at most h * precision, and is_torsion's
-    # tolerance, 50 times that, must stay below lambda_min / (2 m_K): the last
-    # bound keeps it at lambda_min / (4 B^2), so a coarse config cannot make
-    # the torsion test undecidable while m_K < 2 B^2.
+    # tolerance, 50 times that, must stay below lambda_min / (2 m_K). The last
+    # bound keeps it at lambda_min / (4 B^2) rather than lambda_min / (4 m_K),
+    # which is too loose: at lseries_precision 3e-3, heegner_residual 10,
+    # g8446.1 (m_K = 1) would get tolerance 0.36 and read its nontorsion
+    # trace at |z_K| = 0.265 as torsion.
     with _stage(timing, "heegner"):
         try:
             orbit = heegner_orbit(curve, d_K, 1)

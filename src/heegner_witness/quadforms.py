@@ -8,15 +8,13 @@ squarefree c with all p | c inert and d_K = 1 mod 4, is found two ways: by
 the product of C_{p+1} it must have, and prime by prime from the local
 quotients (O_K/p)^* / (Z/p)^*. Each local quotient is counted by its O(p)
 cosets of F_p^* and certified cyclic of that order n_p by a generator, once
-per (d, p) in a process, on first use, so towers that share K and a prime
-share it. By CRT the level's group is the product of the C_{n_p};
-`ring_class_levels` takes its elementary divisors by gcd/lcm exchange and
-compares them with the formula's at every level.
+per (d, p) in every run. By CRT the level's group is the product of the
+C_{n_p}; `ring_class_levels` takes its elementary divisors by gcd/lcm
+exchange and compares them with the formula's at every level.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -153,11 +151,10 @@ def _elementary_divisors(orders) -> list[int]:
     return [m for m in chain if m > 1]
 
 
-@functools.cache
 def _cyclic_order(d: int, p: int) -> int:
     """Order n of (O_K/p)^* / (Z/p)^*, O_K = Z[w] with w^2 = w + (d - 1)/4,
-    once a generator certifies that the group is cyclic; certified once per
-    (d, p) in a process, so towers that share K and a prime share it.
+    once a generator certifies that the group is cyclic; certified afresh in
+    every run, as `ring_class_levels` reaches each (d, p) once per call.
 
     A unit x + y w with y != 0 is y (r + w), r = x/y, so the cosets of F_p^*
     are F_p^* itself and r + w for each r in F_p with N(r + w) = r^2 + r +
@@ -209,8 +206,8 @@ def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
 
     The group is C_{p_1+1} x ... x C_{p_n+1}; invariants are returned in
     elementary divisor form. Every level is cross-checked: each p_i's local
-    quotient is certified cyclic of order n_i once (`_cyclic_order`), and
-    the elementary divisors of C_{n_1} x ... x C_{n_k} must equal the
+    quotient is certified cyclic of order n_i once per call (`_cyclic_order`),
+    and the elementary divisors of C_{n_1} x ... x C_{n_k} must equal the
     formula's.
     """
     if not is_fundamental(d_K):

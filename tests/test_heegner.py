@@ -313,7 +313,8 @@ def test_is_torsion_cpoint(e37a):
     assert m_K == 1
     assert is_torsion(e37a, CPoint(0j, None))
     z2 = CPoint(lat.omega1 / 2, (0.0, 0.0), 1e-12)
-    assert is_torsion(e37a, z2, lattice=lat)  # no field given: every order up to B is tried
+    with pytest.raises(ValueError, match="needs d_K"):  # no field given
+        is_torsion(e37a, z2, lattice=lat)
     assert not is_torsion(e37a, z2, lattice=lat, d_K=-7)  # order 2 does not divide m_K
     gen = elliptic_log(lat, 0j, 0j)
     assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 1e-12), lattice=lat, d_K=-7)

