@@ -204,21 +204,14 @@ def _wp(lattice: PeriodLattice, z: complex) -> tuple[complex, complex]:
     return w, wd
 
 
-def _add_complex(curve: CurveQ, P, Q):
+def _double_complex(curve: CurveQ, P):
+    """2P on E(C) by the tangent at P = (x, y); None when P is 2-torsion."""
     a1, a2, a3, a4, a6 = curve.ainvs
-    if P is None:
-        return Q
-    if Q is None:
-        return P
     x1, y1 = P
-    x2, y2 = Q
-    if abs(x1 - x2) < 1e-12 * (1 + abs(x1)):
-        if abs(y2 - (-y1 - a1 * x1 - a3)) < 1e-9 * (1 + abs(y1)):
-            return None
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    if abs(y1 - (-y1 - a1 * x1 - a3)) < 1e-9 * (1 + abs(y1)):
+        return None
+    lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x1
     y3 = -(y1 + lam * (x3 - x1)) - a1 * x3 - a3
     return (x3, y3)
 
@@ -237,7 +230,7 @@ def _halve_and_double(lattice: PeriodLattice, z: complex):
     y = (wd - a1 * x - a3) / 2.0
     P = (x, y)
     for _ in range(k):
-        P = _add_complex(curve, P, P)
+        P = _double_complex(curve, P)
         if P is None:
             return None
     return P
@@ -456,10 +449,9 @@ def rational_add(curve: CurveQ, P, Q):
 
 
 def rational_multiple(curve: CurveQ, P, k: int):
+    """[k]P on E(Q) by double-and-add, k >= 0; ValueError for k < 0."""
     if k < 0:
-        a1, _, a3, _, _ = curve.ainvs
-        P = (P[0], -P[1] - a1 * P[0] - a3)
-        k = -k
+        raise ValueError(f"multiple k = {k} must be >= 0")
     out = None
     base = P
     while k:
@@ -578,38 +570,6 @@ def _duplication_polys(curve: CurveQ):
     return F, G
 
 
-def _duplication_resultant(curve: CurveQ) -> int:
-    """Res_x of the duplication numerator/denominator; equals Delta^2."""
-    b2, b4, b6, b8 = b_invariants(curve)
-    Fc = [1, 0, -b4, -2 * b6, -b8]
-    Gc = [4, b2, 2 * b4, b6]
-    n = 7
-    M = [[0] * n for _ in range(n)]
-    for i in range(3):
-        for j, cf in enumerate(Fc):
-            M[i][i + j] = cf
-    for i in range(4):
-        for j, cf in enumerate(Gc):
-            M[3 + i][i + j] = cf
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    res = sign * M[n - 1][n - 1]
-    if res != discriminant(curve) ** 2:
-        raise ArithmeticError("duplication resultant != Delta^2; algebra bug")
-    return res
-
-
 def _reduces_to_singular_point(curve: CurveQ, x: Fraction, y: Fraction, p: int) -> bool:
     """Whether (x, y) reduces mod p to a singular point of the model: x is
     p-integral (then so is y) and both partial derivatives vanish mod p."""
@@ -624,75 +584,60 @@ def _reduces_to_singular_point(curve: CurveQ, x: Fraction, y: Fraction, p: int) 
 def canonical_height(curve: CurveQ, P, tol: float = 1e-11) -> float:
     """Neron-Tate height, normalized as lim h(x(2^n P)) / 4^n.
 
-    Computed without exact big-integer blowup: the naive height telescopes
-    under duplication with corrections log max(|F|,|G|) on the normalized
-    coordinate pair (bounded, evaluated in floats) minus log gcd (supported
-    on primes of Delta^2, tracked exactly by bounded modular arithmetic).
+    Computed without exact big-integer blowup, on Q = kP for the least k >= 1
+    with Q in E_0(Q_p) at every p | Delta, that is with Q reducing to a
+    nonsingular point of the model mod p; then h(P) = h(Q) / k^2. With
+    x(2^n Q) = a/b in lowest terms, x(2^(n+1) Q) = F(a, b) / G(a, b) up to
+    gcd(F, G), so the naive height telescopes under duplication with
+    corrections log max(|F|, |G|) on the normalized pair (a, b), evaluated in
+    floats, minus log gcd(F, G). That gcd is 1:
 
-    The gcd is tracked only at the primes p | Delta where P reduces to the
-    singular point of the model mod p. Elsewhere P lies in E_0(Q_p), a
-    subgroup (AEC VII.2.1), so every 2^n P does too. On E_0(Q_p) the local
-    height is max(0, -v(x))/2 + v(Delta)/12 for any integral model, so the
-    duplication formula for local heights gives v(x(2Q)) = -v(G(x_Q)) at
-    p-integral x_Q, so F(x_Q) is a p-adic unit whenever p | G(x_Q); at
-    x_Q = a/b with p | b, F(a, b) = a^4 mod p. Either way p never divides
-    both, and such a tracker would add exactly 0.0 at every step
-    (Silverman, "Computing heights on elliptic curves", Math. Comp. 51, 1988).
+    - at p not dividing Delta, gcd(F, G) divides Res_x(F, G) = Delta^2;
+    - at p | Delta, Q lies in E_0(Q_p), a subgroup (AEC VII.2.1), so every
+      2^n Q does too. On E_0(Q_p) the local height is
+      max(0, -v(x))/2 + v(Delta)/12 for any integral model, so the
+      duplication formula for local heights gives v(x(2R)) = -v(G(x_R)) at
+      p-integral x_R, so F(x_R) is a p-adic unit whenever p | G(x_R); at
+      x_R = a/b with p | b, F(a, b) = a^4 mod p. Either way p never divides
+      both (Silverman, "Computing heights on elliptic curves", Math. Comp.
+      51, 1988).
+
+    The search for k ends: E_0(Q_p) is open in the compact E(Q_p), so of
+    finite index c_p, and P is not torsion. On a minimal model k divides
+    lcm c_p, the Tamagawa numbers, with c_p = v_p(Delta) at a split
+    multiplicative p. The sum stops after at least ten steps, at the first n
+    with c / 4^(n+1) < `tol`, c the largest |log max(|F|, |G|)| + log Delta^2
+    so far.
     """
     if P is None:
         return 0.0
-    x = Fraction(P[0])
-    y = Fraction(P[1])
-    if not on_curve(curve, (x, y)):
+    P = (Fraction(P[0]), Fraction(P[1]))
+    if not on_curve(curve, P):
         raise ValueError("point is not on the curve")
-    if is_torsion(curve, (x, y)):
+    if is_torsion(curve, P):
         return 0.0
+    delta = discriminant(curve)
+    bad = [p for p, _ in factorize(delta)]
+    Q, k = P, 1
+    while any(_reduces_to_singular_point(curve, *Q, p) for p in bad):
+        Q, k = rational_add(curve, Q, P), k + 1
+    a, b = Q[0].numerator, Q[0].denominator
     F, G = _duplication_polys(curve)
-    res = abs(_duplication_resultant(curve))
-    n_steps = 40
-    trackers = {}
-    for p, e in factorize(discriminant(curve)):
-        if _reduces_to_singular_point(curve, x, y, p):
-            v_res = 2 * e
-            k0 = v_res * (n_steps + 2) + 8
-            trackers[p] = [x.numerator % p**k0, x.denominator % p**k0, k0, v_res]
-    scale0 = max(abs(x.numerator), x.denominator)
+    log_res = math.log(delta**2)
+    scale0 = max(abs(a), b)
     height = math.log(scale0)
-    ra, rb = x.numerator / scale0, x.denominator / scale0
-    logp = {p: math.log(p) for p in trackers}
+    ra, rb = a / scale0, b / scale0
     c_bound = 10.0
-    for n in range(n_steps):
+    for n in range(40):
         fa, gb = F(ra, rb), G(ra, rb)
         cn = math.log(max(abs(fa), abs(gb)))
-        glog = 0.0
-        for p, st in trackers.items():
-            a_, b_, kp, v_res = st
-            if kp <= v_res + 1:
-                continue  # precision spent; tail bound covers the remainder
-            mod = p**kp
-            fm = F(a_, b_) % mod
-            gm = G(a_, b_) % mod
-
-            def vp(val):
-                if val == 0:
-                    return kp
-                v = 0
-                while val % p == 0:
-                    val //= p
-                    v += 1
-                return v
-
-            v = min(vp(fm), vp(gm))
-            glog += v * logp[p]
-            pv = p**v
-            st[0], st[1], st[2] = (fm // pv) % p ** (kp - v), (gm // pv) % p ** (kp - v), kp - v
-        height += (cn - glog) / 4 ** (n + 1)
-        c_bound = max(c_bound, abs(cn) + math.log(res))
+        height += cn / 4 ** (n + 1)
+        c_bound = max(c_bound, abs(cn) + log_res)
         sc = max(abs(fa), abs(gb))
         ra, rb = fa / sc, gb / sc
         if n > 8 and c_bound / 4 ** (n + 1) < tol:
             break
-    return height
+    return height / (k * k)
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +794,7 @@ def gz_correspondence(orbit: HeegnerOrbit, zs: list[CPoint], lk: LOverK,
         proxy = False
     else:
         nontorsion = not is_torsion(curve, pk, lattice=lattice, d_K=orbit.d_K)
-        height = (lattice.dist(pk.z) / lattice.omega1) ** 2 if pk.z is not None else 0.0
+        height = (lattice.dist(pk.z) / lattice.omega1) ** 2
         proxy = True
     holds = nontorsion == lk.nonzero
     ratio = None

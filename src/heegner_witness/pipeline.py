@@ -31,7 +31,7 @@ except ImportError:
 
 from . import __version__
 from .arith import is_prime
-from .ec_core import CurveQ, cm_field
+from .ec_core import POINT_COUNT_CEILING, CurveQ, cm_field
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
 from .heegner import (
     DEFAULT_TORSION_BOUND,
@@ -94,6 +94,9 @@ class Config:
                 raise ValueError(f"{name} must be positive")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if self.prime_bound > POINT_COUNT_CEILING:
+            raise ValueError(f"prime_bound {self.prime_bound} exceeds the point count ceiling "
+                             f"{POINT_COUNT_CEILING}")
         for name in ("tower_m", "tower_r"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -14,9 +14,10 @@ What the oracles still share with the package paths they judge:
 - `modular_param` and `period_lattice` feed the Fricke and trace-relation
   references, and `elliptic_exp`, `_wp` and `_halve_and_double`
   `elliptic_log`.
-- `canonical_height_every_prime` takes the duplication polynomials, the
-  resultant and the exact torsion test from `heegner`, and judges which
-  primes the package's `canonical_height` tracks.
+- `canonical_height_every_prime` takes the duplication polynomials and the
+  exact torsion test from `heegner`; it tracks gcd(F, G) exactly at every
+  prime of the resultant, where the package's `canonical_height` steps to a
+  multiple of P in E_0 at every bad prime and tracks none.
 - `quadforms.kronecker`, `reduce_form` and `class_number`. The
   element-order multisets live here: `class_group` and the unit quotient
   oracles take their invariants with `abelian_invariants`, and
@@ -66,7 +67,6 @@ from heegner_witness.heegner import (
     PeriodLattice,
     PrecisionUnreachable,
     _duplication_polys,
-    _duplication_resultant,
     _halve_and_double,
     _wp,
     elliptic_exp,
@@ -610,6 +610,38 @@ def height_doubling_oracle(curve: CurveQ, P, k: int = 10) -> float:
     return math.log(max(abs(x.numerator), x.denominator)) / 4 ** k
 
 
+def duplication_resultant(curve: CurveQ) -> int:
+    """Res_x(F, G) of the duplication numerator F = x^4 - b4 x^2 - 2 b6 x - b8
+    and denominator G = 4 x^3 + b2 x^2 + 2 b4 x + b6: the determinant of
+    their 7 x 7 Sylvester matrix by fraction-free (Bareiss) elimination. It
+    equals Delta^2."""
+    b2, b4, b6, b8 = b_invariants(curve)
+    Fc = [1, 0, -b4, -2 * b6, -b8]
+    Gc = [4, b2, 2 * b4, b6]
+    n = 7
+    M = [[0] * n for _ in range(n)]
+    for i in range(3):
+        for j, cf in enumerate(Fc):
+            M[i][i + j] = cf
+    for i in range(4):
+        for j, cf in enumerate(Gc):
+            M[3 + i][i + j] = cf
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if piv is None:
+                return 0
+            M[k], M[piv] = M[piv], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
 def canonical_height_every_prime(curve: CurveQ, P, tol: float = 1e-11) -> float:
     """Neron-Tate height, normalized as lim h(x(2^n P)) / 4^n.
 
@@ -618,8 +650,9 @@ def canonical_height_every_prime(curve: CurveQ, P, tol: float = 1e-11) -> float:
     coordinate pair (bounded, evaluated in floats) minus log gcd (supported
     on primes of Delta^2, tracked exactly by bounded modular arithmetic).
 
-    The package's `canonical_height` as it was before it tracked the gcd only
-    at primes of singular reduction: here every prime of Delta^2 is tracked.
+    The gcd is tracked exactly at every prime of the resultant Delta^2, on P
+    itself, where the package's `canonical_height` tracks none and sums a
+    multiple of P in E_0 at every bad prime instead.
     """
     if P is None:
         return 0.0
@@ -630,7 +663,7 @@ def canonical_height_every_prime(curve: CurveQ, P, tol: float = 1e-11) -> float:
     if is_torsion(curve, (x, y)):
         return 0.0
     F, G = _duplication_polys(curve)
-    res = abs(_duplication_resultant(curve))
+    res = abs(duplication_resultant(curve))
     primes = [p for p, _ in factorize(res)]
     n_steps = 40
     trackers = {}

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import os
 import random
@@ -35,6 +36,7 @@ from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import find_K
 from oracles import (
     canonical_height_every_prime,
+    duplication_resultant,
     elliptic_log,
     fricke_direct,
     heegner_forms_unbounded,
@@ -266,6 +268,9 @@ def test_rational_group_law(e37a):
     fourP = rational_multiple(e37a, P, 4)
     assert fourP == (Fraction(2), Fraction(-3))
     assert rational_add(e37a, P, (Fraction(0), Fraction(-1))) is None  # P + (-P)
+    assert rational_multiple(e37a, P, 0) is None
+    with pytest.raises(ValueError, match="must be >= 0"):
+        rational_multiple(e37a, P, -1)
 
 
 def test_is_torsion_rational(e37a, e11a):
@@ -367,7 +372,7 @@ def test_canonical_height_generator_37a(e37a):
 
 # the points the pinned and pins.json witness runs recognize, and 57a's
 # (-1, 1), which reduces to the singular point mod 3: (label, a-invariants,
-# N, x, y, the primes whose gcd canonical_height tracks)
+# N, x, y, the primes of Delta where P reduces to the singular point)
 HEIGHT_POINTS = [
     ("37a", (0, 0, 1, -1, 0), 37, 0, 0, set()),
     ("43a", (0, 1, 1, 0, 0), 43, 0, 0, set()),
@@ -388,20 +393,74 @@ HEIGHT_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("label, ainvs, N, x, y, tracked", HEIGHT_POINTS,
+def _singular_primes(curve, Q):
+    return {p for p, _ in factorize(discriminant(curve))
+            if heegner._reduces_to_singular_point(curve, *Q, p)}
+
+
+@pytest.mark.parametrize("label, ainvs, N, x, y, singular", HEIGHT_POINTS,
                          ids=[row[0] for row in HEIGHT_POINTS])
-def test_canonical_height_equals_the_every_prime_oracle(label, ainvs, N, x, y, tracked):
-    # the gcd is tracked only where P reduces to the singular point; the
-    # heights of P, ..., 6P equal, bit for bit, those with every prime of
-    # Delta tracked
+def test_canonical_height_equals_the_every_prime_oracle(label, ainvs, N, x, y, singular):
+    # the oracle tracks gcd(F, G) at every prime of Delta on P itself. A
+    # multiple in E_0 at every bad prime has gcd 1, so both sum the same
+    # floats and agree bit for bit. 57a's P, 3P and 5P lie outside E_0(Q_3):
+    # the package sums 2P, 6P and 10P and divides, which agrees within tol
     curve = CurveQ(*ainvs, N, label)
     P = (Fraction(x), Fraction(y))
     assert on_curve(curve, P)
-    assert tracked == {p for p, _ in factorize(discriminant(curve))
-                       if heegner._reduces_to_singular_point(curve, *P, p)}
+    assert singular == _singular_primes(curve, P)
+    outside = []
     for k in range(1, 7):
         Q = rational_multiple(curve, P, k)
-        assert canonical_height(curve, Q) == canonical_height_every_prime(curve, Q), (label, k)
+        h, oracle = canonical_height(curve, Q), canonical_height_every_prime(curve, Q)
+        if _singular_primes(curve, Q):
+            outside.append(k)
+            assert abs(h - oracle) < 1e-11, (label, k)
+        else:
+            assert h == oracle, (label, k)
+    assert outside == ([1, 3, 5] if singular else [])
+
+
+# points P outside E_0 at some bad prime, on three models with N = rad Delta
+# and no p | N dividing c4, so minimal, and on 57a: (label, a-invariants, N,
+# x, y, the least k with kP in E_0 at every bad prime, the height of P from
+# a 60-digit evaluation)
+OUTSIDE_E0_POINTS = [
+    ("123", (0, 1, 1, -10, 10), 123, -4, -2, 5, 0.840521417531475387),
+    ("141", (0, 1, 1, -12, 2), 141, 0, -2, 7, 0.310380975157971835),
+    ("142", (1, -1, 1, -12, 15), 142, -1, -5, 9, 0.844728565951665776),
+    ("57a", (0, -1, 1, -2, 2), 57, -1, 1, 2, 0.338171334631413775),
+]
+
+
+@pytest.mark.parametrize("label, ainvs, N, x, y, k, reference", OUTSIDE_E0_POINTS,
+                         ids=[row[0] for row in OUTSIDE_E0_POINTS])
+def test_canonical_height_of_a_point_outside_E0_is_that_of_its_multiple(label, ainvs, N, x, y,
+                                                                        k, reference):
+    curve = CurveQ(*ainvs, N, label)
+    P = (Fraction(x), Fraction(y))
+    assert on_curve(curve, P) and not is_torsion(curve, P)
+    multiples = [rational_multiple(curve, P, j) for j in range(1, k + 1)]
+    assert [j for j, Q in enumerate(multiples, 1) if not _singular_primes(curve, Q)] == [k]
+    h = canonical_height(curve, P)
+    assert abs(h - reference) < 5e-14
+    assert h == canonical_height(curve, multiples[-1]) / k**2
+
+
+def test_duplication_resultant_is_the_discriminant_squared():
+    # Res_x(F, G) = Delta^2 is what makes gcd(F, G) 1 at every p not dividing
+    # Delta; on the pinned table, the pins.json pools and the models above
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    data = os.path.join(root, "perfbench", "data")
+    with open(os.path.join(data, "pins.json")) as fh:
+        pins = json.load(fh)
+    curves = parse_curve_file(os.path.join(data, "pinned.txt"))
+    curves += [CurveQ(*c["ainvs"], c["N"], c["label"])
+               for c in pins["field-search"] + pins["aux-search"]]
+    curves += [CurveQ(*row[1], row[2], row[0]) for row in OUTSIDE_E0_POINTS[:3]]
+    assert len(curves) == 28
+    for curve in curves:
+        assert duplication_resultant(curve) == discriminant(curve) ** 2, curve.label
 
 
 def test_canonical_height_torsion_and_identity(e37a, e11a):

@@ -149,6 +149,28 @@ def test_cli_reports_unreadable_config(curve_file, tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_refuses_a_prime_bound_above_the_point_count_ceiling(curve_file, tmp_path,
+                                                                   capsys):
+    # 49a1 has CM by Q(sqrt(-7)), so q = 14519, and below 2*10^6 its prime
+    # scan reaches p = 1451899, past the ceiling: a Config with prime_bound
+    # 2*10^6 would let run_witness raise PointCountBoundError
+    ceiling = ec_core.POINT_COUNT_CEILING
+    with pytest.raises(ValueError, match=f"^prime_bound {2 * ceiling} exceeds the point count "
+                                         f"ceiling {ceiling}$"):
+        Config(prime_bound=2 * ceiling)
+    e49a1 = CurveQ(1, -1, 0, -2, -1, 49, "49a1")
+    for config in (Config(), Config(prime_bound=ceiling)):
+        report = run_witness(e49a1, config)
+        assert report.failed_at == "prime_sequence" and not report.passed
+        assert f"prime scan bound {config.prime_bound} reached" in report.checks[-1]["error"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"prime_bound": 2 * ceiling}))
+    assert main(["--curves", curve_file, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read config" in captured.err and "point count ceiling" in captured.err
+    assert captured.out == ""
+
+
 def test_run_witness_37a(e37a):
     rep = run_witness(e37a)
     assert rep.passed
