@@ -1,7 +1,9 @@
 """Numeric Heegner machinery: CM points on X_0(N), periods, traces, heights.
 
 The modular parametrization is evaluated as z(tau) = sum a_n/n e^{2 pi i n tau}
-into C/Lambda with the period lattice computed by the optimal complex AGM.
+into C/Lambda with the period lattice computed by the optimal complex AGM
+from the 2-division roots, which come from the integer cubic in Python ints
+and floats: no LAPACK routine runs in a witness run.
 Heegner points at level c are represented by forms (A, B, C) with N | A and a
 fixed square root of D = c^2 d_K mod 4N; the class group action is realized by
 picking one such form per reduced class, the one of smallest A, by a scan
@@ -65,21 +67,94 @@ def _agm_optimal(a: complex, b: complex) -> complex:
     raise ArithmeticError("AGM did not converge")
 
 
+def _cubic_sign(g: tuple, n: int, d: int) -> int:
+    """The exact sign of the integer cubic g = (g3, g2, g1, g0) at n/d, d > 0."""
+    g3, g2, g1, g0 = g
+    v = ((g3 * n + g2 * d) * n + g1 * d * d) * n + g0 * d * d * d
+    return (v > 0) - (v < 0)
+
+
+def _newton_run(g: tuple, x: float) -> float:
+    """Float Newton steps on g from x for as long as each step moves x the
+    way the first one did. From a start where g is convex or concave all the
+    way to the root, the steps are monotone until rounding stalls x or turns
+    a step back."""
+    g3, g2, g1, g0 = map(float, g)
+    way = 0.0
+    for _ in range(200):
+        dg = (3.0 * g3 * x + 2.0 * g2) * x + g1
+        step = (((g3 * x + g2) * x + g1) * x + g0) / dg if dg else 0.0
+        if x - step == x or step * way < 0.0:
+            break
+        way, x = step, x - step
+    return x
+
+
+def _rounded_root(g: tuple, x: float, rising: bool) -> float:
+    """The double nearest the root of g close to x, where g rises through the
+    root if `rising` and falls otherwise.
+
+    Gallops from x by 1, 2, 4, ... ulps until the exact sign of g changes,
+    halves that interval down to two neighbouring doubles, and keeps the one
+    on the root's side of their midpoint, by the exact sign of g there. Every
+    sign is `_cubic_sign` at the double's `as_integer_ratio`, so the result
+    is the root correctly rounded, whatever x the search starts from. The
+    midpoint is never a root below 2^51: a rational root of g has a
+    denominator dividing 4, the midpoint one of 8 or more.
+    """
+
+    def sign(v: float) -> int:
+        return _cubic_sign(g, *v.as_integer_ratio())
+
+    s = sign(x)
+    step = math.ulp(x) if (s < 0) == rising else -math.ulp(x)
+    near, far = x, x + step
+    while sign(far) == s:
+        step *= 2.0
+        near, far = far, far + step
+    while (mid := (near + far) / 2) not in (near, far):
+        if sign(mid) == s:
+            near = mid
+        else:
+            far = mid
+    (n1, d1), (n2, d2) = near.as_integer_ratio(), far.as_integer_ratio()
+    return far if _cubic_sign(g, n1 * d2 + n2 * d1, 2 * d1 * d2) == s else near
+
+
 def _two_division_roots(curve: CurveQ):
+    """The roots e1, e2, e3 of g(x) = 4x^3 + b2 x^2 + 2 b4 x + b6, the x of
+    the 2-division points (Cremona, Algorithms for Modular Elliptic Curves,
+    2nd ed., 3.7), from the integer cubic in Python ints and floats: no
+    LAPACK.
+
+    For Delta > 0, e1 > e2 > e3 are real. The outer two are Newton runs
+    from +-F, F = 2 max(|b2|/4, |b4/2|^(1/2), |b6/8|^(1/3)) + 1 (Fujiwara's
+    bound on every root), where g is convex above e1 and concave below e3;
+    e2 runs from the inflection point -b2/12, between the critical points
+    that bracket it. For Delta < 0, e1 is the one real root, run from the
+    side the exact sign of g at the inflection point names, and the complex
+    pair is the other factor's roots, polished by four complex Newton steps
+    on g: the root with Im > 0, then its conjugate. Each real root is the
+    correctly rounded double of the exact root (`_rounded_root`).
+    """
     b2, b4, b6, _ = b_invariants(curve)
-    rts = np.roots([4.0, float(b2), 2.0 * float(b4), float(b6)])
-    # Newton polish on the exact cubic
-    poly = lambda x: 4 * x**3 + b2 * x**2 + 2 * b4 * x + b6
-    dpoly = lambda x: 12 * x**2 + 2 * b2 * x + 2 * b4
-    rts = [complex(r) for r in rts]
-    for _ in range(4):
-        rts = [r - poly(r) / dpoly(r) for r in rts]
+    g = (4, b2, 2 * b4, b6)
+    bound = 2.0 * max(abs(b2) / 4, math.sqrt(abs(b4) / 2), (abs(b6) / 8) ** (1 / 3)) + 1.0
+    inflection = -b2 / 12
     if discriminant(curve) > 0:
-        e1, e2, e3 = sorted((r.real for r in rts), reverse=True)
+        e1 = _rounded_root(g, _newton_run(g, bound), True)
+        e2 = _rounded_root(g, _newton_run(g, inflection), False)
+        e3 = _rounded_root(g, _newton_run(g, -bound), True)
         return complex(e1), complex(e2), complex(e3)
-    e1 = min(rts, key=lambda r: abs(r.imag)).real
-    cpl = sorted((r for r in rts if abs(r.imag) > 1e-9), key=lambda r: -r.imag)
-    return complex(e1), cpl[0], cpl[1]
+    start = bound if _cubic_sign(g, -b2, 12) < 0 else -bound
+    e1 = _rounded_root(g, _newton_run(g, start), True)
+    # g = (x - e1)(4x^2 + p x + q)
+    p = b2 + 4 * e1
+    q = 2 * b4 + p * e1
+    z = complex(-p / 8, math.sqrt(abs(16 * q - p * p)) / 8)
+    for _ in range(4):
+        z -= (4 * z**3 + b2 * z**2 + 2 * b4 * z + b6) / (12 * z**2 + 2 * b2 * z + 2 * b4)
+    return complex(e1), z, z.conjugate()
 
 
 class PeriodLattice(NamedTuple):
@@ -114,6 +189,11 @@ class PeriodLattice(NamedTuple):
 
 def period_lattice(curve: CurveQ) -> PeriodLattice:
     """Lattice of the real curve by the optimal AGM; validates against c4, c6.
+
+    The AGM starts from the roots of 4x^3 + b2 x^2 + 2 b4 x + b6 that
+    `_two_division_roots` finds without LAPACK: each real root correctly
+    rounded by exact integer signs, the complex pair by deflation and four
+    complex Newton steps.
 
     The check: with tau = w2/w1, q = e^{2 pi i tau} and u = 2 pi / w1,
     u^4 E4(tau) = c4 and u^6 E6(tau) = c6, where E4 = 1 + 240 S3 and

@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ec_core import CurveQ, an_series
+from .ec_core import POINT_COUNT_CEILING, CurveQ, an_series
 from .quadforms import is_fundamental, kronecker
 
 _SQRT3 = math.sqrt(3.0)
@@ -83,7 +83,7 @@ DEFAULT_PRECISION = 1e-8
 
 class LSeriesInconclusiveError(ArithmeticError):
     """No sign, or both signs, meet the split identity, or a given sign
-    fails it."""
+    fails it, or the series needs more terms than an a_n table can hold."""
 
 
 _AN_CACHE: dict = {}  # the current curve's table only, by (ainvs, N)
@@ -258,14 +258,17 @@ def _tail_terms(x: float, target: float) -> int:
 
     The bound falls with T, so the smallest such T lies between the rung
     returned and the rung below it: the ladder overshoots by up to 30%.
+    It falls to 0 for every r < 1, so the ladder ends for every target > 0,
+    at a T no table may be able to hold: `l_eval` checks T before it sums.
+    LSeriesInconclusiveError when r rounds to 1.
     """
     r = math.exp(-x)
+    if r == 1.0:
+        raise LSeriesInconclusiveError(f"e^-x rounds to 1 at x = {x:.3e}: no T bounds the tail")
     T = 8
-    while T < 10**7:
-        if _SQRT3 * r ** (T + 1) / (1 - r) < target:
-            return T
+    while _SQRT3 * r ** (T + 1) / (1 - r) >= target:
         T = int(T * 1.3) + 1
-    raise ArithmeticError("series tail will not reach target")
+    return T
 
 
 def _f_sum(curve: CurveQ, chi: np.ndarray | None, T: int, x: float) -> float:
@@ -316,10 +319,18 @@ def l_eval(
     `twist_sign`, from `l_over_K`), that sign must meet its bound; with none,
     both are tried and the one that meets it is kept.
     LSeriesInconclusiveError, naming the defects and bounds, when the given
-    sign fails, or when no sign or both signs fit.
+    sign fails, or when no sign or both signs fit; naming T, before any a_n
+    is counted, when T passes POINT_COUNT_CEILING, since the table would
+    need a_p at primes past it.
     """
     c = 2.0 * math.pi / math.sqrt(_twist_conductor(curve, d))
+    of = "E" if d == 1 else f"the twist by {d}"
     T = _tail_terms(c, precision / 4.0)
+    if T > POINT_COUNT_CEILING:  # before the a_n table grows to T
+        raise LSeriesInconclusiveError(
+            f"the L-series of {of} needs T = {T} terms at precision {precision:g}, "
+            f"past the point count ceiling {POINT_COUNT_CEILING}"
+        )
     chi = None if d == 1 else np.array([kronecker(d, n) for n in range(abs(d))], dtype=np.int64)
     f1 = 0.0 if sign == -1 else _f_sum(curve, chi, T, c)  # only sign +1 reads F(1)
     fa, fb = _f_sum(curve, chi, T, c * _SPLIT_A), _f_sum(curve, chi, T, c / _SPLIT_A)
@@ -328,7 +339,6 @@ def l_eval(
              for s in ((1, -1) if sign is None else (sign,))}
     fits = [s for s, (defect, bound) in tried.items() if defect <= bound]
     if len(fits) != 1:
-        of = "E" if d == 1 else f"the twist by {d}"
         if sign is not None:
             defect, bound = tried[sign]
             raise LSeriesInconclusiveError(

@@ -90,7 +90,10 @@ class Config:
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
             setattr(self, name, value)
         for name in ("lseries_precision", "heegner_residual", "nonvanishing_threshold"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")

@@ -13,7 +13,8 @@ What the oracles still share with the package paths they judge:
 - `lseries._tail_terms` gives `l_eval_per_term` its term count.
 - `modular_param` and `period_lattice` feed the Fricke and trace-relation
   references, and `elliptic_exp`, `_wp` and `_halve_and_double`
-  `elliptic_log`.
+  `elliptic_log`. `two_division_roots_np`, the oracle for the lattice's
+  roots, shares only `b_invariants` and `discriminant` with them.
 - `canonical_height_every_prime` takes the duplication polynomials and the
   exact torsion test from `heegner`; it tracks gcd(F, G) exactly at every
   prime of the resultant, where the package's `canonical_height` steps to a
@@ -51,6 +52,7 @@ from heegner_witness.ec_core import (
     ap,
     b_invariants,
     count_points,
+    discriminant,
     reduce_mod,
 )
 from heegner_witness.arith import (
@@ -507,6 +509,25 @@ def modular_param_per_term(curve: CurveQ, tau: complex, n_terms: int) -> complex
         if v[n]:
             z += v[n] / n * qn
     return z
+
+
+def two_division_roots_np(curve: CurveQ):
+    """The roots of 4x^3 + b2 x^2 + 2 b4 x + b6 by `np.roots` (LAPACK's
+    companion-matrix eigenvalues) and four complex Newton steps on the exact
+    cubic, in `heegner._two_division_roots`'s order: the oracle for its
+    LAPACK-free roots."""
+    b2, b4, b6, _ = b_invariants(curve)
+    rts = [complex(r) for r in np.roots([4.0, float(b2), 2.0 * float(b4), float(b6)])]
+    poly = lambda x: 4 * x**3 + b2 * x**2 + 2 * b4 * x + b6
+    dpoly = lambda x: 12 * x**2 + 2 * b2 * x + 2 * b4
+    for _ in range(4):
+        rts = [r - poly(r) / dpoly(r) for r in rts]
+    if discriminant(curve) > 0:
+        e1, e2, e3 = sorted((r.real for r in rts), reverse=True)
+        return complex(e1), complex(e2), complex(e3)
+    e1 = min(rts, key=lambda r: abs(r.imag)).real
+    cpl = sorted((r for r in rts if abs(r.imag) > 1e-9), key=lambda r: -r.imag)
+    return complex(e1), cpl[0], cpl[1]
 
 
 def elliptic_log(lattice: PeriodLattice, x: complex, y: complex) -> complex:

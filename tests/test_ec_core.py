@@ -1,8 +1,6 @@
 import functools
-import importlib.util
 import itertools
 import math
-import os
 import random
 import types
 
@@ -40,7 +38,6 @@ from heegner_witness.ec_core import (
     reduce_mod,
     reduction_type,
 )
-from heegner_witness.pipeline import parse_curve_file
 from oracles import (
     an_per_prime_ap,
     an_recursive,
@@ -717,28 +714,14 @@ def _singular_pairs_of_the_box():
     return pairs
 
 
-def _corpus_curves():
-    # the pinned table, the pins.json pools and the generated curves with N <= 3000
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "corpus", os.path.join(root, "perfbench", "corpus.py"))
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    pins = corpus.load_pins()
-    rows = pins["field-search"] + pins["aux-search"] + corpus.generated(2, 3000)
-    return parse_curve_file(str(corpus.PINNED_TABLE)) + [
-        CurveQ(*c["ainvs"], c["N"], c["label"]) for c in rows]
-
-
-def test_reduction_type_closed_form_matches_the_search():
+def test_reduction_type_closed_form_matches_the_search(corpus_curves):
     box = _singular_pairs_of_the_box()
     kinds = {(p, reduction_type_search(c, p)[0]) for c, p in box}
     assert len(box) == 2325 and {(2, "additive"), (3, "additive")} <= kinds
     for curve, p in box:
         assert reduction_type(curve, p) == reduction_type_search(curve, p), (curve.ainvs, p)
-    curves = _corpus_curves()
-    assert len(curves) == 347
-    for curve in curves:
+    assert len(corpus_curves) == 347
+    for curve in corpus_curves:
         for p in prime_divisors(curve.N):
             assert reduction_type(curve, p) == reduction_type_search(curve, p), (curve.label, p)
 

@@ -44,6 +44,7 @@ from oracles import (
     modular_param_per_term,
     torsion_translates_fraction,
     trace_relation_scalar,
+    two_division_roots_np,
 )
 
 STEP5_PRECISION = 1e-9  # the step-5 precision of a witness run at the default Config
@@ -92,6 +93,60 @@ def test_period_lattice_check_keeps_its_tolerance(monkeypatch):
             else:
                 with pytest.raises(ArithmeticError, match="fails invariant check"):
                     period_lattice(curve)
+
+
+def _g_sign(curve, x) -> int:
+    """The sign of 4x^3 + b2 x^2 + 2 b4 x + b6 at x, in Fractions."""
+    b2, b4, b6, _ = b_invariants(curve)
+    x = Fraction(x)
+    v = 4 * x**3 + b2 * x**2 + 2 * b4 * x + b6
+    return (v > 0) - (v < 0)
+
+
+def _real_roots(curve):
+    """(root, g rises through it) for each real 2-division root."""
+    e = [r.real for r in heegner._two_division_roots(curve)]
+    return list(zip(e, (True, False, True))) if discriminant(curve) > 0 else [(e[0], True)]
+
+
+def test_two_division_roots_agree_with_the_np_roots_oracle(corpus_curves):
+    # the oracle's float polish is good to a root's condition, u sum |g_i x^i| / |g'(x)|,
+    # plus an ulp: the two differ by up to 24 ulps where roots crowd (g67.1's complex
+    # pair), and by at most 0.55 of that allowance on these 347 models
+    for curve in corpus_curves:
+        b2, b4, b6, _ = b_invariants(curve)
+        got, want = heegner._two_division_roots(curve), two_division_roots_np(curve)
+        for x, y in zip(got, want):
+            size = 4 * abs(x) ** 3 + abs(b2) * abs(x) ** 2 + 2 * abs(b4) * abs(x) + abs(b6)
+            slope = abs(12 * x**2 + 2 * b2 * x + 2 * b4)
+            assert abs(x - y) <= size * 2.0**-52 / slope + math.ulp(abs(x)), curve.label
+        if discriminant(curve) > 0:
+            assert all(r.imag == 0 for r in got) and got[0].real > got[1].real > got[2].real
+        else:  # the real root, then the root with Im > 0, then its conjugate
+            assert got[0].imag == 0 and got[1].imag > 0 and got[2] == got[1].conjugate()
+
+
+def test_each_real_two_division_root_is_correctly_rounded(corpus_curves):
+    # g changes sign between the double and one neighbour, and its sign at their
+    # midpoint puts the root on the double's side
+    for curve in corpus_curves:
+        for x, _ in _real_roots(curve):
+            s = _g_sign(curve, x)
+            if s == 0:
+                continue
+            other = [n for n in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+                     if _g_sign(curve, n) == -s]
+            assert len(other) == 1, curve.label
+            assert _g_sign(curve, (Fraction(x) + Fraction(other[0])) / 2) != s, curve.label
+
+
+def test_a_real_two_division_root_does_not_depend_on_its_start(corpus_curves):
+    for curve in corpus_curves:
+        b2, b4, b6, _ = b_invariants(curve)
+        for x, rising in _real_roots(curve):
+            for k in range(-8, 9):
+                start = x + k * math.ulp(x)
+                assert heegner._rounded_root((4, b2, 2 * b4, b6), start, rising) == x, curve.label
 
 
 def test_period_half_gives_two_torsion(e37a):

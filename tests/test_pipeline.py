@@ -109,6 +109,52 @@ def test_config_rejects_mistyped_fields(tmp_path):
     assert cfg.heegner_residual == 1
 
 
+@pytest.mark.parametrize("name", ["lseries_precision", "heegner_residual",
+                                  "nonvanishing_threshold"])
+def test_config_rejects_non_finite_floats(name, curve_file, tmp_path, capsys):
+    # at NaN precision the gate raised, at inf 11a passed on an 8-term gate
+    # series, and a NaN residual failed the trace relation without a reason
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            Config(**{name: value})
+    cfg = tmp_path / "cfg.json"
+    for text in ("NaN", "Infinity", "-Infinity", "1e400"):  # json reads each as a float
+        cfg.write_text(f'{{"{name}": {text}}}')
+        assert main(["--curves", curve_file, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot read config" in captured.err and f"{name} must be finite" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("ainvs, N, precision, error", [
+    # the gate's series needs more terms than a_p can be counted for
+    ((0, 0, 1, -1000, 0), 63999999973, 1e-8, "the L-series of E needs T = 1363816 terms at "
+                                              "precision 1e-08, past the point count ceiling 1000000"),
+    ((0, 0, 1, -1000, 0), 63999999973, 1e-150, "the L-series of E needs T = 14462602 terms at "
+                                               "precision 1e-150, past the point count ceiling 1000000"),
+    # at N = 2^114 the gate's r = e^(-2 pi / sqrt(N)) is 1.0 in float64
+    ((0, 0, 0, -2**36, 0), 2**114, 1e-8, "e^-x rounds to 1 at x = 4.360e-17: no T bounds the tail"),
+])
+def test_a_gate_series_no_table_can_hold_fails_the_gate_by_name(ainvs, N, precision, error):
+    # the run fails before the a_n table grows, and does not raise
+    curve = CurveQ(*ainvs, N)
+    report = run_witness(curve, Config(lseries_precision=precision))
+    assert report.failed_at == "analytic_rank_gate" and not report.passed
+    assert report.l_values == {"error": error}
+    assert lseries.held_an(curve) is None  # no a_n was counted
+
+
+def test_a_twist_series_past_the_point_count_ceiling_fails_find_K_by_name(e11a, monkeypatch):
+    # 11a's gate sums 11 terms and its twist by -7 81; with the ceiling at 50
+    # the twist fails the field search by name, and the table stays at 64 terms
+    monkeypatch.setattr(lseries, "POINT_COUNT_CEILING", 50)
+    report = run_witness(e11a)
+    assert report.failed_at == "find_K" and report.gate == "rank0"
+    assert report.checks[-1]["error"] == ("the L-series of the twist by -7 needs T = 81 terms "
+                                          "at precision 1e-08, past the point count ceiling 50")
+    assert lseries.held_an(e11a).n_max == 64
+
+
 def test_cli_rejects_depth_zero(curve_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--curves", curve_file, "--label", "37a", "--depth", "0", "--out", str(out)]) == 2
@@ -813,6 +859,24 @@ def test_report_hashes_match_golden():
         got = {c.label: json.loads(canonical_json(run_witness(c)))["canonical_hash"]
                for c in curves}
         assert got == want, path
+
+
+def test_witness_runs_never_reach_lapack(monkeypatch):
+    # np.roots (LAPACK's eigenvalues) paged about 1 MB of OpenBLAS into every
+    # run that built a period lattice; the pinned table runs to its golden
+    # reports with numpy's eigenvalue entry points raising
+    def lapack(*args, **kwargs):
+        raise AssertionError("a witness run reached LAPACK")
+
+    monkeypatch.setattr(np, "roots", lapack)
+    monkeypatch.setattr(np.linalg, "eigvals", lapack)
+    path = "perfbench/data/pinned.txt"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(GOLDEN) as fh:
+        want = json.load(fh)[path]
+    got = {c.label: json.loads(canonical_json(run_witness(c)))["canonical_hash"]
+           for c in parse_curve_file(os.path.join(root, path))}
+    assert got == want
 
 
 def test_emit_report_deterministic(e389a, tmp_path):
