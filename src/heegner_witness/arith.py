@@ -82,12 +82,13 @@ def factorize(n: int, trial_bound: int = 100_000) -> list[tuple[int, int]]:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 2
+    # every prime below d is divided out, so each m left below d^2 is prime
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m) if m < trial_bound * trial_bound else _is_probable_prime(m):
+        if m < d * d or _is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             d0 = _pollard_rho(m)

@@ -8,8 +8,9 @@
 Exit code 0 when every selected witness run passes, `scan-k` finds a field
 or `tower` derives a contradiction, and 1 when not; every subcommand exits
 2, with one line on stderr naming it, on input it cannot use (a table,
-label, config, --out directory, --pmax or tower data). Nothing is written
-but the reports under --out.
+label, config, --out directory, --pmax, a curve whose L-series `scan-k`
+cannot evaluate, or tower data). Nothing is written but the reports under
+--out.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 from .arith import primes_upto
 from .ec_core import POINT_COUNT_CEILING, CurveQ, ap_many
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
+from .lseries import LSeriesInconclusiveError
 from .pipeline import Config, emit_report, parse_curve_file, run_witness
 from .searcher import FieldSearchExhausted, find_K
 
@@ -117,6 +119,9 @@ def _cmd_scan_k(args) -> int:
         rejected = res.rejected
     except FieldSearchExhausted as e:
         res, rejected = None, e.rejected
+    except LSeriesInconclusiveError as e:
+        print(f"cannot search fields: {e}", file=sys.stderr)
+        return 2
     for d, reason in rejected:
         print(f"  d_K={d} rejected: {reason}")
     if res is None:

@@ -30,9 +30,10 @@ with E1 the exponential integral, evaluated by a series / continued fraction
 hybrid. Tail bounds use |a_n| <= d(n) sqrt(n) <= sqrt(3) n.
 
 Every series here, and the modular parametrization in `heegner`, is summed
-by numpy kernels over blocks of _SUM_BLOCK consecutive n: each block's terms
-are made as float64 arrays (`exp1` lane-wise, each lane stopping where the
-scalar recurrence would) and every block feeds one `math.fsum` through a
+by numpy kernels over blocks of _SUM_BLOCK consecutive n: `an_over_n_blocks`
+reads each block's a_n/n from the one table as float64, each sum multiplies
+it by its weight (`exp1` lane-wise, each lane stopping where the scalar
+recurrence would) and every block feeds one `math.fsum` through a
 generator. The sum is therefore correctly rounded, equal for every block
 length, and no array as long as the series is ever made. _SUM_BLOCK = 1024
 was measured on the three field-search twists g8446.1 (d = -31), g4429.1
@@ -136,19 +137,21 @@ def fsum_blocks(parts) -> float:
     return math.fsum(itertools.chain.from_iterable(part.tolist() for part in parts))
 
 
-def _blocks(curve: CurveQ, chi: np.ndarray | None, T: int):
-    """(n, a_n) of the twist with character row chi for n = 1..T, block by
-    block, as float64 arrays; E itself for chi None.
+def an_over_n_blocks(curve: CurveQ, chi: np.ndarray | None, T: int):
+    """(n, a_n/n) of the twist with character row chi for n = 1..T, block by
+    block, as float64 arrays; E itself for chi None. The one place a series
+    reads the a_n table.
 
     a_n(E_d) = kronecker(d, n) a_n(E), a character periodic mod |d|, read
     from E's one table. `l_eval` builds chi = kronecker(d, n) for n = 0..|d|-1
-    once and passes it to each of its sums. Both are integers far below
-    2^53, so exact.
+    once and passes it to each of its sums. a_n and n are integers far below
+    2^53, so both are exact in float64 and a_n/n takes one rounding.
     """
     v = cached_an(curve, T).values
     for lo, hi in n_blocks(T):
         a = v[lo:hi] if chi is None else v[lo:hi] * chi[np.arange(lo, hi) % len(chi)]
-        yield np.arange(lo, hi, dtype=np.float64), a.astype(np.float64)
+        n = np.arange(lo, hi, dtype=np.float64)
+        yield n, a.astype(np.float64) / n
 
 
 def exp1(x) -> np.ndarray:
@@ -273,7 +276,7 @@ def _tail_terms(x: float, target: float) -> int:
 
 def _f_sum(curve: CurveQ, chi: np.ndarray | None, T: int, x: float) -> float:
     """sum_{n<=T} a_n(E_d)/n e^{-x n}, correctly rounded by one fsum over the blocks."""
-    return fsum_blocks(a / n * np.exp(-x * n) for n, a in _blocks(curve, chi, T))
+    return fsum_blocks(a_over_n * np.exp(-x * n) for n, a_over_n in an_over_n_blocks(curve, chi, T))
 
 
 def _f_bound(x: float, T: int) -> float:
@@ -357,7 +360,8 @@ def l_eval(
         tail = 2.0 * _SQRT3 * math.exp(-c * (T + 1)) / (1 - math.exp(-c))
     else:
         val = 0.0
-        der = 2.0 * fsum_blocks(a / n * exp1(c * n) for n, a in _blocks(curve, chi, T))
+        der = 2.0 * fsum_blocks(a_over_n * exp1(c * n)
+                                for n, a_over_n in an_over_n_blocks(curve, chi, T))
         r = math.exp(-c)
         tail = 2.0 * _SQRT3 * r ** (T + 1) / (c * (T + 1) * (1 - r))
     return LEval(val, der, sign, T, tail, tried[sign][0])

@@ -292,11 +292,11 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     if not _check(checks, "prime_sequence", reverified, primes=[it.p for it in items]):
         return finish("prime_sequence")
 
-    # 4. ring class structure per cumulative level, each prime enumerated once
+    # 4. ring class structure per cumulative level, each prime certified once
     with _stage(timing, "ring_class"):
         try:
             levels = ring_class_levels(d_K, [it.p for it in items])[1:]
-        except ArithmeticError as e:  # enumeration and formula disagree
+        except ArithmeticError as e:  # a certified n_p is not p + 1
             _check(checks, "ring_class_structure", False, error=str(e))
             return finish("ring_class_structure")
         for s in levels:

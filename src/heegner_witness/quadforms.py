@@ -4,13 +4,13 @@ Binary quadratic forms (a, b, c) of discriminant D = b^2 - 4ac < 0 model ideal
 classes of the order of discriminant D; `reduced_forms` lists one reduced
 form per class, so `class_number` counts them. The Galois group of the ring
 class field H_c over the Hilbert class field, (O_K/c)^* / (Z/c)^* for
-squarefree c with all p | c inert and d_K = 1 mod 4, is found two ways: by
-the product of C_{p+1} it must have, and prime by prime from the local
-quotients (O_K/p)^* / (Z/p)^*. Each local quotient is counted by its O(p)
-cosets of F_p^* and certified cyclic of that order n_p by a generator, once
-per (d, p) in every run. By CRT the level's group is the product of the
-C_{n_p}; `ring_class_levels` takes its elementary divisors by gcd/lcm
-exchange and compares them with the formula's at every level.
+squarefree c with all p | c inert and d_K = 1 mod 4, is by CRT the product
+of the local quotients (O_K/p)^* / (Z/p)^*, and the formula says each is
+C_{p+1}. Each local quotient is counted by its O(p) cosets of F_p^* and
+certified cyclic of that order n_p by a generator, once per (d, p) in every
+run; `ring_class_levels` requires n_p = p + 1 of each tower prime and takes
+each level's elementary divisors from the certified C_{n_p} by one gcd/lcm
+exchange.
 """
 
 from __future__ import annotations
@@ -110,31 +110,6 @@ def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     return sorted(forms)
 
 
-def canonical_invariants(orders) -> list[int]:
-    """Elementary divisor form (each divides the next) of prod C_{n} over orders."""
-    primary: dict[int, list[int]] = {}
-    for n in orders:
-        if n < 1:
-            raise ValueError("cyclic orders must be positive")
-        for p, e in factorize(n):
-            primary.setdefault(p, []).append(e)
-    slots: dict[int, dict[int, int]] = {}
-    width = 0
-    for p, exps in primary.items():
-        exps.sort(reverse=True)
-        width = max(width, len(exps))
-        slots[p] = dict(enumerate(exps))
-    divisors = []
-    for i in range(width):
-        d = 1
-        for p, byrank in slots.items():
-            if i in byrank:
-                d *= p ** byrank[i]
-        divisors.append(d)
-    divisors.sort()
-    return divisors
-
-
 def class_number(D: int) -> int:
     return len(reduced_forms(D))
 
@@ -196,7 +171,7 @@ class RingClassStructure(NamedTuple):
     conductor: int
     primes: tuple
     factors: tuple  # cyclic orders p_i + 1, in prime order
-    invariants: tuple  # canonical elementary divisors
+    invariants: tuple  # elementary divisors, each dividing the next
     degree: int
 
 
@@ -204,11 +179,11 @@ def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
     """Gal(H_c/H) at every level c = p_1 ... p_n, n = 0, ..., len(primes),
     for squarefree c with every p_i inert in K and d_K = 1 mod 4.
 
-    The group is C_{p_1+1} x ... x C_{p_n+1}; invariants are returned in
-    elementary divisor form. Every level is cross-checked: each p_i's local
-    quotient is certified cyclic of order n_i once per call (`_cyclic_order`),
-    and the elementary divisors of C_{n_1} x ... x C_{n_k} must equal the
-    formula's.
+    The group is C_{p_1+1} x ... x C_{p_n+1}. Each p_i's local quotient is
+    certified cyclic of order n_i once per call (`_cyclic_order`); an n_i
+    other than p_i + 1 raises ArithmeticError naming d_K, the level where
+    p_i enters, p_i, n_i and p_i + 1. Each level's invariants are the
+    elementary divisors of C_{n_1} x ... x C_{n_k} (`_elementary_divisors`).
     """
     if not is_fundamental(d_K):
         raise InvalidDiscriminantError(f"{d_K} is not fundamental")
@@ -225,16 +200,16 @@ def ring_class_levels(d_K: int, primes) -> list[RingClassStructure]:
     orders: list[int] = []
     levels = []
     for n in range(len(ps) + 1):
-        if n:
-            orders.append(_cyclic_order(d_K, ps[n - 1]))
-        factors = tuple(p + 1 for p in ps[:n])
-        inv = tuple(canonical_invariants(factors))
         c = math.prod(ps[:n])
-        enum = tuple(_elementary_divisors(orders))
-        if enum != inv:
-            raise ArithmeticError(
-                f"ring class structure mismatch for d_K={d_K}, c={c}: "
-                f"enumeration {enum} vs formula {inv}"
-            )
-        levels.append(RingClassStructure(d_K, c, tuple(ps[:n]), factors, inv, math.prod(factors)))
+        if n:
+            p = ps[n - 1]
+            n_p = _cyclic_order(d_K, p)
+            if n_p != p + 1:
+                raise ArithmeticError(
+                    f"ring class structure mismatch for d_K={d_K}, c={c}: p={p} is certified "
+                    f"cyclic of order n_p={n_p}, not p + 1 = {p + 1}"
+                )
+            orders.append(n_p)
+        levels.append(RingClassStructure(d_K, c, tuple(ps[:n]), tuple(orders),
+                                         tuple(_elementary_divisors(orders)), math.prod(orders)))
     return levels

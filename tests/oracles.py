@@ -27,6 +27,8 @@ What the oracles still share with the package paths they judge:
   every residue and share nothing with the coset count, the generator and
   the gcd/lcm exchange that check `ring_class_levels`, and
   `unit_quotient_whole_ring` checks the grids with no CRT split.
+  `canonical_invariants`, the Smith form by primary decomposition, is the
+  reference for the gcd/lcm exchange; it shares `arith.factorize` with it.
 
 Bad-prime a_p comes from `reduction_type_search`, a search for the singular
 point mod p, and not from the package's closed form.
@@ -1243,6 +1245,31 @@ def _exact_plog(n: int, p: int) -> int:
         n //= p
         e += 1
     return e
+
+
+def canonical_invariants(orders) -> list[int]:
+    """Elementary divisor form (each divides the next) of prod C_{n} over orders."""
+    primary: dict[int, list[int]] = {}
+    for n in orders:
+        if n < 1:
+            raise ValueError("cyclic orders must be positive")
+        for p, e in factorize(n):
+            primary.setdefault(p, []).append(e)
+    slots: dict[int, dict[int, int]] = {}
+    width = 0
+    for p, exps in primary.items():
+        exps.sort(reverse=True)
+        width = max(width, len(exps))
+        slots[p] = dict(enumerate(exps))
+    divisors = []
+    for i in range(width):
+        d = 1
+        for p, byrank in slots.items():
+            if i in byrank:
+                d *= p ** byrank[i]
+        divisors.append(d)
+    divisors.sort()
+    return divisors
 
 
 def abelian_invariants(n: int, element_orders) -> list[int]:

@@ -26,7 +26,7 @@ from heegner_witness.heegner import (
     trace_relation_check,
 )
 from heegner_witness.lseries import gate_from_leval, l_eval, l_over_K
-from heegner_witness.quadforms import canonical_invariants, kronecker
+from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import (
     choose_q,
     find_K,
@@ -35,6 +35,7 @@ from heegner_witness.searcher import (
 )
 from oracles import (
     CartanCountProblem,
+    canonical_invariants,
     cartan_counts,
     cartan_group_order,
     count_points_ext,

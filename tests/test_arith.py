@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from heegner_witness import arith
 from heegner_witness.arith import (
     euler_phi,
     factorize,
@@ -56,6 +57,26 @@ def test_factorize_large_prime_factors():
     n = 1_000_003 * 1_000_033
     f = factorize(n, trial_bound=1000)
     assert f == [(1_000_003, 1), (1_000_033, 1)]
+
+
+def test_factorize_takes_a_cofactor_below_the_trial_bound_squared_as_prime(monkeypatch):
+    # every prime up to the trial bound 10^5 is divided out first, so a
+    # cofactor below 10^10 is prime with no test: is_prime's trial division
+    # would take up to 5 * 10^4 steps on it
+    want = {2 * 9999999967: [(2, 1), (9999999967, 1)],
+            100003 * 100019: [(100003, 1), (100019, 1)]}  # past 10^10: rho, then two primes
+    rng = random.Random(35)
+
+    def is_prime(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(arith, "is_prime", is_prime)
+    for n, f in want.items():
+        assert factorize(n) == f
+    for n in [rng.randrange(2, 10**12) for _ in range(200)]:
+        f = factorize(n)
+        assert math.prod(p**e for p, e in f) == n, n
+        assert all(arith._is_probable_prime(p) for p, _ in f), n  # Miller-Rabin, exact here
 
 
 def test_euler_phi():

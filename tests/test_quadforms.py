@@ -1,15 +1,18 @@
+import json
 import math
+import os
 import random
 
 import pytest
 
 from heegner_witness.arith import is_squarefree, primes_upto
 from heegner_witness import quadforms
+from heegner_witness.ec_core import CurveQ
+from heegner_witness.pipeline import parse_curve_file, run_witness
 from heegner_witness.quadforms import (
     _cyclic_order,
     _elementary_divisors,
     InvalidDiscriminantError,
-    canonical_invariants,
     class_number,
     is_fundamental,
     kronecker,
@@ -21,6 +24,7 @@ from oracles import (
     UNIT_QUOTIENT_CEILING,
     _invariants_of,
     abelian_invariants,
+    canonical_invariants,
     class_group,
     compose,
     form_inverse,
@@ -293,22 +297,44 @@ def test_ring_class_levels_refuses_d_K_not_1_mod_4():
             ring_class_levels(d_K, ps)
 
 
-def test_elementary_divisors_match_canonical_invariants():
+def test_elementary_divisors_match_canonical_invariants(monkeypatch):
+    # the gcd/lcm exchange against the primary decomposition: random order
+    # lists, and every level of the 17 pinned and 8 pins.json witness runs
     rng = random.Random(20261020)
     for _ in range(3000):
         orders = [rng.choice([1, 1, 2, 3, 4, 6, 8, 9, 12, 16, 25, 27, 30, 36, 60, 72,
                               rng.randint(1, 10**4)])
                   for _ in range(rng.randint(0, 6))]
         assert _elementary_divisors(orders) == canonical_invariants(orders), orders
+    levels = []
+
+    def elementary_divisors(orders):
+        levels.append(list(orders))
+        return _elementary_divisors(orders)
+
+    monkeypatch.setattr(quadforms, "_elementary_divisors", elementary_divisors)
+    data = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "data")
+    with open(os.path.join(data, "pins.json")) as fh:
+        pins = json.load(fh)
+    curves = parse_curve_file(os.path.join(data, "pinned.txt"))
+    curves += [CurveQ(*c["ainvs"], c["N"], c["label"])
+               for c in pins["field-search"] + pins["aux-search"]]
+    reports = [run_witness(c) for c in curves]
+    assert len(curves) == 25
+    assert len(levels) == sum(len(r.ring_class) + 1 for r in reports if r.ring_class) == 69
+    for orders in levels:
+        assert _elementary_divisors(orders) == canonical_invariants(orders), orders
 
 
 def test_a_wrong_local_order_fails_its_own_level(monkeypatch):
-    # 41's local quotient read as C_41 instead of C_42: levels 0 and 1 pass the
-    # stand-in, level 2 (c = 3 * 41) is the first that names the mismatch
+    # 41's local quotient read as C_41 instead of C_42: levels 0 and 1 pass,
+    # and level 2 (c = 3 * 41), where 41 enters, names it
     def cyclic_order(d, p):
         return p if p == 41 else _cyclic_order(d, p)
 
     monkeypatch.setattr(quadforms, "_cyclic_order", cyclic_order)
-    with pytest.raises(ArithmeticError, match=r"d_K=-7, c=123: enumeration \(164,\) vs formula \(2, 84\)"):
+    with pytest.raises(ArithmeticError, match=r"d_K=-7, c=123: p=41 is certified cyclic of "
+                                               r"order n_p=41, not p \+ 1 = 42$"):
         ring_class_levels(-7, [3, 41, 5])
     assert [t.conductor for t in ring_class_levels(-7, [3, 5])] == [1, 3, 15]
