@@ -160,7 +160,7 @@ import math
 
 import numpy as np
 
-from .arith import factorize, prime_divisors, prime_mask, primes_upto
+from .arith import factorize, prime_divisors, prime_mask
 from .quadforms import kronecker
 
 POINT_COUNT_CEILING = 10**6
@@ -171,7 +171,6 @@ _BLOCK_MIN = 20  # fewer primes >= BSGS_MIN_P than this are counted one by one
 _POINT_TRIES = 32  # x values a lane tries for a point before it falls back
 _FLAT_CHUNK = 2**12  # pairs {x, -x} per run of ap_flat
 _AN_BLOCK = 2**11  # n per block of the a_n recursion
-_VALIDATION_PMAX = 50
 
 
 class BadReductionError(ValueError):
@@ -184,7 +183,9 @@ class PointCountBoundError(ValueError):
 
 class CurveQ:
     """A curve over Q by its a-invariants, conductor N and an optional label,
-    checked at construction against its discriminant.
+    checked at construction against its discriminant Delta: every prime of N
+    divides Delta, and Delta has no other prime, so rad Delta = rad N. A
+    ValueError names the part of Delta prime to N when that is not +-1.
 
     A slotted class, not a tuple: `b_invariants` and `discriminant` tell a
     CurveQ from an a-invariant tuple by `isinstance(curve, tuple)`. Equal and
@@ -202,15 +203,15 @@ class CurveQ:
         d = discriminant(self)
         if d == 0:
             raise ValueError("singular model (discriminant 0)")
+        rest = d
         for p in prime_divisors(N):
             if d % p != 0:
                 raise ValueError(f"conductor prime {p} does not divide the discriminant")
-        for p in primes_upto(_VALIDATION_PMAX):
-            if N % p != 0 and d % p == 0:
-                raise ValueError(
-                    f"model is singular mod {p} but {p} does not divide N; "
-                    "non-minimal model or wrong conductor"
-                )
+            while rest % p == 0:
+                rest //= p
+        if abs(rest) != 1:
+            raise ValueError(f"the discriminant's part prime to N = {N} is {abs(rest)}, not 1: the "
+                             "model is singular at its primes (non-minimal model or wrong conductor)")
 
     @property
     def ainvs(self) -> tuple[int, int, int, int, int]:

@@ -9,10 +9,12 @@ fixed square root of D = c^2 d_K mod 4N; the class group action is realized by
 picking one such form per reduced class, the one of smallest A, by a scan
 that runs until every class is found. Fricke reads W_N tau from the orbit.
 
-All point identities are checked in C/Lambda up to sign and translation by
-torsion of small order, which is exactly the ambiguity a Heegner system leaves
-unpinned. The trace relation tries every sign and translate in one numpy
-pass. The Manin constant is taken to be 1. The Gross-Zagier ratio and
+Both z relations, Fricke's and the trace relation's, are checked in
+C/Lambda by one bounded test, `_bounded_residual`: the least distance of the
+candidate residuals to the lattice against a bound made of the summed tails
+and `Z_ROUNDING`. The trace relation's candidates are its two signs times the
+torsion E(K) can have, the ambiguity a Heegner system leaves unpinned. The
+Manin constant is taken to be 1. The Gross-Zagier ratio and
 biconditional would cancel any other; the Fricke check, which reads z(0) =
 L(E,1) (Manin, Izv. 1972) modulo the lattice of E, assumes it.
 
@@ -26,7 +28,6 @@ of that precision, to confirm a recognized point.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -41,8 +42,8 @@ from .searcher import heegner_hypothesis
 
 TERM_CEILING = 10**6
 DEFAULT_TORSION_BOUND = 16
-# the Fricke residual's allowance for rounding, which the z tails do not bound
-FRICKE_ROUNDING = 1e-10
+# the z relations' allowance for rounding, which the z tails do not bound
+Z_ROUNDING = 1e-10
 
 
 class PrecisionUnreachable(ArithmeticError):
@@ -185,6 +186,13 @@ class PeriodLattice(NamedTuple):
         """Distance from z to the nearest lattice point (rounded basis), lane-wise."""
         r = self.reduce(z)  # np.hypot, like abs of a Python complex, is libm's hypot
         return np.hypot(r.real, r.imag)
+
+    def torsion(self, m: int):
+        """The m^2 points (i/m) omega1 + (j/m) omega2, 0 <= i, j < m, of
+        (1/m) Lambda mod Lambda, i-major: 0 alone when m = 1. Built in Python
+        floats, which round each one as numpy's lane-wise operations would."""
+        return np.array([i / m * self.omega1 + j / m * self.omega2
+                         for i in range(m) for j in range(m)])
 
 
 def period_lattice(curve: CurveQ) -> PeriodLattice:
@@ -458,6 +466,33 @@ def _trace(zs: list[CPoint]) -> CPoint:
     return CPoint(z, None, prec)
 
 
+def _bounded_residual(lattice: PeriodLattice, cands, bound: float, what: str) -> dict:
+    """The bounded test of a z relation: `residual`, the least distance of the
+    candidate residuals `cands` to `lattice`, and the `bound` it must not
+    exceed.
+
+    A residual over its bound is named when k r, r the nearest candidate
+    reduced mod `lattice`, lies within k times the bound of the lattice for
+    some k <= 163, which bounds the degree of a cyclic rational isogeny
+    (Mazur; Kenku): then r is a k-torsion point of C/Lambda_E. The smallest
+    such k is returned as `order`, with r's lattice `coordinates` and an
+    `error` that says `what` has that order.
+    """
+    r = lattice.reduce(np.asarray(cands))
+    dist = np.hypot(r.real, r.imag)  # lattice.dist, with r kept
+    residual = float(dist.min())
+    out = {"residual": residual, "bound": bound}
+    if residual > bound:
+        r = r[np.flatnonzero(dist == residual)[0]]
+        k = np.arange(2, 164)
+        hit = np.flatnonzero(lattice.dist(k * r) <= k * bound)
+        if hit.size:
+            order = int(k[hit[0]])
+            out.update(order=order, coordinates=[float(c) for c in lattice.coords(r)],
+                       error=f"{what} has order {order} mod Lambda_E")
+    return out
+
+
 def fricke_diagnostic(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLattice,
                       le: LEval) -> dict:
     """Manin's z(W_N tau) = w_N z(tau) + L(E,1) mod Lambda at the orbit's
@@ -473,35 +508,22 @@ def fricke_diagnostic(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLatt
     Im can be as small as 1e-9, nor anywhere: `zs` are the orbit's z values
     (`orbit_z`) and `le` is E's own L-value from the gate.
 
-    Returns w_N, the residual, the distance of r = conj(z_m) + eps z_0 - L(E,1)
-    to `lattice`, and its bound: the two z tails, the tail of L(E,1) when
-    eps = +1 (at eps = -1 it is 0 exactly) and FRICKE_ROUNDING.
-
-    A residual over its bound is named when k r lies within k times the
-    bound of the lattice for some k <= 163, which bounds the degree of a
-    cyclic rational isogeny (Mazur; Kenku): then r is a k-torsion point of
-    C/Lambda_E, a period of f outside Lambda_E, and the model is not
-    X_0(N)-optimal. The smallest such k is returned as `order`, with r's
-    lattice coordinates and the `error` that names it.
+    Returns w_N and `_bounded_residual` of the one candidate
+    r = conj(z_m) + eps z_0 - L(E,1), whose bound is the two z tails, the
+    tail of L(E,1) when eps = +1 (at eps = -1 it is 0 exactly) and
+    Z_ROUNDING. A residual of order k names a k-torsion point of
+    C/Lambda_E, a period of f outside Lambda_E: the model is not
+    X_0(N)-optimal, and the `error` says so.
     """
     curve, t = orbit.curve, orbit.taus[0]
     cls = reduce_form(curve.N * t.C, t.B, t.A // curve.N)
     m = next(i for i, u in enumerate(orbit.taus) if reduce_form(u.A, u.B, u.C) == cls)
     eps = le.epsilon
-    r = lattice.reduce(zs[m].z.conjugate() + eps * zs[0].z - le.value_at_1)
-    residual = float(np.hypot(r.real, r.imag))  # lattice.dist, with r kept
     l_tail = le.tail_bound if eps == 1 else 0.0
-    bound = zs[0].prec + zs[m].prec + l_tail + FRICKE_ROUNDING
-    out = {"w_N": -eps, "residual": residual, "bound": bound}
-    if residual > bound:
-        k = np.arange(2, 164)
-        hit = np.flatnonzero(lattice.dist(k * r) <= k * bound)
-        if hit.size:
-            order = int(k[hit[0]])
-            out.update(order=order, coordinates=[float(c) for c in lattice.coords(r)],
-                       error=f"model is not X_0({curve.N})-optimal: the Fricke residual has "
-                             f"order {order} mod Lambda_E")
-    return out
+    bound = zs[0].prec + zs[m].prec + l_tail + Z_ROUNDING
+    return {"w_N": -eps, **_bounded_residual(
+        lattice, [zs[m].z.conjugate() + eps * zs[0].z - le.value_at_1], bound,
+        f"model is not X_0({curve.N})-optimal: the Fricke residual")}
 
 
 # ---------------------------------------------------------------------------
@@ -803,46 +825,40 @@ def trace_to_K(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLattice,
     return pk, recognized
 
 
-@functools.cache
-def _torsion_fractions(bound: int = DEFAULT_TORSION_BOUND):
-    """Lattice coordinates (i/k, j/k), 0 <= i, j < k <= bound, of the torsion
-    translates, each taken once: at the k with gcd(i, j, k) = 1. Ordered by
-    k, then i, then j. Built on the first call and returned, read-only, by
-    every later one."""
-    k, i, j = np.indices((bound, bound, bound))
-    k += 1
-    new = (i < k) & (j < k) & (np.gcd(np.gcd(i, j), k) == 1)
-    s, t = i[new] / k[new], j[new] / k[new]
-    s.flags.writeable = t.flags.writeable = False
-    return s, t
-
-
 def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, z_base: list[CPoint],
-                         z_up: list[CPoint], lattice: PeriodLattice) -> float:
-    """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 in C/Lambda, with `base` the
-    level-1 orbit and `up` the orbit at a prime level ell of the same (E, K),
-    and `z_base`, `z_up` their z values (`orbit_z`).
+                         z_up: list[CPoint], lattice: PeriodLattice) -> dict:
+    """The trace relation Tr_{H_ell/K}(P_ell) = a_ell Tr_{H/K}(P_1) in
+    C/Lambda, with `base` the level-1 orbit and `up` the orbit at a prime
+    level ell of the same (E, K), inert in K, and `z_base`, `z_up` their z
+    values (`orbit_z`). It is the trace to K of Tr_{H_ell/H}(P_ell) =
+    a_ell P_1 (Gross, LMS Lecture Notes 153, 1991, section 3); the
+    conjugate count at level ell is the class number of the order of
+    conductor ell.
 
-    Minimized over the sign and small torsion translates, the ambiguity left
-    by the choice of Heegner system. The conjugate count is the class number
-    of the order of conductor ell.
+    Both sides are traces to K of points over ring class fields, so both lie
+    in E(K). The orbits pin the Heegner system only up to sign, and a change
+    of Heegner system moves the two sides apart by a point of E(K)_tors. Its
+    order divides m_K = torsion_bound(curve, d_K), the value `is_torsion`
+    reads, so it is one of the m_K^2 points t of (1/m_K) Lambda mod Lambda.
+    The candidates are w_ell - sgn a_ell w_1 - t for both signs and those t:
+    one per sign when m_K = 1. The sign search cannot tell a flipped a_ell
+    from the other sign; that needs a check that pins the sign.
 
-    Every sign and translate t = (i/k) omega1 + (j/k) omega2 is tried in one
-    lane-wise `lattice.dist` call, which makes each lane's float operations
-    in the scalar call's order, so the minimum equals the scalar loop's bit
-    for bit.
+    Returns `_bounded_residual` of the candidates, with the bound
+    sum(level-ell tails) + |a_ell| sum(level-1 tails) + Z_ROUNDING. A
+    residual off by a point of order k outside E(K)_tors is named by k.
     """
     curve, ell = base.curve, up.level
     if base.level != 1 or (up.curve, up.d_K) != (curve, base.d_K):
         raise ValueError("needs the level-1 and level-ell orbits of one curve and field")
     if not is_prime(ell):
         raise ValueError("ell must be prime")
-    w_base, w_up = _trace(z_base).z, _trace(z_up).z
+    w_base, w_up = _trace(z_base), _trace(z_up)
     a_ell = cached_an(curve, ell)[ell]
-    s, t = _torsion_fractions()
-    translates = s * lattice.omega1 + t * lattice.omega2
-    cands = np.concatenate([w_up - sgn * a_ell * w_base - translates for sgn in (1, -1)])
-    return float(lattice.dist(cands).min())
+    translates = lattice.torsion(torsion_bound(curve, base.d_K))
+    cands = np.concatenate([w_up.z - sgn * a_ell * w_base.z - translates for sgn in (1, -1)])
+    bound = w_up.prec + abs(a_ell) * w_base.prec + Z_ROUNDING
+    return _bounded_residual(lattice, cands, bound, "the trace relation's residual")
 
 
 class GZReport(NamedTuple):

@@ -354,15 +354,15 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
             return finish("trace_relation")
         aux, aux_orbit = picked
         try:
-            residual = trace_relation_check(orbit, aux_orbit, zs, orbit_z(aux_orbit, precision),
-                                            lattice)
+            trace = trace_relation_check(orbit, aux_orbit, zs, orbit_z(aux_orbit, precision),
+                                         lattice)
             heeg["trace_relation"] = {
                 "ell": aux,
-                "residual": residual,
+                **trace,
                 "orbit_size": aux_orbit.class_count,
                 "a_ell": cached_an(curve, aux)[aux],
             }
-            ok = residual < config.heegner_residual
+            ok = trace["residual"] <= trace["bound"]
         except PrecisionUnreachable as e:
             heeg["trace_relation"] = {"ell": aux, "error": str(e)}
             ok = False

@@ -67,7 +67,6 @@ from heegner_witness.arith import (
     valuation,
 )
 from heegner_witness.heegner import (
-    DEFAULT_TORSION_BOUND,
     PeriodLattice,
     PrecisionUnreachable,
     _duplication_polys,
@@ -834,27 +833,30 @@ def unit_quotient_whole_ring(d: int, c: int) -> list[int]:
     return abelian_invariants(n_cosets, orders) if n_cosets > 1 else []
 
 
-def torsion_translates_fraction(lattice, bound: int) -> list[complex]:
-    """The points (i/k) omega1 + (j/k) omega2, 0 <= i, j < k <= bound, each
-    (i/k, j/k) taken once, at its first k, deduplicated by a Fraction set."""
-    seen = set()
-    out = []
-    for k in range(1, bound + 1):
-        for i in range(k):
-            for j in range(k):
-                fr = (Fraction(i, k), Fraction(j, k))
-                if fr in seen:
-                    continue
-                seen.add(fr)
-                out.append(float(fr[0]) * lattice.omega1 + float(fr[1]) * lattice.omega2)
-    return out
+def torsion_translates_fraction(lattice, m: int) -> list[complex]:
+    """The m^2 points (i/m) omega1 + (j/m) omega2, 0 <= i, j < m, i-major,
+    each coordinate a Fraction rounded to a float."""
+    return [float(Fraction(i, m)) * lattice.omega1 + float(Fraction(j, m)) * lattice.omega2
+            for i in range(m) for j in range(m)]
+
+
+def torsion_bound_over_K(curve, d_K: int) -> int:
+    """m_K, a multiple of #E(K)_tors, K = Q(sqrt(d_K)), from point counts:
+    the gcd over the odd p < 64 prime to N d_K of p + 1 - a_p where p splits
+    in K and (p + 1)^2 - a_p^2 where it is inert, each a_p counted by `ap`."""
+    m = 0
+    for p in primes_upto(63)[1:]:
+        if curve.N % p and d_K % p:
+            a = ap(curve, p)
+            m = math.gcd(m, p + 1 - a if kronecker(d_K, p) == 1 else (p + 1) ** 2 - a * a)
+    return m
 
 
 def trace_relation_scalar(base, up, precision: float = 1e-9) -> float:
-    """Residual of Tr_{H_ell/H}(P_ell) = a_ell P_1 by the scalar loop: each
-    orbit's z summed class by class at `precision`, one `lattice.dist` call
-    per sign and torsion translate, the translates from the Fraction set
-    above, a_ell counted afresh."""
+    """Residual of Tr_{H_ell/K}(P_ell) = a_ell Tr_{H/K}(P_1) by the scalar
+    loop: each orbit's z summed class by class at `precision`, one
+    `lattice.dist` call per sign and translate, the translates the m_K^2
+    points of (1/m_K) Lambda from Fractions, m_K and a_ell counted afresh."""
     curve, ell = base.curve, up.level
     lattice = period_lattice(curve)
     z_base = z_up = 0j
@@ -863,7 +865,7 @@ def trace_relation_scalar(base, up, precision: float = 1e-9) -> float:
     for t in up.taus:
         z_up += modular_param(curve, t, precision=precision).z
     a_ell = ap(curve, ell)
-    translates = torsion_translates_fraction(lattice, DEFAULT_TORSION_BOUND)
+    translates = torsion_translates_fraction(lattice, torsion_bound_over_K(curve, base.d_K))
     best = math.inf
     for sgn in (1, -1):
         w = z_up - sgn * a_ell * z_base

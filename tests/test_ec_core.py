@@ -463,9 +463,14 @@ def test_ap_flat_checks_its_inputs(e37a, monkeypatch):
 
 
 def test_ap_many_refuses_bad_and_singular_primes_below_bsgs(e11a, e37a):
-    # y^2 = x^3 + 53^4 x is y^2 = x^3 + x scaled by u = 53: a valid CurveQ whose
-    # discriminant -64 * 53^12 has 53, a prime that does not divide N = 32
-    scaled = CurveQ(0, 0, 0, 53**4, 0, 32)
+    # y^2 = x^3 + 53^4 x is y^2 = x^3 + x scaled by u = 53: its discriminant
+    # -64 * 53^12 has 53, a prime that does not divide N = 32. CurveQ refuses
+    # the model, so it is built here without the constructor's check
+    with pytest.raises(ValueError, match="prime to N = 32 is 491258904256726154641, not 1"):
+        CurveQ(0, 0, 0, 53**4, 0, 32)
+    scaled = object.__new__(CurveQ)
+    scaled.a1, scaled.a2, scaled.a3, scaled.a4, scaled.a6 = 0, 0, 0, 53**4, 0
+    scaled.N, scaled.label = 32, None
     assert discriminant(scaled) % 53 == 0 and good_reduction(scaled, 53)
     with pytest.raises(BadReductionError):
         ap(scaled, 53)
@@ -703,13 +708,13 @@ def test_bad_prime_types(e11a, e37a):
 
 def _singular_pairs_of_the_box():
     # every model a1 in {0, 1}, a2 in {-1, 0, 1}, a3 in {0, 1}, |a4|, |a6| <= 6,
-    # with N the primes <= 50 of Delta (all CurveQ asks), at each p <= 7 | N;
-    # non-minimal models included
+    # with N the product of the primes of Delta (all CurveQ asks), at each
+    # p <= 7 | N; non-minimal models included
     pairs = []
     for ainvs in itertools.product((0, 1), (-1, 0, 1), (0, 1), range(-6, 7), range(-6, 7)):
         d = discriminant(ainvs)
         if d:
-            curve = CurveQ(*ainvs, math.prod(p for p in primes_upto(50) if d % p == 0))
+            curve = CurveQ(*ainvs, math.prod(prime_divisors(abs(d))))
             pairs += [(curve, p) for p in (2, 3, 5, 7) if curve.N % p == 0]
     return pairs
 

@@ -197,6 +197,24 @@ def test_cli_reports_unreadable_config(curve_file, tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, cofactor", [
+    ("nm53 0 -2809 148877 -78904810 -443287222580 11", "N = 11 is 491258904256726154641"),
+    ("w53 1 -1 1 0 0 1", "N = 1 is 53"),
+], ids=["11a-scaled-by-53", "53a-given-N-1"])
+def test_cli_refuses_a_model_singular_at_a_prime_outside_N(line, cofactor, tmp_path, capsys):
+    # 11a's model scaled by u = 53, and 53a's model with N = 1: each is singular
+    # mod 53, which its N leaves out, so the table is refused before any run
+    table = tmp_path / "curves.txt"
+    table.write_text(line + "\n11a 0 -1 1 -10 -20 11\n")
+    out = tmp_path / "out"
+    assert main(["run", "--curves", str(table), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"cannot read curve table: {table}:1: the discriminant's part "
+                                   f"prime to {cofactor}, not 1")
+
+
 def test_config_refuses_a_prime_bound_above_the_point_count_ceiling(curve_file, tmp_path,
                                                                    capsys):
     # 49a1 has CM by Q(sqrt(-7)), so q = 14519, and below 2*10^6 its prime
@@ -556,9 +574,8 @@ def _fresh_import(code: str) -> str:
     return out.stdout
 
 
-def test_import_leaves_one_memo_cache_and_leaves_it_empty():
-    # the a_n table is the curve's one cache; the only memoized function is the
-    # torsion grid, whose one input is a constant, and it is built on first use
+def test_import_leaves_no_memoized_function():
+    # the a_n table is the curve's one cache: no function in src/ is memoized
     out = _fresh_import(
         "import importlib, pkgutil, sys, heegner_witness\n"
         "for m in pkgutil.iter_modules(heegner_witness.__path__):\n"
@@ -568,7 +585,7 @@ def test_import_leaves_one_memo_cache_and_leaves_it_empty():
         "        for attr, fn in sorted(vars(mod).items()):\n"
         "            if hasattr(fn, 'cache_info') and fn.__module__ == name:\n"
         "                print(name, attr, fn.cache_info().currsize)")
-    assert out.splitlines() == ["heegner_witness.heegner _torsion_fractions 0"]
+    assert out.splitlines() == []
 
 
 def test_record_defaults_are_fresh_containers():
@@ -699,7 +716,23 @@ def _drop_a_class_from_the_level_ell_orbit(monkeypatch):
 
     monkeypatch.setattr(pipeline, "heegner_orbit", heegner_orbit)
     return lambda report: report.checks[-1]["orbit_size"] == 3 and \
-        report.checks[-1]["residual"] > Config().heegner_residual
+        report.checks[-1]["residual"] > report.checks[-1]["bound"]
+
+
+def _add_a_3_torsion_point_to_one_level_ell_z(monkeypatch):
+    # E(K) for 37a over d_K = -7 has no torsion but O (m_K = 1), so a level-3
+    # trace off by omega1/3 is no change of Heegner system, and its order is named
+    real = pipeline.orbit_z
+
+    def orbit_z(orbit, precision):
+        zs = real(orbit, precision)
+        if orbit.level > 1:
+            zs[0].z += heegner.period_lattice(orbit.curve).omega1 / 3
+        return zs
+
+    monkeypatch.setattr(pipeline, "orbit_z", orbit_z)
+    return lambda report: report.checks[-1]["order"] == 3 and \
+        report.checks[-1]["error"] == "the trace relation's residual has order 3 mod Lambda_E"
 
 
 @pytest.mark.parametrize("check, mutate", [
@@ -710,6 +743,7 @@ def _drop_a_class_from_the_level_ell_orbit(monkeypatch):
     ("gz_correspondence", _read_every_height_as_zero),
     ("fricke", _flip_the_sign_fricke_reads),
     ("trace_relation", _drop_a_class_from_the_level_ell_orbit),
+    ("trace_relation", _add_a_3_torsion_point_to_one_level_ell_z),
 ])
 def test_each_check_fails_the_run_under_its_mutation(check, mutate, e37a, monkeypatch):
     # every check name a report can carry, except divisibility_contradiction,
@@ -735,6 +769,24 @@ def test_fricke_fails_on_a_wrong_sign_or_L_value(mutate, e11a, monkeypatch):
     assert not report.passed and report.failed_at == "fricke"
     last = report.checks[-1]
     assert last["name"] == "fricke" and last["residual"] > last["bound"]
+
+
+def test_trace_relation_searches_the_torsion_e_of_k_can_have():
+    # 15a over d_K = -11 has m_K = 8, and its two sides differ by the 2-torsion
+    # point (omega1 + omega2)/2: the run passes through the translates of
+    # (1/8) Lambda, with the residual it had over every point of order <= 16
+    e15a = CurveQ(1, 1, 1, -10, -10, 15, "15a")
+    report = run_witness(e15a)
+    assert report.passed and report.d_K == -11 and heegner.torsion_bound(e15a, -11) == 8
+    trace = report.heegner["trace_relation"]
+    assert (trace["ell"], trace["a_ell"]) == (2, -1)
+    assert f"{trace['residual']:.12g}" == "1.20082583297e-11" and trace["residual"] <= trace["bound"]
+    assert trace["bound"] == pytest.approx(1.0442e-9, rel=1e-4)
+    lattice = heegner.period_lattice(e15a)
+    base, up = heegner.heegner_orbit(e15a, -11, 1), heegner.heegner_orbit(e15a, -11, 2)
+    w = sum(z.z for z in heegner.orbit_z(up, 1e-9)) + sum(z.z for z in heegner.orbit_z(base, 1e-9))
+    assert lattice.dist(w - (lattice.omega1 + lattice.omega2) / 2) == trace["residual"]
+    assert lattice.dist(w) > 1.0  # so at m_K = 1 the run would fail
 
 
 def test_coarse_l_precision_leaves_step_5_at_its_own_precision():
