@@ -181,6 +181,10 @@ class PointCountBoundError(ValueError):
     """Requested field size exceeds POINT_COUNT_CEILING."""
 
 
+class ConductorExponentError(ValueError):
+    """N's exponent at a prime contradicts the model's reduction type there."""
+
+
 class CurveQ:
     """A curve over Q by its a-invariants, conductor N and an optional label,
     checked at construction against its discriminant Delta: every prime of N
@@ -873,6 +877,26 @@ def reduction_type(curve: CurveQ, p: int) -> tuple[str, int]:
     if c4 % p == 0:
         return ("additive", 0)
     return ("multiplicative", kronecker(-c6, p))
+
+
+def check_conductor_exponents(curve: CurveQ) -> None:
+    """Raise ConductorExponentError, naming p and v_p(N), where the
+    exponent of p in N contradicts the reduction type at p | N: it is 1
+    where the reduction is multiplicative (p does not divide c4), and where
+    it is additive (p | c4) 2 at p >= 5, 2 to 5 at p = 3 and 2 to 8 at p = 2
+    (Silverman, Advanced Topics, IV.10; Brumer-Kramer, Duke Math. J. 44,
+    1977). Not a CurveQ check: point-count tests build models with
+    N = rad Delta whatever the reduction type."""
+    c4 = c_invariants(curve)[0]
+    for p, e in factorize(curve.N):
+        if c4 % p:
+            kind, lo, hi = "multiplicative", 1, 1
+        else:
+            kind, lo, hi = "additive", 2, {2: 8, 3: 5}.get(p, 2)
+        if not lo <= e <= hi:
+            need = lo if lo == hi else f"{lo} to {hi}"
+            raise ConductorExponentError(f"N = {curve.N} has exponent {e} at {p}, but the "
+                                         f"reduction at {p} is {kind}, which needs {need}")
 
 
 class AnSeries:

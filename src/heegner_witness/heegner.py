@@ -3,7 +3,9 @@
 The modular parametrization is evaluated as z(tau) = sum a_n/n e^{2 pi i n tau}
 into C/Lambda with the period lattice computed by the optimal complex AGM
 from the 2-division roots, which come from the integer cubic in Python ints
-and floats: no LAPACK routine runs in a witness run.
+and floats: no LAPACK routine runs in a witness run. z maps to (x, y) on E
+through wp and wp', each summed as a q-expansion in the lattice's
+Lagrange-Gauss reduced basis (`_wp`), where |q| <= e^{-pi sqrt 3}.
 Heegner points at level c are represented by forms (A, B, C) with N | A and a
 fixed square root of D = c^2 d_K mod 4N; the class group action is realized by
 picking one such form per reduced class, the one of smallest A, by a scan
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import factorize, is_prime, is_squarefree
+from .arith import factorize, is_prime, is_squarefree, prime_divisors
 from .ec_core import CurveQ, b_invariants, c_invariants, discriminant
 from .lseries import LEval, LOverK, an_over_n_blocks, cached_an, fsum_blocks
 from .quadforms import class_number, kronecker, reduce_form
@@ -158,14 +160,31 @@ def _two_division_roots(curve: CurveQ):
     return complex(e1), z, z.conjugate()
 
 
+def _lagrange_reduced(w1: complex, w2: complex) -> tuple[complex, complex]:
+    """A Lagrange-Gauss reduced basis (r1, r2) of w1 Z + w2 Z: |r1| <= |r2|
+    and |Re(r2/r1)| <= 1/2, so r1 is a shortest nonzero period and
+    Im(r2/r1) >= sqrt(3)/2, with r2 signed so that Im(r2/r1) > 0. Each pass
+    that goes on shortens r1, so the loop ends."""
+    if abs(w2) < abs(w1):
+        w1, w2 = w2, w1
+    while True:
+        w2 -= round((w2 / w1).real) * w1
+        if abs(w2) >= abs(w1):
+            break
+        w1, w2 = w2, w1
+    return (w1, w2) if (w2 / w1).imag > 0 else (w1, -w2)
+
+
 class PeriodLattice(NamedTuple):
     curve: CurveQ
     omega1: float
     omega2: complex
-    g2: float
-    g3: float
-    lambda_min: float
-    wp_coeffs: tuple
+    basis: tuple  # (r1, r2), Lagrange-Gauss reduced: `_lagrange_reduced`
+
+    @property
+    def lambda_min(self) -> float:
+        """The shortest nonzero period, |r1|."""
+        return abs(self.basis[0])
 
     def coords(self, z):
         """(a, b) with z = a omega1 + b omega2, lane-wise over an array of z."""
@@ -214,6 +233,11 @@ def period_lattice(curve: CurveQ) -> PeriodLattice:
     So while rho < 1, the tail of S_k past n is at most
     (n + 1)^k r^(n+1) / ((1 - r)(1 - rho)), and u^4 240 and u^6 504 times
     those tails are what the stop compares with 1e-9 ref.
+
+    `basis` is the Lagrange-Gauss reduced basis, which `_wp` sums in, and
+    `lambda_min`, the shortest nonzero period, the length of its first
+    vector. `coords`, `reduce`, `dist` and `torsion` read the AGM's basis
+    `omega1`, `omega2`.
     """
     e1, e2, e3 = _two_division_roots(curve)
     w1 = cmath.pi / _agm_optimal(cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2))
@@ -245,16 +269,7 @@ def period_lattice(curve: CurveQ) -> PeriodLattice:
         raise ArithmeticError(
             f"period lattice fails invariant check: {scale} vs {(c4, c6)}"
         )
-    g2 = c4 / 12.0
-    g3 = c6 / 216.0
-    K = 30
-    c = [0.0] * (K + 1)
-    c[1] = g2 / 20.0
-    c[2] = g3 / 28.0
-    for k in range(3, K + 1):
-        c[k] = 3.0 * sum(c[m] * c[k - 1 - m] for m in range(1, k - 1)) / ((2 * k + 3) * (k - 2))
-    lam = min(abs(w1), abs(w2), abs(w1 + w2), abs(w1 - w2))
-    return PeriodLattice(curve, w1, w2, g2, g3, lam, tuple(c))
+    return PeriodLattice(curve, w1, w2, _lagrange_reduced(w1, w2))
 
 
 # ---------------------------------------------------------------------------
@@ -280,59 +295,60 @@ class CPoint:
 
 
 def _wp(lattice: PeriodLattice, z: complex) -> tuple[complex, complex]:
-    c = lattice.wp_coeffs
-    z2 = z * z
-    w = 1.0 / z2
-    wd = -2.0 / (z2 * z)
-    zp = 1.0 + 0j
-    for k in range(1, len(c)):
-        zp *= z2
-        w += c[k] * zp
-        wd += 2 * k * c[k] * zp / z
-    return w, wd
+    """wp(z) and wp'(z) at any z off the lattice, as q-expansions (Silverman,
+    Advanced Topics in the Arithmetic of Elliptic Curves, GTM 151, I.6) in
+    the reduced basis (r1, r2) = `lattice.basis`, tau = r2/r1 and
+    q = e^{2 pi i tau}.
 
+    z/r1 is first moved by a lattice point to s with |Im s| <= Im(tau)/2 and
+    |Re s| <= 1/2. With t = pi i s, u = e^{2t}, f(v) = v/(1 - v)^2 and
+    g(v) = v(1 + v)/(1 - v)^3, and sums over m >= 1,
 
-def _double_complex(curve: CurveQ, P):
-    """2P on E(C) by the tangent at P = (x, y); None when P is 2-torsion."""
-    a1, a2, a3, a4, a6 = curve.ainvs
-    x1, y1 = P
-    if abs(y1 - (-y1 - a1 * x1 - a3)) < 1e-9 * (1 + abs(y1)):
-        return None
-    lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
-    x3 = lam * lam + a1 * lam - a2 - x1 - x1
-    y3 = -(y1 + lam * (x3 - x1)) - a1 * x3 - a3
-    return (x3, y3)
+        wp  = (2 pi i/r1)^2 [1/12 + 1/(4 sinh^2 t) + sum f(q^m u) + f(q^m/u) - 2 f(q^m)],
+        wp' = (2 pi i/r1)^3 [-cosh t/(4 sinh^3 t) + sum g(q^m u) - g(q^m/u)].
 
+    The terms at n = -m of the sums over n in Z are folded into those at m,
+    and the n = 0 terms u/(1 - u)^2 and u(1 + u)/(1 - u)^3 are written
+    through 1 - u = -2 sinh(t) e^t, which does not cancel near z = 0.
 
-def _halve_and_double(lattice: PeriodLattice, z: complex):
-    """(x, y) at z by halving into the wp series radius and doubling back; None at O."""
-    curve = lattice.curve
-    b2 = b_invariants(curve)[0]
-    a1, _, a3, _, _ = curve.ainvs
-    k = 0
-    while abs(z) > 0.45 * lattice.lambda_min:
-        z /= 2
-        k += 1
-    w, wd = _wp(lattice, z)
-    x = w - b2 / 12.0
-    y = (wd - a1 * x - a3) / 2.0
-    P = (x, y)
-    for _ in range(k):
-        P = _double_complex(curve, P)
-        if P is None:
-            return None
-    return P
+    The tail: every v above has |v| <= |q|^(m - 1/2) <= |q|^(1/2), and a
+    reduced basis has Im tau >= sqrt(3)/2, so |v| < 0.07, |f(v)| < 1.15 |v|
+    and |g(v)| < 1.31 |v|. The sums take every m with |q|^(m - 1/2) >= 1e-18
+    (at most 8 terms), and the omitted ones add less than 5e-18 to either
+    bracket.
+    """
+    r1, r2 = lattice.basis
+    tau = r2 / r1
+    s = z / r1
+    s -= round(s.imag / tau.imag) * tau
+    s -= round(s.real)
+    t = 1j * cmath.pi * s
+    sh = cmath.sinh(t)
+    wp = 1 / 12 + 1 / (4 * sh * sh)
+    wpd = -cmath.cosh(t) / (4 * sh**3)
+    u = cmath.exp(2 * t)
+    q = cmath.exp(2j * cmath.pi * tau)
+    qm, m = q, 1
+    while abs(q) ** (m - 0.5) >= 1e-18:
+        a, b = qm * u, qm / u
+        wp += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qm / (1 - qm) ** 2
+        wpd += a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
+        qm, m = qm * q, m + 1
+    k = 2j * cmath.pi / r1
+    return k * k * wp, k**3 * wpd
 
 
 def elliptic_exp(lattice: PeriodLattice, z: complex) -> CPoint:
-    """Point of E(C) at z mod Lambda: x = wp(z) - b2/12, y from wp'."""
+    """Point of E(C) at z mod Lambda: x = wp(z) - b2/12 and y from
+    wp'(z) = 2y + a1 x + a3, both from `_wp`; O within 1e-13 lambda_min of 0
+    after reduction."""
     zr = complex(lattice.reduce(z))
     if abs(zr) < 1e-13 * lattice.lambda_min:
         return CPoint(0j, None)
-    P = _halve_and_double(lattice, zr)
-    if P is None:
-        return CPoint(zr, None)
-    return CPoint(zr, P, 1e-12 * max(1.0, abs(P[0])))
+    a1, _, a3, _, _ = lattice.curve.ainvs
+    w, wd = _wp(lattice, zr)
+    x = w - b_invariants(lattice.curve)[0] / 12.0
+    return CPoint(zr, (x, (wd - a1 * x - a3) / 2.0), 1e-12 * max(1.0, abs(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +652,9 @@ def is_torsion(curve: CurveQ, P, lattice: PeriodLattice | None = None,
     A CPoint of E(K), K = Q(sqrt(d_K)), is torsion when it lies within tol
     of a point of order dividing m_K = torsion_bound(curve, d_K), that is
     when m_K z lies within m_K tol of the lattice. Those points, the
-    (1/m_K) Lambda mod Lambda, lie at least lambda_min / m_K apart, so tol
-    must stay below lambda_min / (2 m_K). A CPoint other than O needs
+    (1/m_K) Lambda mod Lambda, lie at least lambda_min / m_K apart, with
+    lambda_min the shortest nonzero period of Lambda, so tol must stay below
+    lambda_min / (2 m_K). A CPoint other than O needs
     `d_K`: ValueError without it.
     """
     if P is None:
@@ -719,7 +736,7 @@ def canonical_height(curve: CurveQ, P, tol: float = 1e-11) -> float:
     if is_torsion(curve, P):
         return 0.0
     delta = discriminant(curve)
-    bad = [p for p, _ in factorize(delta)]
+    bad = prime_divisors(curve.N)  # the primes of Delta: CurveQ holds rad Delta = rad N
     Q, k = P, 1
     while any(_reduces_to_singular_point(curve, *Q, p) for p in bad):
         Q, k = rational_add(curve, Q, P), k + 1

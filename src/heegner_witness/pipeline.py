@@ -31,7 +31,8 @@ except ImportError:
 
 from . import __version__
 from .arith import is_prime
-from .ec_core import POINT_COUNT_CEILING, CurveQ, cm_field
+from .ec_core import (POINT_COUNT_CEILING, ConductorExponentError, CurveQ,
+                      check_conductor_exponents, cm_field)
 from .galois_tower import FormalMWModel, divisibility_contradiction, tower_structure
 from .heegner import (
     DEFAULT_TORSION_BOUND,
@@ -233,9 +234,12 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
         timing["total_s"] = round(time.perf_counter() - t0, 5)
         return report
 
-    # 1. analytic rank gate
+    # 1. analytic rank gate, after a check of N's exponents: the gate fits
+    # the functional equation of the N given, and 11a's model given N = 11^3
+    # fits it with twice 11a's L(E,1)
     with _stage(timing, "gate"):
         try:
+            check_conductor_exponents(curve)
             le = l_eval(curve, config.lseries_precision)
             gate = gate_from_leval(le, config.nonvanishing_threshold)
             report.l_values = {
@@ -246,7 +250,7 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
                 "tail_bound": le.tail_bound,
                 "terms": le.terms_used,
             }
-        except LSeriesInconclusiveError as e:
+        except (ConductorExponentError, LSeriesInconclusiveError) as e:
             gate = "not_eligible"
             report.l_values = {"error": str(e)}
     report.gate = gate

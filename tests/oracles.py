@@ -12,8 +12,8 @@ What the oracles still share with the package paths they judge:
   `modular_param_per_term`, which judge the sums, not the table.
 - `lseries._tail_terms` gives `l_eval_per_term` its term count.
 - `modular_param` and `period_lattice` feed the Fricke and trace-relation
-  references, and `elliptic_exp`, `_wp` and `_halve_and_double`
-  `elliptic_log`. `two_division_roots_np`, the oracle for the lattice's
+  references; `elliptic_exp` and `_wp`, the package's q-expansion of wp,
+  feed `elliptic_log`. `two_division_roots_np`, the oracle for the lattice's
   roots, shares only `b_invariants` and `discriminant` with them.
 - `canonical_height_every_prime` takes the duplication polynomials and the
   exact torsion test from `heegner`; it tracks gcd(F, G) exactly at every
@@ -70,7 +70,6 @@ from heegner_witness.heegner import (
     PeriodLattice,
     PrecisionUnreachable,
     _duplication_polys,
-    _halve_and_double,
     _wp,
     elliptic_exp,
     is_torsion,
@@ -544,7 +543,7 @@ def elliptic_log(lattice: PeriodLattice, x: complex, y: complex) -> complex:
             zr = lattice.reduce(z)
             if abs(zr) < 0.05 * lattice.lambda_min:
                 continue
-            w, _ = _wp_far(lattice, zr)
+            w, _ = _wp(lattice, zr)
             d = abs(w - target)
             if best is None or d < best[0]:
                 best = (d, z)
@@ -553,7 +552,7 @@ def elliptic_log(lattice: PeriodLattice, x: complex, y: complex) -> complex:
         zr = lattice.reduce(z)
         if abs(zr) < 1e-14:
             break
-        w, wd = _wp_far(lattice, zr)
+        w, wd = _wp(lattice, zr)
         step = (w - target) / wd
         if abs(step) > 0.3 * lattice.lambda_min:
             step *= 0.3 * lattice.lambda_min / abs(step)
@@ -572,18 +571,6 @@ def elliptic_log(lattice: PeriodLattice, x: complex, y: complex) -> complex:
     if abs(p.xy[0] - x) > 1e-6 * (1 + abs(x)):
         raise PrecisionUnreachable(f"elliptic_log failed to converge at x = {x}")
     return zr
-
-
-def _wp_far(lattice: PeriodLattice, z: complex):
-    """wp at a reduced argument, halving into the series radius as needed."""
-    if abs(z) <= 0.45 * lattice.lambda_min:
-        return _wp(lattice, z)
-    P = _halve_and_double(lattice, z)
-    if P is None:
-        raise PrecisionUnreachable("wp evaluation hit a lattice point")
-    b2 = b_invariants(lattice.curve)[0]
-    a1, _, a3, _, _ = lattice.curve.ainvs
-    return P[0] + b2 / 12.0, 2 * P[1] + a1 * P[0] + a3
 
 
 def _double_exact(curve: CurveQ, P):

@@ -187,6 +187,63 @@ def test_log_of_rational_generator(e37a):
     assert abs(P.xy[0]) < 1e-9 and abs(P.xy[1]) < 1e-9
 
 
+def _pinned_curves():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return parse_curve_file(os.path.join(root, "perfbench", "data", "pinned.txt"))
+
+
+def test_lambda_min_is_the_shortest_nonzero_period():
+    # min(|w1|, |w2|, |w1 + w2|, |w1 - w2|) is the shortest period only for a
+    # reduced basis: it read 43a, 57a, 61a and 89a 1.12 to 1.62 times too long
+    for curve in _pinned_curves():
+        lat = period_lattice(curve)
+        brute = min(abs(m * lat.omega1 + n * lat.omega2)
+                    for m in range(-6, 7) for n in range(-6, 7) if (m, n) != (0, 0))
+        assert abs(lat.lambda_min - brute) <= 1e-12 * brute, curve.label
+
+
+def _scaled_residual(curve, x, y) -> float:
+    """|y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6| / H^6, H the largest of
+    |x|^(1/2), |y|^(1/3) and |a_i|^(1/i): a measure no change of scale moves."""
+    a1, a2, a3, a4, a6 = curve.ainvs
+    H = max(abs(x) ** (1 / 2), abs(y) ** (1 / 3), abs(a1), abs(a2) ** (1 / 2),
+            abs(a3) ** (1 / 3), abs(a4) ** (1 / 4), abs(a6) ** (1 / 6))
+    return abs(y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) / H**6
+
+
+def test_elliptic_exp_meets_the_curve_equation_across_the_parallelogram():
+    # a 16 x 16 grid over the period parallelogram, and z = 10^-k lambda_min
+    # e^(i theta) down to k = 8; halving into a Laurent series and doubling
+    # back reached 3.3e-7 on 61a, whose lambda_min was 1.62 times too long
+    for curve in _pinned_curves():
+        lat = period_lattice(curve)
+        zs = [i / 16 * lat.omega1 + j / 16 * lat.omega2
+              for i in range(16) for j in range(16) if (i, j) != (0, 0)]
+        zs += [10.0**-k * lat.lambda_min * cmath.exp(1j * theta)
+               for k in range(1, 9) for theta in (0.0, 0.7, 1.6, 2.9)]
+        for z in zs:
+            P = elliptic_exp(lat, z)
+            assert not P.is_identity
+            assert _scaled_residual(curve, *P.xy) < 1e-12, (curve.label, z)
+
+
+@pytest.mark.parametrize("ainvs, N, d_K, x, y", [
+    ((0, 0, 1, -10, 12), 827, -7, 0, 3),
+    ((0, -1, 1, -15, 28), 1315, -19, 2, 1),
+    ((0, 1, 1, -14, 16), 1883, -87, Fraction(7, 9), Fraction(-82, 27)),
+])
+def test_trace_to_K_reads_p_k_exactly_where_q_is_large(ainvs, N, d_K, x, y):
+    # |q| = 0.43-0.46 on these lattices, and x(P_K) came out 1.3e-5 to
+    # 7.7e-4 off when wp was a Laurent series trusted out to a lambda_min
+    # too long; then recognition failed and the run fell back to the proxy
+    curve = CurveQ(*ainvs, N)
+    gz = _gz(curve, d_K)
+    assert gz.recognized == (x, y) and not gz.height_is_proxy
+    lat = period_lattice(curve)
+    covolume = lat.omega1 * lat.omega2.imag
+    assert abs(gz.ratio * covolume / math.sqrt(-d_K) - 0.25) < 1e-10
+
+
 def test_heegner_orbit_37a_disc7(e37a):
     orb = heegner_orbit(e37a, -7, 1)
     assert orb.class_count == 1
@@ -425,9 +482,10 @@ def test_canonical_height_generator_37a(e37a):
     assert abs(h - 0.05111140823996884) < 1e-9
 
 
-# the points the pinned and pins.json witness runs recognize, and 57a's
-# (-1, 1), which reduces to the singular point mod 3: (label, a-invariants,
-# N, x, y, the primes of Delta where P reduces to the singular point)
+# the points the pinned, pins.json and three band-1 witness runs recognize,
+# and 57a's (-1, 1), which reduces to the singular point mod 3: (label,
+# a-invariants, N, x, y, the primes of Delta where P reduces to the singular
+# point)
 HEIGHT_POINTS = [
     ("37a", (0, 0, 1, -1, 0), 37, 0, 0, set()),
     ("43a", (0, 1, 1, 0, 0), 43, 0, 0, set()),
@@ -444,6 +502,9 @@ HEIGHT_POINTS = [
     ("g4429.1", (0, 1, 1, -4, -3), 4429, Fraction(-3, 4), Fraction(-9, 8), set()),
     ("g18469.1", (0, 0, 1, -16, -24), 18469, 20, -88, set()),
     ("g427.2", (1, 0, 1, -8, 7), 427, 1, 0, set()),
+    ("g827.1", (0, 0, 1, -10, 12), 827, 0, 3, set()),
+    ("g1315.1", (0, -1, 1, -15, 28), 1315, 2, 1, set()),
+    ("g1883.1", (0, 1, 1, -14, 16), 1883, Fraction(7, 9), Fraction(-82, 27), set()),
     ("57a (-1, 1)", (0, -1, 1, -2, 2), 57, -1, 1, {3}),
 ]
 

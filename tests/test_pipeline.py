@@ -134,8 +134,13 @@ def test_config_rejects_non_finite_floats(name, curve_file, tmp_path, capsys):
                                               "precision 1e-08, past the point count ceiling 1000000"),
     ((0, 0, 1, -1000, 0), 63999999973, 1e-150, "the L-series of E needs T = 14462602 terms at "
                                                "precision 1e-150, past the point count ceiling 1000000"),
-    # at N = 2^114 the gate's r = e^(-2 pi / sqrt(N)) is 1.0 in float64
-    ((0, 0, 0, -2**36, 0), 2**114, 1e-8, "e^-x rounds to 1 at x = 4.360e-17: no T bounds the tail"),
+    # y^2 = x^3 - x (conductor 32) scaled by u = 2^9, given N = 2^114: no
+    # additive reduction at 2 has an exponent above 8
+    ((0, 0, 0, -2**36, 0), 2**114, 1e-8, "N = 20769187434139310514121985316880384 has exponent 114 "
+                                         "at 2, but the reduction at 2 is additive, which needs 2 to 8"),
+    # at the prime N = -Delta = 6.4e34 the gate's r = e^(-2 pi / sqrt(N)) is 1.0 in float64
+    ((0, 0, 1, -100000000006, 1), 64000000011520000000691200000013149, 1e-8,
+     "e^-x rounds to 1 at x = 2.484e-17: no T bounds the tail"),
 ])
 def test_a_gate_series_no_table_can_hold_fails_the_gate_by_name(ainvs, N, precision, error):
     # the run fails before the a_n table grows, and does not raise
@@ -143,6 +148,19 @@ def test_a_gate_series_no_table_can_hold_fails_the_gate_by_name(ainvs, N, precis
     report = run_witness(curve, Config(lseries_precision=precision))
     assert report.failed_at == "analytic_rank_gate" and not report.passed
     assert report.l_values == {"error": error}
+    assert lseries.held_an(curve) is None  # no a_n was counted
+
+
+@pytest.mark.parametrize("N, exponent", [(1331, 3), (121, 2)])
+def test_a_conductor_exponent_the_reduction_type_refuses_fails_the_gate_by_name(N, exponent):
+    # 11a's model is multiplicative at 11 (11 does not divide c4 = 496), so
+    # v_11(N) must be 1. Given N = 11^3 its gate fitted sign +1 and read
+    # L(E,1) = 0.5077, twice 11a's; given 11^2 it fitted neither sign
+    curve = CurveQ(0, -1, 1, -10, -20, N, "11a")
+    report = run_witness(curve)
+    assert report.failed_at == "analytic_rank_gate" and report.gate == "not_eligible"
+    assert report.l_values == {"error": f"N = {N} has exponent {exponent} at 11, but the "
+                                        "reduction at 11 is multiplicative, which needs 1"}
     assert lseries.held_an(curve) is None  # no a_n was counted
 
 
@@ -815,12 +833,12 @@ def test_coarse_step5_configs_sum_at_a_precision_the_torsion_test_decides():
             report = run_witness(table[label], config)
             assert report.passed and report.heegner["pk_nontorsion"], label
     # the limit itself still refuses a trace coarse enough, wherever it lies:
-    # 43a over Q(sqrt(-7)) has m_K = 1 and lambda_min = 3.0553
+    # 43a over Q(sqrt(-7)) has m_K = 1 and lambda_min = 2.7264
     lattice = heegner.period_lattice(table["43a"])
     assert heegner.torsion_bound(table["43a"], -7) == 1
     coarse = heegner.CPoint(0.1 + 0.1j, (0.0, 0.0), 0.04)
     with pytest.raises(heegner.PrecisionUnreachable,
-                       match=r"^torsion tolerance 2 is not below lambda_min/\(2 m_K\) = 1\.53, m_K = 1$"):
+                       match=r"^torsion tolerance 2 is not below lambda_min/\(2 m_K\) = 1\.36, m_K = 1$"):
         heegner.is_torsion(table["43a"], coarse, lattice=lattice, d_K=-7)
 
 
