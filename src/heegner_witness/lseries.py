@@ -4,24 +4,29 @@ One mechanism fixes every sign, the split identity
     L(E_d,1) = F(A) + eps F(1/A),  F(A) = sum a_n(E_d)/n exp(-c n A),
 c = 2 pi / (|d| sqrt(N)), which the full series meets for every A > 0 with
 the right sign eps (and L(E_d,1) = 2 F(1) for eps = +1, 0 for eps = -1).
-`l_eval` sums F(1), F(1.07) and F(1/1.07) on the T terms its L-value sums;
-a sign fits when its defect is within the three series' tails plus a
-rounding allowance. E's own sign is the one sign that fits: on the 25
-curves of `perfbench/data/pinned.txt` and `pins.json`, at the default
-precision, the right sign's defect is at most 0.13 of its bound and the
-wrong sign's at least 3.4*10^4 times it. When neither or both fit, the
-gate fails by name: at precision 1e-2 both fit on 13 of the 25 (9 of the
-17 pinned curves); from 1e-3 on, on none.
+`l_eval` sums F(1), F(1.07) and F(1/1.07) on the T terms its L-value sums,
+the smallest T whose tail bound meets precision/4 (`_tail_terms`); a sign
+fits when its defect is within the three series' tails plus a rounding
+allowance. E's own sign is the one sign that fits: on the 25 curves of
+`perfbench/data/pinned.txt` and `pins.json`, at the default precision, the
+right sign's defect is at most 0.11 of its bound and the wrong sign's at
+least 2.1*10^4 times it. At coarse precision the smallest T can leave both
+signs inside their bounds: on 16, 11, 1 and 0 of the 25 at 1e-2, 3e-3, 1e-3
+and 1e-4. The gate then grows T to int(1.3 T) + 1 and sums again while both
+fit, which settles every one of the 25 at all four precisions (43a at 1e-2
+on 10 terms, not 7); it cannot pick a wrong sign, since the right sign's
+bound is proven. It fails by name when neither sign fits, or when both
+still fit and the next T would pass POINT_COUNT_CEILING.
 
 A twist's sign is not chosen: for a fundamental d coprime to N,
 eps(E_d) = eps(E) kronecker(d, -N) (Atkin-Li, "Twists of newforms and
 pseudo-eigenvalues of W-operators", Invent. Math. 48, 1978), and the split
-identity checks it on the twist's own terms. On the 27 twists the tests
-run (the pinned curves' fields and d = -3, -7, -103 of 11a, 37a, 389a and
-14a) the right sign's defect is at most 2% of its bound and the wrong
-sign's at least 3*10^4 times it. An a_p off by one fails it too where the
-sums weigh it: at every good prime below T/4 of 11a, 37a and 389a twisted
-by -7 and of g12283.1 by -23.
+identity checks it on the twist's own terms, whose T never grows. On the
+27 twists the tests run (the pinned curves' fields and d = -3, -7, -103 of
+11a, 37a, 389a and 14a) the right sign's defect is at most 2% of its bound
+and the wrong sign's at least 1.6*10^4 times it. An a_p off by one fails it
+too where the sums weigh it: at every good prime below T/4 of 11a, 37a and
+389a twisted by -7 and of g12283.1 by -23.
 
 Central values use the classical rapidly convergent series
     L(E,1)  = 2 sum a_n/n exp(-2 pi n / sqrt(N))            (eps = +1)
@@ -37,12 +42,12 @@ recurrence would) and every block feeds one `math.fsum` through a
 generator. The sum is therefore correctly rounded, equal for every block
 length, and no array as long as the series is ever made. _SUM_BLOCK = 1024
 was measured on the three field-search twists g8446.1 (d = -31), g4429.1
-(-39) and g18469.1 (-19), 12,126 terms each, with the a_n table warm (median
-of 7 in each of two runs, 2-vCPU Xeon): blocks of 64, 256, 1024, 4096 and
-the whole series took 86-117, 45-55, 29-36, 26-31 and 25-29 ms for the
-three `l_eval` calls, with a tracemalloc peak of 15, 50, 177, 659 and
-1,831 KB. 1024 keeps the peak under 0.2 MB at about a fifth more time than
-one block.
+(-39) and g18469.1 (-19), on the 12,126 terms each that the old rung
+ladder of T gave, with the a_n table warm (median of 7 in each of two runs,
+2-vCPU Xeon): blocks of 64, 256, 1024, 4096 and the whole series took
+86-117, 45-55, 29-36, 26-31 and 25-29 ms for the three `l_eval` calls,
+with a tracemalloc peak of 15, 50, 177, 659 and 1,831 KB. 1024 keeps the
+peak under 0.2 MB at about a fifth more time than one block.
 
 `exp1`'s two kernels step their lanes in numpy only while more than
 _SCALAR_LANES = 32 are live, and finish the rest in Python floats by the
@@ -255,22 +260,31 @@ def _exp1_fraction(x: np.ndarray) -> np.ndarray:
 
 
 def _tail_terms(x: float, target: float) -> int:
-    """A T with sqrt(3) r^(T+1)/(1 - r), the tail bound of an a_n/n series
-    sum a_n/n r^n, r = e^-x, below target: the first rung of the ladder
-    T = 8, int(1.3 T) + 1, ... that meets it.
+    """The smallest T >= 1 with sqrt(3) r^(T+1)/(1 - r) < target, r = e^-x:
+    the fewest terms whose tail bound for an a_n/n series sum a_n/n r^n,
+    |a_n/n| <= sqrt(3), meets target.
 
-    The bound falls with T, so the smallest such T lies between the rung
-    returned and the rung below it: the ladder overshoots by up to 30%.
-    It falls to 0 for every r < 1, so the ladder ends for every target > 0,
-    at a T no table may be able to hold: `l_eval` checks T before it sums.
+    The bound falls with T, so T = floor(ln(sqrt(3) / ((1 - r) target)) /
+    -ln r) in closed form. It takes ln r of the rounded r, not -x: for x
+    near 1e-13 the two differ by 1e-3 relative, and T by 10^11. The bound
+    is then tested in float64 as written above, and T steps down or up
+    until it is the smallest that passes, in case rounding moved the closed
+    form (over x in [1e-5, 5] and targets down to 1e-200 it never did).
+    T can exceed what any table holds: `l_eval` checks it before it sums.
     LSeriesInconclusiveError when r rounds to 1.
     """
     r = math.exp(-x)
     if r == 1.0:
         raise LSeriesInconclusiveError(f"e^-x rounds to 1 at x = {x:.3e}: no T bounds the tail")
-    T = 8
-    while _SQRT3 * r ** (T + 1) / (1 - r) >= target:
-        T = int(T * 1.3) + 1
+
+    def meets(T: int) -> bool:
+        return _SQRT3 * r ** (T + 1) / (1 - r) < target
+
+    T = max(1, math.floor((math.log(_SQRT3 / (1 - r)) - math.log(target)) / -math.log(r)))
+    while T > 1 and meets(T - 1):
+        T -= 1
+    while not meets(T):
+        T += 1
     return T
 
 
@@ -320,11 +334,14 @@ def l_eval(
     series meets exactly for the right sign; its bound is the three sums'
     tails and rounding (`_f_bound`). With `sign` given (a twist's
     `twist_sign`, from `l_over_K`), that sign must meet its bound; with none,
-    both are tried and the one that meets it is kept.
+    both are tried and the one that meets it is kept. T is `_tail_terms`'s
+    smallest count for precision/4; while both signs fit, T grows to
+    int(1.3 T) + 1 and the sums are redone, as long as that T stays within
+    POINT_COUNT_CEILING. A given sign never grows T.
     LSeriesInconclusiveError, naming the defects and bounds, when the given
-    sign fails, or when no sign or both signs fit; naming T, before any a_n
-    is counted, when T passes POINT_COUNT_CEILING, since the table would
-    need a_p at primes past it.
+    sign fails, or when no sign or both signs fit on the last T; naming T,
+    before any a_n is counted, when T passes POINT_COUNT_CEILING, since the
+    table would need a_p at primes past it.
     """
     c = 2.0 * math.pi / math.sqrt(_twist_conductor(curve, d))
     of = "E" if d == 1 else f"the twist by {d}"
@@ -335,12 +352,18 @@ def l_eval(
             f"past the point count ceiling {POINT_COUNT_CEILING}"
         )
     chi = None if d == 1 else np.array([kronecker(d, n) for n in range(abs(d))], dtype=np.int64)
-    f1 = 0.0 if sign == -1 else _f_sum(curve, chi, T, c)  # only sign +1 reads F(1)
-    fa, fb = _f_sum(curve, chi, T, c * _SPLIT_A), _f_sum(curve, chi, T, c / _SPLIT_A)
-    tails = _f_bound(c * _SPLIT_A, T) + _f_bound(c / _SPLIT_A, T)
-    tried = {s: (abs(fa + s * fb - (1 + s) * f1), tails + (1 + s) * _f_bound(c, T))
-             for s in ((1, -1) if sign is None else (sign,))}
-    fits = [s for s, (defect, bound) in tried.items() if defect <= bound]
+    while True:
+        f1 = 0.0 if sign == -1 else _f_sum(curve, chi, T, c)  # only sign +1 reads F(1)
+        fa, fb = _f_sum(curve, chi, T, c * _SPLIT_A), _f_sum(curve, chi, T, c / _SPLIT_A)
+        tails = _f_bound(c * _SPLIT_A, T) + _f_bound(c / _SPLIT_A, T)
+        tried = {s: (abs(fa + s * fb - (1 + s) * f1), tails + (1 + s) * _f_bound(c, T))
+                 for s in ((1, -1) if sign is None else (sign,))}
+        fits = [s for s, (defect, bound) in tried.items() if defect <= bound]
+        # both signs fit: on more terms the wrong sign's bound falls below its defect
+        grown = int(T * 1.3) + 1
+        if len(fits) < 2 or grown > POINT_COUNT_CEILING:
+            break
+        T = grown
     if len(fits) != 1:
         if sign is not None:
             defect, bound = tried[sign]

@@ -434,8 +434,10 @@ def g_sum_per_term(v: list[int], T: int, x: float) -> float:
 
 
 def _tail_terms_linear(x: float, target: float) -> int:
-    """The first rung of `lseries._tail_terms`'s ladder whose tail bound for
-    sum |a_n| r^n, r = e^-x, with |a_n| <= sqrt(3) n, is below target."""
+    """The first rung of the ladder T = 8, int(1.3 T) + 1, ... whose tail
+    bound for sum |a_n| r^n, r = e^-x, with |a_n| <= sqrt(3) n, is below
+    target: the reference root number's own term count, which shares
+    nothing with `lseries._tail_terms`'s smallest T."""
     r = math.exp(-x)
     T = 8
     while T < 10**7:

@@ -6,6 +6,7 @@ import pytest
 
 from heegner_witness import arith
 from heegner_witness.arith import (
+    MR_PROVEN_BELOW,
     euler_phi,
     factorize,
     is_prime,
@@ -41,6 +42,26 @@ def test_primes_between_sieves_one_segment():
 def test_is_prime():
     assert is_prime(2) and is_prime(97) and is_prime(389)
     assert not is_prime(1) and not is_prime(91)
+    assert is_prime(10**18 + 3)  # trial division never finished this one
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    want = [n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1)) for n in range(10**5)]
+    assert [is_prime(n) for n in range(10**5)] == want
+
+
+def test_a_strong_pseudoprime_to_the_bases_2_to_37_is_composite():
+    # the least such number (Sorenson-Webster 2017); base 41 exposes it
+    n = 318665857834031151167461
+    assert not arith._is_probable_prime(n) and not is_prime(n)
+    assert factorize(n) == [(399165290221, 1), (798330580441, 1)]
+
+
+def test_is_prime_refuses_what_it_cannot_prove():
+    # the least strong pseudoprime to every base 2-41 passes the test
+    assert arith._is_probable_prime(MR_PROVEN_BELOW)
+    with pytest.raises(ValueError, match="is not below"):
+        is_prime(MR_PROVEN_BELOW)
 
 
 def test_factorize_roundtrip():
@@ -61,8 +82,7 @@ def test_factorize_large_prime_factors():
 
 def test_factorize_takes_a_cofactor_below_the_trial_bound_squared_as_prime(monkeypatch):
     # every prime up to the trial bound 10^5 is divided out first, so a
-    # cofactor below 10^10 is prime with no test: is_prime's trial division
-    # would take up to 5 * 10^4 steps on it
+    # cofactor below 10^10 is prime with no test
     want = {2 * 9999999967: [(2, 1), (9999999967, 1)],
             100003 * 100019: [(100003, 1), (100019, 1)]}  # past 10^10: rho, then two primes
     rng = random.Random(35)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -358,5 +359,74 @@ def test_find_K_grows_the_table_only_to_the_twist_terms(monkeypatch):
     # the twist's sign used to be searched numerically, on 26,643 terms here
     monkeypatch.setattr(lseries, "_AN_CACHE", {})
     fs = find_K(G12283)
-    assert fs.d_K == -23 and fs.l_value_data.l_twist.terms_used == 12126
-    assert [s.n_max for s in lseries._AN_CACHE.values()] == [12126]
+    assert fs.d_K == -23 and fs.l_value_data.l_twist.terms_used == 10695
+    assert [s.n_max for s in lseries._AN_CACHE.values()] == [10695]
+
+
+def _bound(x, T):
+    r = math.exp(-x)
+    return math.sqrt(3.0) * r ** (T + 1) / (1 - r)
+
+
+def test_tail_terms_is_the_smallest_T_that_meets_the_bound():
+    # the ladder 8, int(1.3 T) + 1, ... overshot the smallest T by up to 30%
+    for x in np.geomspace(1e-4, 2.0, 41).tolist():
+        for target in np.logspace(-2, -150, 38).tolist():
+            T = lseries._tail_terms(x, target)
+            assert _bound(x, T) < target, (x, target, T)
+            assert T == 1 or _bound(x, T - 1) >= target, (x, target, T)
+    assert lseries._tail_terms(2.0, 1.0) == 1  # the bound is below 1 before any term
+    for x in (1e-10, 1e-13, 1e-15):  # r = e^-x rounds far from e^-x relative to 1 - r
+        T = lseries._tail_terms(x, 1e-8)
+        assert _bound(x, T) < 1e-8 <= _bound(x, T - 1), x
+    with pytest.raises(LSeriesInconclusiveError, match="rounds to 1"):
+        lseries._tail_terms(1e-17, 1e-8)
+
+
+# the six field-search pool curves of perfbench/data/pins.json, with the
+# smallest T of their twists' series at the default precision
+POOL_TWIST_TERMS = {
+    CurveQ(0, -1, 1, -3, -5, 12283, "g12283.1"): (-23, 10695),
+    CurveQ(0, 1, 1, -4, -3, 4429, "g4429.1"): (-39, 10897),
+    CurveQ(0, -1, 1, 5, 2, 12883, "g12883.1"): (-23, 10963),
+    CurveQ(1, 0, 1, -5, 1, 4771, "g4771.4"): (-35, 10123),
+    CurveQ(1, 0, 0, -7, -9, 8446, "g8446.1"): (-31, 12004),
+    CurveQ(0, 0, 1, -16, -24, 18469, "g18469.1"): (-19, 10839),
+}
+
+
+def test_pool_twists_sum_exactly_the_smallest_T():
+    # the ladder summed 12,126 terms on every one of them
+    for curve, (d_K, T) in POOL_TWIST_TERMS.items():
+        fs = find_K(curve)
+        c = 2.0 * math.pi / math.sqrt(curve.N * d_K * d_K)
+        assert fs.d_K == d_K and fs.l_value_data.l_twist.terms_used == T, curve.label
+        assert T == lseries._tail_terms(c, DEFAULT_PRECISION / 4.0)
+
+
+def test_a_twist_with_a_given_sign_never_extends(e11a):
+    # at 1e-2 both signs fit 11a's twist by -7 on its 29 terms: with no sign
+    # given the sums grow to 50 terms, and Atkin-Li's sign keeps 29
+    c = 2.0 * math.pi / math.sqrt(11 * 49)
+    T = lseries._tail_terms(c, 1e-2 / 4.0)
+    sign = twist_sign(l_eval(e11a).epsilon, e11a, -7)
+    free = l_eval(e11a, 1e-2, -7)
+    assert T == 29 and (free.terms_used, free.epsilon) == (50, sign)
+    assert l_eval(e11a, 1e-2, -7, sign).terms_used == T
+    assert l_over_K(e11a, -7, precision=1e-2).l_twist.terms_used == T
+
+
+def test_the_gate_reads_a_sign_at_coarse_precision_on_the_pinned_and_pool_curves():
+    # at 1e-2 both signs fit 13 of these 25 curves on the ladder's T and 16 on
+    # the smallest T; the gate grows T while both fit, to the right sign
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "data", "pins.json")) as fh:
+        pins = json.load(fh)
+    curves = parse_curve_file(os.path.join(root, "perfbench", "data", "pinned.txt"))
+    curves += [CurveQ(*c["ainvs"], c["N"], c["label"])
+               for c in pins["field-search"] + pins["aux-search"]]
+    assert len(curves) == 25
+    for curve in curves:
+        eps = l_eval(curve).epsilon
+        for precision in (1e-2, 3e-3, 1e-3, 1e-4):
+            assert l_eval(curve, precision).epsilon == eps, (curve.label, precision)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from heegner_witness import ec_core, heegner, lseries, pipeline, quadforms, searcher
-from heegner_witness.arith import euler_phi, is_prime, is_squarefree
+from heegner_witness.arith import MR_PROVEN_BELOW, euler_phi, is_prime, is_squarefree
 from heegner_witness.cli import main
 from heegner_witness.ec_core import CurveQ
 from heegner_witness.galois_tower import ContradictionResult
@@ -130,9 +130,9 @@ def test_config_rejects_non_finite_floats(name, curve_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("ainvs, N, precision, error", [
     # the gate's series needs more terms than a_p can be counted for
-    ((0, 0, 1, -1000, 0), 63999999973, 1e-8, "the L-series of E needs T = 1363816 terms at "
+    ((0, 0, 1, -1000, 0), 63999999973, 1e-8, "the L-series of E needs T = 1246533 terms at "
                                               "precision 1e-08, past the point count ceiling 1000000"),
-    ((0, 0, 1, -1000, 0), 63999999973, 1e-150, "the L-series of E needs T = 14462602 terms at "
+    ((0, 0, 1, -1000, 0), 63999999973, 1e-150, "the L-series of E needs T = 14411329 terms at "
                                                "precision 1e-150, past the point count ceiling 1000000"),
     # y^2 = x^3 - x (conductor 32) scaled by u = 2^9, given N = 2^114: no
     # additive reduction at 2 has an exponent above 8
@@ -141,6 +141,11 @@ def test_config_rejects_non_finite_floats(name, curve_file, tmp_path, capsys):
     # at the prime N = -Delta = 6.4e34 the gate's r = e^(-2 pi / sqrt(N)) is 1.0 in float64
     ((0, 0, 1, -100000000006, 1), 64000000011520000000691200000013149, 1e-8,
      "e^-x rounds to 1 at x = 2.484e-17: no T bounds the tail"),
+    # at the prime N = -Delta = 6.4e25, x = 7.9e-13 and -ln r differs from x
+    # by 1e-4 relative: a closed form in x would be 10^10 steps from T
+    ((0, 0, 1, -10**8, 15), 63999999999999999999899533, 1e-8,
+     "the L-series of E needs T = 61409007094133 terms at precision 1e-08, "
+     "past the point count ceiling 1000000"),
 ])
 def test_a_gate_series_no_table_can_hold_fails_the_gate_by_name(ainvs, N, precision, error):
     # the run fails before the a_n table grows, and does not raise
@@ -165,12 +170,12 @@ def test_a_conductor_exponent_the_reduction_type_refuses_fails_the_gate_by_name(
 
 
 def test_a_twist_series_past_the_point_count_ceiling_fails_find_K_by_name(e11a, monkeypatch):
-    # 11a's gate sums 11 terms and its twist by -7 81; with the ceiling at 50
+    # 11a's gate sums 10 terms and its twist by -7 80; with the ceiling at 50
     # the twist fails the field search by name, and the table stays at 64 terms
     monkeypatch.setattr(lseries, "POINT_COUNT_CEILING", 50)
     report = run_witness(e11a)
     assert report.failed_at == "find_K" and report.gate == "rank0"
-    assert report.checks[-1]["error"] == ("the L-series of the twist by -7 needs T = 81 terms "
+    assert report.checks[-1]["error"] == ("the L-series of the twist by -7 needs T = 80 terms "
                                           "at precision 1e-08, past the point count ceiling 50")
     assert lseries.held_an(e11a).n_max == 64
 
@@ -494,7 +499,7 @@ def test_step5_reads_a_ell_from_the_a_n_table(e37a, monkeypatch):
 
 
 def test_step3_reads_a_p_from_the_a_n_table(monkeypatch):
-    # 57a's tower primes 89 and 109 lie in the 1930-term table its gate and L'(E/K,1) grew
+    # 57a's tower primes 89 and 109 lie in the 1745-term table its gate and L'(E/K,1) grew
     e57a = CurveQ(0, -1, 1, -2, 2, 57, "57a")
     counted, held = [], []
     real, real_held = searcher.ap_many, pipeline.held_an
@@ -503,7 +508,7 @@ def test_step3_reads_a_p_from_the_a_n_table(monkeypatch):
     monkeypatch.setattr(lseries, "_AN_CACHE", {})
     report = run_witness(e57a)
     assert report.passed and [it["p"] for it in report.prime_seq] == [89, 109]
-    assert [table.n_max for table in held] == [1930] and counted == []
+    assert [table.n_max for table in held] == [1745] and counted == []
 
 
 def test_run_witness_evaluates_L_over_K_at_the_config_precision(e37a):
@@ -869,16 +874,29 @@ def test_coarse_configs_test_the_trace_only_for_the_orders_E_of_K_can_have(curve
         assert heegner.torsion_bound(curve, report.d_K) == 1
 
 
-def test_coarse_precision_fails_the_gate_naming_both_defects():
-    # at 1e-2 the gate's few terms fit both signs on 43a; the run fails by name
+def test_coarse_precision_fails_the_gate_naming_both_defects(monkeypatch):
+    # at 1e-2 the gate's 7 terms fit both signs on 43a; with the ceiling at 9
+    # the sums cannot grow to 10 terms, and the run fails by name on the 7
+    monkeypatch.setattr(lseries, "POINT_COUNT_CEILING", 9)
     e43a = CurveQ(0, 1, 1, 0, 0, 43, "43a")
     report = run_witness(e43a, Config(lseries_precision=1e-2))
     assert not report.passed and report.failed_at == "analytic_rank_gate"
     assert report.gate == "not_eligible" and report.checks[-1]["result"] == "not_eligible"
     error = report.l_values["error"]
-    assert error.startswith("both signs of E meet the split identity")
+    assert error.startswith("both signs of E meet the split identity at A = 1.07 on 7 terms")
     assert "sign +1 has defect" in error and "sign -1 has defect" in error
+    monkeypatch.undo()
     assert run_witness(e43a, Config(lseries_precision=1e-4)).passed
+
+
+def test_coarse_precision_grows_the_gate_series_while_both_signs_fit():
+    # 43a's smallest T at 1e-2 is 7, where both signs fit; one step of the
+    # old ladder, to 10 terms, leaves only the right sign, -1
+    e43a = CurveQ(0, 1, 1, 0, 0, 43, "43a")
+    assert lseries._tail_terms(2.0 * math.pi / math.sqrt(43), 1e-2 / 4.0) == 7
+    report = run_witness(e43a, Config(lseries_precision=1e-2))
+    assert report.gate == "rank1" and report.l_values["epsilon"] == -1
+    assert report.l_values["terms"] == 10 and report.passed
 
 
 def test_stage_timings_keep_ten_microseconds(e37a, monkeypatch):
@@ -1099,7 +1117,7 @@ def test_cli_scan_k_refuses_a_curve_whose_series_is_too_long_with_exit_2(tmp_pat
     assert main(["scan-k", "--curve", "big", "--curves", str(table)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("cannot search fields: the L-series of E needs T = 1363816 terms at "
+    assert out.err == ("cannot search fields: the L-series of E needs T = 1246533 terms at "
                        "precision 1e-08, past the point count ceiling 1000000\n")
 
 
@@ -1120,9 +1138,16 @@ def test_cli_ap_subcommand(capsys):
     (["tower", "--q", "3", "--primes", "4,17"], "4 is not prime"),
     (["tower", "--q", "3", "--primes", "5,17", "--ap", "1"],
      "--ap [1] has length 1, not the 2 of --primes"),
+    # a prime q of 19 digits, which trial division never finished testing
+    (["tower", "--q", "1000000000000000003", "--primes", "5"],
+     "q = 1000000000000000003 does not divide p + 1 = 6"),
+    # past the bound below which Miller-Rabin to the bases 2-41 is a proof
+    (["tower", "--q", str(MR_PROVEN_BELOW + 2), "--primes", "5"], "is not below"),
+    (["tower", "--q", "3", "--primes", str(MR_PROVEN_BELOW + 2)], "is not below"),
 ], ids=["ap-unreadable-table", "ap-unknown-label", "scan-k-unreadable-table",
         "scan-k-unknown-label", "tower-q-not-odd-prime", "tower-entry-not-integer",
-        "tower-entry-not-prime", "tower-ap-length"])
+        "tower-entry-not-prime", "tower-ap-length", "tower-q-of-19-digits",
+        "tower-q-past-the-proven-bound", "tower-entry-past-the-proven-bound"])
 def test_cli_refuses_unusable_input_with_exit_2_by_name(argv, named, tmp_path, monkeypatch,
                                                         capsys):
     monkeypatch.chdir(tmp_path)
