@@ -68,8 +68,11 @@ def factorize(n: int, trial_bound: int = 100_000) -> list[tuple[int, int]]:
 
     Every prime up to trial_bound is divided out first, so a cofactor below
     the next odd d squared is prime. Larger cofactors are split by Pollard
-    rho until `_is_probable_prime` passes them: a proof below
-    MR_PROVEN_BELOW, and a probable prime, unproven, from there on.
+    rho until `_is_probable_prime` passes them, which proves them prime below
+    MR_PROVEN_BELOW. At or above it the bases 2-41 pass composites too,
+    MR_PROVEN_BELOW itself among them, so a cofactor there that passes is
+    kept only when `_pocklington` proves it prime; otherwise a ValueError
+    names it and the bound.
     """
     n = abs(n)
     if n <= 1:
@@ -92,11 +95,31 @@ def factorize(n: int, trial_bound: int = 100_000) -> list[tuple[int, int]]:
         if m == 1:
             continue
         if m < d * d or _is_probable_prime(m):
+            if m >= MR_PROVEN_BELOW and not _pocklington(m):
+                raise ValueError(f"cofactor {m} is not below {MR_PROVEN_BELOW}, where "
+                                 "Miller-Rabin to the bases 2-41 proves primality, "
+                                 "and Pocklington's test does not prove it prime")
             out[m] = out.get(m, 0) + 1
         else:
             d0 = _pollard_rho(m)
             stack.extend([d0, m // d0])
     return sorted(out.items())
+
+
+def _pocklington(n: int) -> bool:
+    """Whether Pocklington's theorem proves prime an n that passed
+    `_is_probable_prime`: n - 1 factors in full, and for each of its primes
+    q some base a of that test has gcd(a^((n-1)/q) - 1, n) = 1 (Crandall
+    and Pomerance, Prime Numbers, 2nd ed., 4.1). a^(n-1) = 1 mod n, the
+    theorem's other condition, holds at each base, as n is a strong probable
+    prime to it. False when no base serves some q, as at every composite n,
+    or when `factorize` refuses a cofactor of n - 1.
+    """
+    try:
+        qs = [q for q, _ in factorize(n - 1)]
+    except ValueError:
+        return False
+    return all(any(math.gcd(pow(a, (n - 1) // q, n) - 1, n) == 1 for a in _MR_BASES) for q in qs)
 
 
 def _is_probable_prime(n: int) -> bool:

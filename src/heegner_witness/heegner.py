@@ -11,10 +11,11 @@ fixed square root of D = c^2 d_K mod 4N; the class group action is realized by
 picking one such form per reduced class, the one of smallest A, by a scan
 that runs until every class is found. Fricke reads W_N tau from the orbit.
 
-Both z relations, Fricke's and the trace relation's, are checked in
-C/Lambda by one bounded test, `_bounded_residual`: the least distance of the
-candidate residuals to the lattice against a bound made of the summed tails
-and `Z_ROUNDING`. The trace relation's candidates are its two signs times the
+Every z carries one proven bound, `prec`: its series tail plus the rounding
+of its sum (`modular_param`). Both z relations, Fricke's and the trace
+relation's, are checked in C/Lambda by one bounded test, `_bounded_residual`:
+the least distance of the candidate residuals to the lattice against the sum
+of those bounds. The trace relation's candidates are its two signs times the
 torsion E(K) can have, the ambiguity a Heegner system leaves unpinned. The
 Manin constant is taken to be 1. The Gross-Zagier ratio and
 biconditional would cancel any other; the Fricke check, which reads z(0) =
@@ -23,8 +24,8 @@ L(E,1) (Manin, Izv. 1972) modulo the lattice of E, assumes it.
 A witness run sums each form once: `orbit_z` gives one z per class at the
 run's one step-5 precision, and `gz_correspondence` (and so `trace_to_K`),
 `fricke_diagnostic` and `trace_relation_check` read those z values with the
-one period lattice the run builds. Only `trace_to_K` sums again, at a tenth
-of that precision, to confirm a recognized point.
+one period lattice the run builds. `trace_to_K` confirms a recognized point
+against the bound of its trace, carried through wp, and sums nothing.
 """
 
 from __future__ import annotations
@@ -37,15 +38,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import factorize, is_prime, is_squarefree, prime_divisors
-from .ec_core import CurveQ, b_invariants, c_invariants, discriminant
-from .lseries import LEval, LOverK, an_over_n_blocks, cached_an, fsum_blocks
+from .ec_core import POINT_COUNT_CEILING, CurveQ, b_invariants, c_invariants, discriminant
+from .lseries import LEval, LOverK, _tail_terms, an_over_n_blocks, cached_an, fsum_blocks
 from .quadforms import class_number, kronecker, reduce_form
 from .searcher import heegner_hypothesis
 
-TERM_CEILING = 10**6
 DEFAULT_TORSION_BOUND = 16
-# the z relations' allowance for rounding, which the z tails do not bound
-Z_ROUNDING = 1e-10
 
 
 class PrecisionUnreachable(ArithmeticError):
@@ -429,63 +427,94 @@ def modular_param(
     n_terms: int | None = None,
     precision: float = 1e-9,
 ) -> CPoint:
-    """z = sum a_n / n e^{2 pi i n tau} with a proven tail below `precision`.
+    """z = sum_{n<=T} a_n/n q^n, q = e^{2 pi i tau}, with `prec` a proven
+    bound on its distance to z(tau): the series tail plus the rounding.
+
+    T is `n_terms`, or else `lseries._tail_terms`'s smallest T whose tail
+    bound sqrt(3) r^(T+1)/(1 - r), r = e^{-2 pi Im tau}, meets `precision`,
+    the rule every L-series follows (ValueError unless `precision` is finite
+    and > 0). PrecisionUnreachable when T passes POINT_COUNT_CEILING, the a_n
+    table's limit, before the table grows.
 
     The terms are a_n/n from `lseries.an_over_n_blocks`, in its blocks of
     `lseries._SUM_BLOCK`, times q^n: q^n is q^(lo - 1) q^k, from one
     cumulative product q^1, ..., q^k over the first block and the running
-    q^(lo - 1) carried from block to block. Like the plain running product,
-    q^n is then good to about n ulps. The real and the imaginary parts are
-    each one correctly rounded fsum; the terms are made once for each rather
-    than kept.
+    q^(lo - 1) carried from block to block, so q^n takes n - 1 complex
+    products. The real and the imaginary parts are each one correctly
+    rounded fsum; the terms are made once for each rather than kept.
+
+    The rounding, to first order in u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1 and 4.2), against the
+    exact terms t_n = a_n/n q^n at the exact tau:
+    - q: tau's parts take at most two roundings (sqrt(-D) and the division
+      by 2A of a Heegner form), 2 pi one and the product one, so
+      2 pi i tau is off by at most 4u |2 pi tau|, and `cmath.exp` adds at
+      most 5u (an ulp each in exp and cos or sin, and the product). So q is
+      off by eta |q|, eta = (5 + 8 pi |tau|) u, and q^n by n eta |q^n|;
+    - the n - 1 complex products of q^n add sqrt(5) u each (Brent, Percival
+      and Zimmermann, Math. Comp. 76, 2007), and a_n/n and its product with
+      q^n one u each;
+    - each fsum adds u of its part of the sum, so u sum |t_n| in all.
+    That is sum |t_n| ((3 + sqrt(5)(n - 1)) u + n eta) <= (8 + 8 pi |tau|) u W,
+    W = sum n |t_n| = sum |a_n| |q|^n, since (3 + sqrt(5)(n - 1))/n <= 3.
+    W is read from the computed terms in the real part's pass. At a Heegner
+    form |Re tau| <= 1/2, and `_tail_terms` keeps T Im tau near
+    ln(sqrt(3)/(precision (1 - r)))/(2 pi), with r = e^{-x} and
+    x = 2 pi Im tau; with n <= POINT_COUNT_CEILING that puts
+    n (eta + sqrt(5) u) below 10^-8, so the higher orders and W's own
+    rounding lie inside the one u W that the 9 below adds to the 8. The
+    tail bound's own rounding, a relative (T + 1)(1 + 4x) u + (8 + 1/x) u,
+    lies inside its slack: |a_n|/n <= d(n)/sqrt(n) (Hasse) is at most 1.67
+    at every n, 20/12 at n = 12 and below 1.64 elsewhere, against sqrt(3).
+    So `prec` is tail + (9 + 8 pi |tau|) u W.
     """
     t = tau.tau if isinstance(tau, HeegnerTau) else complex(tau)
     if t.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    q = cmath.exp(2j * cmath.pi * t)
-    aq = abs(q)
+    x = 2.0 * math.pi * t.imag
     if n_terms is None:
-        if aq >= 1.0:
-            raise PrecisionUnreachable("q on the unit circle")
-        n_terms = max(10, int(math.log(precision * (1 - aq) / math.sqrt(3)) / math.log(aq)) + 2)
-    if n_terms > TERM_CEILING:
-        raise PrecisionUnreachable(
-            f"{n_terms} terms needed, TERM_CEILING is {TERM_CEILING} (Im tau = {t.imag:.2e})"
-        )
+        n_terms = _tail_terms(x, precision)
+    if n_terms > POINT_COUNT_CEILING:
+        raise PrecisionUnreachable(f"{n_terms} terms needed, past the point count ceiling "
+                                   f"{POINT_COUNT_CEILING} (Im tau = {t.imag:.2e})")
+    q = cmath.exp(2j * cmath.pi * t)
 
-    def terms():
+    def terms(weights: list | None = None):
         qn, powers = 1.0 + 0j, None  # qn = q^(lo - 1)
-        for _, a_over_n in an_over_n_blocks(curve, None, n_terms):
+        for n, a_over_n in an_over_n_blocks(curve, None, n_terms):
             if powers is None:  # q^1, ..., q^k over the first block, the longest
                 powers = np.cumprod(np.full(len(a_over_n), q))
             qpow = qn * powers[: len(a_over_n)]
             qn = complex(qpow[-1])
-            yield a_over_n * qpow
+            part = a_over_n * qpow
+            if weights is not None:
+                weights.append(float((np.abs(part) * n).sum()))  # not @, which pages in BLAS
+            yield part
 
-    z = complex(fsum_blocks(t.real for t in terms()), fsum_blocks(t.imag for t in terms()))
-    tail = math.sqrt(3) * aq ** (n_terms + 1) / (1 - aq)
-    return CPoint(z, None, max(tail, 1e-15))
+    weights: list = []
+    z = complex(fsum_blocks(p.real for p in terms(weights)), fsum_blocks(p.imag for p in terms()))
+    r = math.exp(-x)
+    tail = math.sqrt(3) * r ** (n_terms + 1) / (1 - r)
+    return CPoint(z, None, tail + (9 + 8 * math.pi * abs(t)) * 2.0**-53 * math.fsum(weights))
 
 
 def orbit_z(orbit: HeegnerOrbit, precision: float) -> list[CPoint]:
     """z(tau) of every form of the orbit, in class order, each summed by
-    `modular_param` with its tail below `precision`."""
+    `modular_param` with its tail below `precision`, and each with its bound."""
     return [modular_param(orbit.curve, t, precision=precision) for t in orbit.taus]
 
 
 def _trace(zs: list[CPoint]) -> CPoint:
-    """The sum of the z values in class order, with the sum of their tails."""
-    z, prec = 0j, 0.0
-    for cp in zs:
-        z += cp.z
-        prec += cp.prec
-    return CPoint(z, None, prec)
+    """The sum of the z values in class order, with the sum of their bounds."""
+    return CPoint(sum(cp.z for cp in zs), None, sum(cp.prec for cp in zs))
 
 
 def _bounded_residual(lattice: PeriodLattice, cands, bound: float, what: str) -> dict:
     """The bounded test of a z relation: `residual`, the least distance of the
     candidate residuals `cands` to `lattice`, and the `bound` it must not
-    exceed.
+    exceed: the sum of the bounds of the values each candidate is made from.
+    The few roundings that form and reduce a candidate, a few u times its
+    size and the periods', about 10^-15, are not counted.
 
     A residual over its bound is named when k r, r the nearest candidate
     reduced mod `lattice`, lies within k times the bound of the lattice for
@@ -525,18 +554,17 @@ def fricke_diagnostic(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLatt
     (`orbit_z`) and `le` is E's own L-value from the gate.
 
     Returns w_N and `_bounded_residual` of the one candidate
-    r = conj(z_m) + eps z_0 - L(E,1), whose bound is the two z tails, the
-    tail of L(E,1) when eps = +1 (at eps = -1 it is 0 exactly) and
-    Z_ROUNDING. A residual of order k names a k-torsion point of
-    C/Lambda_E, a period of f outside Lambda_E: the model is not
-    X_0(N)-optimal, and the `error` says so.
+    r = conj(z_m) + eps z_0 - L(E,1), whose bound is the two z bounds and
+    the tail of L(E,1) when eps = +1 (at eps = -1 it is 0 exactly). A
+    residual of order k names a k-torsion point of C/Lambda_E, a period of f
+    outside Lambda_E: the model is not X_0(N)-optimal, and the `error` says
+    so.
     """
     curve, t = orbit.curve, orbit.taus[0]
     cls = reduce_form(curve.N * t.C, t.B, t.A // curve.N)
     m = next(i for i, u in enumerate(orbit.taus) if reduce_form(u.A, u.B, u.C) == cls)
     eps = le.epsilon
-    l_tail = le.tail_bound if eps == 1 else 0.0
-    bound = zs[0].prec + zs[m].prec + l_tail + Z_ROUNDING
+    bound = zs[0].prec + zs[m].prec + (le.tail_bound if eps == 1 else 0.0)
     return {"w_N": -eps, **_bounded_residual(
         lattice, [zs[m].z.conjugate() + eps * zs[0].z - le.value_at_1], bound,
         f"model is not X_0({curve.N})-optimal: the Fricke residual")}
@@ -816,29 +844,30 @@ def _recognize_point(curve: CurveQ, x_c: complex, y_c: complex, max_den=10**6, t
 # the headline operations
 
 
-def trace_to_K(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLattice,
-               precision: float):
-    """Trace of the basic Heegner point to K: the sum of `zs`, the z values of
-    `orbit`, the level-1 orbit of Pic(O_K) conjugates, summed at `precision`.
+def trace_to_K(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLattice):
+    """Trace of the basic Heegner point to K: the sum z_K of `zs`, the z values
+    of `orbit`, the level-1 orbit of Pic(O_K) conjugates.
 
-    Returns (CPoint, recognized) where recognized is an exact rational point
-    when the x-coordinate survives continued-fraction recognition both from
-    `zs` and from the orbit summed again at precision / 10, else None.
+    Returns (CPoint, recognized) where recognized is the exact rational point
+    that continued-fraction recognition reads from (x, y) = `elliptic_exp`
+    of z_K, kept only when its x lies within the error z_K's bound `prec`
+    carries through wp: |wp'(z_K)| prec to first order, with
+    wp' = 2y + a1 x + a3 from that y, plus `elliptic_exp`'s own error.
+    Else None.
     """
     if orbit.level != 1:
         raise ValueError(f"trace to K needs the level-1 orbit, got level {orbit.level}")
     curve = orbit.curve
     zsum = _trace(zs)
     pk = elliptic_exp(lattice, zsum.z)
-    pk.prec = max(pk.prec, zsum.prec)
     recognized = None
     if not pk.is_identity:
-        cand = _recognize_point(curve, pk.xy[0], pk.xy[1])
-        if cand is not None:
-            pk2 = elliptic_exp(lattice, _trace(orbit_z(orbit, precision / 10)).z)
-            cand2 = None if pk2.is_identity else _recognize_point(curve, pk2.xy[0], pk2.xy[1])
-            if cand2 == cand:
-                recognized = cand
+        (x, y), (a1, _, a3, _, _) = pk.xy, curve.ainvs
+        cand = _recognize_point(curve, x, y)
+        carried = abs(2 * y + a1 * x + a3) * zsum.prec + pk.prec
+        if cand is not None and abs(x - float(cand[0])) <= carried:
+            recognized = cand
+    pk.prec = max(pk.prec, zsum.prec)
     return pk, recognized
 
 
@@ -862,8 +891,8 @@ def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, z_base: list[CPoi
     from the other sign; that needs a check that pins the sign.
 
     Returns `_bounded_residual` of the candidates, with the bound
-    sum(level-ell tails) + |a_ell| sum(level-1 tails) + Z_ROUNDING. A
-    residual off by a point of order k outside E(K)_tors is named by k.
+    sum(level-ell z bounds) + |a_ell| sum(level-1 z bounds). A residual off
+    by a point of order k outside E(K)_tors is named by k.
     """
     curve, ell = base.curve, up.level
     if base.level != 1 or (up.curve, up.d_K) != (curve, base.d_K):
@@ -874,7 +903,7 @@ def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, z_base: list[CPoi
     a_ell = cached_an(curve, ell)[ell]
     translates = lattice.torsion(torsion_bound(curve, base.d_K))
     cands = np.concatenate([w_up.z - sgn * a_ell * w_base.z - translates for sgn in (1, -1)])
-    bound = w_up.prec + abs(a_ell) * w_base.prec + Z_ROUNDING
+    bound = w_up.prec + abs(a_ell) * w_base.prec
     return _bounded_residual(lattice, cands, bound, "the trace relation's residual")
 
 
@@ -892,27 +921,21 @@ class GZReport(NamedTuple):
 
 
 def gz_correspondence(orbit: HeegnerOrbit, zs: list[CPoint], lk: LOverK,
-                      lattice: PeriodLattice, precision: float) -> GZReport:
+                      lattice: PeriodLattice) -> GZReport:
     """Both sides of the height/L'-derivative correspondence, plus the
     nontorsion <=> nonvanishing biconditional, from the level-1 orbit, its z
-    values `zs` summed at `precision`, and the L'(E/K,1) of the same field.
+    values `zs` (`orbit_z`), and the L'(E/K,1) of the same field.
     The proportionality constant is reported (as `ratio`), never asserted."""
     if orbit.d_K != lk.d_K:
         raise ValueError(f"orbit over d_K = {orbit.d_K}, L-value over d_K = {lk.d_K}")
     curve = orbit.curve
-    pk, recognized = trace_to_K(orbit, zs, lattice, precision)
+    pk, recognized = trace_to_K(orbit, zs, lattice)
     if recognized is not None:
         height = canonical_height(curve, recognized)
         nontorsion = height > 0.0  # canonical_height is 0.0 exactly on torsion points
-        proxy = False
     else:
         nontorsion = not is_torsion(curve, pk, lattice=lattice, d_K=orbit.d_K)
         height = (lattice.dist(pk.z) / lattice.omega1) ** 2
-        proxy = True
-    holds = nontorsion == lk.nonzero
-    ratio = None
-    if nontorsion and lk.nonzero and height > 0:
-        ratio = height / lk.value
-    return GZReport(
-        lk.d_K, pk.z, recognized, height, proxy, lk.value, lk.nonzero, nontorsion, holds, ratio
-    )
+    ratio = height / lk.value if nontorsion and lk.nonzero and height > 0 else None
+    return GZReport(lk.d_K, pk.z, recognized, height, recognized is None, lk.value, lk.nonzero,
+                    nontorsion, nontorsion == lk.nonzero, ratio)

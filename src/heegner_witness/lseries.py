@@ -271,8 +271,11 @@ def _tail_terms(x: float, target: float) -> int:
     until it is the smallest that passes, in case rounding moved the closed
     form (over x in [1e-5, 5] and targets down to 1e-200 it never did).
     T can exceed what any table holds: `l_eval` checks it before it sums.
+    ValueError, naming the target, unless it is finite and > 0;
     LSeriesInconclusiveError when r rounds to 1.
     """
+    if not 0 < target < math.inf:  # NaN fails too
+        raise ValueError(f"the tail target must be finite and > 0, got {target!r}")
     r = math.exp(-x)
     if r == 1.0:
         raise LSeriesInconclusiveError(f"e^-x rounds to 1 at x = {x:.3e}: no T bounds the tail")

@@ -316,9 +316,10 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     _check(checks, "ring_class_structure", True, levels=len(levels))  # it fails only by raising
 
     # 5. Heegner numerics: each form summed once, at one precision. The trace
-    # of h forms carries a tail of at most h * precision, and is_torsion's
-    # tolerance, 50 times that, must stay below lambda_min / (2 m_K). The last
-    # bound keeps it at lambda_min / (4 B^2) rather than lambda_min / (4 m_K),
+    # of h forms carries a tail of at most h * precision, plus its rounding,
+    # and is_torsion's tolerance, 50 times that, must stay below
+    # lambda_min / (2 m_K). The last bound keeps the tails' share at
+    # lambda_min / (4 B^2) rather than lambda_min / (4 m_K),
     # which is too loose: at lseries_precision 3e-3, heegner_residual 10,
     # g8446.1 (m_K = 1) would get tolerance 0.36 and read its nontorsion
     # trace at |z_K| = 0.265 as torsion.
@@ -330,7 +331,7 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
                             lattice.lambda_min / (200 * DEFAULT_TORSION_BOUND**2
                                                   * orbit.class_count))
             zs = orbit_z(orbit, precision)
-            gz = gz_correspondence(orbit, zs, fs.l_value_data, lattice, precision)
+            gz = gz_correspondence(orbit, zs, fs.l_value_data, lattice)
         except PrecisionUnreachable as e:
             _check(checks, "gz_correspondence", False, error=str(e))
             return finish("gz_correspondence")

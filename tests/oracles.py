@@ -8,8 +8,9 @@ What the oracles still share with the package paths they judge:
   take each good a_p from it. It is `count_points` below BSGS_MIN_P, so they
   judge the batched paths there, but at p = 2 and 3 `ap_many` calls `ap`
   too. `brute_count` is the oracle for `ap` itself.
-- `an_series` gives the table of `twisted_an`, `l_eval_per_term` and
-  `modular_param_per_term`, which judge the sums, not the table.
+- `an_series` gives the table of `twisted_an`, `l_eval_per_term`,
+  `modular_param_per_term` and `modular_param_decimal`, which judge the
+  sums, not the table.
 - `lseries._tail_terms` gives `l_eval_per_term` its term count.
 - `modular_param` and `period_lattice` feed the Fricke and trace-relation
   references; `elliptic_exp` and `_wp`, the package's q-expansion of wp,
@@ -37,6 +38,7 @@ point mod p, and not from the package's closed form.
 from __future__ import annotations
 
 import cmath
+import decimal
 import functools
 import itertools
 import math
@@ -511,6 +513,49 @@ def modular_param_per_term(curve: CurveQ, tau: complex, n_terms: int) -> complex
         if v[n]:
             z += v[n] / n * qn
     return z
+
+
+_PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097494459230781640629"
+
+
+def modular_param_decimal(curve: CurveQ, form, n_terms: int, digits: int = 50):
+    """(z, tail) for a Heegner form (A, B, C) of disc D: z = sum_{n<=n_terms}
+    a_n/n q^n at its exact tau = (-B + sqrt(D))/(2A), and the exact tail
+    bound sqrt(3) r^(n_terms+1)/(1 - r), r = |q|, each carried in `decimal`
+    at `digits` digits and rounded to floats at the end.
+
+    q = r (cos(pi B/A) - i sin(pi B/A)), r = e^{-pi sqrt(-D)/A}, with pi
+    from its digits and cos and sin from their Taylor series, so nothing of
+    the package's float path is shared but the a_n table. Each of the
+    n_terms steps rounds by about 10^-digits relative, so at 50 digits the
+    result is good to far below a double's rounding.
+    """
+    a = an_series(curve, n_terms)
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        pi = decimal.Decimal(_PI_DIGITS)
+        theta = pi * form.B / form.A
+        cos = sin = decimal.Decimal(0)
+        term, k = decimal.Decimal(1), 0
+        while k < 8 or abs(term) > decimal.Decimal(10) ** -(digits + 2):
+            if k % 2 == 0:
+                cos += term if k % 4 == 0 else -term
+            else:
+                sin += term if k % 4 == 1 else -term
+            k += 1
+            term = term * theta / k
+        r = (-pi * decimal.Decimal(-form.D).sqrt() / form.A).exp()
+        qr, qi = r * cos, -r * sin
+        zr = zi = decimal.Decimal(0)
+        pr, pim = decimal.Decimal(1), decimal.Decimal(0)  # q^n
+        for n in range(1, n_terms + 1):
+            pr, pim = pr * qr - pim * qi, pr * qi + pim * qr
+            if a[n]:
+                c = decimal.Decimal(a[n]) / n
+                zr += c * pr
+                zi += c * pim
+        tail = decimal.Decimal(3).sqrt() * r ** (n_terms + 1) / (1 - r)
+        return complex(float(zr), float(zi)), float(tail)
 
 
 def two_division_roots_np(curve: CurveQ):

@@ -177,7 +177,7 @@ def test_criterion_08_gross_zagier(e37a):
     t0 = time.perf_counter()
     orbit, precision = heegner_orbit(e37a, -7, 1), 1e-9  # the default step-5 precision
     rep = gz_correspondence(orbit, orbit_z(orbit, precision), l_over_K(e37a, -7),
-                            period_lattice(e37a), precision)
+                            period_lattice(e37a))
     assert rep.recognized is not None
     assert not is_torsion(e37a, rep.recognized)
     assert rep.pk_nontorsion

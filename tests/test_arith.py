@@ -64,6 +64,22 @@ def test_is_prime_refuses_what_it_cannot_prove():
         is_prime(MR_PROVEN_BELOW)
 
 
+def test_factorize_refuses_a_cofactor_it_cannot_prove_prime():
+    # MR_PROVEN_BELOW passes the bases 2-41, and factorize returned it as prime
+    assert MR_PROVEN_BELOW == 1287836182261 * 2575672364521
+    for n in (MR_PROVEN_BELOW, 4 * MR_PROVEN_BELOW):
+        with pytest.raises(ValueError, match=f"cofactor {MR_PROVEN_BELOW} is not below "
+                                             f"{MR_PROVEN_BELOW}"):
+            factorize(n)
+
+
+def test_factorize_proves_a_prime_cofactor_at_or_above_the_bound():
+    # Pocklington's test on the factored n - 1; its own cofactors recurse
+    for p in (2**89 - 1, 2**127 - 1, 63999999999999999999899533):
+        assert p >= MR_PROVEN_BELOW
+        assert factorize(p) == [(p, 1)] and factorize(6 * p) == [(2, 1), (3, 1), (p, 1)]
+
+
 def test_factorize_roundtrip():
     rng = random.Random(1)
     for _ in range(200):

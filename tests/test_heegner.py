@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from heegner_witness import heegner, lseries
 from heegner_witness.arith import factorize
 from heegner_witness.ec_core import CurveQ, ap, b_invariants, discriminant
 from heegner_witness.lseries import l_eval, l_over_K
-from heegner_witness.pipeline import parse_curve_file
+from heegner_witness.pipeline import parse_curve_file, run_witness
 from heegner_witness.quadforms import kronecker
 from heegner_witness.searcher import find_K
 from oracles import (
@@ -41,6 +42,7 @@ from oracles import (
     fricke_direct,
     heegner_forms_unbounded,
     height_doubling_oracle,
+    modular_param_decimal,
     modular_param_per_term,
     torsion_translates_fraction,
     trace_relation_scalar,
@@ -58,7 +60,7 @@ def _trace_relation(base, up, precision=STEP5_PRECISION):
 def _gz(curve, d_K, precision=STEP5_PRECISION):
     orbit = heegner_orbit(curve, d_K, 1)
     return gz_correspondence(orbit, orbit_z(orbit, precision), l_over_K(curve, d_K),
-                             period_lattice(curve), precision)
+                             period_lattice(curve))
 
 
 def test_period_lattice_37a(e37a):
@@ -289,12 +291,13 @@ def test_heegner_orbit_matches_unbounded_scan(e37a, e11a, g427):
 
 
 def test_heegner_orbit_names_the_limit():
-    # the orbit scan has no limit of its own; the series' TERM_CEILING is the
-    # limit that remains, and the error names it
+    # the orbit scan has no limit of its own; the a_n table's, the point count
+    # ceiling, is the limit that remains, and the error names it
     g91707 = CurveQ(0, -1, 1, -22, -36, 91707, "g91707.1")
     orbit = heegner_orbit(g91707, -83, 2)
     lowest = min(orbit.taus, key=lambda t: t.tau.imag)
-    with pytest.raises(PrecisionUnreachable, match="^1434738 terms needed, TERM_CEILING is 1000000"):
+    with pytest.raises(PrecisionUnreachable,
+                       match="^1434736 terms needed, past the point count ceiling 1000000"):
         modular_param(g91707, lowest)
 
 
@@ -343,6 +346,47 @@ def test_modular_param_matches_per_term_oracle(e37a, monkeypatch):
             assert abs(modular_param(e37a, t, n_terms=n).z - z) <= 1e-13, (block, t, n)
 
 
+def test_step5_z_values_lie_within_their_bounds_of_a_decimal_oracle(monkeypatch):
+    # every form a default run of the pinned table sums in step 5, at the
+    # run's precision, against a 50-digit sum of the same T terms at the exact
+    # tau. The float sum's error must lie within the rounding part of `prec`,
+    # prec - tail, so |z - z(tau)| <= prec; a length other than
+    # `_tail_terms`'s T would miss it by a whole term
+    sums = []
+    real = heegner.modular_param
+
+    def modular_param(curve, tau, n_terms=None, precision=1e-9):
+        sums.append((curve, tau, precision, real(curve, tau, n_terms, precision)))
+        return sums[-1][-1]
+
+    monkeypatch.setattr(heegner, "modular_param", modular_param)
+    for curve in _pinned_curves():
+        run_witness(curve)
+    assert len({curve.label for curve, *_ in sums}) == 15  # 389a and 14a stop before step 5
+    for curve, tau, precision, cp in sums:
+        T = lseries._tail_terms(2 * math.pi * tau.tau.imag, precision)
+        z, tail = modular_param_decimal(curve, tau, T)
+        assert tail < precision
+        assert abs(cp.z - z) <= cp.prec - tail, (curve.label, tau)
+
+
+@pytest.mark.parametrize("caller", ["l_eval", "modular_param", "orbit_z"])
+def test_a_precision_not_finite_and_positive_is_refused_by_name(e37a, caller):
+    # each names the tail target, precision / 4 in l_eval, where it said
+    # "math domain error" or "cannot convert float NaN to integer"
+    orbit = heegner_orbit(e37a, -7, 1)
+    for precision in (0.0, -1.0, math.nan):
+        target, call = {
+            "l_eval": (precision / 4, lambda: l_eval(e37a, precision)),
+            "modular_param": (precision, lambda: modular_param(e37a, orbit.taus[0],
+                                                               precision=precision)),
+            "orbit_z": (precision, lambda: orbit_z(orbit, precision)),
+        }[caller]
+        with pytest.raises(ValueError, match=re.escape(
+                f"the tail target must be finite and > 0, got {target!r}")):
+            call()
+
+
 def test_modular_param_cusp_limit(e37a):
     z = modular_param(e37a, 40j, n_terms=50)
     assert abs(z.z) < 1e-30
@@ -365,8 +409,7 @@ def test_trace_sum_order_independent(e37a):
 
 def test_trace_to_K_37a_recognizes_generator(e37a):
     orbit = heegner_orbit(e37a, -7, 1)
-    pk, recognized = trace_to_K(orbit, orbit_z(orbit, STEP5_PRECISION), period_lattice(e37a),
-                                STEP5_PRECISION)
+    pk, recognized = trace_to_K(orbit, orbit_z(orbit, STEP5_PRECISION), period_lattice(e37a))
     assert recognized is not None
     assert recognized == (Fraction(0), Fraction(0))
     assert not is_torsion(e37a, recognized)
@@ -672,19 +715,32 @@ def test_trace_relation_rejects_non_inert(e37a):
         _trace_relation(heegner_orbit(e37a, -7, 1), heegner_orbit(e37a, -7, 2))  # 2 splits in Q(sqrt(-7))
 
 
+def test_trace_to_K_keeps_a_recognized_point_only_within_the_trace_bound(e37a):
+    # 37a's trace reads (0, 0) after a shift of twice its bound too, but x
+    # then lies outside the bound carried through wp, and the point is dropped
+    orbit, lattice = heegner_orbit(e37a, -7, 1), period_lattice(e37a)
+    zs = orbit_z(orbit, STEP5_PRECISION)
+    bound = sum(cp.prec for cp in zs)
+    for shift, kept in ((bound / 2, True), (2 * bound, False)):
+        moved = [CPoint(zs[0].z + shift, None, zs[0].prec)] + zs[1:]
+        pk, recognized = trace_to_K(orbit, moved, lattice)
+        assert heegner._recognize_point(e37a, *pk.xy) == (Fraction(0), Fraction(0))
+        assert (recognized is not None) == kept, shift
+
+
 def test_step5_rejects_orbits_that_do_not_match(e37a):
     base, up = heegner_orbit(e37a, -11, 1), heegner_orbit(e37a, -11, 2)
     other = heegner_orbit(e37a, -7, 1)
     lattice, p = period_lattice(e37a), STEP5_PRECISION
     z_base, z_up, z_other = orbit_z(base, p), orbit_z(up, p), orbit_z(other, p)
     with pytest.raises(ValueError):
-        trace_to_K(up, z_up, lattice, p)  # the trace to K starts at level 1
+        trace_to_K(up, z_up, lattice)  # the trace to K starts at level 1
     with pytest.raises(ValueError):
         trace_relation_check(up, base, z_up, z_base, lattice)  # base and level-ell orbits swapped
     with pytest.raises(ValueError):
         trace_relation_check(other, up, z_other, z_up, lattice)  # two fields
     with pytest.raises(ValueError):
-        gz_correspondence(other, z_other, l_over_K(e37a, -11), lattice, p)
+        gz_correspondence(other, z_other, l_over_K(e37a, -11), lattice)
 
 
 def test_gz_correspondence_37a(e37a):
