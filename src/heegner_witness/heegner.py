@@ -15,9 +15,10 @@ Every z carries one proven bound, `prec`: its series tail plus the rounding
 of its sum (`modular_param`). Both z relations, Fricke's and the trace
 relation's, are checked in C/Lambda by one bounded test, `_bounded_residual`:
 the least distance of the candidate residuals to the lattice against the sum
-of those bounds. The trace relation's candidates are its two signs times the
-torsion E(K) can have, the ambiguity a Heegner system leaves unpinned. The
-Manin constant is taken to be 1. The Gross-Zagier ratio and
+of those bounds, and `gz_correspondence` decides the torsion of a trace to K
+it cannot recognize by the same test. The trace relation's candidates are its
+two signs times the torsion E(K) can have, the ambiguity a Heegner system
+leaves unpinned. The Manin constant is taken to be 1. The Gross-Zagier ratio and
 biconditional would cancel any other; the Fricke check, which reads z(0) =
 L(E,1) (Manin, Izv. 1972) modulo the lattice of E, assumes it.
 
@@ -274,18 +275,15 @@ def period_lattice(curve: CurveQ) -> PeriodLattice:
 # exp / log between C/Lambda and the curve
 
 
-class CPoint:
+class CPoint(NamedTuple):
     """A point of E(C): z in C/Lambda (0 at the identity), (x, y) as a
-    complex pair or None for the identity, and the precision of z.
+    complex pair or None for the identity, and `prec`, a bound on its error:
+    on z for a point that `modular_param` or `_trace` makes, on x for one
+    that `elliptic_exp` makes (0 at O, which has no x)."""
 
-    A slotted class, not a tuple: the point functions take an exact point as
-    an (x, y) tuple, and `trace_to_K` raises `prec` in place.
-    """
-
-    __slots__ = ("z", "xy", "prec")
-
-    def __init__(self, z: complex | None, xy: tuple | None, prec: float = 1e-12):
-        self.z, self.xy, self.prec = z, xy, prec
+    z: complex
+    xy: tuple | None
+    prec: float
 
     @property
     def is_identity(self) -> bool:
@@ -342,7 +340,7 @@ def elliptic_exp(lattice: PeriodLattice, z: complex) -> CPoint:
     after reduction."""
     zr = complex(lattice.reduce(z))
     if abs(zr) < 1e-13 * lattice.lambda_min:
-        return CPoint(0j, None)
+        return CPoint(0j, None, 0.0)
     a1, _, a3, _, _ = lattice.curve.ainvs
     w, wd = _wp(lattice, zr)
     x = w - b_invariants(lattice.curve)[0] / 12.0
@@ -671,34 +669,13 @@ def torsion_bound(curve: CurveQ, d_K: int | None = None) -> int:
     return m
 
 
-def is_torsion(curve: CurveQ, P, lattice: PeriodLattice | None = None,
-               d_K: int | None = None) -> bool:
-    """Whether P is torsion: exact for rational P, mod the run's `lattice`
-    for a CPoint.
-
-    A rational P is torsion if and only if [m]P = O, m = `torsion_bound`.
-    A CPoint of E(K), K = Q(sqrt(d_K)), is torsion when it lies within tol
-    of a point of order dividing m_K = torsion_bound(curve, d_K), that is
-    when m_K z lies within m_K tol of the lattice. Those points, the
-    (1/m_K) Lambda mod Lambda, lie at least lambda_min / m_K apart, with
-    lambda_min the shortest nonzero period of Lambda, so tol must stay below
-    lambda_min / (2 m_K). A CPoint other than O needs
-    `d_K`: ValueError without it.
+def is_torsion(curve: CurveQ, P) -> bool:
+    """Whether the rational point P (None for O) is torsion: exactly when
+    [m]P = O, m = `torsion_bound`. A Heegner trace that is not recognized as
+    a rational point is decided by `gz_correspondence`, against its bound.
     """
     if P is None:
         return True
-    if isinstance(P, CPoint):
-        if P.is_identity:
-            return True
-        if d_K is None:
-            raise ValueError("is_torsion needs d_K, the field K = Q(sqrt(d_K)), for a CPoint")
-        tol = max(1e-7, 50 * P.prec)
-        m = torsion_bound(curve, d_K)
-        limit = lattice.lambda_min / (2 * m)
-        if tol >= limit:
-            raise PrecisionUnreachable(f"torsion tolerance {tol:.3g} is not below lambda_min/"
-                                       f"(2 m_K) = {limit:.3g}, m_K = {m}")
-        return lattice.dist(m * P.z) < tol * m
     Pf = (Fraction(P[0]), Fraction(P[1]))
     if not on_curve(curve, Pf):
         raise ValueError("point is not on the curve")
@@ -867,7 +844,6 @@ def trace_to_K(orbit: HeegnerOrbit, zs: list[CPoint], lattice: PeriodLattice):
         carried = abs(2 * y + a1 * x + a3) * zsum.prec + pk.prec
         if cand is not None and abs(x - float(cand[0])) <= carried:
             recognized = cand
-    pk.prec = max(pk.prec, zsum.prec)
     return pk, recognized
 
 
@@ -884,15 +860,17 @@ def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, z_base: list[CPoi
     Both sides are traces to K of points over ring class fields, so both lie
     in E(K). The orbits pin the Heegner system only up to sign, and a change
     of Heegner system moves the two sides apart by a point of E(K)_tors. Its
-    order divides m_K = torsion_bound(curve, d_K), the value `is_torsion`
-    reads, so it is one of the m_K^2 points t of (1/m_K) Lambda mod Lambda.
+    order divides m_K = torsion_bound(curve, d_K), the value the torsion
+    decision of `gz_correspondence` reads, so it is one of the m_K^2 points
+    t of (1/m_K) Lambda mod Lambda.
     The candidates are w_ell - sgn a_ell w_1 - t for both signs and those t:
     one per sign when m_K = 1. The sign search cannot tell a flipped a_ell
     from the other sign; that needs a check that pins the sign.
 
     Returns `_bounded_residual` of the candidates, with the bound
-    sum(level-ell z bounds) + |a_ell| sum(level-1 z bounds). A residual off
-    by a point of order k outside E(K)_tors is named by k.
+    sum(level-ell z bounds) + |a_ell| sum(level-1 z bounds), and the `a_ell`
+    it read. A residual off by a point of order k outside E(K)_tors is
+    named by k.
     """
     curve, ell = base.curve, up.level
     if base.level != 1 or (up.curve, up.d_K) != (curve, base.d_K):
@@ -904,7 +882,8 @@ def trace_relation_check(base: HeegnerOrbit, up: HeegnerOrbit, z_base: list[CPoi
     translates = lattice.torsion(torsion_bound(curve, base.d_K))
     cands = np.concatenate([w_up.z - sgn * a_ell * w_base.z - translates for sgn in (1, -1)])
     bound = w_up.prec + abs(a_ell) * w_base.prec
-    return _bounded_residual(lattice, cands, bound, "the trace relation's residual")
+    return {**_bounded_residual(lattice, cands, bound, "the trace relation's residual"),
+            "a_ell": a_ell}
 
 
 class GZReport(NamedTuple):
@@ -925,7 +904,17 @@ def gz_correspondence(orbit: HeegnerOrbit, zs: list[CPoint], lk: LOverK,
     """Both sides of the height/L'-derivative correspondence, plus the
     nontorsion <=> nonvanishing biconditional, from the level-1 orbit, its z
     values `zs` (`orbit_z`), and the L'(E/K,1) of the same field.
-    The proportionality constant is reported (as `ratio`), never asserted."""
+    The proportionality constant is reported (as `ratio`), never asserted.
+
+    A recognized trace is torsion exactly when its canonical height is 0.
+    Any other is decided by the bounded test of the z relations: with z_K
+    and its bound b from `_trace(zs)` and m_K = torsion_bound(curve, d_K),
+    it is nontorsion exactly when m_K z_K lies farther than m_K b from the
+    lattice. That proves z_K is not in (1/m_K) Lambda, which holds all of
+    E(K)_tors. Two points of (1/m_K) Lambda lie at least lambda_min / m_K
+    apart, so when m_K b >= lambda_min / 2 no trace can be told apart from
+    them: PrecisionUnreachable, naming both numbers.
+    """
     if orbit.d_K != lk.d_K:
         raise ValueError(f"orbit over d_K = {orbit.d_K}, L-value over d_K = {lk.d_K}")
     curve = orbit.curve
@@ -934,7 +923,11 @@ def gz_correspondence(orbit: HeegnerOrbit, zs: list[CPoint], lk: LOverK,
         height = canonical_height(curve, recognized)
         nontorsion = height > 0.0  # canonical_height is 0.0 exactly on torsion points
     else:
-        nontorsion = not is_torsion(curve, pk, lattice=lattice, d_K=orbit.d_K)
+        zk, m = _trace(zs), torsion_bound(curve, orbit.d_K)
+        if m * zk.prec >= lattice.lambda_min / 2:
+            raise PrecisionUnreachable(f"trace bound m_K b = {m * zk.prec:.3g} is not below "
+                                       f"lambda_min/2 = {lattice.lambda_min / 2:.3g}, m_K = {m}")
+        nontorsion = bool(lattice.dist(m * zk.z) > m * zk.prec)
         height = (lattice.dist(pk.z) / lattice.omega1) ** 2
     ratio = height / lk.value if nontorsion and lk.nonzero and height > 0 else None
     return GZReport(lk.d_K, pk.z, recognized, height, recognized is None, lk.value, lk.nonzero,

@@ -46,7 +46,7 @@ from .heegner import (
     rational_torsion_point,
     trace_relation_check,
 )
-from .lseries import LSeriesInconclusiveError, cached_an, gate_from_leval, held_an, l_eval
+from .lseries import LSeriesInconclusiveError, gate_from_leval, held_an, l_eval
 from .quadforms import kronecker, ring_class_levels
 from .searcher import (
     FieldSearchExhausted,
@@ -316,19 +316,20 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
     _check(checks, "ring_class_structure", True, levels=len(levels))  # it fails only by raising
 
     # 5. Heegner numerics: each form summed once, at one precision. The trace
-    # of h forms carries a tail of at most h * precision, plus its rounding,
-    # and is_torsion's tolerance, 50 times that, must stay below
-    # lambda_min / (2 m_K). The last bound keeps the tails' share at
-    # lambda_min / (4 B^2) rather than lambda_min / (4 m_K),
-    # which is too loose: at lseries_precision 3e-3, heegner_residual 10,
-    # g8446.1 (m_K = 1) would get tolerance 0.36 and read its nontorsion
-    # trace at |z_K| = 0.265 as torsion.
+    # of h forms carries a bound b: tails of at most h * precision, plus a
+    # rounding part (below 5e-9 a form on every measured run), and
+    # gz_correspondence can decide its torsion only while m_K b < lambda_min / 2.
+    # The last cap keeps the tails' share of m_K b at m_K lambda_min / (4 B^2),
+    # below that whenever m_K < 2 B^2.
+    # It reads B^2, not m_K: at lseries_precision 3e-3, heegner_residual 10,
+    # lambda_min / (4 m_K h) sums g777.1's trace (m_K = 4, h = 5) to
+    # m_K b = 0.059, past its distance 0.036, and reads it as torsion.
     with _stage(timing, "heegner"):
         try:
             orbit = heegner_orbit(curve, d_K, 1)
             lattice = period_lattice(curve)
             precision = min(config.lseries_precision, config.heegner_residual * 1e-3,
-                            lattice.lambda_min / (200 * DEFAULT_TORSION_BOUND**2
+                            lattice.lambda_min / (4 * DEFAULT_TORSION_BOUND**2
                                                   * orbit.class_count))
             zs = orbit_z(orbit, precision)
             gz = gz_correspondence(orbit, zs, fs.l_value_data, lattice)
@@ -365,7 +366,6 @@ def run_witness(curve: CurveQ, config: Config | None = None) -> WitnessReport:
                 "ell": aux,
                 **trace,
                 "orbit_size": aux_orbit.class_count,
-                "a_ell": cached_an(curve, aux)[aux],
             }
             ok = trace["residual"] <= trace["bound"]
         except PrecisionUnreachable as e:

@@ -63,6 +63,12 @@ def _gz(curve, d_K, precision=STEP5_PRECISION):
                              period_lattice(curve))
 
 
+def _crafted_trace(curve, d_K, z, bound):
+    """gz_correspondence of a level-1 trace made of the one z, with its bound."""
+    return gz_correspondence(heegner_orbit(curve, d_K, 1), [CPoint(z, None, bound)],
+                             l_over_K(curve, d_K), period_lattice(curve))
+
+
 def test_period_lattice_37a(e37a):
     lat = period_lattice(e37a)
     assert abs(lat.omega1 - 2.9934586462319595) < 1e-10
@@ -467,23 +473,39 @@ def test_rational_torsion_point_none_without_q_torsion(ainvs, q):
     assert rational_torsion_point(CurveQ(*ainvs), q) is None
 
 
-def test_is_torsion_cpoint(e37a):
+def test_an_unrecognized_trace_is_nontorsion_only_past_its_bound(e37a):
     lat = period_lattice(e37a)
     m_K = heegner.torsion_bound(e37a, -7)  # E(K), K = Q(sqrt(-7)), has no torsion but O
     assert m_K == 1
-    assert is_torsion(e37a, CPoint(0j, None))
-    z2 = CPoint(lat.omega1 / 2, (0.0, 0.0), 1e-12)
-    with pytest.raises(ValueError, match="needs d_K"):  # no field given
-        is_torsion(e37a, z2, lattice=lat)
-    assert not is_torsion(e37a, z2, lattice=lat, d_K=-7)  # order 2 does not divide m_K
+    assert not _crafted_trace(e37a, -7, 0j, 1e-12).pk_nontorsion
+    z2 = lat.omega1 / 2
+    rep = _crafted_trace(e37a, -7, z2, 1e-12)
+    assert rep.recognized is None and rep.pk_nontorsion  # order 2 does not divide m_K
     gen = elliptic_log(lat, 0j, 0j)
-    assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 1e-12), lattice=lat, d_K=-7)
-    # tol = 50 prec must stay below lambda_min/(2 m_K), where balls about the
-    # points of order dividing m_K stop overlapping
+    assert _crafted_trace(e37a, -7, gen, 1e-12).pk_nontorsion
+    # m_K b must stay below lambda_min / 2, where balls of radius b about the
+    # points of (1/m_K) Lambda, lambda_min / m_K apart, stop overlapping
     limit = lat.lambda_min / (2 * m_K)
-    assert not is_torsion(e37a, CPoint(gen, (0.0, 0.0), 0.99 * limit / 50), lattice=lat, d_K=-7)
-    with pytest.raises(PrecisionUnreachable, match="^torsion tolerance .* is not below"):
-        is_torsion(e37a, CPoint(gen, (0.0, 0.0), limit / 49), lattice=lat, d_K=-7)
+    assert _crafted_trace(e37a, -7, z2, 0.99 * limit).pk_nontorsion
+    with pytest.raises(PrecisionUnreachable, match="^trace bound m_K b = .* is not below"):
+        _crafted_trace(e37a, -7, z2, limit / 0.98)
+
+
+def test_a_trace_just_off_the_lattice_is_nontorsion_by_its_bound(e37a):
+    # with m_K = 1 the trace is tested against the lattice alone: 5e-8 from
+    # it, with bound 1e-12, it is no torsion point. The tolerance
+    # max(1e-7, 50 prec) that stood in for the bound called it torsion at its
+    # floor, and refused it outright once prec was raised to elliptic_exp's
+    # estimate 1e-12 |x|, 400 at x = 4e14
+    rep = _crafted_trace(e37a, -7, 5e-8, 1e-12)
+    assert rep.recognized is None and rep.pk_nontorsion and rep.biconditional_holds
+
+
+def test_a_trace_whose_bound_reaches_half_the_shortest_period_is_refused_by_name(e37a):
+    half = period_lattice(e37a).lambda_min / 2  # 1.2257, m_K = 1
+    refusal = r"^trace bound m_K b = 1\.23 is not below lambda_min/2 = 1\.23, m_K = 1$"
+    with pytest.raises(PrecisionUnreachable, match=refusal):
+        _crafted_trace(e37a, -7, 0.3, half)
 
 
 @pytest.mark.parametrize("ainvs, divides_m", [
@@ -514,8 +536,8 @@ def test_torsion_points_stay_torsion_under_the_bound(e11a):
     assert not is_torsion(e65a, (Fraction(1), Fraction(-1)))
     lat = period_lattice(e11a)
     for k in range(1, 5):
-        assert is_torsion(e11a, CPoint(k * lat.omega1 / 5, (0.0, 0.0), 1e-12), lattice=lat, d_K=-7)
-    assert not is_torsion(e11a, CPoint(lat.omega1 / 3, (0.0, 0.0), 1e-12), lattice=lat, d_K=-7)
+        assert not _crafted_trace(e11a, -7, k * lat.omega1 / 5, 1e-12).pk_nontorsion
+    assert _crafted_trace(e11a, -7, lat.omega1 / 3, 1e-12).pk_nontorsion
 
 
 def test_canonical_height_generator_37a(e37a):

@@ -747,7 +747,7 @@ def _add_a_3_torsion_point_to_one_level_ell_z(monkeypatch):
     def orbit_z(orbit, precision):
         zs = real(orbit, precision)
         if orbit.level > 1:
-            zs[0].z += heegner.period_lattice(orbit.curve).omega1 / 3
+            zs[0] = zs[0]._replace(z=zs[0].z + heegner.period_lattice(orbit.curve).omega1 / 3)
         return zs
 
     monkeypatch.setattr(pipeline, "orbit_z", orbit_z)
@@ -820,11 +820,12 @@ def test_coarse_l_precision_leaves_step_5_at_its_own_precision():
 
 def test_coarse_step5_configs_sum_at_a_precision_the_torsion_test_decides():
     # step 5 sums at min(lseries_precision, heegner_residual * 1e-3,
-    # lambda_min / (200 B^2 h)), so is_torsion's tolerance stays at most
-    # lambda_min / (4 B^2), below its limit lambda_min / (2 m_K). Summed at
-    # the first two alone, these runs failed at gz_correspondence when the
-    # limit was lambda_min / (2 B^2): 43a with "torsion tolerance 0.0313 is
-    # not below lambda_min/(2 B^2) = 0.00597", 19a with 0.00321 against 0.00266
+    # lambda_min / (4 B^2 h)), so the tails' share of the trace's m_K b stays
+    # at most m_K lambda_min / (4 B^2), below its limit lambda_min / 2. Summed
+    # at the first two alone, these runs failed at gz_correspondence under
+    # the tolerance that stood in for the bound, when its limit was
+    # lambda_min / (2 B^2): 43a with "torsion tolerance 0.0313 is not below
+    # lambda_min/(2 B^2) = 0.00597", 19a with 0.00321 against 0.00266
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     table = {c.label: c for c in parse_curve_file(os.path.join(root, "perfbench", "data",
                                                                 "pinned.txt"))}
@@ -836,20 +837,31 @@ def test_coarse_step5_configs_sum_at_a_precision_the_torsion_test_decides():
             assert report.passed and report.heegner["pk_nontorsion"], label
     # the limit itself still refuses a trace coarse enough, wherever it lies:
     # 43a over Q(sqrt(-7)) has m_K = 1 and lambda_min = 2.7264
-    lattice = heegner.period_lattice(table["43a"])
-    assert heegner.torsion_bound(table["43a"], -7) == 1
-    coarse = heegner.CPoint(0.1 + 0.1j, (0.0, 0.0), 0.04)
+    e43a = table["43a"]
+    lattice = heegner.period_lattice(e43a)
+    assert heegner.torsion_bound(e43a, -7) == 1
+    coarse = [heegner.CPoint(0.1 + 0.1j, None, 2.0)]
     with pytest.raises(heegner.PrecisionUnreachable,
-                       match=r"^torsion tolerance 2 is not below lambda_min/\(2 m_K\) = 1\.36, m_K = 1$"):
-        heegner.is_torsion(table["43a"], coarse, lattice=lattice, d_K=-7)
+                       match=r"^trace bound m_K b = 2 is not below lambda_min/2 = 1\.36, m_K = 1$"):
+        heegner.gz_correspondence(heegner.heegner_orbit(e43a, -7, 1), coarse,
+                                  l_over_K(e43a, -7), lattice)
 
 
 def test_step5_caps_its_precision_by_the_torsion_bound_squared_not_by_m_K():
-    # g8446.1's trace over Q(sqrt(-31)) lies at |z_K| = 0.265 at this config.
-    # With m_K = 1 in place of B^2 in the cap, the trace is summed at 2.4e-3,
-    # is_torsion's tolerance reaches 0.36 and the trace reads as torsion
+    # g777.1's trace over Q(sqrt(-47)) (m_K = 4, h = 5) lies 0.036 from
+    # (1/4) Lambda, times 4, at this config. With m_K in place of B^2 in the
+    # cap, lambda_min / (4 m_K h), its m_K b reaches 0.059 and the trace reads
+    # as torsion; the B^2 cap keeps m_K b at 0.0046. g8446.1 (m_K = 1, h = 3)
+    # pinned B^2 while a tolerance 50 times the bound decided torsion; its
+    # m_K b is 0.009 at the m_K cap, far below |z_K| = 0.265
+    config = Config(lseries_precision=3e-3, heegner_residual=10)
+    g777 = CurveQ(1, 1, 0, -16, 19, 777, "g777.1")
+    report = run_witness(g777, config)
+    assert report.passed and report.heegner["pk_nontorsion"]
+    assert report.d_K == -47 and heegner.torsion_bound(g777, -47) == 4
+    assert heegner.heegner_orbit(g777, -47, 1).class_count == 5
     curve = CurveQ(1, 0, 0, -7, -9, 8446, "g8446.1")
-    report = run_witness(curve, Config(lseries_precision=3e-3, heegner_residual=10))
+    report = run_witness(curve, config)
     assert report.passed and report.heegner["pk_nontorsion"]
     assert report.d_K == -31 and heegner.torsion_bound(curve, -31) == 1
     assert abs(complex(*report.heegner["z_K"])) == pytest.approx(0.265, abs=1e-3)
@@ -1201,3 +1213,18 @@ def test_every_top_level_function_and_class_in_src_is_named_in_src():
     unnamed = [f"{module}:{d.name}" for module, d in defs
                if everywhere[d.name] == Counter(names(d))[d.name]]
     assert unnamed == []
+
+
+def test_every_config_field_is_read_outside_config():
+    # no field that is recorded but ignored: each name in Config.__slots__ is
+    # read as an attribute somewhere in src/ outside the Config class
+    src = pathlib.Path(pipeline.__file__).parent
+    read: set = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        config = [d for d in tree.body if isinstance(d, ast.ClassDef) and d.name == "Config"]
+        inside = {id(n) for d in config for n in ast.walk(d)}
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load) and id(n) not in inside}
+    assert len(Config.__slots__) == 8
+    assert [name for name in Config.__slots__ if name not in read] == []
